@@ -171,11 +171,11 @@ def _resolve_problem(config: dict) -> OdeProblem:
             )
         if "methods" in config:
             problem.methods = config["methods"]
-            problem.__post_init__()
         if "T" in config:
             problem.T = float(config["T"])
         if "u0" in config:
             problem.u0 = np.asarray(config["u0"], dtype=float)
+        problem.__post_init__()  # validate the overridden fields
     return problem
 
 
@@ -249,21 +249,6 @@ def run_command(args) -> int:
             solver=solver_settings,
         )
         result = adapt(problem, partition, settings)
-
-        # re-solve the final dual for export
-        from .dual import DualSpec, dual_partition_for, solve_dual
-
-        phi_T_eff = settings.phi_T
-        if phi_T_eff is None:
-            n = problem.dimension
-            phi_T_eff = np.full(n, 1.0 / np.sqrt(n))
-        dual = solve_dual(
-            DualSpec(problem=problem, primal=result.trajectory,
-                     phi_T=phi_T_eff, s_points=settings.s_points),
-            dual_partition_for(result.partition, settings.dual_order_increment,
-                               settings.dual_refine),
-            solver_settings,
-        )
     except (ConfigError, ValueError, TableauError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -271,8 +256,9 @@ def run_command(args) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 
+    dual_traj = result.dual.export_trajectory()
     _write_trajectory_csv(out_dir / "trajectory.csv", result.trajectory)
-    _write_trajectory_csv(out_dir / "dual.csv", dual.export_trajectory())
+    _write_trajectory_csv(out_dir / "dual.csv", dual_traj)
     (out_dir / "error_report.json").write_text(
         json.dumps(result.report.to_json_dict(), indent=2) + "\n")
     rows = result.report.csv_summary_rows()
@@ -290,8 +276,7 @@ def run_command(args) -> int:
     (out_dir / "trajectory.json").write_text(
         json.dumps(_trajectory_json_dict(result.trajectory), indent=2) + "\n")
     (out_dir / "dual.json").write_text(
-        json.dumps(_trajectory_json_dict(dual.export_trajectory(), dual=True),
-                   indent=2) + "\n")
+        json.dumps(_trajectory_json_dict(dual_traj, dual=True), indent=2) + "\n")
 
     if not result.met:
         print(f"tolerance not met after {result.rounds} rounds "

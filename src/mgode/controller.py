@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import DualSpec, dual_partition_for, solve_dual
+from .dual import DualSolution, DualSpec, dual_partition_for, solve_dual
 from .estimator import ErrorReport, StabilityFactors, estimate, interp_constant
 from .partition import Partition
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
@@ -151,6 +151,7 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
 @dataclass
 class AdaptResult:
     trajectory: Trajectory
+    dual: DualSolution
     report: ErrorReport
     partition: Partition
     rounds: int
@@ -179,7 +180,7 @@ def adapt(problem: OdeProblem, partition: Partition,
     log: list[dict] = []
     orders = None
     met = False
-    traj = report = None
+    traj = dual = report = None
     rounds = 0
     for rounds in range(1, settings.max_rounds + 1):
         traj = solve(problem, partition, settings.solver)
@@ -213,5 +214,5 @@ def adapt(problem: OdeProblem, partition: Partition,
         partition = synchronized_partition(step_fns, orders, problem.T,
                                            problem.methods, settings.k_min,
                                            settings.k_max)
-    return AdaptResult(trajectory=traj, report=report, partition=partition,
-                       rounds=rounds, met=met, log=log)
+    return AdaptResult(trajectory=traj, dual=dual, report=report,
+                       partition=partition, rounds=rounds, met=met, log=log)

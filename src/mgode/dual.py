@@ -143,78 +143,35 @@ class DualSolution:
         hi = part.interval_at(i, self.T - t0, "left")
         return int(np.min(part.orders[i][lo:hi + 1]))
 
-    @staticmethod
-    def _flip(side: str) -> str:
-        return "right" if side == "left" else "left"
-
     def value(self, i: int, t: float, side: str = "left") -> float:
         """phi_i(t) with the requested one-sided convention; at the ends of
         [0, T] the interior limit is returned regardless of side."""
-        if t <= 0.0:
-            return self.psi.value(i, self.T, "left")
-        if t >= self.T:
-            return self.psi.value(i, 0.0, "right")
-        return self.psi.value(i, self.T - t, self._flip(side))
+        return float(self.values(i, min(max(t, 0.0), self.T), side)[0])
 
     def state(self, t: float, side: str = "left") -> np.ndarray:
         return np.array([self.value(i, t, side) for i in range(self.dimension)])
 
-    def _locate(self, ts: np.ndarray, i: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized interval lookup in reversed time; ends of [0, T] clamp
-        to the interior limit."""
-        part = self.psi.partition
-        bp = part.breakpoints[i]
-        sigma = self.T - np.asarray(ts, dtype=float)
-        flip = self._flip(side)
-        if flip == "left":
-            j = np.searchsorted(bp, sigma, side="left") - 1
-        else:
-            j = np.searchsorted(bp, sigma, side="right") - 1
-        j = np.clip(j, 0, part.n_intervals(i) - 1)
-        return sigma, j
-
     def values(self, i: int, ts, side: str = "left") -> np.ndarray:
         """phi_i at an array of times (see ``value``)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        sigma, j = self._locate(ts, i, side)
-        part = self.psi.partition
-        out = np.empty(len(ts))
-        for jc in np.unique(j):
-            sel = j == jc
-            t0, t1 = part.span(i, int(jc))
-            s = (sigma[sel] - t0) / (t1 - t0)
-            out[sel] = self.psi.interval_values(i, int(jc), s)
-        return out
+        return self._evaluate(i, ts, 0, side)
 
     def derivatives(self, i: int, ts, order: int, side: str = "left") -> np.ndarray:
         """Order-th time derivative of phi_i at an array of times."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        sigma, j = self._locate(ts, i, side)
-        part = self.psi.partition
-        out = np.empty(len(ts))
-        for jc in np.unique(j):
-            sel = j == jc
-            t0, t1 = part.span(i, int(jc))
-            s = (sigma[sel] - t0) / (t1 - t0)
-            out[sel] = self.psi.interval_derivative(i, int(jc), s, order=order)
-        return (-1.0) ** order * out
+        return (-1.0) ** order * self._evaluate(i, ts, order, side)
+
+    def _evaluate(self, i: int, ts, order: int, side: str) -> np.ndarray:
+        """The reversed trajectory's order-th derivative at sigma = T - t,
+        where a left limit in t is a right limit in sigma; times outside
+        the breakpoint range clamp to the end intervals."""
+        sigma = self.T - np.atleast_1d(np.asarray(ts, dtype=float))
+        j = self.psi.locate(i, sigma, "right" if side == "left" else "left")
+        return self.psi.evaluate((i,), sigma, (j,), order)[0]
 
     def derivative(self, i: int, t: float, order: int = 1,
                    side: str = "left") -> float:
         """The order-th time derivative of phi_i at t, from the local
         polynomial; equals (-1)^order times the reversed trajectory's."""
-        if t <= 0.0:
-            sigma, flip = self.T, "left"
-        elif t >= self.T:
-            sigma, flip = 0.0, "right"
-        else:
-            sigma, flip = self.T - t, self._flip(side)
-        part = self.psi.partition
-        j = part.interval_at(i, sigma, flip)
-        s0, s1 = part.span(i, j)
-        s = (sigma - s0) / (s1 - s0)
-        val = self.psi.interval_derivative(i, j, s, order=order)[0]
-        return float((-1) ** order * val)
+        return float(self.derivatives(i, min(max(t, 0.0), self.T), order, side)[0])
 
     def piece_boundaries(self, i: int, t0: float, t1: float) -> np.ndarray:
         """Dual breakpoints of component i strictly inside (t0, t1), in

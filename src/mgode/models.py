@@ -38,9 +38,15 @@ class ModelCatalogEntry:
 
     def problem(self, T: float | None = None, u0=None,
                 methods="mcG") -> OdeProblem:
+        u0 = np.asarray(self.u0 if u0 is None else u0, dtype=float)
+        if u0.size != self.dimension:
+            raise ValueError(
+                f"model {self.name!r} has dimension {self.dimension}, "
+                f"got {u0.size} initial values"
+            )
         return OdeProblem(
             rhs=self.rhs,
-            u0=np.asarray(self.u0 if u0 is None else u0, dtype=float),
+            u0=u0,
             T=self.T_default if T is None else float(T),
             jacobian=self.jacobian,
             methods=methods,

@@ -248,8 +248,8 @@ def build_partition(steps, orders, T: float, methods=None) -> Partition:
     ``orders`` broadcasts the same way.  When ``methods`` is given, interval
     orders are validated against the per-component scheme family.
     """
-    if not T > 0.0:
-        raise PartitionError(f"horizon must be positive, got {T!r}")
+    if not (T > 0.0 and np.isfinite(T)):
+        raise PartitionError(f"horizon must be positive and finite, got {T!r}")
     # A scalar or callable spec broadcasts over components; a sequence is one
     # spec per component (a single component's explicit list is written
     # [[k1, k2, ...]]).

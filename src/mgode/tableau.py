@@ -185,23 +185,34 @@ def radau_nodes(q: int) -> NodeSet:
 # Lagrange bases
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _lagrange_denominators(node_bytes: bytes) -> np.ndarray:
+    """Node differences s_m - s_k, shape (n, n, 1), with a unit diagonal."""
+    nodes = np.frombuffer(node_bytes)
+    denom = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(denom, 1.0)
+    denom = denom[:, :, None]
+    denom.setflags(write=False)
+    return denom
+
+
 def lagrange_matrix(nodes: np.ndarray, x) -> np.ndarray:
     """Cardinal-function values out[n, p] = lambda_n(x[p]) for the Lagrange
-    basis on the given distinct nodes."""
+    basis on the given distinct nodes.
+
+    All ratios (x - s_k) / (s_m - s_k) are formed in one array operation with
+    the k = m factor set to 1, then multiplied along k in index order; this
+    is the same sequence of roundings as the factor-by-factor product, and
+    every column depends on its own point only.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
     if n == 1:
         return np.ones((1, len(xs)))
-    diff = xs[None, :] - nodes[:, None]
-    denom = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(denom, 1.0)
-    out = np.empty((n, len(xs)))
-    idx = np.arange(n)
-    for m in range(n):
-        mask = idx != m
-        out[m] = np.prod(diff[mask] / denom[m, mask][:, None], axis=0)
-    return out
+    ratios = (xs - nodes[:, None]) / _lagrange_denominators(nodes.tobytes())
+    ratios.reshape(n * n, len(xs))[:: n + 1] = 1.0
+    return np.multiply.reduce(ratios, axis=1)
 
 
 def differentiation_matrix(nodes: np.ndarray) -> np.ndarray:

@@ -282,6 +282,7 @@ def test_11_stability_factor_bound():
              rel <= sfe.bound)
 
 
+@pytest.mark.slow
 def test_12_controller():
     # scalar tolerance-driven run
     entry = model("linear_decay")

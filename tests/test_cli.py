@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mgode.cli import main
 
@@ -82,6 +83,35 @@ class TestRun:
         path.write_text('{\n  "model": "linear_decay",\n}\n')
         assert main(["run", "--config", str(path)]) == 1
         assert ":3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"model": "kepler_2body", "T": float("inf")},
+        {"model": "harmonic", "u0": [1.0, 0.0]},
+    ], ids=["infinite_horizon", "u0_length_mismatch"])
+    def test_malformed_problem_is_one_line_error(self, tmp_path, capsys,
+                                                 overrides):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_problem_import_overrides_are_validated(self, tmp_path, capsys,
+                                                    monkeypatch):
+        helper = tmp_path / "userprob2.py"
+        helper.write_text(
+            "from mgode.solver import OdeProblem\n"
+            "def make():\n"
+            "    return OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": "userprob2:make",
+                                      "u0": [float("nan")]}, drop=("model",))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
 
     def test_unreachable_tolerance_exit_2_with_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, {

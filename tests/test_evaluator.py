@@ -1,0 +1,181 @@
+"""Contract of the piecewise-polynomial evaluator.
+
+The batched evaluator must reproduce, bit for bit, the per-interval loop it
+replaced: locate each time's interval, group the times per interval, and
+contract each group's coefficients with the Lagrange factors of that group
+alone.  The estimator's rounding-level terms depend on those exact bits, so
+every comparison here is ``np.array_equal``, not a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from mgode.dual import DualSpec, dual_partition_for, solve_dual
+from mgode.models import model
+from mgode.partition import build_partition
+from mgode.solver import SolveSettings, _cross_state, solve
+from mgode.tableau import MAX_ORDER, lagrange_matrix, lobatto_nodes, radau_nodes
+
+
+def lagrange_loop(nodes, x):
+    """The factor-by-factor product formula for the cardinal functions."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    if n == 1:
+        return np.ones((1, len(xs)))
+    diff = xs[None, :] - nodes[:, None]
+    denom = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(denom, 1.0)
+    out = np.empty((n, len(xs)))
+    idx = np.arange(n)
+    for m in range(n):
+        mask = idx != m
+        out[m] = np.prod(diff[mask] / denom[m, mask][:, None], axis=0)
+    return out
+
+
+NODE_SETS = ([("lobatto", q, lobatto_nodes(q).nodes) for q in range(1, MAX_ORDER + 1)]
+             + [("radau", q, radau_nodes(q).nodes) for q in range(0, MAX_ORDER + 1)])
+
+
+class TestLagrangeMatrix:
+    @pytest.mark.parametrize("kind,q,nodes", NODE_SETS,
+                             ids=[f"{k}{q}" for k, q, _ in NODE_SETS])
+    def test_bitwise_equal_to_loop_formula(self, kind, q, nodes):
+        rng = np.random.default_rng(q)
+        inside = rng.uniform(0.0, 1.0, 7)
+        outside = np.array([-0.75, -1e-9, 1.0 + 1e-9, 1.5])
+        for x in (inside, outside, nodes.copy(),
+                  np.concatenate([nodes, inside, outside])):
+            assert np.array_equal(lagrange_matrix(nodes, x), lagrange_loop(nodes, x))
+        for x in (0.3, float(nodes[-1]), -0.2):
+            assert np.array_equal(lagrange_matrix(nodes, x), lagrange_loop(nodes, x))
+
+    def test_columns_independent_of_batch(self):
+        nodes = lobatto_nodes(4).nodes
+        x = np.linspace(-0.1, 1.1, 23)
+        L = lagrange_matrix(nodes, x)
+        for p in range(len(x)):
+            assert np.array_equal(L[:, p], lagrange_matrix(nodes, x[p])[:, 0])
+
+
+# -- a multirate trajectory with mixed families and per-interval orders ---------
+
+def _orders(n_intervals, base, lo):
+    return [max(lo, base + (j % 3) - 1) for j in range(n_intervals)]
+
+
+@pytest.fixture(scope="module")
+def multirate():
+    entry = model("harmonic")
+    methods = ("mcG", "mdG", "mcG", "mdG")
+    prob = entry.problem(T=1.0, methods=methods)
+    steps = [0.25, 0.125, 0.0625, 0.25]
+    orders = [_orders(round(1.0 / k), 2, 1 if m == "mcG" else 0)
+              for k, m in zip(steps, methods)]
+    part = build_partition(steps, orders, 1.0, methods=methods)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-13))
+    return prob, traj
+
+
+def _grouped_loop(traj, i, ts, j, fn):
+    """Per-interval reference: one fn(i, jc, s) call per interval group."""
+    out = np.empty(len(ts))
+    for jc in np.unique(j):
+        sel = j == jc
+        t0, t1 = traj.partition.span(i, int(jc))
+        out[sel] = fn(i, int(jc), (ts[sel] - t0) / (t1 - t0))
+    return out
+
+
+def _straddling_times(part):
+    """Every breakpoint with points just before and after it, plus a few
+    interior points, in unsorted order."""
+    bp = np.unique(np.concatenate(part.breakpoints))
+    pts = np.concatenate([bp, bp - 1e-3, bp + 1e-3, [0.3, 0.61, 0.07]])
+    pts = pts[(pts >= 0.0) & (pts <= part.T)]
+    return np.random.default_rng(5).permutation(pts)
+
+
+class TestTrajectoryEvaluator:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_sample_states_matches_per_interval_loop(self, multirate, side):
+        _, traj = multirate
+        ts = _straddling_times(traj.partition)
+        assert 0.0 in ts
+        U = traj.sample_states(ts, side)
+        for i in range(traj.dimension):
+            bp = traj.partition.breakpoints[i]
+            j = np.clip(np.searchsorted(bp, ts, side=side) - 1, 0,
+                        traj.partition.n_intervals(i) - 1)
+            ref = _grouped_loop(traj, i, ts, j, traj.interval_values)
+            if side == "left":
+                ref[ts == 0.0] = traj.u0[i]
+            assert np.array_equal(U[i], ref)
+
+    def test_cross_state_matches_per_interval_loop(self, multirate):
+        _, traj = multirate
+        t0 = float(traj.partition.breakpoints[2][5])
+        ts = np.concatenate([[t0], t0 + np.linspace(0.0, 0.3, 13)[1:]])
+        U = _cross_state(traj, ts, left_endpoint=t0)
+        for c in range(traj.dimension):
+            bp = traj.partition.breakpoints[c]
+            j = np.searchsorted(bp, ts, side="left") - 1
+            j_right = np.searchsorted(bp, ts, side="right") - 1
+            j = np.where(ts == t0, j_right, j)
+            ref = _grouped_loop(traj, c, ts, j, traj.interval_values)
+            assert np.array_equal(U[c], ref)
+
+    def test_single_point_and_single_interval(self, multirate):
+        _, traj = multirate
+        for t in (0.5, 0.3125, 1e-3, 1.0):
+            U = traj.sample_states(np.array([t]))
+            assert np.array_equal(U[:, 0], traj.state(t))
+
+
+class TestDualEvaluator:
+    @pytest.fixture(scope="class")
+    def dual(self, multirate):
+        prob, traj = multirate
+        spec = DualSpec(problem=prob, primal=traj, phi_T=np.full(4, 0.5))
+        return solve_dual(spec, dual_partition_for(traj.partition),
+                          SolveSettings(tolerance=1e-13))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_values_and_derivatives_match_per_interval_loop(self, dual, side):
+        psi = dual.psi
+        ts = _straddling_times(psi.partition)
+        sigma = dual.T - ts
+        flip = "right" if side == "left" else "left"
+        for i in range(dual.dimension):
+            bp = psi.partition.breakpoints[i]
+            j = np.clip(np.searchsorted(bp, sigma, side=flip) - 1, 0,
+                        psi.partition.n_intervals(i) - 1)
+            ref = _grouped_loop(psi, i, sigma, j, psi.interval_values)
+            assert np.array_equal(dual.values(i, ts, side), ref)
+            for order in (1, 2):
+                ref = _grouped_loop(
+                    psi, i, sigma, j,
+                    lambda c, jc, s: psi.interval_derivative(c, jc, s, order=order))
+                assert np.array_equal(dual.derivatives(i, ts, order, side),
+                                      (-1.0) ** order * ref)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_scalar_accessors_match_single_interval_polynomial(self, dual, side):
+        psi = dual.psi
+        ts = np.concatenate([[0.0, dual.T], _straddling_times(psi.partition)[:12]])
+        for i in range(dual.dimension):
+            for t in ts:
+                if t <= 0.0:
+                    sigma, flip = dual.T, "left"
+                elif t >= dual.T:
+                    sigma, flip = 0.0, "right"
+                else:
+                    sigma, flip = dual.T - t, "right" if side == "left" else "left"
+                j = psi.partition.interval_at(i, sigma, flip)
+                s0, s1 = psi.partition.span(i, j)
+                s = (sigma - s0) / (s1 - s0)
+                assert dual.value(i, t, side) == psi.interval_values(i, j, s)[0]
+                assert (dual.derivative(i, t, 1, side)
+                        == -psi.interval_derivative(i, j, s, order=1)[0])
