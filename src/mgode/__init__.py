@@ -28,7 +28,6 @@ from .solver import (
     ConvergenceFailure,
     NonFiniteRHS,
     Trajectory,
-    jump,
     residual,
     solve,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ConvergenceFailure",
     "NonFiniteRHS",
     "Trajectory",
-    "jump",
     "residual",
     "solve",
     "DualSolution",

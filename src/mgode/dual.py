@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition
+from .partition import _MAX_INTERVALS, Partition, PartitionError
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
 
@@ -82,6 +82,12 @@ def dual_partition_for(partition: Partition, order_increment: int = 1,
     ``order_increment``, capped at the supported maximum."""
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
+    for i in range(partition.n_components):
+        if refine * partition.n_intervals(i) > _MAX_INTERVALS:
+            raise PartitionError(
+                f"refine {refine} gives component {i} more than "
+                f"{_MAX_INTERVALS} dual intervals"
+            )
     breakpoints = []
     orders = []
     for bp, qs in zip(partition.breakpoints, partition.orders):

@@ -843,12 +843,11 @@ class ErrorReport:
         return rows
 
 
-def estimate(problem: OdeProblem, traj: Trajectory, dual: DualSolution,
-             quad_depth: int | None = None) -> ErrorReport:
+def estimate(problem: OdeProblem, traj: Trajectory,
+             dual: DualSolution) -> ErrorReport:
     """Run the full estimator pipeline and assemble one report."""
     est = galerkin_estimates(traj, dual, problem)
-    ec = computational_error(traj, problem, dual, depth=quad_depth,
-                             factors=est.factors)
+    ec = computational_error(traj, problem, dual, factors=est.factors)
     eq = quadrature_error(traj, problem, dual, factors=est.factors)
     eg = eg_residual_zero(traj, dual, problem)
     tot = total_error(eg, est, ec, eq)

@@ -174,10 +174,10 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
         k = float(spec)
         if not (k > 0.0 and np.isfinite(k)):
             raise PartitionError(f"nonpositive step {k!r}")
-        n = max(1, round(T / k))
-        if n > _MAX_INTERVALS:
+        # compare before rounding: T / k overflows to inf for subnormal k
+        if T / k > _MAX_INTERVALS:
             raise PartitionError("constant step produces too many intervals")
-        return np.linspace(0.0, T, n + 1)
+        return np.linspace(0.0, T, max(1, round(T / k)) + 1)
 
     explicit = [float(k) for k in np.asarray(spec, dtype=float)]
     if not explicit:

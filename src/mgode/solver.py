@@ -182,6 +182,15 @@ def _diff_matrix(method: str, q: int) -> np.ndarray:
     return differentiation_matrix(_basis_nodes(method, q))
 
 
+def _interval_groups(j: np.ndarray):
+    """(interval, selector) pairs grouping the positions of the interval
+    indices j by interval, in increasing interval order."""
+    if len(j) == 1 or (len(j) and (j == j[0]).all()):
+        # one interval: no np.unique, no masks
+        return ((int(j[0]), slice(None)),)
+    return ((int(jc), j == jc) for jc in np.unique(j))
+
+
 class Trajectory:
     """Piecewise-polynomial solution over a partition.
 
@@ -278,12 +287,7 @@ class Trajectory:
         batches: dict[tuple[str, int], list] = {}
         for row, (c, j) in enumerate(zip(comps, js)):
             bp = self.partition.breakpoints[c]
-            if len(j) == 1 or (len(j) and (j == j[0]).all()):
-                # one interval: no np.unique, no masks
-                groups = ((int(j[0]), slice(None)),)
-            else:
-                groups = ((int(jc), j == jc) for jc in np.unique(j))
-            for jc, sel in groups:
+            for jc, sel in _interval_groups(j):
                 t0, t1 = float(bp[jc]), float(bp[jc + 1])
                 s = (ts[sel] - t0) / (t1 - t0)
                 key = (self.methods[c], self.order(c, jc))
@@ -338,11 +342,6 @@ class Trajectory:
         left = self.incoming_value(i, j)
         right = float(self.interval_values(i, j, 0.0)[0])
         return right - left
-
-
-def jump(traj: Trajectory, i: int, j: int) -> float:
-    """Jump of component i at breakpoint t_{i,j} (see Trajectory.jump)."""
-    return traj.jump(i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -410,35 +409,29 @@ class _IntervalWork:
     times: np.ndarray            # (P,) quadrature times
     pred: int | None             # work index of predecessor interval, if in slab
     incoming_fixed: float | None # incoming value when predecessor precedes slab
-    # per component: list of (rows already fixed?) group descriptors
+    # stencil groups (comp, sel, widx, L): component comp at times[sel] is
+    # state[widx] @ L
     groups: list = field(default_factory=list)
-
-
-@dataclass
-class _Group:
-    comp: int
-    sel: np.ndarray             # time indices covered by this group
-    widx: int | None            # source work interval, None when pre-slab
-    L: np.ndarray | None        # Lagrange matrix (q+1, len(sel)) for state source
-    const: np.ndarray | None    # fixed values when the source is already solved
-
-
-def _snap_time(t: float, bp: np.ndarray, tol: float) -> float:
-    idx = np.searchsorted(bp, t)
-    for cand in (idx - 1, idx):
-        if 0 <= cand < len(bp) and abs(float(bp[cand]) - t) <= tol:
-            return float(bp[cand])
-    return t
 
 
 def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
     """Precompute quadrature times, scheme weights and cross-component
-    evaluation stencils for every interval in the slab."""
-    snap_tol = 1e-12 * partition.T
+    evaluation stencils for every interval in the slab.
+
+    Every quadrature time lies in the slab, so the stencils of a component
+    only read its own intervals in the slab.  One vectorized pass per
+    component over its slab breakpoints snaps all the slab's times to a
+    breakpoint within 1e-12 T, locates them and maps them to local
+    coordinates.  A time at the integrated interval's start reads the
+    interval starting there (the within-interval limit), every other time
+    the interval ending at or after it.
+    """
     work: list[_IntervalWork] = []
-    index = {}
+    first = []                   # work index of each component's first interval
     for i in range(problem.dimension):
-        for j in slab.intervals(i):
+        first.append(len(work))
+        lo, hi = slab.spans[i]
+        for j in range(lo, hi):
             q = int(partition.orders[i][j])
             pts, W = scheme_rule(methods[i], q, settings.quad_depth)
             t0, t1 = partition.span(i, j)
@@ -446,58 +439,39 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
             times = t0 + k * pts
             if len(times) and pts[0] == 0.0:
                 times[0] = t0
-            widx = len(work)
-            index[(i, j)] = widx
+            if j > lo:
+                pred, incoming = len(work) - 1, None
+            else:
+                pred, incoming = None, float(u0[i] if j == 0 else coeffs[i][j - 1][-1])
             work.append(_IntervalWork(
-                i=i, j=j, widx=widx, method=methods[i], order=q,
-                t0=t0, k=k, W=W, times=times,
-                pred=None, incoming_fixed=None,
+                i=i, j=j, widx=len(work), method=methods[i], order=q,
+                t0=t0, k=k, W=W, times=times, pred=pred, incoming_fixed=incoming,
             ))
 
-    for item in work:
-        i, j = item.i, item.j
-        if (i, j - 1) in index:
-            item.pred = index[(i, j - 1)]
-        elif j == 0:
-            item.incoming_fixed = float(u0[i])
-        else:
-            item.incoming_fixed = float(coeffs[i][j - 1][-1])
-
-        # cross-component evaluation stencils, grouped by source interval
-        for c in range(problem.dimension):
-            buckets: dict[tuple, list[int]] = {}
-            locs = []
-            for p, t in enumerate(item.times):
-                tt = _snap_time(float(t), partition.breakpoints[c], snap_tol)
-                side = "right" if tt == item.t0 else "left"
-                if side == "left" and tt == 0.0:
-                    locs.append(("u0", 0, 0.0))
-                    continue
-                jc = partition.interval_at(c, tt, side)
-                tc0, tc1 = partition.span(c, jc)
-                locs.append(("iv", jc, (tt - tc0) / (tc1 - tc0)))
-            for p, (kind, jc, s) in enumerate(locs):
-                buckets.setdefault((kind, jc), []).append(p)
-            for (kind, jc), ps in buckets.items():
-                sel = np.asarray(ps, dtype=int)
-                if kind == "u0":
-                    item.groups.append(_Group(
-                        comp=c, sel=sel, widx=None, L=None,
-                        const=np.full(len(sel), float(u0[c])),
-                    ))
-                    continue
-                s_local = np.array([locs[p][2] for p in ps])
-                qc = int(partition.orders[c][jc])
-                L = lagrange_matrix(_basis_nodes(methods[c], qc), s_local)
-                if (c, jc) in index:
-                    item.groups.append(_Group(
-                        comp=c, sel=sel, widx=index[(c, jc)], L=L, const=None,
-                    ))
-                else:
-                    vals = coeffs[c][jc] @ L
-                    item.groups.append(_Group(
-                        comp=c, sel=sel, widx=None, L=None, const=vals,
-                    ))
+    counts = [len(item.times) for item in work]
+    bounds = np.cumsum([0] + counts)
+    times = np.concatenate([item.times for item in work])
+    starts = np.repeat([item.t0 for item in work], counts)
+    snap_tol = 1e-12 * partition.T
+    for c in range(problem.dimension):
+        lo, hi = slab.spans[c]
+        bp = partition.breakpoints[c][lo:hi + 1]
+        orders = partition.orders[c][lo:hi]
+        # snap to a breakpoint within tolerance, the left neighbour first
+        idx = bp.searchsorted(times)
+        left = bp[np.maximum(idx - 1, 0)]
+        right = bp[np.minimum(idx, len(bp) - 1)]
+        tt = np.where(np.abs(left - times) <= snap_tol, left,
+                      np.where(np.abs(right - times) <= snap_tol, right, times))
+        jl = np.where(tt == starts, bp.searchsorted(tt, "right"),
+                      bp.searchsorted(tt)) - 1     # slab-local interval index
+        s = (tt - bp[jl]) / (bp[jl + 1] - bp[jl])
+        for item, a, b in zip(work, bounds, bounds[1:]):
+            s_item = s[a:b]
+            for j, sel in _interval_groups(jl[a:b]):
+                L = lagrange_matrix(_basis_nodes(methods[c], int(orders[j])),
+                                    s_item[sel])
+                item.groups.append((c, sel, first[c] + j, L))
     return work
 
 
@@ -533,11 +507,8 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
             if inc is None:
                 inc = float(state[item.pred][-1])
             U = np.empty((problem.dimension, len(item.times)))
-            for grp in item.groups:
-                if grp.const is not None:
-                    U[grp.comp, grp.sel] = grp.const
-                else:
-                    U[grp.comp, grp.sel] = state[grp.widx] @ grp.L
+            for c, sel, widx, L in item.groups:
+                U[c, sel] = state[widx] @ L
             F = problem.eval_rhs(U, item.times)
             frow = F[item.i]
             if not np.all(np.isfinite(frow)):

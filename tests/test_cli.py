@@ -87,7 +87,10 @@ class TestRun:
     @pytest.mark.parametrize("overrides", [
         {"model": "kepler_2body", "T": float("inf")},
         {"model": "harmonic", "u0": [1.0, 0.0]},
-    ], ids=["infinite_horizon", "u0_length_mismatch"])
+        {"steps": 1e-320},
+        {"dual": {"refine": 2_000_000}},
+    ], ids=["infinite_horizon", "u0_length_mismatch", "subnormal_step",
+            "huge_dual_refine"])
     def test_malformed_problem_is_one_line_error(self, tmp_path, capsys,
                                                  overrides):
         cfg = write_config(tmp_path, overrides)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from mgode.dual import DualSpec, _reverse_partition, dual_partition_for, jstar, solve_dual
-from mgode.partition import build_partition
+from mgode.partition import PartitionError, build_partition
 from mgode.solver import OdeProblem, SolveSettings, solve
 
 A2 = np.array([[-1.0, 2.0], [0.5, -3.0]])
@@ -161,6 +163,19 @@ class TestReversalBookkeeping:
         assert fine.n_intervals(0) == 8
         np.testing.assert_array_equal(fine.orders[0], 3)
         assert fine.breakpoints[0][-1] == 1.0
+
+    def test_dual_refinement_capped_before_allocating(self):
+        part = build_partition(0.1, 1, 1.0, methods=("mcG",))
+        assert part.n_intervals(0) == 10
+        tracemalloc.start()
+        try:
+            with pytest.raises(PartitionError, match="dual intervals"):
+                dual_partition_for(part, refine=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2e7 breakpoints would take 160 MB as float64
+        assert peak < 1_000_000
 
     def test_batched_accessors_match_scalar(self):
         prob, part, traj = solved_linear()

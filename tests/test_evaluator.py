@@ -12,8 +12,8 @@ import pytest
 
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
-from mgode.partition import build_partition
-from mgode.solver import SolveSettings, _cross_state, solve
+from mgode.partition import build_partition, build_slabs
+from mgode.solver import OdeProblem, SolveSettings, _build_work, _cross_state, solve
 from mgode.tableau import MAX_ORDER, lagrange_matrix, lobatto_nodes, radau_nodes
 
 
@@ -179,3 +179,64 @@ class TestDualEvaluator:
                 assert dual.value(i, t, side) == psi.interval_values(i, j, s)[0]
                 assert (dual.derivative(i, t, 1, side)
                         == -psi.interval_derivative(i, j, s, order=1)[0])
+
+
+# -- slab stencils against the per-point lookup they replaced -----------------
+
+def _snap_time(t, bp, tol):
+    """The breakpoint within tol of t, the left neighbour first, else t."""
+    idx = np.searchsorted(bp, t)
+    for cand in (idx - 1, idx):
+        if 0 <= cand < len(bp) and abs(float(bp[cand]) - t) <= tol:
+            return float(bp[cand])
+    return t
+
+
+STENCIL_METHODS = [("mcG", "mdG", "mcG", "mdG"), ("mdG", "mcG", "mdG", "mcG")]
+
+
+class TestSlabStencils:
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("methods", STENCIL_METHODS,
+                             ids=["-".join(m) for m in STENCIL_METHODS])
+    def test_match_per_point_lookup(self, methods, depth):
+        # The oracle works per point: snap within 1e-12 T, take the interval
+        # starting there at the integrated interval's start and the one
+        # ending at or after the time elsewhere, then map to local s.  At
+        # T = 0.7 every case has quadrature times within rounding of another
+        # component's breakpoint, so the snap is exercised.
+        T = 0.7
+        steps = [0.1, 0.1 / 3, 0.05, 0.025]
+        orders = [_orders(round(T / k), 2, 1 if m == "mcG" else 0)
+                  for k, m in zip(steps, methods)]
+        part = build_partition(steps, orders, T, methods=methods)
+        prob = OdeProblem(rhs=lambda u, t: -u, u0=np.ones(4), T=T, methods=methods)
+        coeffs = [[np.zeros(q + 1) for q in qs] for qs in part.orders]
+        settings = SolveSettings(quad_depth=depth)
+        snapped = 0
+        for slab in build_slabs(part):
+            work = _build_work(prob, part, methods, slab, settings, coeffs, prob.u0)
+            for item in work:
+                P = len(item.times)
+                for c in range(part.n_components):
+                    js, ss = np.empty(P, dtype=int), np.empty(P)
+                    for p, t in enumerate(item.times):
+                        tt = _snap_time(float(t), part.breakpoints[c], 1e-12 * T)
+                        snapped += tt != t
+                        side = "right" if tt == item.t0 else "left"
+                        js[p] = part.interval_at(c, tt, side)
+                        tc0, tc1 = part.span(c, js[p])
+                        ss[p] = (tt - tc0) / (tc1 - tc0)
+                    groups = [g for g in item.groups if g[0] == c]
+                    cover = np.zeros(P, dtype=int)
+                    for _, sel, widx, L in groups:
+                        cover[sel] += 1
+                        src = work[widx]
+                        assert all((src.i, src.j) == (c, jc) for jc in js[sel])
+                        nodes = (lobatto_nodes if src.method == "mcG"
+                                 else radau_nodes)(src.order).nodes
+                        assert np.array_equal(L, lagrange_matrix(nodes, ss[sel]))
+                    assert np.array_equal(cover, np.ones(P, dtype=int))
+                    # one group, hence one contraction, per source interval
+                    assert len({widx for _, _, widx, _ in groups}) == len(groups)
+        assert snapped > 0

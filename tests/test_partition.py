@@ -34,6 +34,11 @@ class TestBuildPartition:
         with pytest.raises(PartitionError):
             build_partition(-0.1, 1, 1.0, methods=("mcG",))
 
+    def test_subnormal_step_rejected(self):
+        # T / k overflows to inf and must not reach round()
+        with pytest.raises(PartitionError, match="too many intervals"):
+            build_partition(1e-320, 1, 1.0, methods=("mcG",))
+
     def test_order_out_of_range(self):
         with pytest.raises(PartitionError):
             build_partition(0.1, 0, 1.0, methods=("mcG",))

@@ -10,7 +10,6 @@ from mgode.solver import (
     SolveSettings,
     Trajectory,
     interval_residual,
-    jump,
     residual,
     solve,
     solve_slab,
@@ -235,7 +234,7 @@ class TestJump:
         prob = decay_problem()
         part = build_partition(0.25, 1, 1.0, methods=prob.methods)
         traj = solve(prob, part)
-        assert jump(traj, 0, 2) == 0.0
+        assert traj.jump(0, 2) == 0.0
 
     def test_mdg0_jump_closed_form(self):
         # oracle: one-step recursion xi_{n+1} = xi_n / 1.1
@@ -244,7 +243,7 @@ class TestJump:
         traj = solve(prob, part, SolveSettings(tolerance=1e-14))
         xs = (1 / 1.1) ** np.arange(11)
         for j in range(1, 10):
-            assert jump(traj, 0, j) == pytest.approx(xs[j + 1] - xs[j], abs=1e-12)
+            assert traj.jump(0, j) == pytest.approx(xs[j + 1] - xs[j], abs=1e-12)
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_jump_decay_rate(self, q):
