@@ -40,7 +40,6 @@ from .estimator import (
     error_representation,
     galerkin_estimates,
     interp_constant,
-    total_error,
 )
 from .controller import AdaptSettings, AdaptResult, adapt, propose_steps
 from .models import ModelCatalogEntry, model, model_names
@@ -80,7 +79,6 @@ __all__ = [
     "error_representation",
     "galerkin_estimates",
     "interp_constant",
-    "total_error",
     "AdaptSettings",
     "AdaptResult",
     "adapt",

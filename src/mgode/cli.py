@@ -256,9 +256,8 @@ def run_command(args) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 
-    dual_traj = result.dual.export_trajectory()
     _write_trajectory_csv(out_dir / "trajectory.csv", result.trajectory)
-    _write_trajectory_csv(out_dir / "dual.csv", dual_traj)
+    _write_trajectory_csv(out_dir / "dual.csv", result.dual.psi)
     (out_dir / "error_report.json").write_text(
         json.dumps(result.report.to_json_dict(), indent=2) + "\n")
     rows = result.report.csv_summary_rows()
@@ -276,7 +275,8 @@ def run_command(args) -> int:
     (out_dir / "trajectory.json").write_text(
         json.dumps(_trajectory_json_dict(result.trajectory), indent=2) + "\n")
     (out_dir / "dual.json").write_text(
-        json.dumps(_trajectory_json_dict(dual_traj, dual=True), indent=2) + "\n")
+        json.dumps(_trajectory_json_dict(result.dual.psi, dual=True), indent=2)
+        + "\n")
 
     if not result.met:
         print(f"tolerance not met after {result.rounds} rounds "

@@ -100,8 +100,8 @@ def propose_steps(report: ErrorReport, factors: StabilityFactors,
 
 
 def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
-                           methods: Sequence[str], k_min: float,
-                           k_max: float, max_ratio: int = 32) -> Partition:
+                           k_min: float, k_max: float,
+                           max_ratio: int = 32) -> Partition:
     """Build a partition from per-component step functions with regular
     synchronization.
 
@@ -212,7 +212,6 @@ def adapt(problem: OdeProblem, partition: Partition,
                       for i in range(partition.n_components)]
         step_fns = propose_steps(report, report.factors, settings)
         partition = synchronized_partition(step_fns, orders, problem.T,
-                                           problem.methods, settings.k_min,
-                                           settings.k_max)
+                                           settings.k_min, settings.k_max)
     return AdaptResult(trajectory=traj, dual=dual, report=report,
                        partition=partition, rounds=rounds, met=met, log=log)

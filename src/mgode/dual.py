@@ -9,7 +9,7 @@ sigma = T - t and handed to the regular solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -125,21 +125,14 @@ class DualSolution:
     """The dual trajectory phi(t), stored as the forward solve psi of the
     time-reversed system, psi(sigma) = phi(T - sigma)."""
 
-    def __init__(self, psi: Trajectory, t_partition: Partition,
-                 psi_problem: OdeProblem | None = None):
+    def __init__(self, psi: Trajectory, psi_problem: OdeProblem | None = None):
         self.psi = psi
-        self.t_partition = t_partition
         self.psi_problem = psi_problem
         self.T = psi.partition.T
 
     @property
     def dimension(self) -> int:
         return self.psi.dimension
-
-    @property
-    def max_order(self) -> int:
-        """Largest polynomial order available across the dual's intervals."""
-        return int(max(int(np.max(qs)) for qs in self.psi.partition.orders))
 
     def local_order(self, i: int, t0: float, t1: float) -> int:
         """Smallest dual polynomial order among component i's pieces
@@ -185,10 +178,6 @@ class DualSolution:
         bp = self.T - self.psi.partition.breakpoints[i][::-1]
         inner = bp[(bp > t0) & (bp < t1)]
         return inner
-
-    def export_trajectory(self) -> Trajectory:
-        """The underlying reversed-time trajectory (for inspection/export)."""
-        return self.psi
 
 
 def solve_dual(spec: DualSpec, dual_partition: Partition,
@@ -244,23 +233,14 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
                 out[:, p] += gv
         return out if vec_in else out[:, 0]
 
-    def psi_jacobian(psi, sigma):
-        t = T - float(sigma)
-        u_here = primal.state(t, "left") if t > 0.0 else primal.state(0.0, "right")
-        v_ref = reference.state(t, "left") if reference is not None and t > 0.0 \
-            else (reference.state(0.0, "right") if reference is not None else u_here)
-        return jstar(v_ref, u_here, t, jac, spec.s_points)
-
     psi_problem = OdeProblem(
         rhs=psi_rhs,
         u0=spec.phi_T,
         T=T,
-        jacobian=psi_jacobian,
         methods=methods,
         vectorized=True,
         name=f"dual({problem.name})" if problem.name else "dual",
     )
     reversed_partition = _reverse_partition(dual_partition)
     psi = solve(psi_problem, reversed_partition, settings or SolveSettings())
-    return DualSolution(psi=psi, t_partition=dual_partition,
-                        psi_problem=psi_problem)
+    return DualSolution(psi=psi, psi_problem=psi_problem)

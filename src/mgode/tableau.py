@@ -312,17 +312,9 @@ class MethodTableau:
                     self.node_weights, self.amat, self.amat_inv):
             arr.setflags(write=False)
 
-    @property
-    def n_solved(self) -> int:
-        return self.quad_weights.shape[0]
-
-    @property
-    def solved_offset(self) -> int:
-        """Index of the first solved nodal value (1 for mcG, 0 for mdG)."""
-        return 1 if self.method == MCG else 0
-
     def weight_values(self, s) -> np.ndarray:
-        """Values w_m(s) of every weight function, shape (n_solved, len(s))."""
+        """Values w_m(s) of every weight function, one row per solved nodal
+        value."""
         return self.weight_fns @ lagrange_matrix(self.test_nodes, s)
 
     def to_json_dict(self) -> dict:
@@ -441,19 +433,13 @@ def min_order(method: str) -> int:
 def scheme_rule(method: str, q: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite form of the nodal update rule at dyadic depth.
 
-    Returns (points, W): reference points on [0, 1] and a matrix W of shape
-    (n_solved, n_points) such that xi_m = xi0 + k * W[m] . f(points).  Depth 0
-    reproduces the plain quad_weights/nodes pair.
+    Returns (points, W): the points of ``integration_rule`` and a matrix W
+    with one row per solved nodal value such that
+    xi_m = xi0 + k * W[m] . f(points).  Depth 0 reproduces the plain
+    quad_weights/nodes pair.
     """
-    if depth < 0:
-        raise ValueError(f"dyadic depth must be >= 0, got {depth}")
-    tab = tableau(method, q)
-    pieces = 1 << depth
-    s = tab.nodes.nodes
-    points = (np.arange(pieces)[:, None] + s[None, :]).ravel() / pieces
-    wq = np.tile(tab.node_weights / pieces, pieces)
-    W = tab.weight_values(points) * wq[None, :]
-    points.setflags(write=False)
+    points, wq = integration_rule(method, q, depth)
+    W = tableau(method, q).weight_values(points) * wq[None, :]
     W.setflags(write=False)
     return points, W
 

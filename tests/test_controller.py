@@ -88,8 +88,7 @@ class TestProposeSteps:
 class TestSynchronizedPartition:
     def test_dyadic_subdivision(self):
         fns = [lambda t: 0.4, lambda t: 0.09]
-        part = synchronized_partition(fns, [2, 2], 1.0, ("mcG", "mcG"),
-                                      1e-6, 1.0)
+        part = synchronized_partition(fns, [2, 2], 1.0, 1e-6, 1.0)
         levels = part.synchronized_levels()
         # the slow component's breakpoints are levels for both
         np.testing.assert_allclose(levels, part.breakpoints[0], atol=0)
@@ -101,8 +100,8 @@ class TestSynchronizedPartition:
 
     def test_ratio_cap_shrinks_window(self):
         fns = [lambda t: 1.0, lambda t: 1e-3]
-        part = synchronized_partition(fns, [1, 1], 1.0, ("mcG", "mcG"),
-                                      1e-6, 1.0, max_ratio=8)
+        part = synchronized_partition(fns, [1, 1], 1.0, 1e-6, 1.0,
+                                      max_ratio=8)
         for slab_len in np.diff(part.breakpoints[0]):
             assert slab_len <= 8e-3 * 1.5
 
