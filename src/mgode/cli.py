@@ -24,7 +24,7 @@ from .controller import AdaptSettings, adapt
 from .models import model, model_names
 from .partition import build_partition
 from .solver import OdeProblem, SolveSettings, SolverError, Trajectory
-from .tableau import MAX_ORDER, MCG, MDG, TableauError, tableau
+from .tableau import MAX_ORDER, MAX_QUAD_DEPTH, MCG, MDG, TableauError, tableau
 
 _NUMBER = {"type": "number"}
 _STEP_SPEC = {
@@ -75,7 +75,8 @@ CONFIG_SCHEMA = {
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "max_sweeps": {"type": "integer", "minimum": 1},
                 "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "quad_depth": {"type": "integer", "minimum": 0},
+                "quad_depth": {"type": "integer", "minimum": 0,
+                               "maximum": MAX_QUAD_DEPTH - 1},
             },
         },
         "dual": {

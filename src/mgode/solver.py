@@ -8,11 +8,22 @@ parallel within a sweep.  Trajectories are piecewise polynomials in a nodal
 Lagrange representation; continuous-family components share their interval
 end values bitwise, discontinuous-family components carry genuine one-sided
 limits at every breakpoint.
+
+A slab keeps its nodal values in one flat state array and the rhs inputs of
+its intervals in one buffer of contiguous per-interval (N, P) blocks.  The
+cross-component stencils are built once per slab, with one lagrange_matrix
+call per (component, order), and grouped by (node count, column count): each
+sweep fills the whole input buffer with one stacked np.matmul per class,
+through gather and scatter index arrays.  A stacked matmul rounds each row
+exactly like that group's own ``values @ L``, so the numbers do not depend
+on the batching.  The rhs is still called once per interval: a batched
+``A @ U`` over the slab's columns rounds differently from the per-interval
+products, and the estimator's rounding-level terms would move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -21,6 +32,7 @@ import numpy as np
 from .partition import Partition, TimeSlab, build_slabs
 from .tableau import (
     MCG,
+    MAX_QUAD_DEPTH,
     MDG,
     METHODS,
     differentiation_matrix,
@@ -63,8 +75,12 @@ class SolveSettings:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
-        if self.quad_depth < 0:
-            raise ValueError(f"quad_depth must be >= 0, got {self.quad_depth!r}")
+        # the estimator integrates one dyadic level finer than the solver
+        if not 0 <= self.quad_depth < MAX_QUAD_DEPTH:
+            raise ValueError(
+                f"quad_depth must lie in [0, {MAX_QUAD_DEPTH - 1}], "
+                f"got {self.quad_depth!r}"
+            )
 
 
 @dataclass
@@ -396,11 +412,17 @@ def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:
 # Slab solve
 # ---------------------------------------------------------------------------
 
+# A sweep whose increment exceeds this multiple of the first sweep's (and the
+# tolerance) ends the slab as diverged.  Converging slabs of the test suite
+# and the benchmark never exceed 1.42 times their first increment, while they
+# may grow for up to 10 sweeps in a row, so growth alone is no signal.
+_DIVERGED = 1e4
+
+
 @dataclass
 class _IntervalWork:
     i: int
     j: int
-    widx: int
     method: str
     order: int
     t0: float
@@ -409,9 +431,19 @@ class _IntervalWork:
     times: np.ndarray            # (P,) quadrature times
     pred: int | None             # work index of predecessor interval, if in slab
     incoming_fixed: float | None # incoming value when predecessor precedes slab
-    # stencil groups (comp, sel, widx, L): component comp at times[sel] is
-    # state[widx] @ L
-    groups: list = field(default_factory=list)
+    at: int                      # offset of its nodal values in the slab state
+    inputs_at: int               # offset of its (N, P) rhs-input block
+
+
+@dataclass
+class _Stencils:
+    """One stacked contraction per (node count, column count) class: the rhs
+    inputs at ``scatter`` (G, m) are np.matmul(state[gather] (G, n) as row
+    vectors, L (G, n, m))."""
+
+    gather: np.ndarray
+    L: np.ndarray
+    scatter: np.ndarray
 
 
 def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
@@ -424,11 +456,19 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
     breakpoint within 1e-12 T, locates them and maps them to local
     coordinates.  A time at the integrated interval's start reads the
     interval starting there (the within-interval limit), every other time
-    the interval ending at or after it.
+    the interval ending at or after it.  Each item's times increase, so a
+    stencil group -- the times of one item that one source interval
+    covers -- is a run of equal (item, interval) in the concatenated times,
+    and its Lagrange factors are a column slice of one lagrange_matrix call
+    per (component, order).
+
+    Returns the work items and the stencil classes.
     """
+    N = problem.dimension
     work: list[_IntervalWork] = []
     first = []                   # work index of each component's first interval
-    for i in range(problem.dimension):
+    at = inputs_at = 0
+    for i in range(N):
         first.append(len(work))
         lo, hi = slab.spans[i]
         for j in range(lo, hi):
@@ -444,19 +484,23 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
             else:
                 pred, incoming = None, float(u0[i] if j == 0 else coeffs[i][j - 1][-1])
             work.append(_IntervalWork(
-                i=i, j=j, widx=len(work), method=methods[i], order=q,
-                t0=t0, k=k, W=W, times=times, pred=pred, incoming_fixed=incoming,
+                i=i, j=j, method=methods[i], order=q, t0=t0, k=k, W=W,
+                times=times, pred=pred, incoming_fixed=incoming, at=at,
+                inputs_at=inputs_at,
             ))
+            at += q + 1
+            inputs_at += N * len(times)
 
-    counts = [len(item.times) for item in work]
-    bounds = np.cumsum([0] + counts)
+    counts = np.array([len(item.times) for item in work])
+    owner = np.repeat(np.arange(len(work)), counts)
     times = np.concatenate([item.times for item in work])
     starts = np.repeat([item.t0 for item in work], counts)
     snap_tol = 1e-12 * partition.T
-    for c in range(problem.dimension):
+    src = np.empty((N, len(times)), dtype=int)   # source work index per time
+    s = np.empty((N, len(times)))                # local coordinate in it
+    for c in range(N):
         lo, hi = slab.spans[c]
         bp = partition.breakpoints[c][lo:hi + 1]
-        orders = partition.orders[c][lo:hi]
         # snap to a breakpoint within tolerance, the left neighbour first
         idx = bp.searchsorted(times)
         left = bp[np.maximum(idx - 1, 0)]
@@ -465,14 +509,51 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
                       np.where(np.abs(right - times) <= snap_tol, right, times))
         jl = np.where(tt == starts, bp.searchsorted(tt, "right"),
                       bp.searchsorted(tt)) - 1     # slab-local interval index
-        s = (tt - bp[jl]) / (bp[jl + 1] - bp[jl])
-        for item, a, b in zip(work, bounds, bounds[1:]):
-            s_item = s[a:b]
-            for j, sel in _interval_groups(jl[a:b]):
-                L = lagrange_matrix(_basis_nodes(methods[c], int(orders[j])),
-                                    s_item[sel])
-                item.groups.append((c, sel, first[c] + j, L))
-    return work
+        src[c] = first[c] + jl
+        s[c] = (tt - bp[jl]) / (bp[jl + 1] - bp[jl])
+
+    # Lagrange factors per (component, order); the blocks of one node count
+    # are concatenated in (component, time) order, so column col[x] of
+    # factors[n] belongs to entry x of the flattened (N, P) tables
+    nodes = np.array([item.order + 1 for item in work])[src]
+    factors: dict[int, list] = {}
+    for c in range(N):
+        lo, hi = slab.spans[c]
+        for q in sorted(set(partition.orders[c][lo:hi].tolist())):
+            factors.setdefault(q + 1, []).append(lagrange_matrix(
+                _basis_nodes(methods[c], q), s[c, nodes[c] == q + 1]))
+    nodes = nodes.ravel()
+    col = np.empty(len(nodes), dtype=int)
+    for n, blocks in factors.items():
+        of_n = nodes == n
+        col[of_n] = np.arange(np.count_nonzero(of_n))
+        factors[n] = np.concatenate(blocks, axis=1)
+
+    # stencil groups: runs of equal (item, source interval); a new component
+    # always changes the source
+    srcf = src.ravel()
+    offsets = np.cumsum(counts) - counts         # each item's first time
+    cut = np.ones(len(srcf) + 1, dtype=bool)
+    cut[1:-1] = srcf[1:] != srcf[:-1]
+    cut[:-1].reshape(N, -1)[:, offsets] = True
+    edge = np.flatnonzero(cut)
+    head, m = edge[:-1], edge[1:] - edge[:-1]
+    n = nodes[head]
+    gather = np.array([item.at for item in work])[srcf[head]]
+    # rhs-input offset of (component, time) in its item's (N, P) block
+    scatter = (np.array([item.inputs_at for item in work])[owner]
+               + np.arange(len(times)) - offsets[owner]
+               + np.arange(N)[:, None] * counts[owner]).ravel()[head]
+    stencils = []
+    for nc, mc in sorted(set(zip(n.tolist(), m.tolist()))):
+        sel = (n == nc) & (m == mc)
+        cols = col[head[sel]][:, None] + np.arange(mc)
+        stencils.append(_Stencils(
+            gather=gather[sel][:, None] + np.arange(nc),
+            L=np.ascontiguousarray(factors[nc][:, cols].transpose(1, 0, 2)),
+            scatter=scatter[sel][:, None] + np.arange(mc),
+        ))
+    return work, stencils
 
 
 def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
@@ -482,65 +563,90 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     ``coeffs`` holds the already-accepted per-component interval coefficient
     arrays up to the slab start.  Returns the new interval coefficient arrays
     (appended per component, in interval order) and an iteration report.
+    Raises ConvergenceFailure, carrying this slab's report, as soon as a
+    sweep's increment is non-finite or exceeds both the tolerance and
+    _DIVERGED times the first sweep's.
     """
     methods = problem.methods
     u0 = problem.u0
-    work = _build_work(problem, partition, methods, slab, settings, coeffs, u0)
+    N = problem.dimension
+    work, stencils = _build_work(problem, partition, methods, slab, settings,
+                                 coeffs, u0)
 
     # constant extrapolation of each component's value entering the slab
-    slab_incoming = np.empty(problem.dimension)
-    for i in range(problem.dimension):
+    slab_incoming = np.empty(N)
+    for i in range(N):
         first_j = slab.spans[i][0]
         slab_incoming[i] = u0[i] if first_j == 0 else float(coeffs[i][first_j - 1][-1])
-    state = [np.full(item.order + 1, slab_incoming[item.i]) for item in work]
+    state = np.repeat(slab_incoming[[item.i for item in work]],
+                      [item.order + 1 for item in work])
+    new_state = np.empty_like(state)
+    inputs = np.empty(sum(N * len(item.times) for item in work))
+    blocks = [inputs[item.inputs_at:item.inputs_at + N * len(item.times)]
+              .reshape(N, len(item.times)) for item in work]
+    solved = [slice(item.at + (item.method == MCG), item.at + item.order + 1)
+              for item in work]
+    item_increments = np.empty(len(work))
 
     damping = settings.damping
     increment = np.inf
+    first_increment = None
     sweeps = 0
-    converged = False
+    converged = diverged = False
     while sweeps < settings.max_sweeps:
         sweeps += 1
-        new_state = []
-        increment = 0.0
-        for item in work:
+        for st in stencils:
+            inputs[st.scatter] = np.matmul(state[st.gather][:, None, :], st.L)[:, 0]
+        for w, item in enumerate(work):
             inc = item.incoming_fixed
             if inc is None:
-                inc = float(state[item.pred][-1])
-            U = np.empty((problem.dimension, len(item.times)))
-            for c, sel, widx, L in item.groups:
-                U[c, sel] = state[widx] @ L
-            F = problem.eval_rhs(U, item.times)
+                pred = work[item.pred]
+                inc = float(state[pred.at + pred.order])
+            F = problem.eval_rhs(blocks[w], item.times)
             frow = F[item.i]
-            if not np.all(np.isfinite(frow)):
+            if not np.isfinite(frow).all():
                 raise NonFiniteRHS(
                     f"non-finite right-hand side for component {item.i} in "
                     f"slab {slab.index} near t={item.t0!r}"
                 )
             target = inc + item.k * (item.W @ frow)
-            off = 1 if item.method == MCG else 0
-            old = state[item.widx][off:]
+            old = state[solved[w]]
             upd = old + damping * (target - old)
-            increment = max(increment, float(np.max(np.abs(upd - old))) if len(upd) else 0.0)
-            if off:
-                arr = np.concatenate(([inc], upd))
-            else:
-                arr = upd
-            new_state.append(arr)
-        state = new_state
+            item_increments[w] = np.abs(upd - old).max()
+            new_state[solved[w]] = upd
+            if item.method == MCG:
+                new_state[item.at] = inc
+        state, new_state = new_state, state
+        increment = float(item_increments.max())
         if increment <= settings.tolerance:
             converged = True
+            break
+        if first_increment is None:
+            first_increment = increment
+        diverged = not (np.isfinite(increment)
+                        and increment <= _DIVERGED * first_increment)
+        if diverged:
             break
 
     report = SlabReport(
         index=slab.index, t_start=slab.t_start, t_end=slab.t_end,
         sweeps=sweeps, final_increment=increment, converged=converged,
     )
+    if diverged:
+        worst = work[int(np.argmax(item_increments))]
+        raise ConvergenceFailure(
+            f"slab {slab.index} ({slab.t_start!r}, {slab.t_end!r}] diverged "
+            f"at sweep {sweeps}: increment {increment:.3e} (first sweep "
+            f"{first_increment:.3e}), largest update in component {worst.i} "
+            f"near t={worst.t0!r}",
+            report=SolveReport(slabs=(report,)),
+        )
 
     # accept: write back in interval order, pinning continuous-family interval
     # start values bitwise to the predecessor's end value
-    out = [[] for _ in range(problem.dimension)]
+    out = [[] for _ in range(N)]
     for item in work:
-        arr = state[item.widx].copy()
+        arr = state[item.at:item.at + item.order + 1].copy()
         if item.method == MCG:
             if item.j == 0:
                 arr[0] = u0[item.i]
@@ -559,7 +665,8 @@ def solve(problem: OdeProblem, partition: Partition,
 
     Continuous-family components start from u0; discontinuous-family
     components take u0 as their incoming left limit at t = 0.  Raises
-    ConvergenceFailure when a slab exhausts its sweep budget.
+    ConvergenceFailure, carrying the reports of the slabs solved so far,
+    when a slab diverges or exhausts its sweep budget.
     """
     settings = settings or SolveSettings()
     if partition.n_components != problem.dimension:
@@ -577,7 +684,11 @@ def solve(problem: OdeProblem, partition: Partition,
     coeffs = [[] for _ in range(problem.dimension)]
     reports = []
     for slab in build_slabs(partition):
-        new, report = solve_slab(problem, partition, slab, coeffs, settings)
+        try:
+            new, report = solve_slab(problem, partition, slab, coeffs, settings)
+        except ConvergenceFailure as exc:
+            exc.report = SolveReport(slabs=tuple(reports) + exc.report.slabs)
+            raise
         reports.append(report)
         if not report.converged:
             raise ConvergenceFailure(

@@ -24,6 +24,10 @@ METHODS = (MCG, MDG)
 # into the guard digits required by the construction checks.
 MAX_ORDER = 12
 
+# Deepest dyadic refinement of the node rules: depth d has 2**d pieces, so
+# this bounds a rule at 1024 pieces of at most MAX_ORDER + 1 points.
+MAX_QUAD_DEPTH = 10
+
 _NODE_RESIDUAL_TOL = 1e-13
 _IDENTITY_TOL = 1e-12
 
@@ -448,8 +452,9 @@ def scheme_rule(method: str, q: int, depth: int) -> tuple[np.ndarray, np.ndarray
 def integration_rule(method: str, q: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite interpolatory node rule at dyadic depth for plain integrals
     over the reference interval; weights sum to 1."""
-    if depth < 0:
-        raise ValueError(f"dyadic depth must be >= 0, got {depth}")
+    if not 0 <= depth <= MAX_QUAD_DEPTH:
+        raise ValueError(
+            f"dyadic depth must lie in [0, {MAX_QUAD_DEPTH}], got {depth}")
     tab = tableau(method, q)
     pieces = 1 << depth
     s = tab.nodes.nodes

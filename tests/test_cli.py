@@ -100,6 +100,16 @@ class TestRun:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_huge_quad_depth_is_one_line_error(self, tmp_path, capsys):
+        # rejected by the schema, before any rule is built
+        cfg = write_config(tmp_path, {"solver": {"quad_depth": 40}})
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "$.solver.quad_depth" in err
+
     def test_problem_import_overrides_are_validated(self, tmp_path, capsys,
                                                     monkeypatch):
         helper = tmp_path / "userprob2.py"

@@ -195,6 +195,26 @@ def _snap_time(t, bp, tol):
 STENCIL_METHODS = [("mcG", "mdG", "mcG", "mdG"), ("mdG", "mcG", "mdG", "mcG")]
 
 
+def _stencil_groups(work, stencils, n_comp):
+    """Decode the stacked stencil tables into groups (positions, source work
+    index, L) per (work index, component): the rows of each class read the
+    source interval's nodal values and write a contiguous run of one
+    component's row in one item's rhs-input block."""
+    by_at = {item.at: w for w, item in enumerate(work)}
+    block_starts = np.array([item.inputs_at for item in work])
+    groups = {}
+    for st in stencils:
+        for gather, L, scatter in zip(st.gather, st.L, st.scatter):
+            src = by_at[int(gather[0])]
+            assert np.array_equal(gather, work[src].at + np.arange(len(gather)))
+            w = int(np.searchsorted(block_starts, scatter[0], "right")) - 1
+            P = len(work[w].times)
+            c, p = divmod(scatter - work[w].inputs_at, P)
+            assert (c == c[0]).all() and c[0] < n_comp
+            groups.setdefault((w, int(c[0])), []).append((p, src, L))
+    return groups
+
+
 class TestSlabStencils:
     @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("methods", STENCIL_METHODS,
@@ -215,8 +235,10 @@ class TestSlabStencils:
         settings = SolveSettings(quad_depth=depth)
         snapped = 0
         for slab in build_slabs(part):
-            work = _build_work(prob, part, methods, slab, settings, coeffs, prob.u0)
-            for item in work:
+            work, stencils = _build_work(prob, part, methods, slab, settings,
+                                         coeffs, prob.u0)
+            table = _stencil_groups(work, stencils, part.n_components)
+            for w, item in enumerate(work):
                 P = len(item.times)
                 for c in range(part.n_components):
                     js, ss = np.empty(P, dtype=int), np.empty(P)
@@ -227,9 +249,9 @@ class TestSlabStencils:
                         js[p] = part.interval_at(c, tt, side)
                         tc0, tc1 = part.span(c, js[p])
                         ss[p] = (tt - tc0) / (tc1 - tc0)
-                    groups = [g for g in item.groups if g[0] == c]
+                    groups = table[w, c]
                     cover = np.zeros(P, dtype=int)
-                    for _, sel, widx, L in groups:
+                    for sel, widx, L in groups:
                         cover[sel] += 1
                         src = work[widx]
                         assert all((src.i, src.j) == (c, jc) for jc in js[sel])
@@ -238,5 +260,5 @@ class TestSlabStencils:
                         assert np.array_equal(L, lagrange_matrix(nodes, ss[sel]))
                     assert np.array_equal(cover, np.ones(P, dtype=int))
                     # one group, hence one contraction, per source interval
-                    assert len({widx for _, _, widx, _ in groups}) == len(groups)
+                    assert len({widx for _, widx, _ in groups}) == len(groups)
         assert snapped > 0

@@ -1,0 +1,205 @@
+"""The batched slab sweep against the per-group loop it replaced.
+
+``solve_slab`` contracts the slab state with the stencils' Lagrange factors in
+one stacked ``np.matmul`` per (node count, column count) class.  The oracle
+below is the per-group sweep: one ``lagrange_matrix`` call and one
+``state[widx] @ L`` per (work item, component, source interval), with every
+group's times selected by a mask.  Every comparison is ``np.array_equal`` or
+``==``: the estimator's rounding-level terms and the controller's partitions
+depend on those exact bits.
+"""
+
+import numpy as np
+import pytest
+
+from mgode.partition import build_partition, build_slabs
+from mgode.solver import (
+    OdeProblem,
+    SlabReport,
+    SolveSettings,
+    _basis_nodes,
+    solve_slab,
+)
+from mgode.tableau import MCG, lagrange_matrix, scheme_rule
+
+
+class _Item:
+    def __init__(self, **kw):
+        self.__dict__.update(kw)
+
+
+def _oracle_work(problem, partition, slab, settings, coeffs):
+    """Work items whose stencil groups (comp, sel, widx, L) each hold their
+    own Lagrange factors."""
+    methods, u0 = problem.methods, problem.u0
+    work, first = [], []
+    for i in range(problem.dimension):
+        first.append(len(work))
+        lo, hi = slab.spans[i]
+        for j in range(lo, hi):
+            q = int(partition.orders[i][j])
+            pts, W = scheme_rule(methods[i], q, settings.quad_depth)
+            t0, t1 = partition.span(i, j)
+            times = t0 + (t1 - t0) * pts
+            if pts[0] == 0.0:
+                times[0] = t0
+            if j > lo:
+                pred, incoming = len(work) - 1, None
+            else:
+                pred, incoming = None, float(u0[i] if j == 0 else coeffs[i][j - 1][-1])
+            work.append(_Item(i=i, j=j, widx=len(work), method=methods[i],
+                              order=q, t0=t0, k=t1 - t0, W=W, times=times,
+                              pred=pred, incoming_fixed=incoming, groups=[]))
+    counts = [len(item.times) for item in work]
+    bounds = np.cumsum([0] + counts)
+    times = np.concatenate([item.times for item in work])
+    starts = np.repeat([item.t0 for item in work], counts)
+    snap_tol = 1e-12 * partition.T
+    for c in range(problem.dimension):
+        lo, hi = slab.spans[c]
+        bp = partition.breakpoints[c][lo:hi + 1]
+        orders = partition.orders[c][lo:hi]
+        idx = bp.searchsorted(times)
+        left = bp[np.maximum(idx - 1, 0)]
+        right = bp[np.minimum(idx, len(bp) - 1)]
+        tt = np.where(np.abs(left - times) <= snap_tol, left,
+                      np.where(np.abs(right - times) <= snap_tol, right, times))
+        jl = np.where(tt == starts, bp.searchsorted(tt, "right"),
+                      bp.searchsorted(tt)) - 1
+        s = (tt - bp[jl]) / (bp[jl + 1] - bp[jl])
+        for item, a, b in zip(work, bounds, bounds[1:]):
+            for j in np.unique(jl[a:b]):
+                sel = jl[a:b] == j
+                L = lagrange_matrix(_basis_nodes(methods[c], int(orders[j])),
+                                    s[a:b][sel])
+                item.groups.append((c, sel, first[c] + int(j), L))
+    return work
+
+
+def oracle_solve_slab(problem, partition, slab, coeffs, settings):
+    """The per-group damped Jacobi sweep."""
+    u0 = problem.u0
+    work = _oracle_work(problem, partition, slab, settings, coeffs)
+    incoming = np.empty(problem.dimension)
+    for i in range(problem.dimension):
+        first_j = slab.spans[i][0]
+        incoming[i] = u0[i] if first_j == 0 else float(coeffs[i][first_j - 1][-1])
+    state = [np.full(item.order + 1, incoming[item.i]) for item in work]
+    increment, sweeps, converged = np.inf, 0, False
+    while sweeps < settings.max_sweeps:
+        sweeps += 1
+        new_state, increment = [], 0.0
+        for item in work:
+            inc = item.incoming_fixed
+            if inc is None:
+                inc = float(state[item.pred][-1])
+            U = np.empty((problem.dimension, len(item.times)))
+            for c, sel, widx, L in item.groups:
+                U[c, sel] = state[widx] @ L
+            frow = problem.eval_rhs(U, item.times)[item.i]
+            target = inc + item.k * (item.W @ frow)
+            off = 1 if item.method == MCG else 0
+            old = state[item.widx][off:]
+            upd = old + settings.damping * (target - old)
+            increment = max(increment, float(np.max(np.abs(upd - old))))
+            new_state.append(np.concatenate(([inc], upd)) if off else upd)
+        state = new_state
+        if increment <= settings.tolerance:
+            converged = True
+            break
+    report = SlabReport(index=slab.index, t_start=slab.t_start, t_end=slab.t_end,
+                        sweeps=sweeps, final_increment=increment,
+                        converged=converged)
+    out = [[] for _ in range(problem.dimension)]
+    for item in work:
+        arr = state[item.widx].copy()
+        if item.method == MCG:
+            if item.j == 0:
+                arr[0] = u0[item.i]
+            elif item.pred is not None:
+                arr[0] = out[item.i][-1][-1]
+            else:
+                arr[0] = coeffs[item.i][item.j - 1][-1]
+        out[item.i].append(arr)
+    return out, report
+
+
+# -- a 3-component multirate partition with mixed families -------------------
+
+A3 = np.array([[-1.0, 0.5, 0.1], [0.3, -2.0, 0.4], [0.0, 0.7, -1.5]])
+T3 = 0.7
+METHODS3 = [("mcG", "mdG", "mcG"), ("mdG", "mcG", "mdG")]
+
+
+def _partition(methods):
+    steps = [0.1, 0.1 / 3, 0.025]
+    orders = [[max(1 if m == "mcG" else 0, 1 + j % 3) for j in range(round(T3 / k))]
+              for k, m in zip(steps, methods)]
+    return build_partition(steps, orders, T3, methods=methods)
+
+
+def _nonlinear(U, t):
+    return A3 @ U + np.sin(3.0 * t) * U * U
+
+
+RHS = {
+    "vectorized": lambda methods: OdeProblem(
+        rhs=_nonlinear, u0=[1.0, 0.5, -0.3], T=T3, methods=methods,
+        vectorized=True),
+    "per_point": lambda methods: OdeProblem(
+        rhs=_nonlinear, u0=[1.0, 0.5, -0.3], T=T3, methods=methods,
+        vectorized=False),
+    "linear_system": lambda methods: OdeProblem(
+        rhs=lambda U, t: A3 @ U, u0=[1.0, 0.5, -0.3], T=T3, methods=methods,
+        vectorized=True),
+}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("rhs", list(RHS))
+@pytest.mark.parametrize("methods", METHODS3, ids=["-".join(m) for m in METHODS3])
+def test_batched_sweep_matches_per_group_loop(methods, rhs, depth):
+    prob = RHS[rhs](methods)
+    part = _partition(methods)
+    settings = SolveSettings(tolerance=1e-13, quad_depth=depth)
+    coeffs = [[] for _ in methods]
+    for slab in build_slabs(part):
+        new, report = solve_slab(prob, part, slab, coeffs, settings)
+        ref, ref_report = oracle_solve_slab(prob, part, slab, coeffs, settings)
+        assert report == ref_report
+        assert report.converged
+        for i in range(len(methods)):
+            assert len(new[i]) == len(ref[i])
+            for a, b in zip(new[i], ref[i]):
+                assert np.array_equal(a, b)
+            coeffs[i].extend(new[i])
+
+
+def test_under_iterated_slab_matches_per_group_loop():
+    # a sweep budget too small to converge: the same partial iterate
+    prob = RHS["vectorized"](METHODS3[0])
+    part = _partition(METHODS3[0])
+    settings = SolveSettings(tolerance=1e-13, max_sweeps=3, quad_depth=1)
+    slab = build_slabs(part)[0]
+    new, report = solve_slab(prob, part, slab, [[], [], []], settings)
+    ref, ref_report = oracle_solve_slab(prob, part, slab, [[], [], []], settings)
+    assert report == ref_report and not report.converged
+    for a, b in zip(sum(new, []), sum(ref, [])):
+        assert np.array_equal(a, b)
+
+
+def test_stacked_matmul_equals_per_slice_products():
+    # The premise of the batched sweep: a stacked matmul over contiguous
+    # column slices rounds exactly like each slice's own vector-matrix
+    # product.  A numpy or BLAS build that breaks this fails here.
+    rng = np.random.default_rng(7)
+    G = 3
+    for n in range(2, 14):
+        for m in range(1, 34):
+            full = rng.standard_normal((n, G * m + 2))
+            slices = [np.ascontiguousarray(full[:, 1 + g * m:1 + (g + 1) * m])
+                      for g in range(G)]
+            V = rng.standard_normal((G, n))
+            R = np.matmul(V[:, None, :], np.stack(slices))
+            for g in range(G):
+                assert np.array_equal(R[g, 0], V[g] @ slices[g]), (n, m, g)

@@ -414,13 +414,55 @@ class TestDamping:
         prob = OdeProblem(rhs=lambda u, t: -50.0 * u, u0=[1.0], T=0.4,
                           methods="mcG", vectorized=True)
         part = build_partition(0.04, 1, 0.4, methods=prob.methods)
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure) as err:
             solve(prob, part, SolveSettings(tolerance=1e-12, max_sweeps=100,
                                             damping=1.0))
+        # the 2-cycle's increments stay constant: no early stop
+        assert err.value.report.slabs[-1].sweeps == 100
         traj = solve(prob, part, SolveSettings(tolerance=1e-12, max_sweeps=200,
                                                damping=0.5))
         # trapezoid amplification at lambda k = -2 is exactly zero
         assert traj.end_state()[0] == 0.0
+
+    def test_diverging_slab_stops_early(self):
+        # lambda k = -5: the increments grow 5.0, 12.5, ... by 2.5 per sweep
+        # and pass 1e4 times the first one at sweep 12
+        prob = OdeProblem(rhs=lambda u, t: -50.0 * u, u0=[1.0], T=0.3,
+                          methods="mcG", vectorized=True)
+        part = build_partition(0.1, 1, 0.3, methods=prob.methods)
+        with pytest.raises(ConvergenceFailure) as err:
+            solve(prob, part, SolveSettings(tolerance=1e-12))
+        slab = err.value.report.slabs[-1]
+        assert len(err.value.report.slabs) == 1
+        assert not slab.converged
+        assert 10 < slab.sweeps <= 12
+        assert slab.final_increment > 1e4 * 5.0
+        message = str(err.value)
+        assert "component 0" in message
+        assert f"sweep {slab.sweeps}" in message and "slab 0" in message
+
+    def test_divergence_report_keeps_earlier_slabs(self):
+        # component 1 turns stiff after t = 0.3; the slabs before it converge
+        def rhs(u, t):
+            return np.array([-u[0], (-50.0 if t > 0.3 else -1.0) * u[1]])
+        prob = OdeProblem(rhs=rhs, u0=[1.0, 1.0], T=0.6, methods="mcG")
+        part = build_partition(0.1, 1, 0.6, methods=prob.methods)
+        with pytest.raises(ConvergenceFailure) as err:
+            solve(prob, part, SolveSettings(tolerance=1e-12))
+        slabs = err.value.report.slabs
+        assert [s.converged for s in slabs] == [True] * (len(slabs) - 1) + [False]
+        assert len(slabs) == 4
+        assert "component 1" in str(err.value)
+
+    def test_nonfinite_increment_stops_at_once(self):
+        # a finite rhs whose update k * f overflows
+        prob = OdeProblem(rhs=lambda u, t: 1e308 + 0.0 * u, u0=[1.0], T=4.0,
+                          methods="mdG", vectorized=True)
+        part = build_partition(4.0, 0, 4.0, methods=prob.methods)
+        with pytest.raises(ConvergenceFailure) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            solve(prob, part, SolveSettings(tolerance=1e-12))
+        assert err.value.report.slabs[-1].sweeps == 1
 
 
 class TestSolveSlabDriver:
@@ -450,3 +492,9 @@ class TestSolveSlabDriver:
             SolveSettings(max_sweeps=0)
         with pytest.raises(ValueError):
             SolveSettings(quad_depth=-1)
+        # the estimator integrates one level finer than the solver
+        SolveSettings(quad_depth=tb.MAX_QUAD_DEPTH - 1)
+        with pytest.raises(ValueError, match="quad_depth"):
+            SolveSettings(quad_depth=tb.MAX_QUAD_DEPTH)
+        with pytest.raises(ValueError, match="quad_depth"):
+            SolveSettings(quad_depth=40)

@@ -234,6 +234,14 @@ class TestRules:
             _, w = tb.integration_rule(tb.MDG, 2, depth)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
 
+    def test_integration_rule_depth_capped(self):
+        # only the rejection: a rule at depth 40 would need terabytes
+        for depth in (-1, tb.MAX_QUAD_DEPTH + 1, 40):
+            with pytest.raises(ValueError, match="depth"):
+                tb.integration_rule(tb.MCG, 2, depth)
+        with pytest.raises(ValueError, match="depth"):
+            tb.scheme_rule(tb.MDG, 1, 40)
+
     def test_json_dump_shape(self):
         d = tb.tableau(tb.MCG, 1).to_json_dict()
         assert d["method"] == tb.MCG and d["q"] == 1

@@ -1,4 +1,4 @@
-"""The benchmark's per-layer tracer still sees the estimator.
+"""The benchmark's per-layer tracer still sees the solver and the estimator.
 
 ``perfbench/tracing.py`` swaps wrappers in for module attributes it looks up
 by name (``owner.__dict__[attr]``).  Renaming one of them breaks the traced
@@ -14,7 +14,7 @@ import numpy as np
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.estimator import estimate
 from mgode.models import model
-from mgode.partition import build_partition
+from mgode.partition import build_partition, build_slabs
 from mgode.solver import SolveSettings, solve
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -42,3 +42,26 @@ def test_estimator_spans_are_filled():
                  "estimator.ec_s", "estimator.eq_s",
                  "estimator.residual_calls"):
         assert metrics[name] > 0, name
+
+
+def test_solver_spans_and_lagrange_calls_are_counted():
+    # the tracer wraps mgode.solver.solve_slab, OdeProblem.eval_rhs and
+    # mgode.solver.lagrange_matrix; the slab solver makes one Lagrange call
+    # per (slab, component, order of the component's slab intervals)
+    tracing = load_tracing()
+    prob = model("linear_system").problem(methods=("mcG", "mdG"))
+    orders = [[1, 2, 2, 1], [0, 1, 1, 0, 2, 2, 0, 1]]
+    part = build_partition([0.25, 0.125], orders, prob.T, methods=prob.methods)
+    settings = SolveSettings(tolerance=1e-12, quad_depth=1)
+    solve(prob, part, settings)      # builds and caches the tableaus
+    tracer = tracing.Tracer()
+    traj = tracer.traced("bench.solve", lambda: solve(prob, part, settings))
+    assert np.all(np.isfinite(traj.end_state()))
+    metrics = tracer.metrics()
+    assert metrics["solver.sweeps"] > 0
+    assert metrics["solver.rhs_calls"] > 0
+    classes = sum(len(set(part.orders[c][lo:hi].tolist()))
+                  for slab in build_slabs(part)
+                  for c, (lo, hi) in enumerate(slab.spans))
+    assert classes > len(build_slabs(part)) * prob.dimension
+    assert metrics["tableau.lagrange_calls"] == classes
