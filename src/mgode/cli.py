@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 from . import __version__
 from .controller import AdaptSettings, adapt
@@ -91,7 +91,6 @@ CONFIG_SCHEMA = {
                 },
                 "order_increment": {"type": "integer", "minimum": 0},
                 "refine": {"type": "integer", "minimum": 1},
-                "s_points": {"type": "integer", "minimum": 1},
             },
         },
         "adapt": {
@@ -110,6 +109,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# jsonschema counts 2.0 as an integer; the settings need a JSON integer
+_Validator = validators.extend(Draft202012Validator, type_checker=(
+    Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -126,7 +130,7 @@ def load_config(path: Path) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
-    validator = Draft202012Validator(CONFIG_SCHEMA)
+    validator = _Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         msgs = []
@@ -135,8 +139,8 @@ def load_config(path: Path) -> dict:
                 f".{p}" if isinstance(p, str) else f"[{p}]"
                 for p in err.absolute_path
             )
-            msgs.append(f"{path}: at {where}: {err.message}")
-        raise ConfigError("\n".join(msgs))
+            msgs.append(f"at {where}: {err.message}")
+        raise ConfigError(f"{path}: " + "; ".join(msgs))
     if ("model" in data) == ("problem_import" in data):
         raise ConfigError(
             f"{path}: exactly one of 'model' or 'problem_import' is required"
@@ -149,7 +153,7 @@ def _resolve_problem(config: dict) -> OdeProblem:
         try:
             entry = model(config["model"])
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
         problem = entry.problem(
             T=config.get("T"),
             u0=config.get("u0"),
@@ -165,7 +169,12 @@ def _resolve_problem(config: dict) -> OdeProblem:
             factory = getattr(importlib.import_module(mod_name), attr)
         except (ImportError, AttributeError) as exc:
             raise ConfigError(f"cannot import {config['problem_import']}: {exc}") from exc
-        problem = factory()
+        try:
+            problem = factory()
+        except Exception as exc:
+            raise ConfigError(
+                f"{config['problem_import']} raised {type(exc).__name__}: {exc}"
+            ) from exc
         if not isinstance(problem, OdeProblem):
             raise ConfigError(
                 f"{config['problem_import']} did not produce an ODE problem"
@@ -216,39 +225,25 @@ def _trajectory_json_dict(traj: Trajectory, dual: bool = False) -> dict:
 
 
 def run_command(args) -> int:
+    """Load the config, adapt, and write the artifacts; the output directory
+    is created only once the run has produced them."""
     try:
         config = load_config(Path(args.config))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    out_dir = Path(args.out or config.get("out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
         problem = _resolve_problem(config)
         solver_settings = SolveSettings(**config.get("solver", {}))
         partition = build_partition(config["steps"], config["orders"],
                                     problem.T, methods=problem.methods)
         dual_cfg = config.get("dual", {})
         phi_T = dual_cfg.get("phi_T", "unit")
-        if isinstance(phi_T, str):
-            phi_T = None  # unit default handled by the adaptation loop
-        else:
-            phi_T = np.asarray(phi_T, dtype=float)
-        adapt_cfg = config.get("adapt", {})
-        settings = AdaptSettings(
-            tol=adapt_cfg.get("tol", float("inf")),
-            theta=adapt_cfg.get("theta", 0.5),
-            max_rounds=adapt_cfg.get("max_rounds", 1),
-            k_min=adapt_cfg.get("k_min", 1e-8),
-            k_max=adapt_cfg.get("k_max", problem.T),
-            dual_order_increment=dual_cfg.get("order_increment", 1),
-            dual_refine=dual_cfg.get("refine", 1),
-            phi_T=phi_T,
-            s_points=dual_cfg.get("s_points", 3),
-            solver=solver_settings,
-        )
+        # CLI defaults, then the keys the config sets (dual refine ->
+        # dual_refine); the rest, and phi_T "unit", keep the adapt defaults
+        settings = AdaptSettings(**{
+            "tol": float("inf"), "max_rounds": 1, "k_max": problem.T,
+            **config.get("adapt", {}),
+            **{f"dual_{key}": val for key, val in dual_cfg.items() if key != "phi_T"},
+            "phi_T": None if isinstance(phi_T, str) else np.asarray(phi_T, dtype=float),
+            "solver": solver_settings,
+        })
         result = adapt(problem, partition, settings)
     except (ConfigError, ValueError, TableauError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -257,27 +252,33 @@ def run_command(args) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 
-    _write_trajectory_csv(out_dir / "trajectory.csv", result.trajectory)
-    _write_trajectory_csv(out_dir / "dual.csv", result.dual.psi)
-    (out_dir / "error_report.json").write_text(
-        json.dumps(result.report.to_json_dict(), indent=2) + "\n")
-    rows = result.report.csv_summary_rows()
-    header = ",".join(rows[0].keys())
-    lines = [header] + [
-        ",".join(_float_str(v) if isinstance(v, float) else str(v)
-                 for v in row.values())
-        for row in rows
-    ]
-    (out_dir / "error_summary.csv").write_text("\n".join(lines) + "\n")
-    (out_dir / "adapt_log.jsonl").write_text(
-        "".join(line + "\n" for line in result.log_lines()))
-    (out_dir / "partition.json").write_text(
-        json.dumps(result.partition.to_json_dict(), indent=2) + "\n")
-    (out_dir / "trajectory.json").write_text(
-        json.dumps(_trajectory_json_dict(result.trajectory), indent=2) + "\n")
-    (out_dir / "dual.json").write_text(
-        json.dumps(_trajectory_json_dict(result.dual.psi, dual=True), indent=2)
-        + "\n")
+    out_dir = Path(args.out or config.get("out", "."))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_trajectory_csv(out_dir / "trajectory.csv", result.trajectory)
+        _write_trajectory_csv(out_dir / "dual.csv", result.dual.psi)
+        (out_dir / "error_report.json").write_text(
+            json.dumps(result.report.to_json_dict(), indent=2) + "\n")
+        rows = result.report.csv_summary_rows()
+        header = ",".join(rows[0].keys())
+        lines = [header] + [
+            ",".join(_float_str(v) if isinstance(v, float) else str(v)
+                     for v in row.values())
+            for row in rows
+        ]
+        (out_dir / "error_summary.csv").write_text("\n".join(lines) + "\n")
+        (out_dir / "adapt_log.jsonl").write_text(
+            "".join(line + "\n" for line in result.log_lines()))
+        (out_dir / "partition.json").write_text(
+            json.dumps(result.partition.to_json_dict(), indent=2) + "\n")
+        (out_dir / "trajectory.json").write_text(
+            json.dumps(_trajectory_json_dict(result.trajectory), indent=2) + "\n")
+        (out_dir / "dual.json").write_text(
+            json.dumps(_trajectory_json_dict(result.dual.psi, dual=True), indent=2)
+            + "\n")
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out_dir}: {exc}", file=sys.stderr)
+        return 1
 
     if not result.met:
         print(f"tolerance not met after {result.rounds} rounds "
@@ -297,10 +298,8 @@ def tableau_command(args) -> int:
 
 
 def models_command(args) -> int:
-    from .models import _CATALOG
-
     for name in model_names():
-        entry = _CATALOG[name]
+        entry = model(name)
         print(f"{name}: dimension {entry.dimension}; {entry.description}")
     return 0
 

@@ -34,7 +34,6 @@ class AdaptSettings:
     dual_order_increment: int = 1
     dual_refine: int = 1
     phi_T: np.ndarray | None = None
-    s_points: int = 3
     solver: SolveSettings = field(default_factory=SolveSettings)
 
     def __post_init__(self):
@@ -184,8 +183,7 @@ def adapt(problem: OdeProblem, partition: Partition,
     rounds = 0
     for rounds in range(1, settings.max_rounds + 1):
         traj = solve(problem, partition, settings.solver)
-        dual_spec = DualSpec(problem=problem, primal=traj, phi_T=phi_T,
-                             s_points=settings.s_points)
+        dual_spec = DualSpec(problem=problem, primal=traj, phi_T=phi_T)
         dual_part = dual_partition_for(
             partition, settings.dual_order_increment, settings.dual_refine)
         dual = solve_dual(dual_spec, dual_part, settings.solver)

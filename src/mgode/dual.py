@@ -79,7 +79,11 @@ def dual_partition_for(partition: Partition, order_increment: int = 1,
                        refine: int = 1) -> Partition:
     """Default dual partition: the primal breakpoints (optionally refined by
     an integer factor per interval) with every order raised by
-    ``order_increment``, capped at the supported maximum."""
+    ``order_increment``, capped at the supported maximum.
+
+    Each interval [a, b] is cut as np.linspace(a, b, refine + 1) cuts it,
+    at a + i ((b - a) / refine) with b itself as the last point, so
+    ``refine == 1`` gives back the primal breakpoints."""
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
     for i in range(partition.n_components):
@@ -91,19 +95,12 @@ def dual_partition_for(partition: Partition, order_increment: int = 1,
     breakpoints = []
     orders = []
     for bp, qs in zip(partition.breakpoints, partition.orders):
-        if refine == 1:
-            breakpoints.append(bp.copy())
-            orders.append(np.minimum(qs + order_increment, MAX_ORDER))
-        else:
-            pts = [0.0]
-            new_q = []
-            for j in range(len(bp) - 1):
-                sub = np.linspace(bp[j], bp[j + 1], refine + 1)[1:]
-                pts.extend(sub.tolist())
-                new_q.extend([min(int(qs[j]) + order_increment, MAX_ORDER)] * refine)
-            pts[-1] = partition.T
-            breakpoints.append(np.asarray(pts))
-            orders.append(np.asarray(new_q, dtype=int))
+        sub = (np.arange(1, refine + 1) * (np.diff(bp) / refine)[:, None]
+               + bp[:-1, None])
+        sub[:, -1] = bp[1:]
+        sub[-1, -1] = partition.T
+        breakpoints.append(np.concatenate(([0.0], sub.ravel())))
+        orders.append(np.repeat(np.minimum(qs + order_increment, MAX_ORDER), refine))
     return Partition(T=partition.T, breakpoints=tuple(breakpoints),
                      orders=tuple(orders))
 
@@ -181,8 +178,7 @@ class DualSolution:
 
 
 def solve_dual(spec: DualSpec, dual_partition: Partition,
-               settings: SolveSettings | None = None,
-               methods=MCG) -> DualSolution:
+               settings: SolveSettings | None = None) -> DualSolution:
     """Solve the backward linearized problem on the given t-space partition.
 
     Substituting sigma = T - t yields a forward system for
@@ -237,7 +233,7 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
         rhs=psi_rhs,
         u0=spec.phi_T,
         T=T,
-        methods=methods,
+        methods=MCG,
         vectorized=True,
         name=f"dual({problem.name})" if problem.name else "dual",
     )

@@ -18,8 +18,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dual import DualSolution
-from .solver import OdeProblem, Trajectory, interval_residual
+from .solver import OdeProblem, Trajectory, interval_residual, interval_rhs
 from .tableau import (
+    MAX_ORDER,
     MCG,
     MDG,
     gauss_rule_01,
@@ -71,16 +72,13 @@ def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
             lo = p
     signed = 0.0
     absolute = 0.0
-    xg, wg = gauss_rule_01(npts)
     for lo, hi in pieces:
         sub = [lo] + _sign_change_roots(fn, lo, hi, n_scan) + [hi]
         for s0, s1 in zip(sub[:-1], sub[1:]):
-            h = s1 - s0
-            if h <= 0.0:
-                continue
-            val = h * float(wg @ fn(s0 + h * xg))
-            signed += val
-            absolute += abs(val)
+            if s1 > s0:
+                val = _gauss_integral(fn, s0, s1, npts)
+                signed += val
+                absolute += abs(val)
     return signed, absolute
 
 
@@ -159,8 +157,6 @@ def error_representation(traj: Trajectory, dual: DualSolution,
     """
     if abs(dual.T - traj.T) > 0.0:
         raise ValueError("dual and trajectory horizons differ")
-    from .tableau import MAX_ORDER
-
     total = 0.0
     part = traj.partition
     for i in range(traj.dimension):
@@ -443,20 +439,9 @@ def _integral_of_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
                      depth: int) -> float:
     """Quadrature value of int_{I_ij} f_i(U, .) dt at the given dyadic depth
     of the interval's own node rule."""
-    from .solver import _cross_state
-
-    part = traj.partition
-    t0, t1 = part.span(i, j)
-    k = t1 - t0
-    q = traj.order(i, j)
-    s, w = integration_rule(traj.methods[i], q, depth)
-    times = t0 + k * s
-    if len(times) and s[0] == 0.0:
-        times[0] = t0
-    U = _cross_state(traj, times, left_endpoint=t0)
-    U[i] = traj.interval_values(i, j, s)
-    F = problem.eval_rhs(U, times)
-    return k * float(w @ F[i])
+    s, w = integration_rule(traj.methods[i], traj.order(i, j), depth)
+    f, _ = interval_rhs(traj, problem, i, j, s)
+    return traj.partition.step(i, j) * float(w @ f)
 
 
 def _solver_depth(traj: Trajectory) -> int:
@@ -576,8 +561,7 @@ def _interp_points(method: str, q: int) -> np.ndarray:
     construction), but its residual vanishes where the unreversed Radau
     polynomial does, i.e. at the mirror images of the interior nodes."""
     if method == MCG:
-        x, _ = np.polynomial.legendre.leggauss(q)
-        return (x + 1.0) / 2.0
+        return gauss_rule_01(q)[0]
     nodes = tableau(MDG, q).nodes.nodes
     return np.concatenate(([0.0], np.sort(1.0 - nodes[:-1])))
 

@@ -32,9 +32,7 @@ class ModelCatalogEntry:
     description: str = ""
     closed_form: Callable | None = None
     invariant: Callable | None = None
-    hamiltonian_pairs: tuple[tuple[int, int], ...] | None = None
     suggested_step_ratios: tuple[float, ...] | None = None
-    vectorized: bool = True
 
     def problem(self, T: float | None = None, u0=None,
                 methods="mcG") -> OdeProblem:
@@ -50,7 +48,7 @@ class ModelCatalogEntry:
             T=self.T_default if T is None else float(T),
             jacobian=self.jacobian,
             methods=methods,
-            vectorized=self.vectorized,
+            vectorized=True,
             name=self.name,
         )
 
@@ -130,7 +128,6 @@ def _harmonic() -> ModelCatalogEntry:
         u0=u0, T_default=10.0,
         description="two uncoupled oscillators [x1, x2, v1, v2], frequencies 1 and 2",
         closed_form=closed, invariant=energy,
-        hamiltonian_pairs=((0, 2), (1, 3)),
         suggested_step_ratios=(1.0, 0.5, 1.0, 0.5),
     )
 
@@ -213,7 +210,6 @@ def _kepler_2body() -> ModelCatalogEntry:
         description="two independent Kepler orbits (fast inner, slow outer), "
                     "eccentricity 0.5",
         closed_form=closed, invariant=energy,
-        hamiltonian_pairs=((0, 4), (1, 5), (2, 6), (3, 7)),
         suggested_step_ratios=(1.0, 1.0, ratio, ratio, 1.0, 1.0, ratio, ratio),
     )
 

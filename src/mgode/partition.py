@@ -156,7 +156,7 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
         while True:
             k = float(spec(t))
             if not (k > 0.0 and np.isfinite(k)):
-                raise PartitionError(f"nonpositive step {k!r} at t={t!r}")
+                raise PartitionError(f"nonpositive or non-finite step {k!r} at t={t!r}")
             remaining = T - t
             if remaining <= 1.5 * k:
                 if remaining >= 0.5 * k or len(bps) == 1:
@@ -173,7 +173,7 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
     if _is_scalar(spec):
         k = float(spec)
         if not (k > 0.0 and np.isfinite(k)):
-            raise PartitionError(f"nonpositive step {k!r}")
+            raise PartitionError(f"nonpositive or non-finite step {k!r}")
         # compare before rounding: T / k overflows to inf for subnormal k
         if T / k > _MAX_INTERVALS:
             raise PartitionError("constant step produces too many intervals")
@@ -184,8 +184,8 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
         raise PartitionError("empty step list")
     bps = [0.0]
     for k in explicit:
-        if k <= 0.0:
-            raise PartitionError(f"nonpositive step {k!r}")
+        if not (k > 0.0 and np.isfinite(k)):
+            raise PartitionError(f"nonpositive or non-finite step {k!r}")
         bps.append(bps[-1] + k)
     if abs(bps[-1] - T) > 0.5 * explicit[-1]:
         raise PartitionError(
@@ -244,9 +244,9 @@ def build_partition(steps, orders, T: float, methods=None) -> Partition:
 
     ``steps`` may be a single spec applied to every component or a sequence
     of per-component specs; each spec is a constant step, an explicit step
-    list, or a callable t -> step produced by the adaptation machinery.
-    ``orders`` broadcasts the same way.  When ``methods`` is given, interval
-    orders are validated against the per-component scheme family.
+    list, or a callable t -> step.  ``orders`` broadcasts the same way.  When
+    ``methods`` is given, interval orders are validated against the
+    per-component scheme family.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise PartitionError(f"horizon must be positive and finite, got {T!r}")

@@ -378,20 +378,28 @@ def _cross_state(traj: Trajectory, times: np.ndarray, left_endpoint: float | Non
     return traj.evaluate(comps, times, js)
 
 
-def interval_residual(traj: Trajectory, problem: OdeProblem, i: int, j: int,
-                      s) -> np.ndarray:
-    """Residual of component i on its interval j at local coordinates s,
-    evaluated with the within-interval limit at the left endpoint."""
+def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
+                 s) -> tuple[np.ndarray, np.ndarray]:
+    """f_i on component i's interval j at local coordinates s, under the
+    within-interval cross state, and the Lagrange factors of s on the
+    interval's nodes.  The residual and the estimator's rhs integrals both
+    start from this one quantity."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t0, t1 = traj.partition.span(i, j)
     times = t0 + (t1 - t0) * s
     L = traj._lagrange(i, j, s)
-    du = traj._contract(i, j, L, 1)
     U = _cross_state(traj, times, left_endpoint=t0)
     # own component from this interval's polynomial (matters at breakpoints)
     U[i] = traj._contract(i, j, L)
-    F = problem.eval_rhs(U, times)
-    return du - F[i]
+    return problem.eval_rhs(U, times)[i], L
+
+
+def interval_residual(traj: Trajectory, problem: OdeProblem, i: int, j: int,
+                      s) -> np.ndarray:
+    """Residual of component i on its interval j at local coordinates s,
+    evaluated with the within-interval limit at the left endpoint."""
+    f, L = interval_rhs(traj, problem, i, j, s)
+    return traj._contract(i, j, L, 1) - f
 
 
 def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:
@@ -477,8 +485,6 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
             t0, t1 = partition.span(i, j)
             k = t1 - t0
             times = t0 + k * pts
-            if len(times) and pts[0] == 0.0:
-                times[0] = t0
             if j > lo:
                 pred, incoming = len(work) - 1, None
             else:

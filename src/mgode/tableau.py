@@ -40,6 +40,19 @@ class TableauError(ValueError):
 # Legendre polynomials
 # ---------------------------------------------------------------------------
 
+def _legendre(q: int, x):
+    """(P_q(x), P_q'(x)) by the three-term recurrence and the derivative
+    recurrence P'_{n+1} = P'_{n-1} + (2n+1) P_n, for scalars or arrays."""
+    p_prev, p = 1.0, x
+    dp_prev, dp = 0.0, 1.0
+    if q == 0:
+        return 1.0, 0.0
+    for n in range(1, q):
+        p, p_prev, dp, dp_prev = (((2 * n + 1) * x * p - n * p_prev) / (n + 1), p,
+                                  dp_prev + (2 * n + 1) * p, dp)
+    return p, dp
+
+
 def legendre_eval(q: int, x):
     """Evaluate the Legendre polynomial P_q at x via the three-term recurrence.
 
@@ -49,27 +62,8 @@ def legendre_eval(q: int, x):
     if q < 0:
         raise ValueError(f"Legendre order must be nonnegative, got {q}")
     xs = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(xs)
-    if q == 0:
-        return float(p_prev) if xs.ndim == 0 else p_prev
-    p = xs.copy()
-    for n in range(1, q):
-        p, p_prev = ((2 * n + 1) * xs * p - n * p_prev) / (n + 1), p
-    return float(p) if xs.ndim == 0 else p
-
-
-def _legendre_value_and_derivative(q: int, x: float) -> tuple[float, float]:
-    """(P_q(x), P_q'(x)) using the derivative recurrence P'_n = P'_{n-2} + (2n-1) P_{n-1}."""
-    p_prev, p = 1.0, x
-    dp_prev, dp = 0.0, 1.0
-    if q == 0:
-        return 1.0, 0.0
-    for n in range(1, q):
-        p_next = ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-        dp_next = dp_prev + (2 * n + 1) * p
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p, dp
+    p = _legendre(q, xs)[0]
+    return float(p) if xs.ndim == 0 else np.broadcast_to(p, xs.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +76,6 @@ class NodeSet:
 
     order: int
     nodes: np.ndarray
-    kind: str  # "lobatto" | "radau"
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -146,8 +139,8 @@ def lobatto_nodes(q: int) -> NodeSet:
         raise ValueError(f"order {q} above supported maximum {MAX_ORDER}")
 
     def g(x):
-        pq, dpq = _legendre_value_and_derivative(q, x)
-        pq1, dpq1 = _legendre_value_and_derivative(q - 1, x)
+        pq, dpq = _legendre(q, x)
+        pq1, dpq1 = _legendre(q - 1, x)
         return x * pq - pq1, pq + x * dpq - dpq1
 
     interior = _bracketed_roots(g, q - 1, "Lobatto")
@@ -157,7 +150,7 @@ def lobatto_nodes(q: int) -> NodeSet:
     nodes = np.concatenate(([0.0], (interior + 1.0) / 2.0, [1.0]))
     if not np.all(np.diff(nodes) > 0.0):
         raise TableauError("Lobatto nodes not strictly increasing")
-    return NodeSet(order=q, nodes=nodes, kind="lobatto")
+    return NodeSet(order=q, nodes=nodes)
 
 
 def radau_nodes(q: int) -> NodeSet:
@@ -169,8 +162,8 @@ def radau_nodes(q: int) -> NodeSet:
         raise ValueError(f"order {q} above supported maximum {MAX_ORDER}")
 
     def h(x):
-        pq, dpq = _legendre_value_and_derivative(q, x)
-        pq1, dpq1 = _legendre_value_and_derivative(q + 1, x)
+        pq, dpq = _legendre(q, x)
+        pq1, dpq1 = _legendre(q + 1, x)
         return pq + pq1, dpq + dpq1
 
     interior = _bracketed_roots(h, q, "Radau")
@@ -182,7 +175,7 @@ def radau_nodes(q: int) -> NodeSet:
     nodes[-1] = 1.0
     if not np.all(np.diff(nodes) > 0.0):
         raise TableauError("Radau nodes not strictly increasing")
-    return NodeSet(order=q, nodes=nodes, kind="radau")
+    return NodeSet(order=q, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,30 +289,30 @@ class MethodTableau:
         xi_m = xi0 + k * sum_n quad_weights[m, n] * f(t(nodes[n])),
 
     where the rows m run over the solved degrees of freedom (m = 1..q for
-    mcG, m = 0..q for mdG).  ``weight_fns`` holds the coefficients of the
-    polynomial weight functions w_m in the Lagrange basis on ``test_nodes``;
-    folding the interpolatory node rule into them yields ``quad_weights``.
+    mcG, m = 0..q for mdG).  The rows of ``amat_inv`` are the coefficients
+    of the polynomial weight functions w_m in the Lagrange basis on
+    ``test_nodes``; folding the interpolatory node rule into them yields
+    ``quad_weights``.
     """
 
     method: str
     order: int
     nodes: NodeSet
     test_nodes: np.ndarray
-    weight_fns: np.ndarray
     quad_weights: np.ndarray
     node_weights: np.ndarray
     amat: np.ndarray
     amat_inv: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.test_nodes, self.weight_fns, self.quad_weights,
-                    self.node_weights, self.amat, self.amat_inv):
+        for arr in (self.test_nodes, self.quad_weights, self.node_weights,
+                    self.amat, self.amat_inv):
             arr.setflags(write=False)
 
     def weight_values(self, s) -> np.ndarray:
         """Values w_m(s) of every weight function, one row per solved nodal
         value."""
-        return self.weight_fns @ lagrange_matrix(self.test_nodes, s)
+        return self.amat_inv @ lagrange_matrix(self.test_nodes, s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,7 +362,6 @@ def build_mcg_tableau(q: int) -> MethodTableau:
         order=q,
         nodes=nodes,
         test_nodes=test_nodes,
-        weight_fns=amat_inv.copy(),
         quad_weights=quad_weights,
         node_weights=rho,
         amat=amat,
@@ -411,7 +403,6 @@ def build_mdg_tableau(q: int) -> MethodTableau:
         order=q,
         nodes=nodes,
         test_nodes=nodes.nodes.copy(),
-        weight_fns=amat_inv.copy(),
         quad_weights=quad_weights,
         node_weights=rho,
         amat=amat,

@@ -171,6 +171,86 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
 
 
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+# one adaptation round: these probes only need a finished run
+ONE_ROUND = {"adapt": {"max_rounds": 1}}
+
+
+class TestRunErrors:
+    def test_out_names_an_existing_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ONE_ROUND)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(["run", "--config", str(cfg), "--out", str(taken)]) == 1
+        assert "taken" in one_error_line(capsys)
+        assert taken.read_text() == "keep"
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ONE_ROUND)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(taken / "x")]) == 1
+        one_error_line(capsys)
+
+    def test_out_below_a_file_in_a_subprocess(self, tmp_path):
+        cfg = write_config(tmp_path, ONE_ROUND)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        res = subprocess.run([sys.executable, "-m", "mgode.cli", "run",
+                              "--config", str(cfg), "--out", str(taken / "x")],
+                             capture_output=True, text=True)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+    def test_artifact_write_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ONE_ROUND)
+        out = tmp_path / "out"
+        (out / "error_report.json").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error_report.json" in one_error_line(capsys)
+
+    def test_raising_factory(self, tmp_path, capsys, monkeypatch):
+        helper = tmp_path / "userprob3.py"
+        helper.write_text("def make():\n    raise RuntimeError('boom')\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": "userprob3:make"},
+                           drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "userprob3:make" in err and "RuntimeError: boom" in err
+        assert not out.exists()
+
+    def test_failing_config_leaves_no_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "not_a_model"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert one_error_line(capsys).startswith("error: unknown model 'not_a_model'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"dual": {"s_points": 3}},
+        {"solver": {"quad_depth": 1.0}},
+        {"adapt": {"max_rounds": 2.0}},
+        {"steps": [[0.5, float("nan"), 0.5]]},
+    ], ids=["removed_s_points", "float_quad_depth", "float_max_rounds",
+            "nan_step"])
+    def test_rejected_settings(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        one_error_line(capsys)
+        assert not out.exists()
+
+
 class TestTableauDump:
     def test_backward_euler_weights(self, capsys):
         assert main(["tableau", "mdG", "0"]) == 0

@@ -190,3 +190,60 @@ class TestReversalBookkeeping:
             dbatch = dual.derivatives(i, ts, 1)
             for t, v in zip(ts, dbatch):
                 assert dual.derivative(i, float(t), 1) == pytest.approx(v, abs=0)
+
+
+# -- one refinement path: the seed's two paths as the oracle -------------------
+
+def seed_dual_partition_for(partition, order_increment=1, refine=1):
+    """The seed's dual partition: a copy at refine 1, else a per-interval
+    np.linspace loop."""
+    from mgode.tableau import MAX_ORDER
+    breakpoints, orders = [], []
+    for bp, qs in zip(partition.breakpoints, partition.orders):
+        if refine == 1:
+            breakpoints.append(bp.copy())
+            orders.append(np.minimum(qs + order_increment, MAX_ORDER))
+        else:
+            pts, new_q = [0.0], []
+            for j in range(len(bp) - 1):
+                sub = np.linspace(bp[j], bp[j + 1], refine + 1)[1:]
+                pts.extend(sub.tolist())
+                new_q.extend([min(int(qs[j]) + order_increment, MAX_ORDER)] * refine)
+            pts[-1] = partition.T
+            breakpoints.append(np.asarray(pts))
+            orders.append(np.asarray(new_q, dtype=int))
+    return breakpoints, orders
+
+
+def _irregular_partitions():
+    rng = np.random.default_rng(7)
+    methods = ("mcG", "mdG", "mcG")
+    for T in (1.0, 0.7, 2.0 * np.pi):
+        steps = []
+        for n in (3, 7, 11):
+            k = rng.uniform(0.2, 1.0, n)
+            steps.append((k / k.sum() * T).tolist())
+        orders = [rng.integers(1, 13, len(s)).tolist() for s in steps]
+        yield build_partition(steps, orders, T, methods=methods)
+    yield build_partition([0.1, 0.05, 1.0 / 3.0], [2, 0, 12], 1.0, methods=methods)
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 4, 5])
+def test_dual_partition_matches_linspace_loop(refine):
+    for part in _irregular_partitions():
+        for inc in (0, 1, 2):
+            got = dual_partition_for(part, inc, refine)
+            bps, qs = seed_dual_partition_for(part, inc, refine)
+            for i in range(part.n_components):
+                assert np.array_equal(got.breakpoints[i], bps[i])
+                assert np.array_equal(got.orders[i], qs[i])
+                assert got.orders[i].dtype.kind == "i"
+                if refine == 1:
+                    assert np.array_equal(got.breakpoints[i], part.breakpoints[i])
+                # the per-interval linspace loop at refine 1 too
+                loop = np.concatenate([[0.0]] + [
+                    np.linspace(a, b, refine + 1)[1:]
+                    for a, b in zip(part.breakpoints[i][:-1],
+                                    part.breakpoints[i][1:])])
+                loop[-1] = part.T
+                assert np.array_equal(got.breakpoints[i], loop)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import mgode.tableau as tb
-from mgode.dual import DualSpec, dual_partition_for, solve_dual
+from mgode.dual import DualSolution, DualSpec, dual_partition_for, solve_dual
 from mgode.estimator import (
     _MemoFn,
     _integral_of_rhs,
@@ -291,6 +293,63 @@ class TestGalerkinEstimates:
         assert abs(slope - 1.0) <= 0.3
 
 
+def seed_s1_global_scalar(traj, dual):
+    """The seed's global derivative factor for N = 1: the absolute integral
+    of the dual derivative by the sign-splitting integrator, per elementary
+    segment."""
+    from mgode.estimator import (_deriv_order, _elementary_segments,
+                                 _sign_change_roots)
+    from mgode.tableau import gauss_rule_01
+
+    def splitting_abs(fn, a, b, npts, n_scan):
+        total = 0.0
+        xg, wg = gauss_rule_01(npts)
+        sub = [a] + _sign_change_roots(fn, a, b, n_scan) + [b]
+        for s0, s1 in zip(sub[:-1], sub[1:]):
+            h = s1 - s0
+            if h <= 0.0:
+                continue
+            total += abs(h * float(wg @ fn(s0 + h * xg)))
+        return total
+
+    s1 = 0.0
+    segs = _elementary_segments(traj, dual)
+    for a, b in zip(segs[:-1], segs[1:]):
+        q = traj.order(0, traj.partition.interval_at(0, 0.5 * (a + b), "left"))
+        p = _deriv_order(traj.methods[0], q)
+        fn = lambda ts: dual.derivatives(0, ts, order=p)  # noqa: E731
+        s1 += splitting_abs(fn, a, b, 2 * (max(1, q) + 2), 8 * (max(1, q) + 2))
+    return s1
+
+
+class TestGlobalFactorScalar:
+    """For N = 1 the global factor sums |integral| over the pieces of the
+    sign-splitting integrator, bit for bit as the seed did.  The norm path of
+    N > 1 integrates |f| instead: the two agree only where every piece is
+    single-signed, and on mcG(3) with k = 1/6 a scan cell on [1/4, 1/3]
+    hides two sign changes of the dual's third derivative, where they differ
+    by 1.4e-5 relative."""
+
+    @staticmethod
+    def oscillating(method):
+        w = 2.0 * np.pi
+        return OdeProblem(rhs=lambda u, t: np.cos(w * t) * u, u0=[1.0], T=1.0,
+                          jacobian=lambda u, t: np.array([[np.cos(w * t)]]),
+                          methods=method, vectorized=True)
+
+    @pytest.mark.parametrize("method,q", [("mcG", 1), ("mcG", 2), ("mcG", 3),
+                                          ("mdG", 0), ("mdG", 1), ("mdG", 2)])
+    def test_bitwise_equal_to_seed_branch(self, method, q):
+        prob = self.oscillating(method)
+        for k in (0.1, 1.0 / 6.0):
+            _, traj, dual = run_with_dual(prob, q, k, refine=2, tol=1e-12)
+            p = q if method == "mcG" else q + 1
+            d = dual.derivatives(0, np.linspace(0.0, 1.0, 201), p)
+            assert d.min() < 0.0 < d.max()       # the derivative changes sign
+            got = galerkin_estimates(traj, dual, prob).factors.s1_global
+            assert got == seed_s1_global_scalar(traj, dual)
+
+
 class TestComputationalResidual:
     def test_converged_solve_small_defect(self):
         prob = linear2()
@@ -540,10 +599,13 @@ class TestStabilityFactorError:
         dual = solve_dual(DualSpec(problem=prob, primal=traj,
                                    phi_T=[1.0, 0.0]),
                           dual_partition_for(part, 0),
-                          SolveSettings(tolerance=1e-12),
-                          methods="mdG")
+                          SolveSettings(tolerance=1e-12))
+        # solve_dual integrates with mcG only; re-solve its reversed problem
+        # with the discontinuous family
+        psi_problem = dataclasses.replace(dual.psi_problem, methods="mdG")
+        psi = solve(psi_problem, dual.psi.partition, SolveSettings(tolerance=1e-12))
         with pytest.raises(ValueError):
-            stability_factor_error(dual)
+            stability_factor_error(DualSolution(psi=psi, psi_problem=psi_problem))
 
     def test_dual_of_dual_constant(self):
         prob = linear2()

@@ -13,8 +13,11 @@ import pytest
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import build_partition, build_slabs
-from mgode.solver import OdeProblem, SolveSettings, _build_work, _cross_state, solve
-from mgode.tableau import MAX_ORDER, lagrange_matrix, lobatto_nodes, radau_nodes
+from mgode.estimator import _integral_of_rhs
+from mgode.solver import (OdeProblem, SolveSettings, _build_work, _cross_state,
+                          interval_residual, interval_rhs, solve)
+from mgode.tableau import (MAX_ORDER, integration_rule, lagrange_matrix,
+                           lobatto_nodes, radau_nodes)
 
 
 def lagrange_loop(nodes, x):
@@ -179,6 +182,91 @@ class TestDualEvaluator:
                 assert dual.value(i, t, side) == psi.interval_values(i, j, s)[0]
                 assert (dual.derivative(i, t, 1, side)
                         == -psi.interval_derivative(i, j, s, order=1)[0])
+
+
+# -- the one f_i owner against the two bodies it replaced ---------------------
+
+def seed_interval_residual(traj, problem, i, j, s):
+    """The seed's residual body."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t0, t1 = traj.partition.span(i, j)
+    times = t0 + (t1 - t0) * s
+    L = traj._lagrange(i, j, s)
+    du = traj._contract(i, j, L, 1)
+    U = _cross_state(traj, times, left_endpoint=t0)
+    U[i] = traj._contract(i, j, L)
+    F = problem.eval_rhs(U, times)
+    return du - F[i]
+
+
+def seed_integral_of_rhs(traj, problem, i, j, depth):
+    """The seed's rhs integral body, with its own cross state and t0 pin."""
+    t0, t1 = traj.partition.span(i, j)
+    k = t1 - t0
+    s, w = integration_rule(traj.methods[i], traj.order(i, j), depth)
+    times = t0 + k * s
+    if len(times) and s[0] == 0.0:
+        times[0] = t0
+    U = _cross_state(traj, times, left_endpoint=t0)
+    U[i] = traj.interval_values(i, j, s)
+    F = problem.eval_rhs(U, times)
+    return k * float(w @ F[i])
+
+
+@pytest.fixture(scope="module")
+def irregular():
+    """Mixed families on non-dyadic breakpoints, where t0 + k s rounds, and
+    a model whose f_i reads u_i (harmonic's does not)."""
+    methods = ("mdG", "mcG", "mdG")
+    prob = model("lorenz").problem(T=0.3, methods=methods)
+    part = build_partition([0.03, 0.3 / 7, 0.05], [1, 2, 0], 0.3,
+                           methods=methods)
+    return prob, solve(prob, part, SolveSettings(tolerance=1e-13))
+
+
+class TestIntervalRhs:
+    @pytest.fixture(params=["multirate", "irregular"])
+    def case(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def _local_points(part, i, j):
+        """Both ends, interior points, and every other component's
+        breakpoint inside the interval, in local coordinates."""
+        t0, t1 = part.span(i, j)
+        bp = np.unique(np.concatenate(part.breakpoints))
+        inner = bp[(bp > t0) & (bp < t1)]
+        return np.concatenate([[0.0, 1.0, 0.37, 0.5], (inner - t0) / (t1 - t0)])
+
+    def test_residual_matches_seed_body(self, case):
+        prob, traj = case
+        part = traj.partition
+        on_breakpoints = 0
+        for i in range(traj.dimension):
+            for j in range(part.n_intervals(i)):
+                s = self._local_points(part, i, j)
+                on_breakpoints += len(s) - 4
+                assert np.array_equal(interval_residual(traj, prob, i, j, s),
+                                      seed_interval_residual(traj, prob, i, j, s))
+                for x in (0.0, 1.0, 0.25):
+                    assert np.array_equal(interval_residual(traj, prob, i, j, x),
+                                          seed_interval_residual(traj, prob, i, j, x))
+        assert on_breakpoints > 0
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_integral_matches_seed_body(self, case, depth):
+        prob, traj = case
+        for i in range(traj.dimension):
+            for j in range(traj.partition.n_intervals(i)):
+                assert (_integral_of_rhs(traj, prob, i, j, depth)
+                        == seed_integral_of_rhs(traj, prob, i, j, depth))
+
+    def test_factors_are_the_interval_lagrange_matrix(self, multirate):
+        prob, traj = multirate
+        s = np.array([0.0, 0.3, 1.0])
+        f, L = interval_rhs(traj, prob, 1, 3, s)
+        assert f.shape == (3,)
+        assert np.array_equal(L, traj._lagrange(1, 3, s))
 
 
 # -- slab stencils against the per-point lookup they replaced -----------------

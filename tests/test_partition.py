@@ -155,3 +155,12 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(q.orders, p.orders):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_non_finite_explicit_step_rejected(bad):
+    # a NaN step used to become NaN breakpoints, an infinite one was cut to T
+    with pytest.raises(PartitionError, match="non-finite"):
+        build_partition([[0.5, bad, 0.5]], 1, 1.0, methods=("mcG",))
+    with pytest.raises(PartitionError, match="non-finite"):
+        build_partition([[bad]], 1, 1.0, methods=("mcG",))

@@ -251,3 +251,82 @@ class TestRules:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             tb.tableau("xg", 1)
+
+
+# -- one Legendre recurrence: the seed's two recurrences as oracles ------------
+
+def seed_legendre_eval(q, x):
+    """The seed's array recurrence for P_q."""
+    xs = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(xs)
+    if q == 0:
+        return float(p_prev) if xs.ndim == 0 else p_prev
+    p = xs.copy()
+    for n in range(1, q):
+        p, p_prev = ((2 * n + 1) * xs * p - n * p_prev) / (n + 1), p
+    return float(p) if xs.ndim == 0 else p
+
+
+def seed_value_and_derivative(q, x):
+    """The seed's scalar (P_q, P_q') recurrence used by the node iterations."""
+    p_prev, p = 1.0, x
+    dp_prev, dp = 0.0, 1.0
+    if q == 0:
+        return 1.0, 0.0
+    for n in range(1, q):
+        p_next = ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        dp_next = dp_prev + (2 * n + 1) * p
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    return p, dp
+
+
+def seed_lobatto(q):
+    def g(x):
+        pq, dpq = seed_value_and_derivative(q, x)
+        pq1, dpq1 = seed_value_and_derivative(q - 1, x)
+        return x * pq - pq1, pq + x * dpq - dpq1
+    interior = tb._bracketed_roots(g, q - 1, "Lobatto")
+    return np.concatenate(([0.0], (interior + 1.0) / 2.0, [1.0]))
+
+
+def seed_radau(q):
+    def h(x):
+        pq, dpq = seed_value_and_derivative(q, x)
+        pq1, dpq1 = seed_value_and_derivative(q + 1, x)
+        return pq + pq1, dpq + dpq1
+    interior = tb._bracketed_roots(h, q, "Radau")
+    nodes = np.sort(np.concatenate(((1.0 - interior) / 2.0, [1.0])))
+    nodes[-1] = 1.0
+    return nodes
+
+
+class TestOneLegendreRecurrence:
+    @pytest.mark.parametrize("q", range(1, tb.MAX_ORDER + 1))
+    def test_lobatto_nodes_bitwise(self, q):
+        assert np.array_equal(tb.lobatto_nodes(q).nodes, seed_lobatto(q))
+
+    @pytest.mark.parametrize("q", range(0, tb.MAX_ORDER + 1))
+    def test_radau_nodes_bitwise(self, q):
+        assert np.array_equal(tb.radau_nodes(q).nodes, seed_radau(q))
+
+    @pytest.mark.parametrize("q", range(0, tb.MAX_ORDER + 2))
+    def test_legendre_eval_bitwise(self, q):
+        rng = np.random.default_rng(q)
+        for x in (np.linspace(-1.0, 1.0, 41), rng.uniform(-1.2, 1.2, (3, 5)),
+                  np.array([-0.0, 0.0, 1.0, -1.0]), np.array([0.25])):
+            got = tb.legendre_eval(q, x)
+            ref = seed_legendre_eval(q, x)
+            assert got.shape == x.shape and got.dtype == np.float64
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        for x in (0.37, -1.0, 1.0, -0.0, 1.1):
+            got = tb.legendre_eval(q, x)
+            assert isinstance(got, float) and got == seed_legendre_eval(q, x)
+
+    def test_legendre_eval_returns_a_fresh_array(self):
+        x = np.array([0.1, 0.2])
+        for q in (0, 1, 2):
+            out = tb.legendre_eval(q, x)
+            out[:] = 9.0
+            assert x.tolist() == [0.1, 0.2]
