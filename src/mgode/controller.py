@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import DualSolution, DualSpec, dual_partition_for, solve_dual
+from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
+                   terminal_weight)
 from .estimator import ErrorReport, StabilityFactors, estimate, interp_constant
 from .partition import Partition
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
@@ -173,9 +174,9 @@ def adapt(problem: OdeProblem, partition: Partition,
     The returned result flags whether the criterion was met; an exhausted
     budget still returns the last round's artifacts.
     """
-    phi_T = settings.phi_T
-    if phi_T is None:
-        phi_T = _default_phi_T(problem.dimension)
+    # a bad terminal weight fails before any solve
+    phi_T = (_default_phi_T(problem.dimension) if settings.phi_T is None
+             else terminal_weight(settings.phi_T, problem.dimension))
     log: list[dict] = []
     orders = None
     met = False

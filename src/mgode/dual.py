@@ -19,6 +19,16 @@ from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
 
 
+def terminal_weight(phi_T, n: int) -> np.ndarray:
+    """phi_T as a flat float array, checked: finite, one entry per component."""
+    phi_T = np.asarray(phi_T, dtype=float).reshape(-1)
+    if len(phi_T) != n:
+        raise ValueError(f"phi_T has length {len(phi_T)}, expected {n}")
+    if not np.all(np.isfinite(phi_T)):
+        raise ValueError("phi_T must be finite")
+    return phi_T
+
+
 @dataclass
 class DualSpec:
     """Data of a backward linearized problem.
@@ -39,14 +49,7 @@ class DualSpec:
     s_points: int = 3
 
     def __post_init__(self):
-        self.phi_T = np.asarray(self.phi_T, dtype=float).reshape(-1)
-        if len(self.phi_T) != self.problem.dimension:
-            raise ValueError(
-                f"phi_T has length {len(self.phi_T)}, expected "
-                f"{self.problem.dimension}"
-            )
-        if not np.all(np.isfinite(self.phi_T)):
-            raise ValueError("phi_T must be finite")
+        self.phi_T = terminal_weight(self.phi_T, self.problem.dimension)
         if self.s_points < 1:
             raise ValueError(f"s_points must be >= 1, got {self.s_points}")
 
@@ -160,7 +163,10 @@ class DualSolution:
         where a left limit in t is a right limit in sigma; times outside
         the breakpoint range clamp to the end intervals."""
         sigma = self.T - np.atleast_1d(np.asarray(ts, dtype=float))
-        j = self.psi.locate(i, sigma, "right" if side == "left" else "left")
+        side = "right" if side == "left" else "left"
+        if len(sigma) == 1:
+            return self.psi.point_value(i, float(sigma[0]), side, order)
+        j = self.psi.locate(i, sigma, side)
         return self.psi.evaluate((i,), sigma, (j,), order)[0]
 
     def derivative(self, i: int, t: float, order: int = 1,

@@ -19,10 +19,16 @@ exactly like that group's own ``values @ L``, so the numbers do not depend
 on the batching.  The rhs is still called once per interval: a batched
 ``A @ U`` over the slab's columns rounds differently from the per-interval
 products, and the estimator's rounding-level terms would move.
+
+A single time, as the estimator's root searches ask for, takes the one-time
+path (``Trajectory.point_state``, ``.point_value``) instead of the general
+evaluator.  It rounds bitwise alike: a lagrange column depends only on its
+own point, and a stacked matmul rounds each row as that row's own product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -229,6 +235,8 @@ class Trajectory:
         self.report = report
         self.settings = settings
         self._interior = tuple(bp[1:-1] for bp in partition.breakpoints)
+        self._bp_lists = tuple(bp.tolist() for bp in partition.breakpoints)
+        self._orders = tuple(qs.tolist() for qs in partition.orders)
 
     @property
     def dimension(self) -> int:
@@ -239,7 +247,7 @@ class Trajectory:
         return self.partition.T
 
     def order(self, i: int, j: int) -> int:
-        return int(self.partition.orders[i][j])
+        return self._orders[i][j]
 
     def coefficients(self, i: int, j: int) -> np.ndarray:
         """Nodal values of component i on its interval j (length q_ij + 1)."""
@@ -298,6 +306,9 @@ class Trajectory:
         matrix-vector product differently depending on how many columns one
         call receives, and regrouping the contraction moves rounding-level
         estimator terms (E_Q, E_C) by tens of percent.
+
+        A single time from ``interval_rhs`` or ``DualSolution`` takes the
+        one-time path instead, which rounds alike (see the module docstring).
         """
         out = np.empty((len(comps), len(ts)))
         batches: dict[tuple[str, int], list] = {}
@@ -318,6 +329,42 @@ class Trajectory:
                     c, jc, np.ascontiguousarray(L[:, start:stop]), order)
                 start = stop
         return out
+
+    def _point(self, i: int, t: float, side: str) -> tuple[int, float]:
+        """``locate`` for one time, by bisect on the breakpoint list, and the
+        local coordinate of t, formed as ``evaluate`` forms it."""
+        bp = self._bp_lists[i]
+        j = (bisect_left if side == "left" else bisect_right)(bp, t, 1, len(bp) - 1) - 1
+        return j, (t - bp[j]) / (bp[j + 1] - bp[j])
+
+    def point_value(self, i: int, t: float, side: str, order: int) -> np.ndarray:
+        """The one-time path of ``evaluate`` for one component: its value,
+        or order-th derivative, at the single time t, shape (1,)."""
+        j, s = self._point(i, t, side)
+        return self._contract(i, j, self._lagrange(i, j, s), order)
+
+    def point_state(self, t: float, side: str, i: int, j: int,
+                    s: float) -> tuple[np.ndarray, np.ndarray]:
+        """The one-time path of ``evaluate`` for the state (N, 1) at the single
+        time t, each component on the interval ``locate`` finds with ``side``
+        except component i, read on its interval j at t's local coordinate s;
+        and the Lagrange factors (n, 1) of s.  One lagrange_matrix call and
+        one stacked np.matmul serve each (method, order) class."""
+        classes: dict[tuple[str, int], list] = {}
+        for c in range(self.dimension):
+            jc, sc = (j, s) if c == i else self._point(c, t, side)
+            classes.setdefault((self.methods[c], self._orders[c][jc]),
+                               []).append((c, jc, sc))
+        U = np.empty((self.dimension, 1))
+        for (method, q), items in classes.items():
+            rows, js, ss = zip(*items)
+            L = lagrange_matrix(_basis_nodes(method, q), ss)
+            coeffs = np.array([self._coeffs[c][jc] for c, jc in zip(rows, js)])
+            U[rows, 0] = np.matmul(coeffs[:, None, :],
+                                   np.ascontiguousarray(L.T)[:, :, None])[:, 0, 0]
+            if i in rows:
+                own = np.ascontiguousarray(L[:, [rows.index(i)]])
+        return U, own
 
     def value(self, i: int, t: float, side: str = "left") -> float:
         """Component i at time t with the requested one-sided convention."""
@@ -383,14 +430,19 @@ def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     """f_i on component i's interval j at local coordinates s, under the
     within-interval cross state, and the Lagrange factors of s on the
     interval's nodes.  The residual and the estimator's rhs integrals both
-    start from this one quantity."""
+    start from this one quantity.  A single local coordinate, as a root
+    search asks for, takes the trajectory's one-time path."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t0, t1 = traj.partition.span(i, j)
     times = t0 + (t1 - t0) * s
-    L = traj._lagrange(i, j, s)
-    U = _cross_state(traj, times, left_endpoint=t0)
-    # own component from this interval's polynomial (matters at breakpoints)
-    U[i] = traj._contract(i, j, L)
+    if len(s) == 1:
+        t = float(times[0])
+        U, L = traj.point_state(t, "right" if t == t0 else "left", i, j, float(s[0]))
+    else:
+        L = traj._lagrange(i, j, s)
+        U = _cross_state(traj, times, left_endpoint=t0)
+        # own component from this interval's polynomial (matters at breakpoints)
+        U[i] = traj._contract(i, j, L)
     return problem.eval_rhs(U, times)[i], L
 
 

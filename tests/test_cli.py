@@ -250,6 +250,22 @@ class TestRunErrors:
         one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("phi_T,message", [
+        ([float("nan")], "phi_T must be finite"),
+        ([1.0, 0.0], "phi_T has length 2, expected 1"),
+    ], ids=["nan", "wrong_length"])
+    def test_phi_T_rejected_before_the_first_solve(self, tmp_path, capsys,
+                                                   monkeypatch, phi_T, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called before phi_T was checked")
+
+        monkeypatch.setattr("mgode.controller.solve", no_solve)
+        cfg = write_config(tmp_path, {"steps": 0.001, "dual": {"phi_T": phi_T}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTableauDump:
     def test_backward_euler_weights(self, capsys):

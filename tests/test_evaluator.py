@@ -7,15 +7,18 @@ alone.  The estimator's rounding-level terms depend on those exact bits, so
 every comparison here is ``np.array_equal``, not a tolerance.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import build_partition, build_slabs
-from mgode.estimator import _integral_of_rhs
-from mgode.solver import (OdeProblem, SolveSettings, _build_work, _cross_state,
-                          interval_residual, interval_rhs, solve)
+from mgode.estimator import _integral_of_rhs, estimate
+from mgode.solver import (OdeProblem, SolveSettings, Trajectory, _basis_nodes,
+                          _build_work, _cross_state, interval_residual,
+                          interval_rhs, solve)
 from mgode.tableau import (MAX_ORDER, integration_rule, lagrange_matrix,
                            lobatto_nodes, radau_nodes)
 
@@ -350,3 +353,193 @@ class TestSlabStencils:
                     # one group, hence one contraction, per source interval
                     assert len({widx for _, widx, _ in groups}) == len(groups)
         assert snapped > 0
+
+
+# -- the one-time paths against the general evaluator they bypass -------------
+#
+# The oracles below are the bodies of Trajectory.evaluate, _cross_state,
+# interval_rhs and DualSolution._evaluate from before the one-time path: every
+# call, whatever its number of times, went through the grouped evaluator.
+
+def _oracle_groups(j):
+    if len(j) == 1 or (len(j) and (j == j[0]).all()):
+        return ((int(j[0]), slice(None)),)
+    return ((int(jc), j == jc) for jc in np.unique(j))
+
+
+def oracle_evaluate(traj, comps, ts, js, order=0):
+    out = np.empty((len(comps), len(ts)))
+    batches = {}
+    for row, (c, j) in enumerate(zip(comps, js)):
+        bp = traj.partition.breakpoints[c]
+        for jc, sel in _oracle_groups(j):
+            t0, t1 = float(bp[jc]), float(bp[jc + 1])
+            s = (ts[sel] - t0) / (t1 - t0)
+            key = (traj.methods[c], traj.order(c, jc))
+            batches.setdefault(key, []).append((row, c, jc, sel, s))
+    for (method, q), items in batches.items():
+        L = lagrange_matrix(_basis_nodes(method, q),
+                            np.concatenate([item[4] for item in items]))
+        start = 0
+        for row, c, jc, sel, s in items:
+            stop = start + len(s)
+            out[row, sel] = traj._contract(
+                c, jc, np.ascontiguousarray(L[:, start:stop]), order)
+            start = stop
+    return out
+
+
+def oracle_cross_state(traj, times, left_endpoint):
+    comps = range(traj.dimension)
+    js = [traj.locate(c, times, "left") for c in comps]
+    if left_endpoint is not None:
+        at_left = times == left_endpoint
+        if at_left.any():
+            js = [np.where(at_left, traj.locate(c, times, "right"), j)
+                  for c, j in zip(comps, js)]
+    return oracle_evaluate(traj, comps, times, js)
+
+
+def oracle_interval_rhs(traj, problem, i, j, s):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t0, t1 = traj.partition.span(i, j)
+    times = t0 + (t1 - t0) * s
+    L = traj._lagrange(i, j, s)
+    U = oracle_cross_state(traj, times, left_endpoint=t0)
+    U[i] = traj._contract(i, j, L)
+    return problem.eval_rhs(U, times)[i], L
+
+
+def oracle_dual_evaluate(dual, i, ts, order, side):
+    sigma = dual.T - np.atleast_1d(np.asarray(ts, dtype=float))
+    j = dual.psi.locate(i, sigma, "right" if side == "left" else "left")
+    return oracle_evaluate(dual.psi, (i,), sigma, (j,), order)[0]
+
+
+ONE_TIME_METHODS = ("mcG", "mdG", "mcG", "mcG", "mdG", "mcG", "mdG", "mcG")
+
+
+def _one_time_case(depth):
+    """Kepler on a mixed-family multirate partition with per-interval orders
+    and non-dyadic steps, solved at the given quadrature depth, and its dual
+    on a twice refined partition.  On component 2's interval
+    [0.325, 0.88], t0 + k * 1.0 rounds below t1."""
+    T = 0.88
+    prob = model("kepler_2body").problem(T=T, methods=ONE_TIME_METHODS)
+    steps = [0.1, 0.06, [0.325, 0.555], T / 7, 0.05, 0.1, T / 9, 0.15]
+    uniform = build_partition(steps, 1, T)
+    orders = [_orders(uniform.n_intervals(i), 2, 1 if m == "mcG" else 0)
+              for i, m in enumerate(ONE_TIME_METHODS)]
+    part = build_partition(steps, orders, T, methods=ONE_TIME_METHODS)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-13, quad_depth=depth))
+    spec = DualSpec(problem=prob, primal=traj, phi_T=np.full(8, 0.35))
+    dual = solve_dual(spec, dual_partition_for(part, 1, 2),
+                      SolveSettings(tolerance=1e-13))
+    return prob, traj, dual
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2], ids=lambda d: f"depth{d}")
+def one_time(request):
+    return _one_time_case(request.param)
+
+
+def _hit(t0, k, b):
+    """A local coordinate s with t0 + k s == b exactly, or None."""
+    s = (b - t0) / k
+    for cand in (s, np.nextafter(s, 0.0), np.nextafter(s, 1.0)):
+        if t0 + k * cand == b:
+            return float(cand)
+    return None
+
+
+class TestOneTime:
+    def test_interval_rhs_and_residual(self, one_time):
+        prob, traj, _ = one_time
+        part = traj.partition
+        bp = np.unique(np.concatenate(part.breakpoints))
+        inexact_end = on_breakpoint = 0
+        for i in range(traj.dimension):
+            for j in range(part.n_intervals(i)):
+                t0, t1 = part.span(i, j)
+                k = t1 - t0
+                inexact_end += t0 + k * 1.0 != t1
+                rule = integration_rule(traj.methods[i], traj.order(i, j),
+                                        traj.settings.quad_depth)[0]
+                hits = [_hit(t0, k, b) for b in bp[(bp > t0) & (bp < t1)]]
+                hits = [s for s in hits if s is not None]
+                on_breakpoint += len(hits)
+                for s in [0.0, 1.0, 0.37, *rule.tolist(), *hits]:
+                    for x in (s, np.array([s])):
+                        f, L = interval_rhs(traj, prob, i, j, x)
+                        f_ref, L_ref = oracle_interval_rhs(traj, prob, i, j, x)
+                        assert f.shape == L.shape[1:] == (1,)
+                        assert np.array_equal(f, f_ref)
+                        assert np.array_equal(L, L_ref)
+                        assert np.array_equal(
+                            interval_residual(traj, prob, i, j, x),
+                            traj._contract(i, j, L_ref, 1) - f_ref)
+        assert inexact_end > 0 and on_breakpoint > 0
+
+    def test_dual_values_and_derivatives(self, one_time):
+        _, traj, dual = one_time
+        T = dual.T
+        dual_bp = np.unique(np.concatenate(
+            [T - b[::-1] for b in dual.psi.partition.breakpoints]))
+        primal_bp = np.unique(np.concatenate(traj.partition.breakpoints))
+        ts = np.concatenate([dual_bp, primal_bp, [-0.25, -1e-9, T + 1e-9,
+                                                  T + 0.25, 0.123, 0.4567]])
+        assert len(np.setdiff1d(dual_bp, primal_bp)) > 0
+        for i in range(dual.dimension):
+            for side in ("left", "right"):
+                for t in ts:
+                    for x in (float(t), np.array([t])):
+                        assert np.array_equal(
+                            dual.values(i, x, side),
+                            oracle_dual_evaluate(dual, i, x, 0, side))
+                        for order in range(4):
+                            assert np.array_equal(
+                                dual.derivatives(i, x, order, side),
+                                (-1.0) ** order
+                                * oracle_dual_evaluate(dual, i, x, order, side))
+                # the multi-point path is unchanged
+                assert np.array_equal(dual.values(i, ts, side),
+                                      oracle_dual_evaluate(dual, i, ts, 0, side))
+
+
+def test_one_time_path_is_taken_and_traced(monkeypatch):
+    # During an estimate every single-time request of the residual and the
+    # dual takes the one-time path: only multi-point calls reach
+    # Trajectory.evaluate from there.  The benchmark's
+    # estimator.residual_calls, counted through the module attribute
+    # mgode.estimator.interval_residual, must count every residual.
+    from test_traced_names import load_tracing
+
+    prob, traj, dual = _one_time_case(1)
+    general = Trajectory.evaluate
+    callers = []
+
+    def spy(self, comps, ts, js, order=0):
+        callers.append((sys._getframe(1).f_code.co_name, len(ts)))
+        return general(self, comps, ts, js, order)
+
+    code = interval_residual.__code__
+    plain = 0
+
+    def count(frame, event, arg):
+        nonlocal plain
+        if event == "call" and frame.f_code is code:
+            plain += 1
+
+    monkeypatch.setattr(Trajectory, "evaluate", spy)
+    tracer = load_tracing().Tracer()
+    sys.setprofile(count)
+    try:
+        tracer.traced("bench.estimate", lambda: estimate(prob, traj, dual))
+    finally:
+        sys.setprofile(None)
+
+    watched = ("_cross_state", "_evaluate")
+    assert not [c for c in callers if c[0] in watched and c[1] == 1]
+    assert {name for name, n in callers if n > 1} >= set(watched)
+    assert plain > 0
+    assert tracer.metrics()["estimator.residual_calls"] == plain
