@@ -222,17 +222,30 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
                 _frozen[t] = (Jt, gv)
         return [_frozen[float(t)] for t in ts]
 
+    # the same time arrays come back every sweep: stack their linearization
+    # once, (P, N, N) with the forcing (N, P) alongside
+    _stacked: dict[bytes, tuple[np.ndarray, np.ndarray | None]] = {}
+
+    def _stacked_at(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        key = sigmas.tobytes()
+        if key not in _stacked:
+            pairs = _linearization_at(T - sigmas)
+            # np.stack keeps the matrices' common memory layout, which
+            # decides how BLAS rounds each product (tests/test_dual.py)
+            Jts = np.stack([Jt for Jt, _ in pairs])
+            G = None if g is None else np.stack([gv for _, gv in pairs], axis=1)
+            _stacked[key] = (Jts, G)
+        return _stacked[key]
+
     def psi_rhs(psi, sigma):
-        # stacked form: psi (N, P), sigma (P,); plain vectors accepted too
+        # stacked form: psi (N, P), sigma (P,); plain vectors accepted too.
+        # One np.matmul rounds each column as Jt @ psi[:, p] alone does.
         vec_in = np.ndim(psi) > 1
         psi_mat = np.asarray(psi, dtype=float).reshape(N, -1)
-        sigmas = np.atleast_1d(np.asarray(sigma, dtype=float))
-        pairs = _linearization_at(T - sigmas)
-        out = np.empty_like(psi_mat)
-        for p, (Jt, gv) in enumerate(pairs):
-            out[:, p] = Jt @ psi_mat[:, p]
-            if gv is not None:
-                out[:, p] += gv
+        Jts, G = _stacked_at(np.atleast_1d(np.asarray(sigma, dtype=float)))
+        out = np.ascontiguousarray(np.matmul(Jts, psi_mat.T[:, :, None])[:, :, 0].T)
+        if G is not None:
+            out += G
         return out if vec_in else out[:, 0]
 
     psi_problem = OdeProblem(

@@ -2,8 +2,9 @@
 
 Every entry carries what the solver and the test batteries need: a vectorized
 right-hand side, its Jacobian, default initial data and horizon, and where
-available a closed-form solution, a conserved energy, and suggested relative
-step sizes for multirate runs.
+available a closed-form solution, a conserved energy, suggested relative
+step sizes for multirate runs, and, where f is sparse, the components each
+f_i reads.  Each rhs fills a preallocated array row by row.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class ModelCatalogEntry:
     closed_form: Callable | None = None
     invariant: Callable | None = None
     suggested_step_ratios: tuple[float, ...] | None = None
+    dependencies: tuple[tuple[int, ...], ...] | None = None
 
     def problem(self, T: float | None = None, u0=None,
                 methods="mcG") -> OdeProblem:
@@ -50,6 +52,7 @@ class ModelCatalogEntry:
             methods=methods,
             vectorized=True,
             name=self.name,
+            dependencies=self.dependencies,
         )
 
 
@@ -100,7 +103,12 @@ def _harmonic() -> ModelCatalogEntry:
     w2 = _HARMONIC_OMEGA2
 
     def rhs(u, t):
-        return np.stack([u[2], u[3], -u[0], -(w2**2) * u[1]])
+        out = np.empty((4,) + np.shape(u[0]))
+        out[0] = u[2]
+        out[1] = u[3]
+        out[2] = -u[0]
+        out[3] = -(w2**2) * u[1]
+        return out
 
     def jac(u, t):
         J = np.zeros((4, 4))
@@ -129,6 +137,7 @@ def _harmonic() -> ModelCatalogEntry:
         description="two uncoupled oscillators [x1, x2, v1, v2], frequencies 1 and 2",
         closed_form=closed, invariant=energy,
         suggested_step_ratios=(1.0, 0.5, 1.0, 0.5),
+        dependencies=((2,), (3,), (0,), (1,)),
     )
 
 
@@ -165,8 +174,16 @@ def _kepler_2body() -> ModelCatalogEntry:
         x1, y1, x2, y2 = u[0], u[1], u[2], u[3]
         r1 = (x1**2 + y1**2) ** 1.5
         r2 = (x2**2 + y2**2) ** 1.5
-        return np.stack([u[4], u[5], u[6], u[7],
-                         -x1 / r1, -y1 / r1, -x2 / r2, -y2 / r2])
+        out = np.empty((8,) + np.shape(x1))
+        out[0] = u[4]
+        out[1] = u[5]
+        out[2] = u[6]
+        out[3] = u[7]
+        out[4] = -x1 / r1
+        out[5] = -y1 / r1
+        out[6] = -x2 / r2
+        out[7] = -y2 / r2
+        return out
 
     def _grav_block(x, y):
         r2 = x**2 + y**2
@@ -211,6 +228,7 @@ def _kepler_2body() -> ModelCatalogEntry:
                     "eccentricity 0.5",
         closed_form=closed, invariant=energy,
         suggested_step_ratios=(1.0, 1.0, ratio, ratio, 1.0, 1.0, ratio, ratio),
+        dependencies=((4,), (5,), (6,), (7,), (0, 1), (0, 1), (2, 3), (2, 3)),
     )
 
 
@@ -221,11 +239,11 @@ def _lorenz() -> ModelCatalogEntry:
     sigma, rho, beta = _LORENZ_PARAMS
 
     def rhs(u, t):
-        return np.stack([
-            sigma * (u[1] - u[0]),
-            u[0] * (rho - u[2]) - u[1],
-            u[0] * u[1] - beta * u[2],
-        ])
+        out = np.empty((3,) + np.shape(u[0]))
+        out[0] = sigma * (u[1] - u[0])
+        out[1] = u[0] * (rho - u[2]) - u[1]
+        out[2] = u[0] * u[1] - beta * u[2]
+        return out
 
     def jac(u, t):
         return np.array([
@@ -238,6 +256,7 @@ def _lorenz() -> ModelCatalogEntry:
         name="lorenz", dimension=3, rhs=rhs, jacobian=jac,
         u0=np.array([1.0, 1.0, 1.0]), T_default=1.0,
         description="Lorenz system, conventional parameters (10, 28, 8/3)",
+        dependencies=((1,), (0, 2), (0, 1)),
     )
 
 

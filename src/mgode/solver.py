@@ -24,6 +24,13 @@ A single time, as the estimator's root searches ask for, takes the one-time
 path (``Trajectory.point_state``, ``.point_value``) instead of the general
 evaluator.  It rounds bitwise alike: a lagrange column depends only on its
 own point, and a stacked matmul rounds each row as that row's own product.
+
+A problem may declare which components each f_i reads
+(``OdeProblem.dependencies``).  The residual then locates and interpolates
+only those, on both paths, and fills the other rows of the rhs input with
+u0.  The numbers stay bit for bit for the same two reasons, and because row
+i of f reads only rows that are unchanged.  The slab sweep still builds
+every component's stencils.
 """
 
 from __future__ import annotations
@@ -96,6 +103,13 @@ class OdeProblem:
     ``methods`` tags every component with its scheme family.  ``vectorized``
     declares that ``rhs`` (and ``jacobian``) accept stacked states of shape
     (N, P) together with a time array of shape (P,).
+
+    ``dependencies`` is the sparsity pattern of f: entry i lists the
+    components f_i reads.  f_i may always read u_i, so the own component is
+    added; each entry is normalised to a sorted tuple of unique indices.
+    ``None`` means every f_i may read every component.  Row i of f must not
+    change when a component outside entry i changes: the residual reads
+    only those components (see ``interval_rhs``).
     """
 
     rhs: Callable
@@ -105,6 +119,7 @@ class OdeProblem:
     methods: Sequence[str] | str = MCG
     vectorized: bool = False
     name: str = ""
+    dependencies: Sequence[Sequence[int]] | None = None
 
     def __post_init__(self):
         self.u0 = np.asarray(self.u0, dtype=float).reshape(-1)
@@ -124,6 +139,8 @@ class OdeProblem:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method tag {m!r}")
+        if self.dependencies is not None:
+            self.dependencies = _dependency_lists(self.dependencies, n)
 
     @property
     def dimension(self) -> int:
@@ -165,6 +182,28 @@ class OdeProblem:
             return J
 
         return fd_jacobian
+
+
+def _dependency_lists(deps, n: int) -> tuple[tuple[int, ...], ...]:
+    """One sorted tuple of unique component indices per component, each
+    holding its own index; raises ValueError unless ``deps`` has one entry
+    per component and every index is an integer (not a bool) in [0, n)."""
+    try:
+        entries = [list(entry) for entry in deps]
+    except TypeError:
+        raise ValueError("dependencies must hold one list of indices per "
+                         "component") from None
+    if len(entries) != n:
+        raise ValueError(f"{len(entries)} dependency lists for {n} components")
+    for i, entry in enumerate(entries):
+        for c in entry:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(
+                    f"dependencies[{i}] holds {c!r}, not a component index")
+            if not 0 <= c < n:
+                raise ValueError(f"dependencies[{i}] holds {c}, outside [0, {n})")
+    return tuple(tuple(sorted({i, *map(int, entry)}))
+                 for i, entry in enumerate(entries))
 
 
 @dataclass(frozen=True)
@@ -343,19 +382,20 @@ class Trajectory:
         j, s = self._point(i, t, side)
         return self._contract(i, j, self._lagrange(i, j, s), order)
 
-    def point_state(self, t: float, side: str, i: int, j: int,
-                    s: float) -> tuple[np.ndarray, np.ndarray]:
+    def point_state(self, t: float, side: str, i: int, j: int, s: float,
+                    comps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The one-time path of ``evaluate`` for the state (N, 1) at the single
-        time t, each component on the interval ``locate`` finds with ``side``
-        except component i, read on its interval j at t's local coordinate s;
-        and the Lagrange factors (n, 1) of s.  One lagrange_matrix call and
-        one stacked np.matmul serve each (method, order) class."""
+        time t, each component of ``comps`` (which holds i) on the interval
+        ``locate`` finds with ``side`` except component i, read on its
+        interval j at t's local coordinate s; and the Lagrange factors (n, 1)
+        of s.  The other rows hold u0.  One lagrange_matrix call and one
+        stacked np.matmul serve each (method, order) class."""
         classes: dict[tuple[str, int], list] = {}
-        for c in range(self.dimension):
+        for c in comps:
             jc, sc = (j, s) if c == i else self._point(c, t, side)
             classes.setdefault((self.methods[c], self._orders[c][jc]),
                                []).append((c, jc, sc))
-        U = np.empty((self.dimension, 1))
+        U = self.u0[:, None].copy()
         for (method, q), items in classes.items():
             rows, js, ss = zip(*items)
             L = lagrange_matrix(_basis_nodes(method, q), ss)
@@ -411,18 +451,23 @@ class Trajectory:
 # Residuals
 # ---------------------------------------------------------------------------
 
-def _cross_state(traj: Trajectory, times: np.ndarray, left_endpoint: float | None) -> np.ndarray:
+def _cross_state(traj: Trajectory, times: np.ndarray, left_endpoint: float | None,
+                 comps: Sequence[int] | None = None) -> np.ndarray:
     """Solution vector at each time, using left limits except exactly at the
     integrated interval's left endpoint, where the within-interval (right)
-    limit applies."""
-    comps = range(traj.dimension)
+    limit applies.  Only the rows ``comps`` (default: all) are evaluated;
+    the others hold u0."""
+    if comps is None:
+        comps = range(traj.dimension)
     js = [traj.locate(c, times, "left") for c in comps]
     if left_endpoint is not None:
         at_left = times == left_endpoint
         if at_left.any():
             js = [np.where(at_left, traj.locate(c, times, "right"), j)
                   for c, j in zip(comps, js)]
-    return traj.evaluate(comps, times, js)
+    U = np.repeat(traj.u0[:, None], len(times), axis=1)
+    U[list(comps)] = traj.evaluate(comps, times, js)
+    return U
 
 
 def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
@@ -431,16 +476,26 @@ def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     within-interval cross state, and the Lagrange factors of s on the
     interval's nodes.  The residual and the estimator's rhs integrals both
     start from this one quantity.  A single local coordinate, as a root
-    search asks for, takes the trajectory's one-time path."""
+    search asks for, takes the trajectory's one-time path.
+
+    Only the components f_i reads (``problem.dependencies``, all of them by
+    default) are located and interpolated; the other rows of the rhs input
+    hold u0, finite values whose output rows are discarded.  This is bit for
+    bit: row i of f reads only rows that are unchanged, each of those rows
+    is rounded as its own product (see the module docstring), and the
+    Lagrange columns of a point do not depend on the batch."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t0, t1 = traj.partition.span(i, j)
     times = t0 + (t1 - t0) * s
+    comps = (range(traj.dimension) if problem.dependencies is None
+             else problem.dependencies[i])
     if len(s) == 1:
         t = float(times[0])
-        U, L = traj.point_state(t, "right" if t == t0 else "left", i, j, float(s[0]))
+        U, L = traj.point_state(t, "right" if t == t0 else "left", i, j,
+                                float(s[0]), comps)
     else:
         L = traj._lagrange(i, j, s)
-        U = _cross_state(traj, times, left_endpoint=t0)
+        U = _cross_state(traj, times, t0, [c for c in comps if c != i])
         # own component from this interval's polynomial (matters at breakpoints)
         U[i] = traj._contract(i, j, L)
     return problem.eval_rhs(U, times)[i], L

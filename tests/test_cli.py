@@ -166,6 +166,24 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_problem_import_with_dependencies(self, tmp_path, monkeypatch):
+        helper = tmp_path / "userdeps.py"
+        helper.write_text(
+            "import numpy as np\n"
+            "from mgode.solver import OdeProblem\n"
+            "A = np.array([[0.0, 1.0], [-1.0, 0.0]])\n"
+            "def make():\n"
+            "    return OdeProblem(rhs=lambda u, t: np.array([u[1], -u[0]]),\n"
+            "                      u0=[0.0, 1.0], T=1.0, vectorized=True,\n"
+            "                      jacobian=lambda u, t: A,\n"
+            "                      dependencies=[[1], [0]])\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": "userdeps:make",
+                                      "adapt": {"tol": 1e-2}}, drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_model_and_import_both_given(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem_import": "userprob:make"})
         assert main(["run", "--config", str(cfg)]) == 1
@@ -264,6 +282,56 @@ class TestRunErrors:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert one_error_line(capsys) == f"error: {message}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("pattern,message", [
+        ("[[1]]", "1 dependency lists for 2 components"),
+        ("[[1], [2]]", "outside [0, 2)"),
+        ("[[1], [0.0]]", "not a component index"),
+        ("[[True], [0]]", "not a component index"),
+    ], ids=["wrong_length", "out_of_range", "float_index", "bool_index"])
+    @pytest.mark.parametrize("when", ["built", "assigned"])
+    def test_factory_with_a_malformed_pattern(self, tmp_path, capsys,
+                                              monkeypatch, pattern, message,
+                                              when):
+        # a pattern passed to OdeProblem fails inside the factory; one set
+        # on the returned problem fails when the config overrides are checked
+        mod = f"userdeps_{when}"
+        build = (f"OdeProblem(rhs=lambda u, t: -u, u0=[1.0, 2.0], T=1.0, "
+                 f"dependencies={pattern})" if when == "built" else
+                 "OdeProblem(rhs=lambda u, t: -u, u0=[1.0, 2.0], T=1.0)")
+        (tmp_path / f"{mod}.py").write_text(
+            "from mgode.solver import OdeProblem\n"
+            "def make():\n"
+            f"    problem = {build}\n"
+            f"    problem.dependencies = {pattern}\n"
+            "    return problem\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, mod, raising=False)
+        cfg = write_config(tmp_path, {"problem_import": f"{mod}:make"},
+                           drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_u0_override_changes_dimension_under_a_pattern(self, tmp_path,
+                                                           capsys, monkeypatch):
+        (tmp_path / "userdeps_u0.py").write_text(
+            "from mgode.solver import OdeProblem\n"
+            "def make():\n"
+            "    return OdeProblem(rhs=lambda u, t: -u, u0=[1.0, 2.0], T=1.0,\n"
+            "                      dependencies=[[1], [0]])\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": "userdeps_u0:make",
+                                      "u0": [1.0, 2.0, 3.0]}, drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == (
+            "error: 2 dependency lists for 3 components\n")
         assert not out.exists()
 
 

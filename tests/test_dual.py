@@ -192,6 +192,53 @@ class TestReversalBookkeeping:
                 assert dual.derivative(i, float(t), 1) == pytest.approx(v, abs=0)
 
 
+class TestStackedDualRhs:
+    # The dual rhs applies the frozen linearization of all P times of one
+    # call with a single stacked np.matmul.  BLAS rounds a matrix-vector
+    # product by the matrix's memory layout, so the stacked product must
+    # equal the column loop Jt @ psi[:, p] it replaced for Jt as the
+    # F-ordered J.T view jstar returns for a C-ordered Jacobian, and as a
+    # C-ordered array (a Jacobian returned in F order).
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("jt_order", ["F", "C"])
+    def test_matches_column_loop(self, jt_order, forced):
+        rng = np.random.default_rng(11)
+        for N in range(1, 17):
+            mats, calls = {}, []
+
+            def jac(u, t):
+                calls.append(t)
+                J = mats.setdefault(t, 0.05 * rng.normal(size=(N, N)))
+                return J if jt_order == "F" else np.asfortranarray(J)
+
+            g = (lambda t: np.cos(np.arange(N) + t)) if forced else None
+            prob = OdeProblem(rhs=lambda u, t: -u, u0=np.ones(N), T=1.0,
+                              jacobian=jac, vectorized=True)
+            part = build_partition([0.5] * N, 2, 1.0)
+            traj = solve(prob, part)
+            dual = solve_dual(DualSpec(problem=prob, primal=traj,
+                                       phi_T=np.ones(N), g=g), part)
+            psi_rhs = dual.psi_problem.rhs
+            for P in range(1, 14):
+                sigma = rng.uniform(0.0, 1.0, P)
+                psi = rng.normal(size=(N, P))
+                before = len(calls)
+                out = psi_rhs(psi, sigma)
+                assert len(calls) == before + P
+                assert np.array_equal(psi_rhs(psi, sigma), out)
+                assert len(calls) == before + P  # both caches hold
+                ref = np.empty((N, P))
+                for p in range(P):
+                    t = float(1.0 - sigma[p])
+                    Jt = jstar(np.zeros(N), np.zeros(N), t, jac)
+                    assert Jt.flags[f"{jt_order}_CONTIGUOUS"]
+                    ref[:, p] = Jt @ psi[:, p]
+                    if forced:
+                        ref[:, p] += g(t)
+                assert np.array_equal(out, ref)
+                assert np.array_equal(psi_rhs(psi[:, -1], sigma[-1]), ref[:, -1])
+
+
 # -- one refinement path: the seed's two paths as the oracle -------------------
 
 def seed_dual_partition_for(partition, order_increment=1, refine=1):

@@ -7,6 +7,7 @@ alone.  The estimator's rounding-level terms depend on those exact bits, so
 every comparison here is ``np.array_equal``, not a tolerance.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import build_partition, build_slabs
-from mgode.estimator import _integral_of_rhs, estimate
+from mgode.estimator import _integral_of_rhs, _solver_depth, estimate
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory, _basis_nodes,
                           _build_work, _cross_state, interval_residual,
                           interval_rhs, solve)
@@ -543,3 +544,117 @@ def test_one_time_path_is_taken_and_traced(monkeypatch):
     assert {name for name, n in callers if n > 1} >= set(watched)
     assert plain > 0
     assert tracer.metrics()["estimator.residual_calls"] == plain
+
+
+# -- the dependency pattern against the dense cross state ---------------------
+#
+# With OdeProblem.dependencies the residual locates and interpolates only
+# the components f_i reads and fills the other rows with u0.  Every number
+# must equal the dense evaluation's, bit for bit.
+
+def _dense(prob):
+    return dataclasses.replace(prob, dependencies=None)
+
+
+def _pattern_points(traj, i, j):
+    """Local coordinates 0, 1, an interior point, the interval's rule
+    points and every other component's breakpoint that t0 + k s hits."""
+    part = traj.partition
+    t0, t1 = part.span(i, j)
+    bp = np.unique(np.concatenate(part.breakpoints))
+    hits = [_hit(t0, t1 - t0, b) for b in bp[(bp > t0) & (bp < t1)]]
+    rule = integration_rule(traj.methods[i], traj.order(i, j),
+                            _solver_depth(traj))[0]
+    return [0.0, 1.0, 0.37, *rule.tolist(), *(s for s in hits if s is not None)]
+
+
+def _assert_reports_equal(a, b):
+    """Every field of two estimator reports, recursing into dataclasses."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            _assert_reports_equal(x, y)
+        elif isinstance(x, list) and x and isinstance(x[0], np.ndarray):
+            assert len(x) == len(y)
+            assert all(np.array_equal(u, v) for u, v in zip(x, y)), field.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.fixture(scope="module")
+def kepler_mixed():
+    return _one_time_case(1)
+
+
+@pytest.fixture(scope="module")
+def harmonic_mixed(multirate):
+    prob, traj = multirate
+    spec = DualSpec(problem=prob, primal=traj, phi_T=np.full(4, 0.5))
+    return prob, traj, solve_dual(spec, dual_partition_for(traj.partition),
+                                  SolveSettings(tolerance=1e-13))
+
+
+@pytest.fixture(scope="module")
+def lorenz_mixed(irregular):
+    prob, traj = irregular
+    spec = DualSpec(problem=prob, primal=traj, phi_T=np.ones(3))
+    return prob, traj, solve_dual(spec, dual_partition_for(traj.partition),
+                                  SolveSettings(tolerance=1e-13))
+
+
+class TestDependencyPattern:
+    @pytest.fixture(params=["kepler_mixed", "harmonic_mixed", "lorenz_mixed"])
+    def case(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_interval_rhs_and_residual_on_both_paths(self, case):
+        prob, traj, _ = case
+        dense = _dense(prob)
+        assert prob.dependencies is not None
+        part = traj.partition
+        for i in range(traj.dimension):
+            for j in range(part.n_intervals(i)):
+                pts = _pattern_points(traj, i, j)
+                for x in (*pts, np.array(pts), np.array([0.0, 1.0])):
+                    f, L = interval_rhs(traj, prob, i, j, x)
+                    f_ref, L_ref = interval_rhs(traj, dense, i, j, x)
+                    assert np.array_equal(f, f_ref)
+                    assert np.array_equal(L, L_ref)
+                    assert np.array_equal(interval_residual(traj, prob, i, j, x),
+                                          interval_residual(traj, dense, i, j, x))
+
+    def test_estimate_reports(self, case):
+        prob, traj, dual = case
+        _assert_reports_equal(estimate(prob, traj, dual),
+                              estimate(_dense(prob), traj, dual))
+
+    def test_only_dependencies_are_read(self, kepler_mixed, monkeypatch):
+        # a pattern the evaluator silently ignored would pass the equality
+        # tests above; here the one-time path locates, and the multi-point
+        # path evaluates, only the other components f_i reads
+        prob, traj, _ = kepler_mixed
+        point, evaluate = Trajectory._point, Trajectory.evaluate
+        seen = []
+
+        def spy_point(self, c, t, side):
+            seen.append(c)
+            return point(self, c, t, side)
+
+        def spy_evaluate(self, comps, ts, js, order=0):
+            seen.extend(comps)
+            return evaluate(self, comps, ts, js, order)
+
+        monkeypatch.setattr(Trajectory, "_point", spy_point)
+        monkeypatch.setattr(Trajectory, "evaluate", spy_evaluate)
+        for p in (prob, _dense(prob)):
+            for i in range(traj.dimension):
+                reads = (set(p.dependencies[i]) if p.dependencies is not None
+                         else set(range(traj.dimension))) - {i}
+                for x in (0.3, np.array([0.0, 0.3, 1.0])):
+                    seen.clear()
+                    interval_rhs(traj, p, i, 1, x)
+                    assert set(seen) == reads
+                    assert len(seen) == len(reads)

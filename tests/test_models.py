@@ -127,3 +127,77 @@ class TestProblemFactory:
         ratios = np.asarray(entry.suggested_step_ratios)
         # inner-orbit components move faster and get smaller relative steps
         assert np.all(ratios[[0, 1, 4, 5]] < ratios[[2, 3, 6, 7]])
+
+
+# The np.stack bodies the catalog rhs replaced, kept as oracles: each rhs now
+# fills a preallocated array row by row with the same expressions.
+def _stack_harmonic(u, t):
+    w2 = 2.0
+    return np.stack([u[2], u[3], -u[0], -(w2**2) * u[1]])
+
+
+def _stack_kepler(u, t):
+    x1, y1, x2, y2 = u[0], u[1], u[2], u[3]
+    r1 = (x1**2 + y1**2) ** 1.5
+    r2 = (x2**2 + y2**2) ** 1.5
+    return np.stack([u[4], u[5], u[6], u[7],
+                     -x1 / r1, -y1 / r1, -x2 / r2, -y2 / r2])
+
+
+def _stack_lorenz(u, t):
+    sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
+    return np.stack([
+        sigma * (u[1] - u[0]),
+        u[0] * (rho - u[2]) - u[1],
+        u[0] * u[1] - beta * u[2],
+    ])
+
+
+STACK_ORACLES = {"harmonic": _stack_harmonic, "kepler_2body": _stack_kepler,
+                 "lorenz": _stack_lorenz}
+SPARSE_MODELS = sorted(STACK_ORACLES)
+
+
+class TestRowFilledRhs:
+    @pytest.mark.parametrize("cols", [None, 1, 7], ids=["N", "Nx1", "NxP"])
+    @pytest.mark.parametrize("name", SPARSE_MODELS)
+    def test_equals_stack_formula(self, name, cols, rng):
+        entry = model(name)
+        shape = (entry.dimension,) if cols is None else (entry.dimension, cols)
+        u0 = entry.u0 if cols is None else entry.u0[:, None]
+        for _ in range(5):
+            u = u0 + 0.3 * rng.normal(size=shape)
+            t = 0.4 if cols is None else np.linspace(0.1, 0.9, cols)
+            new, ref = entry.rhs(u, t), STACK_ORACLES[name](u, t)
+            assert new.shape == ref.shape == shape
+            assert new.dtype == ref.dtype
+            assert np.array_equal(new, ref)
+
+
+class TestDependencies:
+    def test_declared_for_the_sparse_models(self):
+        declared = {n for n in model_names() if model(n).dependencies is not None}
+        assert declared == set(SPARSE_MODELS)
+        prob = model("kepler_2body").problem(u0=model("kepler_2body").u0 * 2.0)
+        assert prob.dependencies == ((0, 4), (1, 5), (2, 6), (3, 7),
+                                     (0, 1, 4), (0, 1, 5), (2, 3, 6), (2, 3, 7))
+        assert model("linear_system").problem().dependencies is None
+
+    @pytest.mark.parametrize("name", SPARSE_MODELS)
+    def test_pattern_holds_at_random_states(self, name, rng):
+        # Jacobian zero outside the pattern, and rhs row i bitwise unchanged
+        # when the components outside entry i change
+        entry = model(name)
+        deps = entry.problem().dependencies
+        N = entry.dimension
+        for _ in range(20):
+            u = entry.u0 + 0.5 * rng.normal(size=N)
+            t = float(rng.uniform(0.0, 1.0))
+            J = np.asarray(entry.jacobian(u, t), dtype=float)
+            f = entry.rhs(u, t)
+            for i in range(N):
+                outside = np.setdiff1d(np.arange(N), deps[i])
+                assert not J[i, outside].any()
+                v = u.copy()
+                v[outside] = 3.0 * rng.normal(size=len(outside))
+                assert np.array_equal(entry.rhs(v, t)[i], f[i])

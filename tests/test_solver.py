@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,48 @@ def linear2_problem(method="mcG"):
     return OdeProblem(rhs=lambda u, t: A2 @ u, u0=[1.0, -0.5], T=1.0,
                       jacobian=lambda u, t: A2, methods=method,
                       vectorized=False)
+
+
+def _problem3(dependencies):
+    return OdeProblem(rhs=lambda u, t: -u, u0=np.ones(3), T=1.0,
+                      dependencies=dependencies)
+
+
+class TestDependencies:
+    def test_normalised_with_the_own_component(self):
+        prob = _problem3([[2, 1, 2], [], (np.int64(0), 2)])
+        assert prob.dependencies == ((0, 1, 2), (1,), (0, 2))
+        assert all(type(c) is int for entry in prob.dependencies for c in entry)
+        prob.__post_init__()  # re-validation keeps the normalised form
+        assert prob.dependencies == ((0, 1, 2), (1,), (0, 2))
+        assert _problem3(None).dependencies is None
+        assert _problem3(np.array([[1], [2], [0]])).dependencies == (
+            (0, 1), (1, 2), (0, 2))
+
+    @pytest.mark.parametrize("deps,message", [
+        ([[0], [1]], "2 dependency lists for 3 components"),
+        ([[0], [1], [3]], "outside [0, 3)"),
+        ([[-1], [1], [2]], "outside [0, 3)"),
+        ([[0], [1.0], [2]], "not a component index"),
+        ([[0], [True], [2]], "not a component index"),
+        ([[0], [np.bool_(True)], [2]], "not a component index"),
+        ([[0], ["1"], [2]], "not a component index"),
+        ([[0], 1, [2]], "one list of indices per component"),
+        ([[0], "1", [2]], "not a component index"),
+        (3, "one list of indices per component"),
+        ("012", "not a component index"),
+    ], ids=["short", "too_large", "negative", "float", "bool", "numpy_bool",
+            "string_index", "bare_index", "string_entry", "scalar", "string"])
+    def test_malformed_pattern_rejected(self, deps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _problem3(deps)
+
+    def test_u0_of_another_length_rejected(self):
+        prob = _problem3([[1], [2], [0]])
+        prob.u0 = np.ones(4)
+        prob.methods = "mcG"
+        with pytest.raises(ValueError, match="3 dependency lists for 4"):
+            prob.__post_init__()
 
 
 class TestBasicSolves:
