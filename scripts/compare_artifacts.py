@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Byte-compare the Kepler run artifacts of two source trees.
+"""Byte-compare the Kepler run artifacts and the effectivity-grid reports
+of two source trees.
 
 Usage:
 
@@ -8,10 +9,15 @@ Usage:
 Runs ``mgode run`` on the acceptance #12 Kepler config (model kepler_2body,
 T = 2, mcG q = 2, k = 0.1, solver tolerance 1e-11 at quad_depth 1, adapt
 tolerance 1e-4, 2 rounds, k in [1e-3, 0.5]; the benchmark's kepler_run at
-seed 0) once per tree, each in its own subprocess with PYTHONPATH=<root>/src
-and BLAS pinned to one thread.  Then it compares the eight artifacts byte for
-byte and names each one that differs.  Exits 0 when all eight are identical,
-1 on any difference or failed run.  Everything is written under a temporary
+seed 0) once per tree, and the effectivity grid (model linear_system, mcG
+and mdG x q in {1, 2} x k in {0.1, 0.05, 0.025}, dual refine 4, tolerance
+1e-13, terminal weight along the true error; the benchmark's
+effectivity_grid at seed 0), each in its own subprocess with
+PYTHONPATH=<root>/src and BLAS pinned to one thread.  The grid is the only
+one of the two that runs mdG jump terms.  Then it compares the eight Kepler
+artifacts and the twelve ``ErrorReport.to_json_dict()`` JSON texts byte for
+byte and names each one that differs.  Exits 0 when all are identical, 1 on
+any difference or failed run.  Everything is written under a temporary
 directory, removed at the end.
 """
 
@@ -34,20 +40,56 @@ ARTIFACTS = ("trajectory.csv", "dual.csv", "error_report.json",
              "trajectory.json", "dual.json")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
+              for k in (0.1, 0.05, 0.025)]
+# Prints one line per grid case: the case name, a tab, the report's JSON.
+GRID_SCRIPT = f"""
+import json
+import numpy as np
+from scipy.linalg import expm
+from mgode.dual import DualSpec, dual_partition_for, solve_dual
+from mgode.estimator import estimate
+from mgode.models import model
+from mgode.partition import build_partition
+from mgode.solver import SolveSettings, solve
+
+entry = model("linear_system")
+reference = expm(entry.jacobian(entry.u0, 0.0) * entry.T_default) @ entry.u0
+settings = SolveSettings(tolerance=1e-13)
+for method, q, k in {GRID_CASES!r}:
+    prob = entry.problem(methods=method)
+    part = build_partition(k, q, prob.T, methods=prob.methods)
+    traj = solve(prob, part, settings)
+    e_T = traj.end_state() - reference
+    dual = solve_dual(DualSpec(problem=prob, primal=traj,
+                               phi_T=e_T / np.linalg.norm(e_T)),
+                      dual_partition_for(part, 1, 4), settings)
+    report = estimate(prob, traj, dual)
+    print(f"{{method}}-q{{q}}-k{{k}}\\t" + json.dumps(report.to_json_dict()))
+"""
 
 
-def start_run(root: Path, config: Path, out: Path) -> subprocess.Popen:
+def start(root: Path, args: list[str]) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                **{var: "1" for var in THREAD_VARS})
-    return subprocess.Popen(
-        [sys.executable, "-m", "mgode.cli", "run", "--config", str(config),
-         "--out", str(out)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return subprocess.Popen([sys.executable, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def finish(name: str, proc: subprocess.Popen, ok=(0,)) -> str | None:
+    """The run's standard output, or None (with a message) if it failed."""
+    out, err = proc.communicate()
+    if proc.returncode not in ok:
+        print(f"{name} exited {proc.returncode}: {err.strip()}", file=sys.stderr)
+        return None
+    return out
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="Byte-compare the Kepler run artifacts of two source trees.")
+        description="Byte-compare the Kepler run artifacts and the "
+                    "effectivity-grid reports of two source trees.")
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("change_root", type=Path)
     args = parser.parse_args()
@@ -63,17 +105,17 @@ def main() -> int:
         config = tmp / "kepler.json"
         config.write_text(json.dumps(CONFIG))
         outs = {name: tmp / name for name in roots}
-        runs = {name: start_run(root, config, outs[name])
+        runs = {name: start(root, ["-m", "mgode.cli", "run", "--config",
+                                   str(config), "--out", str(outs[name])])
                 for name, root in roots.items()}
-        failed = False
-        for name, proc in runs.items():
-            _, err = proc.communicate()
-            # 2 means the run finished without meeting its tolerance
-            if proc.returncode not in (0, 2):
-                print(f"{name}: mgode run exited {proc.returncode}: "
-                      f"{err.strip()}", file=sys.stderr)
-                failed = True
-        if failed:
+        grids = {name: start(root, ["-c", GRID_SCRIPT])
+                 for name, root in roots.items()}
+        # mgode run exits 2 when it finishes without meeting its tolerance
+        done = [finish(f"{name}: mgode run", runs[name], (0, 2))
+                for name in roots]
+        reports = [finish(f"{name}: effectivity grid", grids[name])
+                   for name in roots]
+        if None in done or None in reports:
             return 1
 
         differ = []
@@ -82,10 +124,18 @@ def main() -> int:
             if not (a.is_file() and b.is_file()
                     and a.read_bytes() == b.read_bytes()):
                 differ.append(artifact)
-    for artifact in differ:
-        print(f"differs: {artifact}")
+    a, b = (dict(line.split("\t", 1) for line in text.splitlines())
+            for text in reports)
+    if len(a) != len(GRID_CASES) or set(a) != set(b):
+        print("error: the two trees report different grid cases", file=sys.stderr)
+        return 1
+    grid_differ = [case for case in a if a[case] != b[case]]
+    for name in differ + grid_differ:
+        print(f"differs: {name}")
     print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
-    return 1 if differ else 0
+    print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
+          "grid reports identical")
+    return 1 if differ or grid_differ else 0
 
 
 if __name__ == "__main__":

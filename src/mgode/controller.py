@@ -17,7 +17,8 @@ import numpy as np
 
 from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
                    terminal_weight)
-from .estimator import ErrorReport, StabilityFactors, estimate, interp_constant
+from .estimator import (ErrorReport, StabilityFactors, _deriv_order,
+                        _interp_const, estimate)
 from .partition import Partition
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG
@@ -81,8 +82,8 @@ def propose_steps(report: ErrorReport, factors: StabilityFactors,
         s_i = float(factors.s_deriv[i])
         new_steps = np.empty(len(qs))
         for j, q in enumerate(qs):
-            p = int(q) if method == MCG else int(q) + 1
-            cq = interp_constant(int(q) - 1 if method == MCG else int(q))
+            p = _deriv_order(method, int(q))
+            cq = _interp_const(method, int(q))
             denom = s_i * cq * float(res[j])
             if denom <= 0.0 or not np.isfinite(denom):
                 new_steps[j] = settings.k_max

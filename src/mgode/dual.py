@@ -37,8 +37,7 @@ class DualSpec:
     time, defaults to zero).  The linearization runs along the computed
     trajectory ``primal``; passing ``reference`` (e.g. a finer solve standing
     in for the exact solution) makes the Jacobian average run along the
-    segment between the two trajectories.  ``s_points`` controls the
-    Gauss-Legendre rule used for the segment average.
+    segment between the two trajectories, by ``jstar``'s default rule.
     """
 
     problem: OdeProblem
@@ -46,12 +45,9 @@ class DualSpec:
     phi_T: np.ndarray
     g: Callable | None = None
     reference: Trajectory | None = None
-    s_points: int = 3
 
     def __post_init__(self):
         self.phi_T = terminal_weight(self.phi_T, self.problem.dimension)
-        if self.s_points < 1:
-            raise ValueError(f"s_points must be >= 1, got {self.s_points}")
 
 
 def jstar(v1, v2, t: float, jac: Callable, s_points: int = 3) -> np.ndarray:
@@ -163,11 +159,8 @@ class DualSolution:
         where a left limit in t is a right limit in sigma; times outside
         the breakpoint range clamp to the end intervals."""
         sigma = self.T - np.atleast_1d(np.asarray(ts, dtype=float))
-        side = "right" if side == "left" else "left"
-        if len(sigma) == 1:
-            return self.psi.point_value(i, float(sigma[0]), side, order)
-        j = self.psi.locate(i, sigma, side)
-        return self.psi.evaluate((i,), sigma, (j,), order)[0]
+        return self.psi.values(i, sigma, "right" if side == "left" else "left",
+                               order)
 
     def derivative(self, i: int, t: float, order: int = 1,
                    side: str = "left") -> float:
@@ -175,12 +168,15 @@ class DualSolution:
         polynomial; equals (-1)^order times the reversed trajectory's."""
         return float(self.derivatives(i, min(max(t, 0.0), self.T), order, side)[0])
 
+    def breakpoints(self, i: int) -> np.ndarray:
+        """Dual breakpoints of component i in forward time, increasing."""
+        return self.T - self.psi.partition.breakpoints[i][::-1]
+
     def piece_boundaries(self, i: int, t0: float, t1: float) -> np.ndarray:
         """Dual breakpoints of component i strictly inside (t0, t1), in
         forward time order."""
-        bp = self.T - self.psi.partition.breakpoints[i][::-1]
-        inner = bp[(bp > t0) & (bp < t1)]
-        return inner
+        bp = self.breakpoints(i)
+        return bp[(bp > t0) & (bp < t1)]
 
 
 def solve_dual(spec: DualSpec, dual_partition: Partition,
@@ -215,7 +211,7 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
             V = reference.sample_states(tm, "left") if reference is not None else U
             for col, p in enumerate(missing):
                 t = float(ts[p])
-                Jt = jstar(V[:, col], U[:, col], t, jac, spec.s_points)
+                Jt = jstar(V[:, col], U[:, col], t, jac)
                 gv = None
                 if g is not None:
                     gv = np.asarray(g(t), dtype=float).reshape(-1)
@@ -229,12 +225,16 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
     def _stacked_at(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         key = sigmas.tobytes()
         if key not in _stacked:
-            pairs = _linearization_at(T - sigmas)
+            ts = T - sigmas
+            pairs = _linearization_at(ts)
             # np.stack keeps the matrices' common memory layout, which
             # decides how BLAS rounds each product (tests/test_dual.py)
             Jts = np.stack([Jt for Jt, _ in pairs])
             G = None if g is None else np.stack([gv for _, gv in pairs], axis=1)
             _stacked[key] = (Jts, G)
+            # keep each matrix once: the per-time cache now views the stack
+            for p, t in enumerate(ts):
+                _frozen[float(t)] = (Jts[p], None if G is None else G[:, p])
         return _stacked[key]
 
     def psi_rhs(psi, sigma):

@@ -227,7 +227,6 @@ class GalerkinEstimates:
     e5: float
     r: list[np.ndarray]
     rbar: list[np.ndarray]
-    s: list[np.ndarray]
     component_max: np.ndarray     # max_j of the weighted residual per component
     factors: StabilityFactors
     flags: list[str] = field(default_factory=list)
@@ -246,7 +245,7 @@ def _interp_degree(method: str, q: int) -> int:
 
 
 def _interp_const(method: str, q: int) -> float:
-    return interp_constant(q - 1 if method == MCG else q)
+    return interp_constant(_interp_degree(method, q))
 
 
 def galerkin_estimates(traj: Trajectory, dual: DualSolution,
@@ -274,7 +273,6 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     e2 = 0.0
     r_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
     rbar_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
-    s_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
     comp_max = np.zeros(N)
     s_deriv = np.zeros(N)
     s_mean = np.zeros(N)
@@ -306,7 +304,9 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             _, r_abs = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
                                            n_scan=n_scan)
             r_ij = r_abs  # (1/k) * int |R| dt = int |R(s)| ds
-            jmp = traj.jump(i, j) if method == MDG else 0.0
+            # the jump rule serves both families: mcG jumps are exactly 0.0,
+            # so rbar == r and the jump terms below add exact zeros
+            jmp = traj.jump(i, j)
             rbar_ij = r_ij + abs(jmp) / k
             r_prof[i][j] = r_ij
             rbar_prof[i][j] = rbar_ij
@@ -317,7 +317,6 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
                                            n_scan=n_scan, splits=cuts)
             s_ij = s_abs / k
-            s_prof[i][j] = s_ij
             s_deriv[i] += k * s_ij
 
             # E0/E1: midpoint Taylor interpolant in the test space
@@ -334,19 +333,15 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                 e0_signed += jmp * dphi0
                 e1 += abs(jmp) * abs(dphi0)
 
-            # weighted residual: k^q r for mcG, k^(q+1) rbar for mdG
-            rw = rbar_ij if method == MDG else r_ij
-            comp_max[i] = max(comp_max[i], cq * k**p * rw)
-            e2 += cq * k ** (p + 1) * rw * s_ij
+            # weighted residual C_q k^p rbar
+            comp_max[i] = max(comp_max[i], cq * k**p * rbar_ij)
+            e2 += cq * k ** (p + 1) * rbar_ij * s_ij
 
             # L2 pieces for E5
             R2 = lambda s: Rfn(s) ** 2  # noqa: E731
             int_R2 = k * _gauss_integral(R2, 0.0, 1.0, npts)
-            if method == MDG:
-                c_over_k = abs(jmp) / k
-                int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
-            else:
-                int_rbar2 = int_R2
+            c_over_k = abs(jmp) / k
+            int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
             l2_weighted_sq += (cq * k**p) ** 2 * int_rbar2
 
             d2 = lambda ts: dfn(ts) ** 2  # noqa: E731
@@ -415,7 +410,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     )
     return GalerkinEstimates(
         e0=e0, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5,
-        r=r_prof, rbar=rbar_prof, s=s_prof,
+        r=r_prof, rbar=rbar_prof,
         component_max=comp_max, factors=factors, flags=flags,
     )
 
@@ -426,7 +421,7 @@ def _elementary_segments(traj: Trajectory, dual: DualSolution) -> np.ndarray:
     pts = [np.asarray([0.0, traj.T])]
     for i in range(traj.dimension):
         pts.append(np.asarray(traj.partition.breakpoints[i]))
-        pts.append(dual.T - dual.psi.partition.breakpoints[i][::-1])
+        pts.append(dual.breakpoints(i))
     merged = np.unique(np.concatenate(pts))
     return merged[(merged >= 0.0) & (merged <= traj.T)]
 
@@ -543,11 +538,9 @@ def radau_polynomial(q: int, x) -> np.ndarray:
     num = legendre_eval(q, xs) + legendre_eval(q + 1, xs)
     out = np.empty_like(xs)
     at_end = xs == -1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[~at_end] = num[~at_end] / (xs[~at_end] + 1.0)
-    if np.any(at_end):
-        h = 1e-7
-        out[at_end] = (legendre_eval(q, -1.0 + h) + legendre_eval(q + 1, -1.0 + h)) / h
+    out[~at_end] = num[~at_end] / (xs[~at_end] + 1.0)
+    # the limit is P_q'(-1) + P_{q+1}'(-1) = (-1)^q (q + 1)
+    out[at_end] = (-1.0) ** q * (q + 1)
     return out
 
 

@@ -47,6 +47,12 @@ class Partition:
     def __post_init__(self):
         for arr in self.breakpoints + self.orders:
             arr.setflags(write=False)
+        # the locators below bisect Python lists and search the interior
+        # breakpoints; partitions are immutable, so both are built once
+        object.__setattr__(self, "_bp_lists",
+                           tuple(bp.tolist() for bp in self.breakpoints))
+        object.__setattr__(self, "_interior",
+                           tuple(bp[1:-1] for bp in self.breakpoints))
 
     @property
     def n_components(self) -> int:
@@ -75,22 +81,33 @@ class Partition:
 
         With the left-open right-closed intervals, side="left" resolves a
         breakpoint to the interval ending there, side="right" to the one
-        starting there.
+        starting there.  Raises ValueError for t outside [0, T] or when no
+        interval lies on the requested side; ``point`` and ``locate`` clamp
+        instead.
         """
-        bp = self.breakpoints[i]
         if not 0.0 <= t <= self.T:
             raise ValueError(f"t={t!r} outside [0, {self.T!r}]")
-        if side == "left":
-            j = bisect_left(bp, t) - 1
-            if j < 0:
-                raise ValueError("no interval to the left of t=0")
-        elif side == "right":
-            j = bisect_right(bp, t) - 1
-            if j >= len(bp) - 1:
-                raise ValueError(f"no interval to the right of t={t!r}")
-        else:
+        if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        bp = self._bp_lists[i]
+        j = (bisect_left if side == "left" else bisect_right)(bp, t) - 1
+        if not 0 <= j < len(bp) - 1:
+            raise ValueError(f"no interval to the {side} of t={t!r}")
         return j
+
+    def point(self, i: int, t: float, side: str) -> tuple[int, float]:
+        """``locate`` for one time, by bisect on the breakpoint list, and the
+        local coordinate of t in that interval, (t - t0) / (t1 - t0)."""
+        bp = self._bp_lists[i]
+        j = (bisect_left if side == "left" else bisect_right)(bp, t, 1, len(bp) - 1) - 1
+        return j, (t - bp[j]) / (bp[j + 1] - bp[j])
+
+    def locate(self, i: int, ts: np.ndarray, side: str = "left") -> np.ndarray:
+        """Interval index of component i at each time, with breakpoints
+        resolved as in ``interval_at`` and times outside the breakpoint
+        range clamped to the first or last interval."""
+        # counting interior breakpoints is searchsorted(bp) - 1 clamped
+        return self._interior[i].searchsorted(ts, side)
 
     def synchronized_levels(self) -> np.ndarray:
         """Time levels that are breakpoints of every component (exact after

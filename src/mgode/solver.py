@@ -20,10 +20,13 @@ on the batching.  The rhs is still called once per interval: a batched
 ``A @ U`` over the slab's columns rounds differently from the per-interval
 products, and the estimator's rounding-level terms would move.
 
-A single time, as the estimator's root searches ask for, takes the one-time
-path (``Trajectory.point_state``, ``.point_value``) instead of the general
-evaluator.  It rounds bitwise alike: a lagrange column depends only on its
-own point, and a stacked matmul rounds each row as that row's own product.
+The partition locates times (``Partition.point`` for one, ``.locate`` for
+many); the trajectory evaluates there.  Its two entries, ``values`` (one
+component, as the dual asks) and ``cross_state`` (the state the residual
+reads), choose between the general evaluator and a one-time path for a
+single time, as the estimator's root searches ask for.  The one-time path
+rounds bitwise alike: a lagrange column depends only on its own point, and a
+stacked matmul rounds each row as that row's own product.
 
 A problem may declare which components each f_i reads
 (``OdeProblem.dependencies``).  The residual then locates and interpolates
@@ -35,7 +38,6 @@ every component's stencils.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -221,16 +223,8 @@ class SolveReport:
     slabs: tuple[SlabReport, ...]
 
     @property
-    def total_sweeps(self) -> int:
-        return sum(s.sweeps for s in self.slabs)
-
-    @property
     def converged(self) -> bool:
         return all(s.converged for s in self.slabs)
-
-    @property
-    def max_increment(self) -> float:
-        return max((s.final_increment for s in self.slabs), default=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -273,8 +267,6 @@ class Trajectory:
                 arr.setflags(write=False)
         self.report = report
         self.settings = settings
-        self._interior = tuple(bp[1:-1] for bp in partition.breakpoints)
-        self._bp_lists = tuple(bp.tolist() for bp in partition.breakpoints)
         self._orders = tuple(qs.tolist() for qs in partition.orders)
 
     @property
@@ -324,13 +316,6 @@ class Trajectory:
             vals = D @ vals
         return (vals @ L) / self.partition.step(i, j) ** order
 
-    def locate(self, i: int, ts: np.ndarray, side: str = "left") -> np.ndarray:
-        """Interval index of component i at each time, with breakpoints
-        resolved as in Partition.interval_at and times outside the
-        breakpoint range clamped to the first or last interval."""
-        # counting interior breakpoints is searchsorted(bp) - 1 clamped
-        return self._interior[i].searchsorted(ts, side)
-
     def evaluate(self, comps: Sequence[int], ts: np.ndarray, js: Sequence[np.ndarray],
                  order: int = 0) -> np.ndarray:
         """Values, or order-th time derivatives, of the components ``comps``
@@ -346,7 +331,7 @@ class Trajectory:
         call receives, and regrouping the contraction moves rounding-level
         estimator terms (E_Q, E_C) by tens of percent.
 
-        A single time from ``interval_rhs`` or ``DualSolution`` takes the
+        A single time through ``values`` or ``cross_state`` takes the
         one-time path instead, which rounds alike (see the module docstring).
         """
         out = np.empty((len(comps), len(ts)))
@@ -369,42 +354,68 @@ class Trajectory:
                 start = stop
         return out
 
-    def _point(self, i: int, t: float, side: str) -> tuple[int, float]:
-        """``locate`` for one time, by bisect on the breakpoint list, and the
-        local coordinate of t, formed as ``evaluate`` forms it."""
-        bp = self._bp_lists[i]
-        j = (bisect_left if side == "left" else bisect_right)(bp, t, 1, len(bp) - 1) - 1
-        return j, (t - bp[j]) / (bp[j + 1] - bp[j])
+    def values(self, i: int, ts: np.ndarray, side: str, order: int) -> np.ndarray:
+        """Component i's values, or order-th time derivatives, at the times
+        ``ts`` (a 1-d array), each on the interval ``Partition.locate`` finds
+        with ``side`` (times outside [0, T] clamp to the end intervals).  A
+        single time takes the one-time path: ``Partition.point`` and one
+        contraction."""
+        if len(ts) == 1:
+            j, s = self.partition.point(i, float(ts[0]), side)
+            return self._contract(i, j, self._lagrange(i, j, s), order)
+        return self.evaluate((i,), ts, (self.partition.locate(i, ts, side),), order)[0]
 
-    def point_value(self, i: int, t: float, side: str, order: int) -> np.ndarray:
-        """The one-time path of ``evaluate`` for one component: its value,
-        or order-th derivative, at the single time t, shape (1,)."""
-        j, s = self._point(i, t, side)
-        return self._contract(i, j, self._lagrange(i, j, s), order)
+    def cross_state(self, i: int, j: int, s, comps: Sequence[int]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The multirate state seen by component i on its interval j at the
+        local coordinates s: the times t0 + k s, the state (N, P) and the
+        Lagrange factors (n, P) of s on the interval's nodes.
 
-    def point_state(self, t: float, side: str, i: int, j: int, s: float,
-                    comps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The one-time path of ``evaluate`` for the state (N, 1) at the single
-        time t, each component of ``comps`` (which holds i) on the interval
-        ``locate`` finds with ``side`` except component i, read on its
-        interval j at t's local coordinate s; and the Lagrange factors (n, 1)
-        of s.  The other rows hold u0.  One lagrange_matrix call and one
-        stacked np.matmul serve each (method, order) class."""
-        classes: dict[tuple[str, int], list] = {}
-        for c in comps:
-            jc, sc = (j, s) if c == i else self._point(c, t, side)
-            classes.setdefault((self.methods[c], self._orders[c][jc]),
-                               []).append((c, jc, sc))
-        U = self.u0[:, None].copy()
-        for (method, q), items in classes.items():
-            rows, js, ss = zip(*items)
-            L = lagrange_matrix(_basis_nodes(method, q), ss)
-            coeffs = np.array([self._coeffs[c][jc] for c, jc in zip(rows, js)])
-            U[rows, 0] = np.matmul(coeffs[:, None, :],
-                                   np.ascontiguousarray(L.T)[:, :, None])[:, 0, 0]
-            if i in rows:
-                own = np.ascontiguousarray(L[:, [rows.index(i)]])
-        return U, own
+        Row i is the interval's own polynomial at s.  Every other component
+        of ``comps`` is read on the interval holding each time, by its left
+        limit except exactly at t0, where the within-interval (right) limit
+        applies; the rows outside ``comps`` hold u0.
+
+        A single s takes the one-time path: ``Partition.point`` per
+        component, one lagrange_matrix call per (method, order) class, with
+        s as one column of component i's, and one stacked np.matmul per
+        class.  It rounds like the general path: a lagrange column depends
+        only on its own point, and a stacked matmul rounds each row as that
+        row's own product."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        t0, t1 = self.partition.span(i, j)
+        times = t0 + (t1 - t0) * s
+        if len(s) == 1:
+            t = float(times[0])
+            side = "right" if t == t0 else "left"
+            point = self.partition.point
+            classes: dict[tuple[str, int], list] = {}
+            for c in comps:
+                jc, sc = (j, float(s[0])) if c == i else point(c, t, side)
+                classes.setdefault((self.methods[c], self._orders[c][jc]),
+                                   []).append((c, jc, sc))
+            U = self.u0[:, None].copy()
+            for (method, q), items in classes.items():
+                rows, js, ss = zip(*items)
+                L = lagrange_matrix(_basis_nodes(method, q), ss)
+                coeffs = np.array([self._coeffs[c][jc] for c, jc in zip(rows, js)])
+                U[rows, 0] = np.matmul(coeffs[:, None, :],
+                                       np.ascontiguousarray(L.T)[:, :, None])[:, 0, 0]
+                if i in rows:
+                    own = np.ascontiguousarray(L[:, [rows.index(i)]])
+            return times, U, own
+        L = self._lagrange(i, j, s)
+        others = [c for c in comps if c != i]
+        js = [self.partition.locate(c, times, "left") for c in others]
+        at_left = times == t0
+        if at_left.any():
+            js = [np.where(at_left, self.partition.locate(c, times, "right"), jc)
+                  for c, jc in zip(others, js)]
+        U = np.repeat(self.u0[:, None], len(times), axis=1)
+        U[others] = self.evaluate(others, times, js)
+        # own component from this interval's polynomial (matters at breakpoints)
+        U[i] = self._contract(i, j, L)
+        return times, U, L
 
     def value(self, i: int, t: float, side: str = "left") -> float:
         """Component i at time t with the requested one-sided convention."""
@@ -425,7 +436,8 @@ class Trajectory:
         t = 0)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         comps = range(self.dimension)
-        U = self.evaluate(comps, ts, [self.locate(i, ts, side) for i in comps])
+        U = self.evaluate(comps, ts, [self.partition.locate(i, ts, side)
+                                      for i in comps])
         if side == "left":
             U[:, ts == 0.0] = self.u0[:, None]
         return U
@@ -451,32 +463,13 @@ class Trajectory:
 # Residuals
 # ---------------------------------------------------------------------------
 
-def _cross_state(traj: Trajectory, times: np.ndarray, left_endpoint: float | None,
-                 comps: Sequence[int] | None = None) -> np.ndarray:
-    """Solution vector at each time, using left limits except exactly at the
-    integrated interval's left endpoint, where the within-interval (right)
-    limit applies.  Only the rows ``comps`` (default: all) are evaluated;
-    the others hold u0."""
-    if comps is None:
-        comps = range(traj.dimension)
-    js = [traj.locate(c, times, "left") for c in comps]
-    if left_endpoint is not None:
-        at_left = times == left_endpoint
-        if at_left.any():
-            js = [np.where(at_left, traj.locate(c, times, "right"), j)
-                  for c, j in zip(comps, js)]
-    U = np.repeat(traj.u0[:, None], len(times), axis=1)
-    U[list(comps)] = traj.evaluate(comps, times, js)
-    return U
-
-
 def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
                  s) -> tuple[np.ndarray, np.ndarray]:
     """f_i on component i's interval j at local coordinates s, under the
     within-interval cross state, and the Lagrange factors of s on the
     interval's nodes.  The residual and the estimator's rhs integrals both
-    start from this one quantity.  A single local coordinate, as a root
-    search asks for, takes the trajectory's one-time path.
+    start from this one quantity; ``Trajectory.cross_state`` forms the
+    state, on its one-time path for a single s, as a root search asks for.
 
     Only the components f_i reads (``problem.dependencies``, all of them by
     default) are located and interpolated; the other rows of the rhs input
@@ -484,20 +477,9 @@ def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     bit: row i of f reads only rows that are unchanged, each of those rows
     is rounded as its own product (see the module docstring), and the
     Lagrange columns of a point do not depend on the batch."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t0, t1 = traj.partition.span(i, j)
-    times = t0 + (t1 - t0) * s
     comps = (range(traj.dimension) if problem.dependencies is None
              else problem.dependencies[i])
-    if len(s) == 1:
-        t = float(times[0])
-        U, L = traj.point_state(t, "right" if t == t0 else "left", i, j,
-                                float(s[0]), comps)
-    else:
-        L = traj._lagrange(i, j, s)
-        U = _cross_state(traj, times, t0, [c for c in comps if c != i])
-        # own component from this interval's polynomial (matters at breakpoints)
-        U[i] = traj._contract(i, j, L)
+    times, U, L = traj.cross_state(i, j, s, comps)
     return problem.eval_rhs(U, times)[i], L
 
 

@@ -237,6 +237,15 @@ class TestStackedDualRhs:
                         ref[:, p] += g(t)
                 assert np.array_equal(out, ref)
                 assert np.array_equal(psi_rhs(psi[:, -1], sigma[-1]), ref[:, -1])
+                # a time array already seen in another order stacks the
+                # cached matrices, which view the first stack; the state
+                # comes C-ordered, as the slab solver passes it
+                perm = rng.permutation(P)
+                seen = len(calls)
+                assert np.array_equal(
+                    psi_rhs(np.ascontiguousarray(psi[:, perm]), sigma[perm]),
+                    ref[:, perm])
+                assert len(calls) == seen
 
 
 # -- one refinement path: the seed's two paths as the oracle -------------------

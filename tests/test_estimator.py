@@ -449,6 +449,16 @@ class TestQuadratureResidual:
 
 
 class TestResidualZero:
+    @pytest.mark.parametrize("q", range(0, 13))
+    def test_radau_polynomial_exact_at_minus_one(self, q):
+        # the removable singularity's limit P_q'(-1) + P_{q+1}'(-1)
+        limit = (-1) ** q * (q + 1)
+        assert radau_polynomial(q, -1.0)[0] == limit
+        mixed = radau_polynomial(q, np.array([0.5, -1.0, -0.25, -1.0]))
+        assert mixed[1] == mixed[3] == limit
+        assert mixed[0] == radau_polynomial(q, 0.5)[0]
+        assert mixed[2] == radau_polynomial(q, -0.25)[0]
+
     @pytest.mark.parametrize("q", range(1, 7))
     def test_radau_orthogonality(self, q):
         # the degree-q shape polynomial annihilates (x+1)^p for p = 1..q

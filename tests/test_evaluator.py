@@ -15,10 +15,10 @@ import pytest
 
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
-from mgode.partition import build_partition, build_slabs
+from mgode.partition import Partition, build_partition, build_slabs
 from mgode.estimator import _integral_of_rhs, _solver_depth, estimate
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory, _basis_nodes,
-                          _build_work, _cross_state, interval_residual,
+                          _build_work, interval_residual,
                           interval_rhs, solve)
 from mgode.tableau import (MAX_ORDER, integration_rule, lagrange_matrix,
                            lobatto_nodes, radau_nodes)
@@ -122,17 +122,28 @@ class TestTrajectoryEvaluator:
             assert np.array_equal(U[i], ref)
 
     def test_cross_state_matches_per_interval_loop(self, multirate):
+        # component 0's interval [0.25, 0.5] holds breakpoints of the three
+        # others; s = m/16 puts times exactly on them
         _, traj = multirate
-        t0 = float(traj.partition.breakpoints[2][5])
-        ts = np.concatenate([[t0], t0 + np.linspace(0.0, 0.3, 13)[1:]])
-        U = _cross_state(traj, ts, left_endpoint=t0)
+        i, j = 0, 1
+        s = np.linspace(0.0, 1.0, 17)
+        times, U, L = traj.cross_state(i, j, s, range(traj.dimension))
+        t0, t1 = traj.partition.span(i, j)
+        assert np.array_equal(times, t0 + (t1 - t0) * s)
+        assert np.array_equal(L, traj._lagrange(i, j, s))
+        assert np.array_equal(U[i], traj.interval_values(i, j, s))
+        on_breakpoint = 0
         for c in range(traj.dimension):
+            if c == i:
+                continue
             bp = traj.partition.breakpoints[c]
-            j = np.searchsorted(bp, ts, side="left") - 1
-            j_right = np.searchsorted(bp, ts, side="right") - 1
-            j = np.where(ts == t0, j_right, j)
-            ref = _grouped_loop(traj, c, ts, j, traj.interval_values)
+            on_breakpoint += np.isin(times[1:-1], bp).sum()
+            jl = np.searchsorted(bp, times, side="left") - 1
+            j_right = np.searchsorted(bp, times, side="right") - 1
+            jl = np.where(times == t0, j_right, jl)
+            ref = _grouped_loop(traj, c, times, jl, traj.interval_values)
             assert np.array_equal(U[c], ref)
+        assert on_breakpoint > 0
 
     def test_single_point_and_single_interval(self, multirate):
         _, traj = multirate
@@ -197,7 +208,7 @@ def seed_interval_residual(traj, problem, i, j, s):
     times = t0 + (t1 - t0) * s
     L = traj._lagrange(i, j, s)
     du = traj._contract(i, j, L, 1)
-    U = _cross_state(traj, times, left_endpoint=t0)
+    U = oracle_cross_state(traj, times, left_endpoint=t0)
     U[i] = traj._contract(i, j, L)
     F = problem.eval_rhs(U, times)
     return du - F[i]
@@ -211,7 +222,7 @@ def seed_integral_of_rhs(traj, problem, i, j, depth):
     times = t0 + k * s
     if len(times) and s[0] == 0.0:
         times[0] = t0
-    U = _cross_state(traj, times, left_endpoint=t0)
+    U = oracle_cross_state(traj, times, left_endpoint=t0)
     U[i] = traj.interval_values(i, j, s)
     F = problem.eval_rhs(U, times)
     return k * float(w @ F[i])
@@ -358,9 +369,11 @@ class TestSlabStencils:
 
 # -- the one-time paths against the general evaluator they bypass -------------
 #
-# The oracles below are the bodies of Trajectory.evaluate, _cross_state,
+# The oracles below are the bodies of Trajectory.evaluate, the cross state,
 # interval_rhs and DualSolution._evaluate from before the one-time path: every
 # call, whatever its number of times, went through the grouped evaluator.
+# They locate with Partition.locate, the same rule the old Trajectory.locate
+# applied.
 
 def _oracle_groups(j):
     if len(j) == 1 or (len(j) and (j == j[0]).all()):
@@ -392,11 +405,11 @@ def oracle_evaluate(traj, comps, ts, js, order=0):
 
 def oracle_cross_state(traj, times, left_endpoint):
     comps = range(traj.dimension)
-    js = [traj.locate(c, times, "left") for c in comps]
+    js = [traj.partition.locate(c, times, "left") for c in comps]
     if left_endpoint is not None:
         at_left = times == left_endpoint
         if at_left.any():
-            js = [np.where(at_left, traj.locate(c, times, "right"), j)
+            js = [np.where(at_left, traj.partition.locate(c, times, "right"), j)
                   for c, j in zip(comps, js)]
     return oracle_evaluate(traj, comps, times, js)
 
@@ -413,7 +426,7 @@ def oracle_interval_rhs(traj, problem, i, j, s):
 
 def oracle_dual_evaluate(dual, i, ts, order, side):
     sigma = dual.T - np.atleast_1d(np.asarray(ts, dtype=float))
-    j = dual.psi.locate(i, sigma, "right" if side == "left" else "left")
+    j = dual.psi.partition.locate(i, sigma, "right" if side == "left" else "left")
     return oracle_evaluate(dual.psi, (i,), sigma, (j,), order)[0]
 
 
@@ -510,7 +523,8 @@ class TestOneTime:
 def test_one_time_path_is_taken_and_traced(monkeypatch):
     # During an estimate every single-time request of the residual and the
     # dual takes the one-time path: only multi-point calls reach
-    # Trajectory.evaluate from there.  The benchmark's
+    # Trajectory.evaluate from Trajectory.cross_state and .values, the two
+    # entries that choose the path.  The benchmark's
     # estimator.residual_calls, counted through the module attribute
     # mgode.estimator.interval_residual, must count every residual.
     from test_traced_names import load_tracing
@@ -539,7 +553,7 @@ def test_one_time_path_is_taken_and_traced(monkeypatch):
     finally:
         sys.setprofile(None)
 
-    watched = ("_cross_state", "_evaluate")
+    watched = ("cross_state", "values")
     assert not [c for c in callers if c[0] in watched and c[1] == 1]
     assert {name for name, n in callers if n > 1} >= set(watched)
     assert plain > 0
@@ -636,7 +650,7 @@ class TestDependencyPattern:
         # tests above; here the one-time path locates, and the multi-point
         # path evaluates, only the other components f_i reads
         prob, traj, _ = kepler_mixed
-        point, evaluate = Trajectory._point, Trajectory.evaluate
+        point, evaluate = Partition.point, Trajectory.evaluate
         seen = []
 
         def spy_point(self, c, t, side):
@@ -647,7 +661,7 @@ class TestDependencyPattern:
             seen.extend(comps)
             return evaluate(self, comps, ts, js, order)
 
-        monkeypatch.setattr(Trajectory, "_point", spy_point)
+        monkeypatch.setattr(Partition, "point", spy_point)
         monkeypatch.setattr(Trajectory, "evaluate", spy_evaluate)
         for p in (prob, _dense(prob)):
             for i in range(traj.dimension):

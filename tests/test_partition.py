@@ -98,6 +98,64 @@ class TestIntervalAt:
         with pytest.raises(ValueError):
             part.interval_at(0, 0.5, "middle")
 
+    # interval_at, point and locate are one rule: left-open right-closed
+    # intervals, with side choosing the interval at a breakpoint
+
+    @pytest.fixture
+    def uneven(self):
+        return build_partition([[0.1, 0.3, 0.05, 0.35, 0.2], 1.0 / 7], 1, 1.0,
+                               methods=("mcG", "mdG"))
+
+    @staticmethod
+    def brute_force(bp, t, side):
+        """The j with bp[j] < t <= bp[j+1] (left) or bp[j] <= t < bp[j+1]
+        (right), by a scan over every interval; None when there is none."""
+        for j in range(len(bp) - 1):
+            a, b = bp[j], bp[j + 1]
+            if (a < t <= b) if side == "left" else (a <= t < b):
+                return j
+        return None
+
+    @staticmethod
+    def _check_point(part, i, t, side, j):
+        bp = part.breakpoints[i]
+        got_j, s = part.point(i, t, side)
+        assert got_j == j
+        assert int(part.locate(i, np.array([t]), side)[0]) == j
+        assert s == (t - bp[j]) / (bp[j + 1] - bp[j])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_locators_agree_inside(self, uneven, side):
+        for i in range(uneven.n_components):
+            bp = uneven.breakpoints[i]
+            M = uneven.n_intervals(i)
+            ts = np.concatenate([bp, 0.5 * (bp[:-1] + bp[1:]),
+                                 np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])
+            ts = ts[(ts >= 0.0) & (ts <= uneven.T)]
+            located = uneven.locate(i, ts, side)
+            for t, j_vec in zip(ts.tolist(), located.tolist()):
+                ref = self.brute_force(bp, t, side)
+                if ref is None:
+                    # t = 0 from the left or T from the right: point and
+                    # locate clamp to the end interval, interval_at raises
+                    assert t == (0.0 if side == "left" else uneven.T)
+                    ref = 0 if side == "left" else M - 1
+                    with pytest.raises(ValueError):
+                        uneven.interval_at(i, t, side)
+                else:
+                    assert uneven.interval_at(i, t, side) == ref
+                assert j_vec == ref
+                self._check_point(uneven, i, t, side, ref)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_outside_clamps_and_interval_at_raises(self, uneven, side):
+        for i in range(uneven.n_components):
+            last = uneven.n_intervals(i) - 1
+            for t in (-0.5, -1e-12, 1.0 + 1e-12, 2.0):
+                with pytest.raises(ValueError):
+                    uneven.interval_at(i, t, side)
+                self._check_point(uneven, i, t, side, 0 if t < 0.0 else last)
+
 
 class TestSlabs:
     def test_single_component_one_slab_per_interval(self):
