@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Byte-compare the Kepler run artifacts and the effectivity-grid reports
-of two source trees.
+"""Byte-compare the Kepler run artifacts, the effectivity-grid reports and
+the multirate cases of two source trees.
 
 Usage:
 
@@ -14,9 +14,15 @@ and mdG x q in {1, 2} x k in {0.1, 0.05, 0.025}, dual refine 4, tolerance
 1e-13, terminal weight along the true error; the benchmark's
 effectivity_grid at seed 0), each in its own subprocess with
 PYTHONPATH=<root>/src and BLAS pinned to one thread.  The grid is the only
-one of the two that runs mdG jump terms.  Then it compares the eight Kepler
-artifacts and the twelve ``ErrorReport.to_json_dict()`` JSON texts byte for
-byte and names each one that differs.  Exits 0 when all are identical, 1 on
+one of the two that runs mdG jump terms.  The grid's subprocess then runs
+two mixed-family multirate cases (model linear_system, steps
+[0.03]*10 + [0.07]*10 and [0.1]*10, orders [2, 1], methods (mcG, mdG) and
+(mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
+[1, 0]): the only compared runs with an mdG multirate partition, whose
+nodes land an ulp off another component's breakpoint.  Then it compares the
+eight Kepler artifacts, the twelve grid ``ErrorReport.to_json_dict()`` JSON
+texts and each multirate case's coefficients and report JSON byte for byte,
+and names each one that differs.  Exits 0 when all are identical, 1 on
 any difference or failed run.  Everything is written under a temporary
 directory, removed at the end.
 """
@@ -42,7 +48,11 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
               for k in (0.1, 0.05, 0.025)]
-# Prints one line per grid case: the case name, a tab, the report's JSON.
+MULTIRATE_METHODS = [("mcG", "mdG"), ("mdG", "mcG")]
+MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
+                   for text in ("coefficients", "report")]
+# Prints one line per grid case and per multirate text: the name, a tab, the
+# JSON text.
 GRID_SCRIPT = f"""
 import json
 import numpy as np
@@ -66,6 +76,22 @@ for method, q, k in {GRID_CASES!r}:
                       dual_partition_for(part, 1, 4), settings)
     report = estimate(prob, traj, dual)
     print(f"{{method}}-q{{q}}-k{{k}}\\t" + json.dumps(report.to_json_dict()))
+
+settings = SolveSettings(tolerance=1e-13, quad_depth=1)
+for methods in {MULTIRATE_METHODS!r}:
+    prob = entry.problem(methods=methods)
+    part = build_partition([[0.03] * 10 + [0.07] * 10, [0.1] * 10], [2, 1],
+                           prob.T, methods=prob.methods)
+    traj = solve(prob, part, settings)
+    dual = solve_dual(DualSpec(problem=prob, primal=traj,
+                               phi_T=np.array([1.0, 0.0])),
+                      dual_partition_for(part, 1, 2), settings)
+    report = estimate(prob, traj, dual)
+    name = "multirate-" + "-".join(methods)
+    coeffs = [[traj.coefficients(i, j).tolist()
+               for j in range(part.n_intervals(i))] for i in range(2)]
+    print(f"{{name}}-coefficients\\t" + json.dumps(coeffs))
+    print(f"{{name}}-report\\t" + json.dumps(report.to_json_dict()))
 """
 
 
@@ -88,8 +114,9 @@ def finish(name: str, proc: subprocess.Popen, ok=(0,)) -> str | None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="Byte-compare the Kepler run artifacts and the "
-                    "effectivity-grid reports of two source trees.")
+        description="Byte-compare the Kepler run artifacts, the "
+                    "effectivity-grid reports and the multirate cases of two "
+                    "source trees.")
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("change_root", type=Path)
     args = parser.parse_args()
@@ -126,16 +153,20 @@ def main() -> int:
                 differ.append(artifact)
     a, b = (dict(line.split("\t", 1) for line in text.splitlines())
             for text in reports)
-    if len(a) != len(GRID_CASES) or set(a) != set(b):
+    if len(a) != len(GRID_CASES) + len(MULTIRATE_TEXTS) or set(a) != set(b):
         print("error: the two trees report different grid cases", file=sys.stderr)
         return 1
-    grid_differ = [case for case in a if a[case] != b[case]]
-    for name in differ + grid_differ:
+    grid_differ = [case for case in a
+                   if case not in MULTIRATE_TEXTS and a[case] != b[case]]
+    multirate_differ = [name for name in MULTIRATE_TEXTS if a[name] != b[name]]
+    for name in differ + grid_differ + multirate_differ:
         print(f"differs: {name}")
     print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")
-    return 1 if differ or grid_differ else 0
+    print(f"{len(MULTIRATE_TEXTS) - len(multirate_differ)} of "
+          f"{len(MULTIRATE_TEXTS)} multirate texts identical")
+    return 1 if differ or grid_differ or multirate_differ else 0
 
 
 if __name__ == "__main__":

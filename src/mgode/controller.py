@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
                    terminal_weight)
-from .estimator import (ErrorReport, StabilityFactors, _deriv_order,
-                        _interp_const, estimate)
+from .estimator import ErrorReport, _deriv_order, _interp_const, estimate
 from .partition import Partition
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG
@@ -49,37 +48,27 @@ class AdaptSettings:
             raise ValueError("step bounds must satisfy 0 < k_min <= k_max")
 
 
-class _StepFunction:
-    """Piecewise-constant step lookup over one component's old intervals."""
-
-    def __init__(self, starts: np.ndarray, steps: np.ndarray):
-        self.starts = starts
-        self.steps = steps
-
-    def __call__(self, t: float) -> float:
-        idx = int(np.searchsorted(self.starts, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.steps) - 1)
-        return float(self.steps[idx])
-
-
-def propose_steps(report: ErrorReport, factors: StabilityFactors,
-                  settings: AdaptSettings) -> list[_StepFunction]:
+def propose_steps(report: ErrorReport,
+                  settings: AdaptSettings) -> list[Callable[[float], float]]:
     """New per-component step-size functions from the bound's local form.
 
     Each component receives the budget theta * tol / N; on every old interval
     the step solving  S_i * C_q * k^p * r = budget  is proposed (p = q for the
     continuous family, q + 1 with the jump-augmented residual for the
-    discontinuous one), clamped to the configured bounds.
+    discontinuous one), clamped to the configured bounds.  A step function
+    is constant on each old interval, the one ``Partition.point`` finds to
+    the right of t (clamped to the first and last).
     """
+    part = report.partition
     n = len(report.methods)
     budget = settings.theta * settings.tol / n
     fns = []
     degenerate = []
     for i in range(n):
         method = report.methods[i]
-        qs = report.orders[i]
+        qs = part.orders[i]
         res = report.rbar[i] if method != MCG else report.r[i]
-        s_i = float(factors.s_deriv[i])
+        s_i = float(report.factors.s_deriv[i])
         new_steps = np.empty(len(qs))
         for j, q in enumerate(qs):
             p = _deriv_order(method, int(q))
@@ -91,7 +80,8 @@ def propose_steps(report: ErrorReport, factors: StabilityFactors,
             else:
                 new_steps[j] = (budget / denom) ** (1.0 / p)
         np.clip(new_steps, settings.k_min, settings.k_max, out=new_steps)
-        fns.append(_StepFunction(report.interval_starts[i], new_steps))
+        fns.append(lambda t, i=i, ks=new_steps:
+                   float(ks[part.point(i, t, "right")[0]]))
     if degenerate:
         warnings.warn(
             "vanishing stability factor or residual for component(s) "
@@ -210,7 +200,7 @@ def adapt(problem: OdeProblem, partition: Partition,
             # order assignment is fixed per run: one order per component
             orders = [int(partition.orders[i][0])
                       for i in range(partition.n_components)]
-        step_fns = propose_steps(report, report.factors, settings)
+        step_fns = propose_steps(report, settings)
         partition = synchronized_partition(step_fns, orders, problem.T,
                                            settings.k_min, settings.k_max)
     return AdaptResult(trajectory=traj, dual=dual, report=report,

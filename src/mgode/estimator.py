@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dual import DualSolution
+from .partition import Partition
 from .solver import OdeProblem, Trajectory, interval_residual, interval_rhs
 from .tableau import (
     MAX_ORDER,
@@ -506,22 +507,20 @@ def _weighted_max(profiles: list[np.ndarray],
 
 
 def computational_error(traj: Trajectory, problem: OdeProblem,
-                        factors: StabilityFactors,
-                        depth: int | None = None) -> DefectReport:
+                        factors: StabilityFactors) -> DefectReport:
     """E_C = sum_i s_mean[i] * max_j |R^C_ij|."""
     return _weighted_max([
-        np.abs(np.array([computational_residual(traj, problem, i, j, depth)
+        np.abs(np.array([computational_residual(traj, problem, i, j)
                          for j in range(traj.partition.n_intervals(i))]))
         for i in range(traj.dimension)
     ], factors)
 
 
 def quadrature_error(traj: Trajectory, problem: OdeProblem,
-                     factors: StabilityFactors,
-                     m: int | None = None) -> DefectReport:
+                     factors: StabilityFactors) -> DefectReport:
     """E_Q = sum_i s_mean[i] * max_j bound(R^Q_ij)."""
     return _weighted_max([
-        np.array([quadrature_residual(traj, problem, i, j, m).bound
+        np.array([quadrature_residual(traj, problem, i, j).bound
                   for j in range(traj.partition.n_intervals(i))])
         for i in range(traj.dimension)
     ], factors)
@@ -669,9 +668,7 @@ class ErrorReport:
     rbar: list[np.ndarray]
     rc: list[np.ndarray]
     rq_bound: list[np.ndarray]
-    interval_starts: list[np.ndarray]
-    steps: list[np.ndarray]
-    orders: list[np.ndarray]
+    partition: Partition
     alphas: list[np.ndarray]
     eg_signed: float
     eg_abs_sum: float
@@ -681,6 +678,7 @@ class ErrorReport:
     effectivity: float | None = None
 
     def to_json_dict(self) -> dict:
+        part = self.partition
         return {
             "methods": list(self.methods),
             "estimates": {
@@ -700,12 +698,12 @@ class ErrorReport:
             "components": [
                 {
                     "method": self.methods[i],
-                    "interval_starts": [float(x) for x in self.interval_starts[i]],
-                    "steps": [float(x) for x in self.steps[i]],
-                    "orders": [int(x) for x in self.orders[i]],
+                    "interval_starts": [float(x) for x in part.breakpoints[i][:-1]],
+                    "steps": [float(x) for x in part.steps(i)],
+                    "orders": [int(x) for x in part.orders[i]],
                     "interp_constants": [
                         _interp_const(self.methods[i], int(q))
-                        for q in self.orders[i]
+                        for q in part.orders[i]
                     ],
                     "r": [float(x) for x in self.r[i]],
                     "rbar": [float(x) for x in self.rbar[i]],
@@ -724,8 +722,9 @@ class ErrorReport:
             rows.append({
                 "component": i,
                 "method": self.methods[i],
-                "intervals": len(self.steps[i]),
-                "max_step": max((float(x) for x in self.steps[i]), default=0.0),
+                "intervals": self.partition.n_intervals(i),
+                "max_step": max((float(x) for x in self.partition.steps(i)),
+                                default=0.0),
                 "max_r": max((float(x) for x in self.r[i]), default=0.0),
                 "max_rbar": max((float(x) for x in self.rbar[i]), default=0.0),
                 "max_rc": max((float(x) for x in self.rc[i]), default=0.0),
@@ -745,7 +744,6 @@ def estimate(problem: OdeProblem, traj: Trajectory,
     ec = computational_error(traj, problem, est.factors)
     eq = quadrature_error(traj, problem, est.factors)
     eg = eg_residual_zero(traj, dual, problem)
-    part = traj.partition
     return ErrorReport(
         methods=traj.methods,
         e0=est.e0, e1=est.e1, e2=est.e2, e3=est.e3, e4=est.e4, e5=est.e5,
@@ -755,10 +753,7 @@ def estimate(problem: OdeProblem, traj: Trajectory,
         factors=est.factors,
         r=est.r, rbar=est.rbar,
         rc=ec.profiles, rq_bound=eq.profiles,
-        interval_starts=[part.breakpoints[i][:-1].copy()
-                         for i in range(traj.dimension)],
-        steps=[part.steps(i) for i in range(traj.dimension)],
-        orders=[part.orders[i].copy() for i in range(traj.dimension)],
+        partition=traj.partition,
         alphas=eg.alphas,
         eg_signed=eg.signed, eg_abs_sum=eg.abs_sum, eg_shortcut=eg.shortcut,
         flags=est.flags,

@@ -109,6 +109,17 @@ class Partition:
         # counting interior breakpoints is searchsorted(bp) - 1 clamped
         return self._interior[i].searchsorted(ts, side)
 
+    def snap(self, i: int, ts: np.ndarray) -> np.ndarray:
+        """The times with each one within SYNC_REL_TOL * T of a breakpoint of
+        component i replaced by that breakpoint, the left neighbour first."""
+        bp = self.breakpoints[i]
+        tol = SYNC_REL_TOL * self.T
+        idx = bp.searchsorted(ts)
+        left = bp[np.maximum(idx - 1, 0)]
+        right = bp[np.minimum(idx, len(bp) - 1)]
+        return np.where(np.abs(left - ts) <= tol, left,
+                        np.where(np.abs(right - ts) <= tol, right, ts))
+
     def synchronized_levels(self) -> np.ndarray:
         """Time levels that are breakpoints of every component (exact after
         construction merging); always contains 0 and T."""

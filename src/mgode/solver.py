@@ -9,16 +9,19 @@ Lagrange representation; continuous-family components share their interval
 end values bitwise, discontinuous-family components carry genuine one-sided
 limits at every breakpoint.
 
-A slab keeps its nodal values in one flat state array and the rhs inputs of
-its intervals in one buffer of contiguous per-interval (N, P) blocks.  The
-cross-component stencils are built once per slab, with one lagrange_matrix
-call per (component, order), and grouped by (node count, column count): each
-sweep fills the whole input buffer with one stacked np.matmul per class,
-through gather and scatter index arrays.  A stacked matmul rounds each row
-exactly like that group's own ``values @ L``, so the numbers do not depend
-on the batching.  The rhs is still called once per interval: a batched
-``A @ U`` over the slab's columns rounds differently from the per-interval
-products, and the estimator's rounding-level terms would move.
+A slab keeps one flat state array, one incoming-value slot per component
+(the value entering the slab) followed by its intervals' nodal values, and
+the rhs inputs of its intervals in one buffer of contiguous per-interval
+(N, P) blocks.  The partition snaps the quadrature times to breakpoints and
+locates them.  The cross-component stencils are built once per slab, with
+one lagrange_matrix call per (component, order), and grouped by (node
+count, column count): each sweep fills the whole input buffer with one
+stacked np.matmul per class, through gather and scatter index arrays.  A
+stacked matmul rounds each row exactly like that group's own ``values @ L``,
+so the numbers do not depend on the batching.  The rhs is still called once
+per interval: a batched ``A @ U`` over the slab's columns rounds differently
+from the per-interval products, and the estimator's rounding-level terms
+would move.
 
 The partition locates times (``Partition.point`` for one, ``.locate`` for
 many); the trajectory evaluates there.  Its two entries, ``values`` (one
@@ -519,15 +522,13 @@ _DIVERGED = 1e4
 @dataclass
 class _IntervalWork:
     i: int
-    j: int
     method: str
     order: int
     t0: float
     k: float
     W: np.ndarray                # (n_solved, P) scheme weights
     times: np.ndarray            # (P,) quadrature times
-    pred: int | None             # work index of predecessor interval, if in slab
-    incoming_fixed: float | None # incoming value when predecessor precedes slab
+    inc_at: int                  # slab-state offset of its incoming value
     at: int                      # offset of its nodal values in the slab state
     inputs_at: int               # offset of its (N, P) rhs-input block
 
@@ -543,28 +544,32 @@ class _Stencils:
     scatter: np.ndarray
 
 
-def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
+def _build_work(problem, partition, slab, settings):
     """Precompute quadrature times, scheme weights and cross-component
     evaluation stencils for every interval in the slab.
 
+    The slab state opens with one incoming-value slot per component; an
+    item reads its incoming value at ``inc_at``, its predecessor's end value
+    or, first in the slab, its component's slot.
+
     Every quadrature time lies in the slab, so the stencils of a component
-    only read its own intervals in the slab.  One vectorized pass per
-    component over its slab breakpoints snaps all the slab's times to a
-    breakpoint within 1e-12 T, locates them and maps them to local
-    coordinates.  A time at the integrated interval's start reads the
-    interval starting there (the within-interval limit), every other time
-    the interval ending at or after it.  Each item's times increase, so a
-    stencil group -- the times of one item that one source interval
-    covers -- is a run of equal (item, interval) in the concatenated times,
-    and its Lagrange factors are a column slice of one lagrange_matrix call
-    per (component, order).
+    only read its own intervals in the slab.  ``Partition.snap`` moves the
+    slab's times within the synchronization tolerance onto a component's
+    breakpoints and ``Partition.locate`` finds their intervals: a time at the
+    integrated interval's start reads the interval starting there (the
+    within-interval limit), every other time the interval ending at or after
+    it.  Each item's times increase, so a stencil group -- the times of one
+    item that one source interval covers -- is a run of equal (item,
+    interval) in the concatenated times, and its Lagrange factors are a
+    column slice of one lagrange_matrix call per (component, order).
 
     Returns the work items and the stencil classes.
     """
     N = problem.dimension
+    methods = problem.methods
     work: list[_IntervalWork] = []
     first = []                   # work index of each component's first interval
-    at = inputs_at = 0
+    at, inputs_at = N, 0
     for i in range(N):
         first.append(len(work))
         lo, hi = slab.spans[i]
@@ -574,14 +579,9 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
             t0, t1 = partition.span(i, j)
             k = t1 - t0
             times = t0 + k * pts
-            if j > lo:
-                pred, incoming = len(work) - 1, None
-            else:
-                pred, incoming = None, float(u0[i] if j == 0 else coeffs[i][j - 1][-1])
             work.append(_IntervalWork(
-                i=i, j=j, method=methods[i], order=q, t0=t0, k=k, W=W,
-                times=times, pred=pred, incoming_fixed=incoming, at=at,
-                inputs_at=inputs_at,
+                i=i, method=methods[i], order=q, t0=t0, k=k, W=W, times=times,
+                inc_at=at - 1 if j > lo else i, at=at, inputs_at=inputs_at,
             ))
             at += q + 1
             inputs_at += N * len(times)
@@ -590,22 +590,15 @@ def _build_work(problem, partition, methods, slab, settings, coeffs, u0):
     owner = np.repeat(np.arange(len(work)), counts)
     times = np.concatenate([item.times for item in work])
     starts = np.repeat([item.t0 for item in work], counts)
-    snap_tol = 1e-12 * partition.T
     src = np.empty((N, len(times)), dtype=int)   # source work index per time
     s = np.empty((N, len(times)))                # local coordinate in it
     for c in range(N):
-        lo, hi = slab.spans[c]
-        bp = partition.breakpoints[c][lo:hi + 1]
-        # snap to a breakpoint within tolerance, the left neighbour first
-        idx = bp.searchsorted(times)
-        left = bp[np.maximum(idx - 1, 0)]
-        right = bp[np.minimum(idx, len(bp) - 1)]
-        tt = np.where(np.abs(left - times) <= snap_tol, left,
-                      np.where(np.abs(right - times) <= snap_tol, right, times))
-        jl = np.where(tt == starts, bp.searchsorted(tt, "right"),
-                      bp.searchsorted(tt)) - 1     # slab-local interval index
-        src[c] = first[c] + jl
-        s[c] = (tt - bp[jl]) / (bp[jl + 1] - bp[jl])
+        bp = partition.breakpoints[c]
+        tt = partition.snap(c, times)
+        jc = np.where(tt == starts, partition.locate(c, tt, "right"),
+                      partition.locate(c, tt))
+        src[c] = first[c] - slab.spans[c][0] + jc
+        s[c] = (tt - bp[jc]) / (bp[jc + 1] - bp[jc])
 
     # Lagrange factors per (component, order); the blocks of one node count
     # are concatenated in (component, time) order, so column col[x] of
@@ -662,20 +655,15 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     sweep's increment is non-finite or exceeds both the tolerance and
     _DIVERGED times the first sweep's.
     """
-    methods = problem.methods
-    u0 = problem.u0
     N = problem.dimension
-    work, stencils = _build_work(problem, partition, methods, slab, settings,
-                                 coeffs, u0)
-
-    # constant extrapolation of each component's value entering the slab
-    slab_incoming = np.empty(N)
-    for i in range(N):
-        first_j = slab.spans[i][0]
-        slab_incoming[i] = u0[i] if first_j == 0 else float(coeffs[i][first_j - 1][-1])
-    state = np.repeat(slab_incoming[[item.i for item in work]],
-                      [item.order + 1 for item in work])
-    new_state = np.empty_like(state)
+    work, stencils = _build_work(problem, partition, slab, settings)
+    # the incoming-value slots, and every nodal value starting from its
+    # component's (constant extrapolation)
+    incoming = np.array([problem.u0[i] if lo == 0 else coeffs[i][lo - 1][-1]
+                         for i, (lo, _) in enumerate(slab.spans)])
+    state = np.concatenate([incoming] + [np.full(item.order + 1, incoming[item.i])
+                                         for item in work])
+    new_state = state.copy()
     inputs = np.empty(sum(N * len(item.times) for item in work))
     blocks = [inputs[item.inputs_at:item.inputs_at + N * len(item.times)]
               .reshape(N, len(item.times)) for item in work]
@@ -693,10 +681,7 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
         for st in stencils:
             inputs[st.scatter] = np.matmul(state[st.gather][:, None, :], st.L)[:, 0]
         for w, item in enumerate(work):
-            inc = item.incoming_fixed
-            if inc is None:
-                pred = work[item.pred]
-                inc = float(state[pred.at + pred.order])
+            inc = state[item.inc_at]
             F = problem.eval_rhs(blocks[w], item.times)
             frow = F[item.i]
             if not np.isfinite(frow).all():
@@ -743,13 +728,7 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     for item in work:
         arr = state[item.at:item.at + item.order + 1].copy()
         if item.method == MCG:
-            if item.j == 0:
-                arr[0] = u0[item.i]
-            elif item.pred is not None:
-                # predecessor in this slab appears earlier in `work`
-                arr[0] = out[item.i][-1][-1]
-            else:
-                arr[0] = coeffs[item.i][item.j - 1][-1]
+            arr[0] = state[item.inc_at]
         out[item.i].append(arr)
     return out, report
 

@@ -38,9 +38,9 @@ class TestProposeSteps:
         part = build_partition(0.1, 2, 1.0, methods=prob.methods)
         _, report = _report_for(prob, part)
         st = settings()
-        fns1 = propose_steps(report, report.factors, st)
+        fns1 = propose_steps(report, st)
         report.r[0][:] = report.r[0] / 2.0
-        fns2 = propose_steps(report, report.factors, st)
+        fns2 = propose_steps(report, st)
         for t in (0.05, 0.45, 0.95):
             # q = 2: steps scale by 2^(1/2) when the residual halves
             assert fns2[0](t) / fns1[0](t) == pytest.approx(2 ** 0.5, rel=1e-12)
@@ -55,7 +55,7 @@ class TestProposeSteps:
         report.r[1][:] = 1000.0
         report.factors.s_deriv[:] = 1.0
         st = settings(k_min=1e-12, k_max=1e6)
-        fns = propose_steps(report, report.factors, st)
+        fns = propose_steps(report, st)
         ratio = fns[0](0.5) / fns[1](0.5)
         assert ratio == pytest.approx(1000 ** 0.5, rel=1e-10)
 
@@ -67,7 +67,7 @@ class TestProposeSteps:
         report.r[0][:] = 0.0
         st = settings()
         with pytest.warns(RuntimeWarning, match="clamp"):
-            fns = propose_steps(report, report.factors, st)
+            fns = propose_steps(report, st)
         assert fns[0](0.3) == st.k_max
 
     def test_mdg_uses_jump_augmented_residual_and_order(self):
@@ -76,12 +76,12 @@ class TestProposeSteps:
         part = build_partition(0.1, 1, 1.0, methods=prob.methods)
         _, report = _report_for(prob, part)
         st = settings(k_min=1e-12, k_max=1e6)
-        fns = propose_steps(report, report.factors, st)
+        fns = propose_steps(report, st)
         budget = st.theta * st.tol / 1
         j = 5
         denom = report.factors.s_deriv[0] * interp_constant(1) * report.rbar[0][j]
         expect = (budget / denom) ** (1.0 / 2.0)
-        assert fns[0](float(report.interval_starts[0][j])) == \
+        assert fns[0](float(report.partition.breakpoints[0][j])) == \
             pytest.approx(expect, rel=1e-12)
 
 

@@ -334,12 +334,10 @@ class TestSlabStencils:
                   for k, m in zip(steps, methods)]
         part = build_partition(steps, orders, T, methods=methods)
         prob = OdeProblem(rhs=lambda u, t: -u, u0=np.ones(4), T=T, methods=methods)
-        coeffs = [[np.zeros(q + 1) for q in qs] for qs in part.orders]
         settings = SolveSettings(quad_depth=depth)
         snapped = 0
         for slab in build_slabs(part):
-            work, stencils = _build_work(prob, part, methods, slab, settings,
-                                         coeffs, prob.u0)
+            work, stencils = _build_work(prob, part, slab, settings)
             table = _stencil_groups(work, stencils, part.n_components)
             for w, item in enumerate(work):
                 P = len(item.times)
@@ -357,7 +355,9 @@ class TestSlabStencils:
                     for sel, widx, L in groups:
                         cover[sel] += 1
                         src = work[widx]
-                        assert all((src.i, src.j) == (c, jc) for jc in js[sel])
+                        # an interval start names the interval of component c
+                        assert all((src.i, src.t0) == (c, part.span(c, jc)[0])
+                                   for jc in js[sel])
                         nodes = (lobatto_nodes if src.method == "mcG"
                                  else radau_nodes)(src.order).nodes
                         assert np.array_equal(L, lagrange_matrix(nodes, ss[sel]))

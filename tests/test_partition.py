@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgode.partition import (
+    SYNC_REL_TOL,
     Partition,
     PartitionError,
     build_partition,
@@ -155,6 +156,53 @@ class TestIntervalAt:
                 with pytest.raises(ValueError):
                     uneven.interval_at(i, t, side)
                 self._check_point(uneven, i, t, side, 0 if t < 0.0 else last)
+
+
+class TestSnap:
+    # Partition(...) directly: build_partition would merge or reject
+    # breakpoints this close, and its step sums are not the exact 0.15
+    T = 2.0
+    TOL = SYNC_REL_TOL * T
+
+    @pytest.fixture
+    def part(self):
+        bps = (np.array([0.0, 0.1, 0.15, 0.3, self.T]),
+               np.array([0.0, 0.5, 0.5 + self.TOL, self.T]))
+        return Partition(T=self.T, breakpoints=bps,
+                         orders=tuple(np.ones(len(bp) - 1, dtype=int) for bp in bps))
+
+    def test_breakpoints_unchanged(self, part):
+        # steps above twice the tolerance, as build_partition guarantees
+        built = build_partition([0.1, 1 / 7], 1, self.T, methods=("mcG", "mdG"))
+        for p, i in [(part, 0), (built, 0), (built, 1)]:
+            bp = p.breakpoints[i]
+            assert np.array_equal(p.snap(i, bp), bp)
+
+    @pytest.mark.parametrize("b", [0.1, 0.15, 0.3])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_within_tolerance_snaps(self, part, b, sign):
+        ts = np.array([b + sign * 0.9 * self.TOL, b + sign * 1.1 * self.TOL])
+        got = part.snap(0, ts)
+        assert got[0] == b
+        assert got[1] == ts[1]
+
+    def test_left_neighbour_wins(self, part):
+        # 0.5 + TOL/2 lies within TOL of both 0.5 and 0.5 + TOL
+        assert part.snap(1, np.array([0.5 + 0.5 * self.TOL]))[0] == 0.5
+        # only the right one is in range
+        t = 0.5 + 1.5 * self.TOL
+        assert part.snap(1, np.array([t]))[0] == 0.5 + self.TOL
+
+    def test_past_horizon_snaps_to_T(self, part):
+        got = part.snap(0, np.array([self.T + 0.5 * self.TOL, -0.5 * self.TOL]))
+        assert got.tolist() == [self.T, 0.0]
+
+    def test_rounded_sum_snaps(self, part):
+        t = 0.1 + 0.1 * 0.5
+        assert t == 0.15000000000000002
+        assert part.snap(0, np.array([t]))[0] == 0.15
+        # component 1 has no breakpoint there
+        assert part.snap(1, np.array([t]))[0] == t
 
 
 class TestSlabs:

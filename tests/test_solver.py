@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import mgode.tableau as tb
 from mgode.partition import build_partition, build_slabs
@@ -74,6 +77,50 @@ class TestDependencies:
         prob.methods = "mcG"
         with pytest.raises(ValueError, match="3 dependency lists for 4"):
             prob.__post_init__()
+
+
+# Dependency patterns at and past the schema's edges: indices in and out of
+# range, numpy integers, bools, floats, strings and None, as lists, tuples,
+# arrays, bare scalars and strings, with one entry too few or too many; and
+# well-formed patterns of in-range Python and numpy integers.
+_ODD_INDEX = st.one_of(st.integers(-2, 5), st.booleans(), st.just(np.bool_(True)),
+                       st.floats(), st.text(max_size=2), st.none())
+
+
+@st.composite
+def _dependency_cases(draw):
+    n = draw(st.integers(1, 4))
+    index = st.one_of(st.integers(0, n - 1), st.integers(0, n - 1).map(np.int64))
+    valid = st.one_of(st.lists(index, max_size=5),
+                      st.lists(index, max_size=5).map(tuple),
+                      st.lists(st.integers(0, n - 1), max_size=4).map(np.array))
+    odd = st.one_of(valid, st.lists(st.one_of(index, _ODD_INDEX), max_size=5),
+                    _ODD_INDEX)
+    deps = draw(st.one_of(
+        st.none(), _ODD_INDEX,
+        st.lists(valid, min_size=n, max_size=n),
+        st.lists(odd, min_size=n - 1, max_size=n + 1),
+        arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
+               array_shapes(min_dims=0, max_dims=3, max_side=4))))
+    return n, deps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_dependency_cases())
+def test_fuzzed_dependencies_normalise_or_raise_value_error(case):
+    n, deps = case
+    try:
+        prob = OdeProblem(rhs=lambda u, t: -u, u0=np.ones(n), T=1.0,
+                          dependencies=deps)
+    except ValueError:
+        return
+    if deps is None:
+        assert prob.dependencies is None
+        return
+    assert len(prob.dependencies) == n
+    for i, (got, given_entry) in enumerate(zip(prob.dependencies, deps)):
+        assert all(type(c) is int and 0 <= c < n for c in got)
+        assert list(got) == sorted({i, *(int(c) for c in given_entry)})
 
 
 class TestBasicSolves:
