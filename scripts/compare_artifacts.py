@@ -22,13 +22,18 @@ two mixed-family multirate cases (model linear_system, steps
 nodes land an ulp off another component's breakpoint.  Then it compares the
 eight Kepler artifacts, the twelve grid ``ErrorReport.to_json_dict()`` JSON
 texts and each multirate case's coefficients and report JSON byte for byte,
-and names each one that differs.  Exits 0 when all are identical, 1 on
+and names each one that differs.  For each error report that differs (the
+Kepler ``error_report.json``, a grid case, a multirate report) it also
+prints each differing field, how many of its entries differ and their
+largest relative deviation, in the max norm relative to the parent's field,
+as the golden gates measure it.  Exits 0 when all are identical, 1 on
 any difference or failed run.  Everything is written under a temporary
 directory, removed at the end.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +100,66 @@ for methods in {MULTIRATE_METHODS!r}:
 """
 
 
+def _fields(node, path=""):
+    """(dotted path, list of entries) for every leaf field of a JSON report,
+    e.g. ("estimates.E0", [x]) or ("components[1].rc", [x0, x1, ...])."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _fields(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and any(isinstance(x, (dict, list)) for x in node):
+        for k, value in enumerate(node):
+            yield from _fields(value, f"{path}[{k}]")
+    else:
+        yield path, node if isinstance(node, list) else [node]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _same(u, v) -> bool:
+    return u == v or (u != u and v != v)     # NaN matches NaN
+
+
+def field_deviations(parent: dict, change: dict
+                     ) -> list[tuple[str, int, int, float]]:
+    """(field, entries that differ, entries, largest relative deviation) for
+    each field of two reports that differs, in the parent's field order.
+
+    The deviation is max |change - parent| over the differing entries
+    divided by the max norm of the parent field's finite entries.  It is
+    inf when the field is missing on one side or has another length, when
+    a differing entry is not a finite number on both sides, and when the
+    parent field is zero."""
+    a, b = dict(_fields(parent)), dict(_fields(change))
+    out = []
+    for name in list(a) + [name for name in b if name not in a]:
+        x, y = a.get(name, []), b.get(name, [])
+        pairs = [(u, v) for u, v in zip(x, y) if not _same(u, v)]
+        differ = len(pairs) + abs(len(x) - len(y))
+        if not differ:
+            continue
+        dev = math.inf
+        if len(x) == len(y) and all(_is_number(u) and _is_number(v)
+                                    for u, v in pairs):
+            diff = max(abs(u - v) for u, v in pairs)
+            scale = max((abs(u) for u in x if _is_number(u) and math.isfinite(u)),
+                        default=0.0)
+            if math.isfinite(diff) and scale > 0.0:
+                dev = diff / scale
+        out.append((name, differ, max(len(x), len(y)), dev))
+    return out
+
+
+def print_deviations(name: str, parent: str, change: str) -> None:
+    """Name a differing report and quote each differing field."""
+    print(f"differs: {name}")
+    for field, differ, entries, dev in field_deviations(json.loads(parent),
+                                                        json.loads(change)):
+        print(f"  {field}: {differ} of {entries} entries differ, "
+              f"largest relative deviation {dev:.3e}")
+
+
 def start(root: Path, args: list[str]) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                **{var: "1" for var in THREAD_VARS})
@@ -151,6 +216,10 @@ def main() -> int:
             if not (a.is_file() and b.is_file()
                     and a.read_bytes() == b.read_bytes()):
                 differ.append(artifact)
+                if artifact == "error_report.json" and a.is_file() and b.is_file():
+                    print_deviations(artifact, a.read_text(), b.read_text())
+                else:
+                    print(f"differs: {artifact}")
     a, b = (dict(line.split("\t", 1) for line in text.splitlines())
             for text in reports)
     if len(a) != len(GRID_CASES) + len(MULTIRATE_TEXTS) or set(a) != set(b):
@@ -159,8 +228,11 @@ def main() -> int:
     grid_differ = [case for case in a
                    if case not in MULTIRATE_TEXTS and a[case] != b[case]]
     multirate_differ = [name for name in MULTIRATE_TEXTS if a[name] != b[name]]
-    for name in differ + grid_differ + multirate_differ:
-        print(f"differs: {name}")
+    for name in grid_differ + multirate_differ:
+        if name.endswith("coefficients"):
+            print(f"differs: {name}")
+        else:
+            print_deviations(name, a[name], b[name])
     print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")

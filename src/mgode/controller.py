@@ -18,7 +18,7 @@ import numpy as np
 from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
                    terminal_weight)
 from .estimator import ErrorReport, _deriv_order, _interp_const, estimate
-from .partition import Partition
+from .partition import Partition, _check_integer, _check_intervals
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG
 
@@ -42,8 +42,9 @@ class AdaptSettings:
             raise ValueError(f"tolerance must be positive, got {self.tol!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"safety factor must lie in (0, 1], got {self.theta!r}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds!r}")
+        _check_integer("max_rounds", self.max_rounds, 1)
+        _check_integer("dual_order_increment", self.dual_order_increment, 0)
+        _check_integer("dual_refine", self.dual_refine, 1)
         if not 0.0 < self.k_min <= self.k_max:
             raise ValueError("step bounds must satisfy 0 < k_min <= k_max")
 
@@ -104,6 +105,9 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
     When proposals spread by more than ``max_ratio``, the window shrinks so
     no component packs more than that many intervals into one slab; the
     slowest components then step below their proposals.
+
+    Raises PartitionError as soon as the windows, or one component's
+    intervals, number more than the partition's interval cap.
     """
     n = len(step_fns)
     windows = [0.0]
@@ -117,6 +121,7 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
             break
         t += k_slab
         windows.append(t)
+        _check_intervals(len(windows) - 1, "step proposals, slab windows")
     windows = np.asarray(windows)
 
     breakpoints = []
@@ -129,6 +134,7 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
             sub = a + (b - a) * np.arange(1, parts + 1) / parts
             sub[-1] = b
             pts.extend(float(x) for x in sub)
+            _check_intervals(len(pts) - 1, f"step proposals, component {i}")
         pts[-1] = T
         breakpoints.append(np.asarray(pts))
     order_arrays = tuple(

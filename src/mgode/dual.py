@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import _MAX_INTERVALS, Partition, PartitionError
+from .partition import Partition, _check_integer, _check_intervals
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
 
@@ -83,14 +83,11 @@ def dual_partition_for(partition: Partition, order_increment: int = 1,
     Each interval [a, b] is cut as np.linspace(a, b, refine + 1) cuts it,
     at a + i ((b - a) / refine) with b itself as the last point, so
     ``refine == 1`` gives back the primal breakpoints."""
-    if refine < 1:
-        raise ValueError(f"refine must be >= 1, got {refine}")
+    _check_integer("order_increment", order_increment, 0)
+    _check_integer("refine", refine, 1)
     for i in range(partition.n_components):
-        if refine * partition.n_intervals(i) > _MAX_INTERVALS:
-            raise PartitionError(
-                f"refine {refine} gives component {i} more than "
-                f"{_MAX_INTERVALS} dual intervals"
-            )
+        _check_intervals(refine * partition.n_intervals(i),
+                         f"refine {refine}, component {i} dual intervals")
     breakpoints = []
     orders = []
     for bp, qs in zip(partition.breakpoints, partition.orders):
@@ -99,7 +96,9 @@ def dual_partition_for(partition: Partition, order_increment: int = 1,
         sub[:, -1] = bp[1:]
         sub[-1, -1] = partition.T
         breakpoints.append(np.concatenate(([0.0], sub.ravel())))
-        orders.append(np.repeat(np.minimum(qs + order_increment, MAX_ORDER), refine))
+        # an increment past MAX_ORDER would overflow the int array
+        orders.append(np.repeat(
+            np.minimum(qs + min(order_increment, MAX_ORDER), MAX_ORDER), refine))
     return Partition(T=partition.T, breakpoints=tuple(breakpoints),
                      orders=tuple(orders))
 

@@ -172,7 +172,7 @@ def error_representation(traj: Trajectory, dual: DualSolution,
             pieces = np.concatenate(
                 ([t0], dual.piece_boundaries(i, t0, t1), [t1]))
             for a, b in zip(pieces[:-1], pieces[1:]):
-                s_loc = (a - t0) / k + (b - a) / k * s
+                s_loc = part.coordinate(i, j, a) + (b - a) / k * s
                 R = interval_residual(traj, problem, i, j, s_loc)
                 phi = dual.values(i, t0 + k * s_loc, "left")
                 total += (b - a) * float(w @ (R * phi))
@@ -326,7 +326,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             prod = lambda s: Rfn(s) * (phi_loc(s) - pi_fn(t0 + k * s))  # noqa: E731
             signed, absval = integrate_splitting(
                 prod, 0.0, 1.0, npts=npts, n_scan=n_scan,
-                splits=tuple((c - t0) / k for c in cuts))
+                splits=part.coordinate(i, j, cuts))
             e0_signed += k * signed
             e1 += k * absval
             if method == MDG:
@@ -625,7 +625,7 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
             pi_fn = _residual_zero_interpolant(dual, traj, i, j)
             fn = lambda s: (interval_residual(traj, problem, i, j, s)  # noqa: E731
                             * (dual.values(i, t0 + k * s, "left") - pi_fn(s)))
-            cuts = tuple((c - t0) / k for c in dual.piece_boundaries(i, t0, t1))
+            cuts = part.coordinate(i, j, dual.piece_boundaries(i, t0, t1))
             signed, _ = integrate_splitting(fn, 0.0, 1.0, npts=2 * (q + 3),
                                             n_scan=8 * (q + 3), splits=cuts)
             term = k * signed
@@ -805,8 +805,7 @@ def stability_factor_error(dual: DualSolution,
         def norm(sigmas):
             vals = np.empty((N, len(sigmas)))
             for i in range(N):
-                t0, t1 = part.span(i, idx[i])
-                s = (sigmas - t0) / (t1 - t0)
+                s = part.coordinate(i, idx[i], sigmas)
                 vals[i] = interval_residual(psi, dual.psi_problem, i, idx[i], s)
             return np.sqrt(np.sum(vals**2, axis=0))
 

@@ -22,7 +22,8 @@ from .tableau import MAX_ORDER, MCG, MDG, min_order
 #: to a common value.
 SYNC_REL_TOL = 1e-12
 
-#: Hard caps for the step-walking constructor.
+#: Hard cap on the intervals of one component, and on the slab windows of a
+#: re-partition, checked before or while they are generated.
 _MAX_INTERVALS = 10_000_000
 
 StepSpec = float | Sequence[float] | Callable[[float], float]
@@ -32,13 +33,38 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating))
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, and not a bool: what integer settings take."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_intervals(count, what: str) -> None:
+    """Raise PartitionError when ``count`` passes the interval cap."""
+    if count > _MAX_INTERVALS:
+        raise PartitionError(f"{what}: too many intervals, more than {_MAX_INTERVALS}")
+
+
+def _check_integer(name: str, value, least: int, most: float = np.inf) -> None:
+    """Raise ValueError unless value is an integer in [least, most]."""
+    if not (_is_integer(value) and least <= value <= most):
+        raise ValueError(f"{name} must be an integer in [{least}, {most}], "
+                         f"got {value!r}")
+
+
 class PartitionError(ValueError):
     """Invalid partition construction input."""
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Per-component breakpoints and interval orders on (0, T]."""
+    """Per-component breakpoints and interval orders on (0, T].
+
+    The partition alone decides where a time falls on a component: the
+    interval (``interval_at``, ``point``, ``locate``), the side a reader
+    takes at a breakpoint (``reads``, ``read``), the local coordinate in the
+    interval (``coordinate``) and the snapping of near-breakpoint times
+    (``snap``).  Callers pick the times and evaluate there.
+    """
 
     T: float
     breakpoints: tuple[np.ndarray, ...]
@@ -97,10 +123,10 @@ class Partition:
 
     def point(self, i: int, t: float, side: str) -> tuple[int, float]:
         """``locate`` for one time, by bisect on the breakpoint list, and the
-        local coordinate of t in that interval, (t - t0) / (t1 - t0)."""
+        local coordinate of t in that interval (``coordinate``)."""
         bp = self._bp_lists[i]
         j = (bisect_left if side == "left" else bisect_right)(bp, t, 1, len(bp) - 1) - 1
-        return j, (t - bp[j]) / (bp[j + 1] - bp[j])
+        return j, self.coordinate(i, j, t)
 
     def locate(self, i: int, ts: np.ndarray, side: str = "left") -> np.ndarray:
         """Interval index of component i at each time, with breakpoints
@@ -108,6 +134,26 @@ class Partition:
         range clamped to the first or last interval."""
         # counting interior breakpoints is searchsorted(bp) - 1 clamped
         return self._interior[i].searchsorted(ts, side)
+
+    def reads(self, i: int, ts: np.ndarray, t0) -> np.ndarray:
+        """The interval of component i that a reader starting at t0 reads at
+        each time: the one starting there (the right limit) at a time equal
+        to t0, the one ending at or after it (the left limit) elsewhere.
+
+        This is the one cross-read side rule of the multirate state.  ``t0``
+        is one start or one per time; the indices clamp as in ``locate``."""
+        return np.where(ts == t0, self.locate(i, ts, "right"), self.locate(i, ts))
+
+    def read(self, i: int, t: float, t0: float) -> tuple[int, float]:
+        """``reads`` for one time, through ``point``: the interval and the
+        local coordinate of t in it."""
+        return self.point(i, t, "right" if t == t0 else "left")
+
+    def coordinate(self, i: int, j, ts):
+        """The local coordinate (t - t_j) / (t_{j+1} - t_j) of each time on
+        component i's interval j, one index or one per time."""
+        bp = self.breakpoints[i] if isinstance(j, np.ndarray) else self._bp_lists[i]
+        return (ts - bp[j]) / (bp[j + 1] - bp[j])
 
     def snap(self, i: int, ts: np.ndarray) -> np.ndarray:
         """The times with each one within SYNC_REL_TOL * T of a breakpoint of
@@ -194,8 +240,7 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
                 break
             t += k
             bps.append(t)
-            if len(bps) > _MAX_INTERVALS:
-                raise PartitionError("step walk produced too many intervals")
+            _check_intervals(len(bps) - 1, "step walk")
         return np.asarray(bps, dtype=float)
 
     if _is_scalar(spec):
@@ -203,8 +248,7 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
         if not (k > 0.0 and np.isfinite(k)):
             raise PartitionError(f"nonpositive or non-finite step {k!r}")
         # compare before rounding: T / k overflows to inf for subnormal k
-        if T / k > _MAX_INTERVALS:
-            raise PartitionError("constant step produces too many intervals")
+        _check_intervals(T / k, f"constant step {k!r}")
         return np.linspace(0.0, T, max(1, round(T / k)) + 1)
 
     explicit = [float(k) for k in np.asarray(spec, dtype=float)]
@@ -226,24 +270,26 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
 
 
 def _normalize_orders(orders, n_components: int, counts: list[int]) -> list[np.ndarray]:
-    if _is_scalar(orders):
-        return [np.full(counts[i], int(orders), dtype=int) for i in range(n_components)]
-    orders = list(orders)
+    """One int array of interval orders per component; raises PartitionError
+    for an order that is not an integer (a bool, a float, a string)."""
+    orders = [orders] * n_components if _is_scalar(orders) else list(orders)
     if len(orders) != n_components:
         raise PartitionError(
             f"orders given for {len(orders)} components, expected {n_components}"
         )
     out = []
     for i, spec in enumerate(orders):
-        if _is_scalar(spec):
-            out.append(np.full(counts[i], int(spec), dtype=int))
-        else:
-            arr = np.asarray(spec, dtype=int)
-            if len(arr) != counts[i]:
-                raise PartitionError(
-                    f"component {i}: {len(arr)} orders for {counts[i]} intervals"
-                )
-            out.append(arr.copy())
+        arr = np.asarray(spec, dtype=object)
+        if not all(_is_integer(q) for q in arr.flat):
+            raise PartitionError(f"component {i}: orders must be integers, "
+                                 f"got {spec!r}")
+        if arr.ndim == 0:
+            arr = np.full(counts[i], arr.item())
+        elif len(arr) != counts[i]:
+            raise PartitionError(
+                f"component {i}: {len(arr)} orders for {counts[i]} intervals"
+            )
+        out.append(arr.astype(int))
     return out
 
 

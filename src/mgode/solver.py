@@ -12,8 +12,7 @@ limits at every breakpoint.
 A slab keeps one flat state array, one incoming-value slot per component
 (the value entering the slab) followed by its intervals' nodal values, and
 the rhs inputs of its intervals in one buffer of contiguous per-interval
-(N, P) blocks.  The partition snaps the quadrature times to breakpoints and
-locates them.  The cross-component stencils are built once per slab, with
+(N, P) blocks.  The cross-component stencils are built once per slab, with
 one lagrange_matrix call per (component, order), and grouped by (node
 count, column count): each sweep fills the whole input buffer with one
 stacked np.matmul per class, through gather and scatter index arrays.  A
@@ -23,13 +22,21 @@ per interval: a batched ``A @ U`` over the slab's columns rounds differently
 from the per-interval products, and the estimator's rounding-level terms
 would move.
 
-The partition locates times (``Partition.point`` for one, ``.locate`` for
-many); the trajectory evaluates there.  Its two entries, ``values`` (one
-component, as the dual asks) and ``cross_state`` (the state the residual
-reads), choose between the general evaluator and a one-time path for a
-single time, as the estimator's root searches ask for.  The one-time path
-rounds bitwise alike: a lagrange column depends only on its own point, and a
-stacked matmul rounds each row as that row's own product.
+Who decides what.  The partition alone decides where a time reads a
+component: the interval (``Partition.point`` for one time, ``.locate`` for
+many), the side another component is read from at a breakpoint
+(``.read`` / ``.reads``: the right limit at the reader's own interval start,
+the left limit elsewhere), the local coordinate (``.coordinate``) and the
+snapping of times near a breakpoint (``.snap``).  The trajectory contracts
+nodal values with Lagrange factors there.  The slab solver and the residual
+pick the times: the slab's quadrature times, snapped, and the residual's
+raw times, not snapped -- the one difference between the two reads.  The
+trajectory's two entries, ``values`` (one component, as the dual asks) and
+``cross_state`` (the state the residual reads), choose between the general
+evaluator and a one-time path for a single time, as the estimator's root
+searches ask for.  The one-time path rounds bitwise alike: a lagrange column
+depends only on its own point, and a stacked matmul rounds each row as that
+row's own product.
 
 A problem may declare which components each f_i reads
 (``OdeProblem.dependencies``).  The residual then locates and interpolates
@@ -47,7 +54,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .partition import Partition, TimeSlab, build_slabs
+from .partition import (Partition, TimeSlab, _check_integer, _is_integer,
+                        build_slabs)
 from .tableau import (
     MCG,
     MAX_QUAD_DEPTH,
@@ -89,16 +97,11 @@ class SolveSettings:
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps!r}")
+        _check_integer("max_sweeps", self.max_sweeps, 1)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
         # the estimator integrates one dyadic level finer than the solver
-        if not 0 <= self.quad_depth < MAX_QUAD_DEPTH:
-            raise ValueError(
-                f"quad_depth must lie in [0, {MAX_QUAD_DEPTH - 1}], "
-                f"got {self.quad_depth!r}"
-            )
+        _check_integer("quad_depth", self.quad_depth, 0, MAX_QUAD_DEPTH - 1)
 
 
 @dataclass
@@ -202,7 +205,7 @@ def _dependency_lists(deps, n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"{len(entries)} dependency lists for {n} components")
     for i, entry in enumerate(entries):
         for c in entry:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            if not _is_integer(c):
                 raise ValueError(
                     f"dependencies[{i}] holds {c!r}, not a component index")
             if not 0 <= c < n:
@@ -340,10 +343,8 @@ class Trajectory:
         out = np.empty((len(comps), len(ts)))
         batches: dict[tuple[str, int], list] = {}
         for row, (c, j) in enumerate(zip(comps, js)):
-            bp = self.partition.breakpoints[c]
             for jc, sel in _interval_groups(j):
-                t0, t1 = float(bp[jc]), float(bp[jc + 1])
-                s = (ts[sel] - t0) / (t1 - t0)
+                s = self.partition.coordinate(c, jc, ts[sel])
                 key = (self.methods[c], self.order(c, jc))
                 batches.setdefault(key, []).append((row, c, jc, sel, s))
         for (method, q), items in batches.items():
@@ -375,11 +376,11 @@ class Trajectory:
         Lagrange factors (n, P) of s on the interval's nodes.
 
         Row i is the interval's own polynomial at s.  Every other component
-        of ``comps`` is read on the interval holding each time, by its left
-        limit except exactly at t0, where the within-interval (right) limit
-        applies; the rows outside ``comps`` hold u0.
+        of ``comps`` is read where ``Partition.reads`` puts each time (the
+        right limit at t0, the left limit elsewhere); the rows outside
+        ``comps`` hold u0.
 
-        A single s takes the one-time path: ``Partition.point`` per
+        A single s takes the one-time path: ``Partition.read`` per
         component, one lagrange_matrix call per (method, order) class, with
         s as one column of component i's, and one stacked np.matmul per
         class.  It rounds like the general path: a lagrange column depends
@@ -390,11 +391,10 @@ class Trajectory:
         times = t0 + (t1 - t0) * s
         if len(s) == 1:
             t = float(times[0])
-            side = "right" if t == t0 else "left"
-            point = self.partition.point
+            read = self.partition.read
             classes: dict[tuple[str, int], list] = {}
             for c in comps:
-                jc, sc = (j, float(s[0])) if c == i else point(c, t, side)
+                jc, sc = (j, float(s[0])) if c == i else read(c, t, t0)
                 classes.setdefault((self.methods[c], self._orders[c][jc]),
                                    []).append((c, jc, sc))
             U = self.u0[:, None].copy()
@@ -409,11 +409,7 @@ class Trajectory:
             return times, U, own
         L = self._lagrange(i, j, s)
         others = [c for c in comps if c != i]
-        js = [self.partition.locate(c, times, "left") for c in others]
-        at_left = times == t0
-        if at_left.any():
-            js = [np.where(at_left, self.partition.locate(c, times, "right"), jc)
-                  for c, jc in zip(others, js)]
+        js = [self.partition.reads(c, times, t0) for c in others]
         U = np.repeat(self.u0[:, None], len(times), axis=1)
         U[others] = self.evaluate(others, times, js)
         # own component from this interval's polynomial (matters at breakpoints)
@@ -425,9 +421,7 @@ class Trajectory:
         if side == "left" and t == 0.0:
             return float(self.u0[i])
         j = self.partition.interval_at(i, t, side)
-        t0, t1 = self.partition.span(i, j)
-        s = (t - t0) / (t1 - t0)
-        return float(self.interval_values(i, j, s)[0])
+        return float(self.interval_values(i, j, self.partition.coordinate(i, j, t))[0])
 
     def state(self, t: float, side: str = "left") -> np.ndarray:
         """Full solution vector at time t."""
@@ -503,8 +497,7 @@ def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:
             "or inside the interval"
         )
     j = traj.partition.interval_at(i, t, "left")
-    t0, t1 = traj.partition.span(i, j)
-    s = (t - t0) / (t1 - t0)
+    s = traj.partition.coordinate(i, j, t)
     return float(interval_residual(traj, problem, i, j, s)[0])
 
 
@@ -555,13 +548,12 @@ def _build_work(problem, partition, slab, settings):
     Every quadrature time lies in the slab, so the stencils of a component
     only read its own intervals in the slab.  ``Partition.snap`` moves the
     slab's times within the synchronization tolerance onto a component's
-    breakpoints and ``Partition.locate`` finds their intervals: a time at the
-    integrated interval's start reads the interval starting there (the
-    within-interval limit), every other time the interval ending at or after
-    it.  Each item's times increase, so a stencil group -- the times of one
-    item that one source interval covers -- is a run of equal (item,
-    interval) in the concatenated times, and its Lagrange factors are a
-    column slice of one lagrange_matrix call per (component, order).
+    breakpoints, and ``Partition.reads`` and ``.coordinate`` place them, with
+    the residual's side rule; the snap is the one difference from the
+    residual's reads.  Each item's times increase, so a stencil group -- the
+    times of one item that one source interval covers -- is a run of equal
+    (item, interval) in the concatenated times, and its Lagrange factors are
+    a column slice of one lagrange_matrix call per (component, order).
 
     Returns the work items and the stencil classes.
     """
@@ -593,12 +585,10 @@ def _build_work(problem, partition, slab, settings):
     src = np.empty((N, len(times)), dtype=int)   # source work index per time
     s = np.empty((N, len(times)))                # local coordinate in it
     for c in range(N):
-        bp = partition.breakpoints[c]
         tt = partition.snap(c, times)
-        jc = np.where(tt == starts, partition.locate(c, tt, "right"),
-                      partition.locate(c, tt))
+        jc = partition.reads(c, tt, starts)
         src[c] = first[c] - slab.spans[c][0] + jc
-        s[c] = (tt - bp[jc]) / (bp[jc + 1] - bp[jc])
+        s[c] = partition.coordinate(c, jc, tt)
 
     # Lagrange factors per (component, order); the blocks of one node count
     # are concatenated in (component, time) order, so column col[x] of

@@ -1,4 +1,4 @@
-"""Fuzz of the run-config boundary, without the solve.
+"""Fuzz of the run-config boundary, without the solve and through a real one.
 
 Configs at the schema's edges go through ``mgode run`` up to the point where
 it hands the problem, partition and settings to ``adapt``, which is replaced
@@ -6,11 +6,18 @@ by a stub.  Every config must either reach the stub with well-formed inputs
 or end as exit status 1 with one ``error:`` line; any other exception is a
 failure.  The draws are bounded so that no config asks for more than 10^4
 intervals.
+
+A second fuzz runs ``mgode run`` unstubbed on small linear_decay and
+linear_system configs, with the dual, solver and adapt keys at and past
+their edges, so that it reaches the checks inside ``adapt`` and the
+solver: every run ends with exit 0 or 2 and all eight artifacts, or with
+exit 1, one ``error:`` or ``solver error:`` line and no output directory.
 """
 
 import contextlib
 import io
 import json
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -208,3 +215,106 @@ def test_config_boundary(workdir, cfg):
     event(text.replace(str(path), "config")[:60])
     assert text.startswith("error: ") and text.count("\n") == 1, text
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Through a real adapt
+# ---------------------------------------------------------------------------
+
+RUN_ARTIFACTS = ("trajectory.csv", "dual.csv", "error_report.json",
+                 "error_summary.csv", "adapt_log.jsonl", "partition.json",
+                 "trajectory.json", "dual.json")
+TINY = 5e-324
+
+
+def run_sections(n):
+    """Per settings key: (small valid draws, values at and past the schema's
+    edges).  The valid draws keep each run to a fraction of a second; the
+    edge values may each make a run slow only on its own (a huge sweep
+    budget converges, a tiny tolerance stops at the default budget)."""
+    return {
+        "solver": {
+            "tolerance": (st.floats(1e-10, 1e-4), [TINY, 1e300, INF, 0.0, -1.0, NAN]),
+            "max_sweeps": (st.integers(100, 1000), [1, 2, 10**30, 0, -1, 2.0]),
+            "damping": (st.floats(0.5, 1.0), [TINY, 1e-3, 1.0, 0.0, 1.5, NAN]),
+            "quad_depth": (st.integers(0, 2), [0, 9, 10, -1, 2.0])},
+        "dual": {
+            "phi_T": (st.one_of(pick(["unit"]), st.lists(
+                st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+                [[1.0] * (n + 1), [1.0] * (n - 1), [NAN] * n, [INF] * n,
+                 [-INF] * n, [1e308] * n, [-1e308] * n, [0.0] * n, "ones"]),
+            "order_increment": (st.integers(0, 2), [0, 12, 13, 2**70, -1, 1.0]),
+            "refine": (st.integers(1, 3), [1, 10**7 + 1, 2**70, 0, -1, 2.0])},
+        "adapt": {
+            "tol": (st.floats(1e-8, 1e300), [TINY, INF, 0.0, -1.0, NAN]),
+            "theta": (st.floats(0.1, 1.0), [TINY, 1.0, 0.0, 1.5, NAN]),
+            "max_rounds": (st.just(1), [0, -1, 2.0, 10**30]),
+            "k_min": (st.floats(1e-8, 1e-3), [TINY, 0.0, -1.0, NAN, 1e300]),
+            "k_max": (st.floats(1.0, 1e300), [TINY, 0.0, -1.0, NAN, INF])},
+    }
+
+
+RUN_FIELDS = [f"{sec}.{key}" for sec, keys in run_sections(1).items()
+              for key in keys]
+
+
+@st.composite
+def run_configs(draw):
+    """A small linear_decay or linear_system config, at most 20 intervals,
+    with at most one settings key at or past its schema's edge (half the
+    draws have none), and one or two adaptation rounds; a second round
+    keeps k_min >= T / 20, so that it also stays small."""
+    name = draw(pick(["linear_decay", "linear_system"]))
+    n = model(name).dimension
+    methods = draw(pick(["mcG", "mdG"]))
+    cfg = {"model": name, "methods": methods,
+           "steps": 1.0 / draw(pick([1, 2, 3, 5, 20])),
+           "orders": draw(st.integers(1 if methods == "mcG" else 0, 2))}
+    bad_field = draw(pick([None] * len(RUN_FIELDS) + RUN_FIELDS))
+    for section, keys in run_sections(n).items():
+        chosen = draw(st.lists(pick(sorted(keys)), unique=True, max_size=2))
+        if bad_field and bad_field.startswith(section + "."):
+            chosen = sorted(set(chosen) | {bad_field.split(".")[1]})
+        values = {}
+        for key in chosen:
+            valid, edges = keys[key]
+            values[key] = draw(pick(edges) if f"{section}.{key}" == bad_field
+                               else valid)
+        if values:
+            cfg[section] = values
+    if cfg.get("adapt", {}).get("max_rounds") == 10**30:
+        # a huge round budget ends only once the tolerance is met: keep the
+        # CLI's infinite one
+        cfg["adapt"].pop("tol", None)
+    if bad_field is None or not bad_field.startswith("adapt."):
+        if draw(st.booleans()):
+            cfg["adapt"] = {**cfg.get("adapt", {}), "max_rounds": 2,
+                            "k_min": draw(st.floats(1.0 / 20, 0.5))}
+    return cfg
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=run_configs())
+@example(cfg={"model": "linear_decay", "steps": 0.5, "orders": 1,
+              "dual": {"order_increment": 2**70}})              # OverflowError
+def test_config_through_a_real_adapt(workdir, cfg):
+    path = workdir / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = workdir / "run_out"
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            status = mgode.cli.main(["run", "--config", str(path),
+                                     "--out", str(out)])
+        text = err.getvalue()
+        event(f"exit {status}")
+        if status in (0, 2):
+            assert sorted(p.name for p in out.iterdir()) == sorted(RUN_ARTIFACTS)
+        else:
+            assert status == 1
+            assert text.startswith(("error: ", "solver error: ")), text
+            assert text.count("\n") == 1, text
+            assert not out.exists()
+    finally:
+        shutil.rmtree(out, ignore_errors=True)

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+import mgode.partition
+from mgode.cli import main
 from mgode.controller import (
     AdaptSettings,
     adapt,
@@ -10,7 +14,7 @@ from mgode.controller import (
 from mgode.estimator import estimate, interp_constant
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
-from mgode.partition import build_partition
+from mgode.partition import PartitionError, build_partition
 from mgode.solver import SolveSettings, solve
 
 
@@ -105,6 +109,38 @@ class TestSynchronizedPartition:
         for slab_len in np.diff(part.breakpoints[0]):
             assert slab_len <= 8e-3 * 1.5
 
+    # the partition's interval cap, checked while generating: a 1e-8 step
+    # proposal would otherwise build about 1e8 intervals before failing
+    def test_windows_past_the_cap_raise(self, monkeypatch):
+        monkeypatch.setattr(mgode.partition, "_MAX_INTERVALS", 8)
+        part = synchronized_partition([lambda t: 0.125], [1], 1.0, 1e-8, 1.0)
+        assert part.n_intervals(0) == 8
+        with pytest.raises(PartitionError, match="slab windows: too many "
+                                                 "intervals, more than 8"):
+            synchronized_partition([lambda t: 1e-8], [1], 1.0, 1e-8, 1.0)
+
+    def test_component_intervals_past_the_cap_raise(self, monkeypatch):
+        monkeypatch.setattr(mgode.partition, "_MAX_INTERVALS", 10)
+        # 2 windows of 0.5, the fast component packs 8 into each
+        fns = [lambda t: 0.5, lambda t: 0.0625]
+        with pytest.raises(PartitionError, match="component 1: too many "
+                                                 "intervals, more than 10"):
+            synchronized_partition(fns, [1, 1], 1.0, 1e-8, 1.0)
+
+    def test_run_past_the_cap_is_one_line_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(mgode.partition, "_MAX_INTERVALS", 50)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": "linear_decay", "orders": 1, "steps": 0.1,
+            "adapt": {"tol": 1e-12, "max_rounds": 2}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "50" in err
+        assert not out.exists()
+
 
 class TestAdapt:
     def test_huge_tolerance_single_round(self):
@@ -180,6 +216,22 @@ class TestAdapt:
         fast = [0, 1, 4, 5]
         slow = [2, 3, 6, 7]
         assert max(med[i] for i in fast) < min(med[i] for i in slow)
+
+    # integer settings fail when they are built, as the CLI schema does,
+    # not with a TypeError or IndexError in the middle of adapt
+    @pytest.mark.parametrize("name,value", [
+        (name, value)
+        for name, least in (("max_rounds", 1), ("dual_order_increment", 0),
+                            ("dual_refine", 1))
+        for value in (2.5, 2.0, True, "2", None, least - 1)])
+    def test_integer_settings_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AdaptSettings(tol=1.0, **{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "max_rounds", "dual_order_increment", "dual_refine"])
+    def test_integer_settings_take_numpy_integers(self, name):
+        assert getattr(AdaptSettings(tol=1.0, **{name: np.int64(2)}), name) == 2
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,23 @@ class TestBuildPartition:
         p = build_partition([[0.5, 0.5]], [[1, 3]], 1.0, methods=("mcG",))
         np.testing.assert_array_equal(p.orders[0], [1, 3])
 
+    # orders must be integers, as the CLI schema has them, not floats
+    # truncated to an order or bools taken as 0 and 1
+    @pytest.mark.parametrize("orders", [
+        1.5, 2.0, True, np.float64(2.0), [1.7, 2.2], [1, True], [[1, 2.0], 1],
+        [np.array([True, False]), 1], ["1", 1], [None, 1]])
+    def test_non_integer_orders_rejected(self, orders):
+        with pytest.raises(PartitionError, match="orders must be integers"):
+            build_partition([0.5, 0.5], orders, 1.0, methods=("mcG", "mcG"))
+
+    @pytest.mark.parametrize("orders", [
+        np.int64(2), [np.int16(1), 2], np.array([1, 2]),
+        [np.array([1, 2], dtype=np.uint8), 3]])
+    def test_numpy_integer_orders_taken(self, orders):
+        p = build_partition([0.5, 0.5], orders, 1.0, methods=("mcG", "mcG"))
+        assert all(qs.dtype == int for qs in p.orders)
+        assert p.orders[1].tolist() in ([2, 2], [3, 3])
+
 
 class TestIntervalAt:
     @pytest.fixture
@@ -156,6 +173,88 @@ class TestIntervalAt:
                 with pytest.raises(ValueError):
                     uneven.interval_at(i, t, side)
                 self._check_point(uneven, i, t, side, 0 if t < 0.0 else last)
+
+
+class TestReads:
+    """``reads``, ``read`` and ``coordinate`` against the three formulations
+    of the cross-read side rule they replaced, copied in as oracles."""
+
+    @staticmethod
+    def one_time_oracle(part, i, ts, t0s):
+        # Trajectory.cross_state's one-time path, one time at a time
+        return np.array([part.point(i, t, "right" if t == t0 else "left")[0]
+                         for t, t0 in zip(ts.tolist(), t0s.tolist())])
+
+    @staticmethod
+    def at_left_oracle(part, i, times, t0):
+        # Trajectory.cross_state's multi-point path
+        js = part.locate(i, times, "left")
+        at_left = times == t0
+        if at_left.any():
+            js = np.where(at_left, part.locate(i, times, "right"), js)
+        return js
+
+    @staticmethod
+    def slab_oracle(part, i, tt, starts):
+        # the slab solver's stencil build, after snapping
+        return np.where(tt == starts, part.locate(i, tt, "right"),
+                        part.locate(i, tt))
+
+    @pytest.fixture
+    def part(self):
+        return build_partition([[0.1, 0.3, 0.05, 0.35, 0.2], 1.0 / 7, 0.03],
+                               1, 1.0, methods=("mcG", "mdG", "mcG"))
+
+    @staticmethod
+    def random_times(part, rng, n=400):
+        """Exact breakpoints, times within 1e-13 of one, times inside and
+        outside [0, T], shuffled."""
+        bp = np.concatenate(part.breakpoints)
+        near = rng.choice(bp, n) + rng.uniform(-1e-13, 1e-13, n)
+        ts = np.concatenate([bp, near, rng.uniform(0.0, part.T, n),
+                             rng.uniform(-0.5, 0.0, 20),
+                             rng.uniform(part.T, part.T + 0.5, 20)])
+        return rng.permutation(ts)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reads_equal_the_three_oracles(self, part, seed):
+        rng = np.random.default_rng(seed)
+        ts = self.random_times(part, rng)
+        bp = np.concatenate(part.breakpoints)
+        starts = [
+            float(rng.choice(bp)),                   # on a breakpoint
+            float(rng.uniform(0.0, part.T)),         # off one
+            np.where(rng.random(len(ts)) < 0.5, ts,  # one per time
+                     rng.choice(bp, len(ts))),
+        ]
+        right_limits = 0
+        for t0 in starts:
+            t0s = np.broadcast_to(t0, ts.shape)
+            for i in range(part.n_components):
+                got = part.reads(i, ts, t0)
+                right_limits += np.count_nonzero(got != part.locate(i, ts))
+                assert got.dtype.kind == "i"
+                assert np.array_equal(got, self.one_time_oracle(part, i, ts, t0s))
+                assert np.array_equal(got, self.at_left_oracle(part, i, ts, t0))
+                assert np.array_equal(got, self.slab_oracle(part, i, ts, t0))
+        assert right_limits > 10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_read_agrees_with_reads_and_coordinate(self, part, seed):
+        rng = np.random.default_rng(seed)
+        ts = self.random_times(part, rng)
+        t0s = np.where(rng.random(len(ts)) < 0.5, ts,
+                       rng.choice(np.concatenate(part.breakpoints), len(ts)))
+        for i in range(part.n_components):
+            bp = part.breakpoints[i]
+            js = part.reads(i, ts, t0s)
+            s = part.coordinate(i, js, ts)
+            assert np.array_equal(s, (ts - bp[js]) / (bp[js + 1] - bp[js]))
+            one = [part.read(i, t, t0) for t, t0 in zip(ts.tolist(), t0s.tolist())]
+            assert np.array_equal([j for j, _ in one], js)
+            assert np.array_equal([x for _, x in one], s)
+            for t, j in zip(ts.tolist()[:50], js.tolist()[:50]):
+                assert part.coordinate(i, j, t) == (t - bp[j]) / (bp[j + 1] - bp[j])
 
 
 class TestSnap:

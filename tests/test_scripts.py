@@ -1,0 +1,103 @@
+"""The helpers of the repository's scripts: the per-field report comparison
+of ``scripts/compare_artifacts.py`` and the code-line counter of
+``scripts/count_code_lines.py``.  Each script is loaded by its path."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def report(**changes):
+    """A small hand-made error report, in ErrorReport.to_json_dict's shape."""
+    data = {
+        "methods": ["mcG", "mdG"],
+        "estimates": {"E0": 1.0e-6, "E1": 2.0e-6},
+        "E_C": 0.0,
+        "effectivity": None,
+        "components": [
+            {"method": "mcG", "rc": [1.0, -2.0, 4.0], "orders": [2, 2, 2]},
+            {"method": "mdG", "rc": [0.5, 0.25], "orders": [1, 1]},
+        ],
+        "flags": [],
+    }
+    for path, value in changes.items():
+        node = data
+        *keys, last = path.split("__")
+        for key in keys:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[int(last) if last.isdigit() else last] = value
+    return data
+
+
+class TestFieldDeviations:
+    def test_identical_reports_have_none(self):
+        compare = load_script("compare_artifacts")
+        assert compare.field_deviations(report(), report()) == []
+
+    def test_each_differing_field_with_count_and_deviation(self):
+        compare = load_script("compare_artifacts")
+        change = report(estimates__E1=2.0e-6 * (1 + 3e-12),
+                        components__0__rc=[1.0, -2.0 + 4e-15, 4.0 - 8e-15],
+                        components__1__method="mcG")
+        got = compare.field_deviations(report(), change)
+        assert [(name, differ, entries) for name, differ, entries, _ in got] == [
+            ("estimates.E1", 1, 1), ("components[0].rc", 2, 3),
+            ("components[1].method", 1, 1)]
+        # the max norm of the difference over the parent field's max norm
+        assert math.isclose(got[0][3], 3e-12, rel_tol=1e-3)
+        assert math.isclose(got[1][3], 8e-15 / 4.0, rel_tol=1e-2)
+        assert got[2][3] == math.inf          # not a number
+
+    def test_zero_missing_resized_and_nan_fields(self):
+        compare = load_script("compare_artifacts")
+        parent = report(estimates__E0=math.nan)
+        change = report(estimates__E0=math.nan, E_C=1e-30,
+                        components__1__rc=[0.5, 0.25, 0.125])
+        change["extra"] = 1.0
+        got = {name: (differ, entries, dev) for name, differ, entries, dev
+               in compare.field_deviations(parent, change)}
+        # E0 is NaN on both sides, which counts as equal; E_C is zero in
+        # the parent; one rc entry and the extra field exist on one side only
+        assert got == {"E_C": (1, 1, math.inf),
+                       "components[1].rc": (1, 3, math.inf),
+                       "extra": (1, 1, math.inf)}
+
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+    s = """not a docstring,
+    but a value"""
+    return math.sqrt(x) + len(s)
+
+
+class C:
+    """Class
+    docstring."""
+
+    y = 1; z = 2
+'''
+
+
+def test_count_code_lines_skips_blanks_comments_and_docstrings():
+    count = load_script("count_code_lines")
+    # import, def, s = (2 lines), return, class, y = ...
+    assert count.code_lines(SNIPPET) == 7
+    assert count.code_lines("") == 0
+    assert count.code_lines('"""Only a docstring."""\n') == 0
+    assert count.code_lines('x = 1\n"""A later string is code."""\n') == 2

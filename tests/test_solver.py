@@ -589,3 +589,16 @@ class TestSolveSlabDriver:
             SolveSettings(quad_depth=tb.MAX_QUAD_DEPTH)
         with pytest.raises(ValueError, match="quad_depth"):
             SolveSettings(quad_depth=40)
+
+    # integer settings fail when they are built, as the CLI schema does,
+    # not in scheme_rule mid-solve (quad_depth) or by rounding the sweep
+    # budget up (max_sweeps)
+    @pytest.mark.parametrize("name", ["max_sweeps", "quad_depth"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_integer_settings_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolveSettings(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_sweeps", "quad_depth"])
+    def test_integer_settings_take_numpy_integers(self, name):
+        assert getattr(SolveSettings(**{name: np.int32(2)}), name) == 2
