@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Byte-compare the Kepler run artifacts, the effectivity-grid reports and
-the multirate cases of two source trees.
+"""Byte-compare the Kepler run artifacts, the effectivity-grid reports, the
+multirate cases and the scheme tableaus of two source trees.
 
 Usage:
 
@@ -22,13 +22,19 @@ two mixed-family multirate cases (model linear_system, steps
 nodes land an ulp off another component's breakpoint.  Then it compares the
 eight Kepler artifacts, the twelve grid ``ErrorReport.to_json_dict()`` JSON
 texts and each multirate case's coefficients and report JSON byte for byte,
-and names each one that differs.  For each error report that differs (the
-Kepler ``error_report.json``, a grid case, a multirate report) it also
-prints each differing field, how many of its entries differ and their
-largest relative deviation, in the max norm relative to the parent's field,
-as the golden gates measure it.  Exits 0 when all are identical, 1 on
-any difference or failed run.  Everything is written under a temporary
-directory, removed at the end.
+and names each one that differs.  A third subprocess per tree dumps every
+tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
+``test_nodes``, ``node_weights``, ``amat`` and ``amat_inv``) and its
+``scheme_rule`` and ``integration_rule`` at dyadic depths 0-3, which covers
+the orders no compared run reaches; JSON writes each float exactly, so equal
+texts are equal bits.  The dump reads only names that both the node-set
+API (``tab.nodes.nodes``) and the node-array API provide.  For each error
+report that differs (the Kepler ``error_report.json``, a grid case, a
+multirate report) it also prints each differing field, how many of its
+entries differ and their largest relative deviation, in the max norm
+relative to the parent's field, as the golden gates measure it.  Exits 0
+when all are identical, 1 on any difference or failed run.  Everything is
+written under a temporary directory, removed at the end.
 """
 
 import argparse
@@ -56,6 +62,26 @@ GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
 MULTIRATE_METHODS = [("mcG", "mdG"), ("mdG", "mcG")]
 MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
                    for text in ("coefficients", "report")]
+TABLEAU_CASES = ([("mcG", q) for q in range(1, 13)]
+                 + [("mdG", q) for q in range(0, 13)])
+RULE_DEPTHS = [0, 1, 2, 3]
+# Prints one line per tableau and one per (tableau, rule depth): the name, a
+# tab, the JSON text.
+TABLEAU_SCRIPT = f"""
+import json
+from mgode.tableau import integration_rule, scheme_rule, tableau
+
+for method, q in {TABLEAU_CASES!r}:
+    tab = tableau(method, q)
+    fields = tab.to_json_dict()
+    for name in ("test_nodes", "node_weights", "amat", "amat_inv"):
+        fields[name] = getattr(tab, name).tolist()
+    print(f"{{method}}-q{{q}}\\t" + json.dumps(fields))
+    for depth in {RULE_DEPTHS!r}:
+        rules = {{rule.__name__: [a.tolist() for a in rule(method, q, depth)]
+                 for rule in (scheme_rule, integration_rule)}}
+        print(f"{{method}}-q{{q}}-depth{{depth}}\\t" + json.dumps(rules))
+"""
 # Prints one line per grid case and per multirate text: the name, a tab, the
 # JSON text.
 GRID_SCRIPT = f"""
@@ -160,6 +186,20 @@ def print_deviations(name: str, parent: str, change: str) -> None:
               f"largest relative deviation {dev:.3e}")
 
 
+def entries(text: str) -> dict[str, str]:
+    """Name -> JSON text of a dump that prints one ``name<TAB>JSON`` line
+    per entry."""
+    return dict(line.split("\t", 1) for line in text.splitlines())
+
+
+def differing_entries(parent: str, change: str) -> list[str]:
+    """Names of the entries of two dumps whose texts differ or that only the
+    parent has, in the parent's order, then the names only the change has."""
+    a, b = entries(parent), entries(change)
+    return ([name for name in a if a[name] != b.get(name)]
+            + [name for name in b if name not in a])
+
+
 def start(root: Path, args: list[str]) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                **{var: "1" for var in THREAD_VARS})
@@ -202,12 +242,16 @@ def main() -> int:
                 for name, root in roots.items()}
         grids = {name: start(root, ["-c", GRID_SCRIPT])
                  for name, root in roots.items()}
+        tableaus = {name: start(root, ["-c", TABLEAU_SCRIPT])
+                    for name, root in roots.items()}
         # mgode run exits 2 when it finishes without meeting its tolerance
         done = [finish(f"{name}: mgode run", runs[name], (0, 2))
                 for name in roots]
         reports = [finish(f"{name}: effectivity grid", grids[name])
                    for name in roots]
-        if None in done or None in reports:
+        dumps = [finish(f"{name}: tableau dump", tableaus[name])
+                 for name in roots]
+        if None in done or None in reports or None in dumps:
             return 1
 
         differ = []
@@ -220,8 +264,7 @@ def main() -> int:
                     print_deviations(artifact, a.read_text(), b.read_text())
                 else:
                     print(f"differs: {artifact}")
-    a, b = (dict(line.split("\t", 1) for line in text.splitlines())
-            for text in reports)
+    a, b = (entries(text) for text in reports)
     if len(a) != len(GRID_CASES) + len(MULTIRATE_TEXTS) or set(a) != set(b):
         print("error: the two trees report different grid cases", file=sys.stderr)
         return 1
@@ -233,12 +276,19 @@ def main() -> int:
             print(f"differs: {name}")
         else:
             print_deviations(name, a[name], b[name])
+    tableau_differ = differing_entries(*dumps)
+    for name in tableau_differ:
+        print(f"differs: {name}")
     print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")
     print(f"{len(MULTIRATE_TEXTS) - len(multirate_differ)} of "
           f"{len(MULTIRATE_TEXTS)} multirate texts identical")
-    return 1 if differ or grid_differ or multirate_differ else 0
+    n_tableau = len(TABLEAU_CASES) * (1 + len(RULE_DEPTHS))
+    print(f"{n_tableau - len(tableau_differ)} of {n_tableau} tableau entries "
+          "identical")
+    return (1 if differ or grid_differ or multirate_differ or tableau_differ
+            else 0)
 
 
 if __name__ == "__main__":

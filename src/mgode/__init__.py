@@ -13,9 +13,7 @@ from .tableau import (
     MDG,
     MAX_ORDER,
     MethodTableau,
-    NodeSet,
     TableauError,
-    lagrange_basis,
     legendre_eval,
     lobatto_nodes,
     radau_nodes,
@@ -49,9 +47,7 @@ __all__ = [
     "MDG",
     "MAX_ORDER",
     "MethodTableau",
-    "NodeSet",
     "TableauError",
-    "lagrange_basis",
     "legendre_eval",
     "lobatto_nodes",
     "radau_nodes",

@@ -166,7 +166,8 @@ def _default_phi_T(n: int) -> np.ndarray:
 def adapt(problem: OdeProblem, partition: Partition,
           settings: AdaptSettings) -> AdaptResult:
     """Iterate solve -> dual solve -> estimate until the per-component-max
-    bound satisfies the tolerance or the round budget runs out.
+    bound is finite and satisfies the tolerance, or the round budget runs
+    out.
 
     The returned result flags whether the criterion was met; an exhausted
     budget still returns the last round's artifacts.
@@ -197,7 +198,8 @@ def adapt(problem: OdeProblem, partition: Partition,
                 for i in range(partition.n_components)
             ],
         })
-        if bound <= settings.tol:
+        # an overflowed bound bounds nothing, even under tol = inf
+        if np.isfinite(bound) and bound <= settings.tol:
             met = True
             break
         if rounds == settings.max_rounds:

@@ -5,6 +5,12 @@ estimates.  Its right-hand side couples through the transpose of the Jacobian
 of the primal right-hand side, averaged along the segment between two states;
 the backward system is turned into a forward one by the substitution
 sigma = T - t and handed to the regular solver.
+
+``DualSolution`` reads phi through one pair of methods: ``values(i, ts,
+side, order)`` for an array of times and ``value(i, t, side, order)`` for
+one.  ``order`` selects the time derivative (0 for phi itself); both read the
+reversed trajectory psi at sigma = T - t and apply the sign (-1)^order of
+the time reversal.
 """
 
 from __future__ import annotations
@@ -137,35 +143,24 @@ class DualSolution:
         hi = part.interval_at(i, self.T - t0, "left")
         return int(np.min(part.orders[i][lo:hi + 1]))
 
-    def value(self, i: int, t: float, side: str = "left") -> float:
-        """phi_i(t) with the requested one-sided convention; at the ends of
-        [0, T] the interior limit is returned regardless of side."""
-        return float(self.values(i, min(max(t, 0.0), self.T), side)[0])
+    def value(self, i: int, t: float, side: str = "left", order: int = 0) -> float:
+        """phi_i(t), or its order-th time derivative, with the requested
+        one-sided convention; at the ends of [0, T] the interior limit is
+        returned regardless of side."""
+        return float(self.values(i, min(max(t, 0.0), self.T), side, order)[0])
 
     def state(self, t: float, side: str = "left") -> np.ndarray:
         return np.array([self.value(i, t, side) for i in range(self.dimension)])
 
-    def values(self, i: int, ts, side: str = "left") -> np.ndarray:
-        """phi_i at an array of times (see ``value``)."""
-        return self._evaluate(i, ts, 0, side)
-
-    def derivatives(self, i: int, ts, order: int, side: str = "left") -> np.ndarray:
-        """Order-th time derivative of phi_i at an array of times."""
-        return (-1.0) ** order * self._evaluate(i, ts, order, side)
-
-    def _evaluate(self, i: int, ts, order: int, side: str) -> np.ndarray:
-        """The reversed trajectory's order-th derivative at sigma = T - t,
-        where a left limit in t is a right limit in sigma; times outside
-        the breakpoint range clamp to the end intervals."""
+    def values(self, i: int, ts, side: str = "left", order: int = 0) -> np.ndarray:
+        """phi_i, or its order-th time derivative, at an array of times: the
+        reversed trajectory's at sigma = T - t, where a left limit in t is a
+        right limit in sigma, times (-1)^order.  Times outside the breakpoint
+        range clamp to the end intervals."""
         sigma = self.T - np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.psi.values(i, sigma, "right" if side == "left" else "left",
-                               order)
-
-    def derivative(self, i: int, t: float, order: int = 1,
-                   side: str = "left") -> float:
-        """The order-th time derivative of phi_i at t, from the local
-        polynomial; equals (-1)^order times the reversed trajectory's."""
-        return float(self.derivatives(i, min(max(t, 0.0), self.T), order, side)[0])
+        out = self.psi.values(i, sigma, "right" if side == "left" else "left",
+                              order)
+        return -out if order % 2 else out
 
     def breakpoints(self, i: int) -> np.ndarray:
         """Dual breakpoints of component i in forward time, increasing."""
@@ -238,9 +233,13 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
 
     def psi_rhs(psi, sigma):
         # stacked form: psi (N, P), sigma (P,); plain vectors accepted too.
-        # One np.matmul rounds each column as Jt @ psi[:, p] alone does.
+        # BLAS rounds each column by the state's memory layout, so a stacked
+        # state is taken in C order: one np.matmul then rounds each column as
+        # Jt @ psi[:, p] alone does on a C-ordered psi, whatever layout the
+        # caller passed (tests/test_dual.py).  A vector rounds as Jt @ psi.
         vec_in = np.ndim(psi) > 1
-        psi_mat = np.asarray(psi, dtype=float).reshape(N, -1)
+        psi_mat = (np.ascontiguousarray(psi, dtype=float) if vec_in
+                   else np.asarray(psi, dtype=float)).reshape(N, -1)
         Jts, G = _stacked_at(np.atleast_1d(np.asarray(sigma, dtype=float)))
         out = np.ascontiguousarray(np.matmul(Jts, psi_mat.T[:, :, None])[:, :, 0].T)
         if G is not None:

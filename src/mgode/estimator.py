@@ -126,7 +126,7 @@ def _taylor_interpolant(dual: DualSolution, i: int, t_mid: float, degree: int):
     midpoint, as a callable of time."""
     coeffs = [dual.value(i, t_mid, "left")]
     for order in range(1, degree + 1):
-        coeffs.append(dual.derivative(i, t_mid, order, "left")
+        coeffs.append(dual.value(i, t_mid, "left", order)
                       / math.factorial(order))
 
     def fn(ts):
@@ -313,7 +313,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             rbar_prof[i][j] = rbar_ij
 
             # dual derivative factor, split at the dual's own piece boundaries
-            dfn = _MemoFn(lambda ts: dual.derivatives(i, ts, p, "left"))
+            dfn = _MemoFn(lambda ts: dual.values(i, ts, "left", p))
             cuts = dual.piece_boundaries(i, t0, t1)
             _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
                                            n_scan=n_scan, splits=cuts)
@@ -376,7 +376,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
         for i in range(N):
             q = traj.order(i, part.interval_at(i, mid, "left"))
             qmax = max(qmax, q)
-            fns.append(partial(dual.derivatives, i,
+            fns.append(partial(dual.values, i,
                                order=_deriv_order(traj.methods[i], q)))
         npts = 2 * (qmax + 2)
         n_scan = 8 * (qmax + 2)
@@ -554,7 +554,7 @@ def _interp_points(method: str, q: int) -> np.ndarray:
     polynomial does, i.e. at the mirror images of the interior nodes."""
     if method == MCG:
         return gauss_rule_01(q)[0]
-    nodes = tableau(MDG, q).nodes.nodes
+    nodes = tableau(MDG, q).nodes
     return np.concatenate(([0.0], np.sort(1.0 - nodes[:-1])))
 
 

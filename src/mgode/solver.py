@@ -95,8 +95,9 @@ class SolveSettings:
     quad_depth: int = 0
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}")
         _check_integer("max_sweeps", self.max_sweeps, 1)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
@@ -235,7 +236,7 @@ class SolveReport:
 
 @lru_cache(maxsize=None)
 def _basis_nodes(method: str, q: int) -> np.ndarray:
-    return tableau(method, q).nodes.nodes
+    return tableau(method, q).nodes
 
 
 @lru_cache(maxsize=None)
@@ -300,12 +301,9 @@ class Trajectory:
             return float(self.u0[i])
         return float(self._coeffs[i][j - 1][-1])
 
-    def interval_values(self, i: int, j: int, s) -> np.ndarray:
-        """Component i's polynomial on interval j at local coordinates s."""
-        return self._contract(i, j, self._lagrange(i, j, s))
-
-    def interval_derivative(self, i: int, j: int, s, order: int = 1) -> np.ndarray:
-        """Time derivative of the local polynomial at local coordinates s."""
+    def interval_values(self, i: int, j: int, s, order: int = 0) -> np.ndarray:
+        """Component i's polynomial on interval j, or its order-th time
+        derivative, at local coordinates s."""
         return self._contract(i, j, self._lagrange(i, j, s), order)
 
     def _lagrange(self, i: int, j: int, s) -> np.ndarray:
@@ -641,9 +639,10 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     ``coeffs`` holds the already-accepted per-component interval coefficient
     arrays up to the slab start.  Returns the new interval coefficient arrays
     (appended per component, in interval order) and an iteration report.
-    Raises ConvergenceFailure, carrying this slab's report, as soon as a
-    sweep's increment is non-finite or exceeds both the tolerance and
-    _DIVERGED times the first sweep's.
+    The slab converges once a sweep's damped increment is at most damping *
+    tolerance.  Raises ConvergenceFailure, carrying this slab's report, as
+    soon as a sweep's increment is non-finite or exceeds both that threshold
+    and _DIVERGED times the first sweep's.
     """
     N = problem.dimension
     work, stencils = _build_work(problem, partition, slab, settings)
@@ -661,7 +660,11 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
               for item in work]
     item_increments = np.empty(len(work))
 
+    # damping * tolerance bounds the damped increment as tolerance bounds
+    # the undamped step; the increment is the damped step before it is
+    # added, so a step that a tiny damping rounds away in the state counts
     damping = settings.damping
+    threshold = damping * settings.tolerance
     increment = np.inf
     first_increment = None
     sweeps = 0
@@ -681,14 +684,14 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
                 )
             target = inc + item.k * (item.W @ frow)
             old = state[solved[w]]
-            upd = old + damping * (target - old)
-            item_increments[w] = np.abs(upd - old).max()
-            new_state[solved[w]] = upd
+            step = damping * (target - old)
+            item_increments[w] = np.abs(step).max()
+            new_state[solved[w]] = old + step
             if item.method == MCG:
                 new_state[item.at] = inc
         state, new_state = new_state, state
         increment = float(item_increments.max())
-        if increment <= settings.tolerance:
+        if increment <= threshold:
             converged = True
             break
         if first_increment is None:
@@ -758,7 +761,8 @@ def solve(problem: OdeProblem, partition: Partition,
             raise ConvergenceFailure(
                 f"slab {slab.index} ({slab.t_start!r}, {slab.t_end!r}] did not "
                 f"converge: increment {report.final_increment:.3e} after "
-                f"{report.sweeps} sweeps (tolerance {settings.tolerance:.3e})",
+                f"{report.sweeps} sweeps (threshold damping * tolerance = "
+                f"{settings.damping * settings.tolerance:.3e})",
                 report=SolveReport(slabs=tuple(reports)),
             )
         for i in range(problem.dimension):

@@ -1,11 +1,17 @@
 """Order-dependent polynomial machinery for the Galerkin time-stepping schemes.
 
 Everything that depends only on (method, polynomial order) lives here: Legendre
-polynomials, Lobatto and Radau node sets, Lagrange bases, the local coefficient
-matrices of the continuous (mcG) and discontinuous (mdG) families, their
-polynomial weight functions, and the folded nodal quadrature weights.  Tableaus
-are built once per (method, order), checked against their defining identities,
-and cached immutably, so they are safe to share across threads.
+polynomials, the Lobatto and Radau nodes, the local coefficient matrices of the
+continuous (mcG) and discontinuous (mdG) families, their polynomial weight
+functions, and the folded nodal quadrature weights.  Tableaus are built once per
+(method, order), checked against their defining identities, and cached
+immutably, so they are safe to share across threads.
+
+A node set is a read-only float array on [0, 1] (``lobatto_nodes``,
+``radau_nodes``, ``MethodTableau.nodes``).  A Lagrange basis on nodes s is
+read through two functions: ``lagrange_matrix(s, x)`` gives every cardinal
+function at the points x, and ``differentiation_matrix(s).T @
+lagrange_matrix(s, x)`` their first derivatives.
 """
 
 from __future__ import annotations
@@ -70,20 +76,6 @@ def legendre_eval(q: int, x):
 # Node sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NodeSet:
-    """Nodal points of one scheme order on the reference interval [0, 1]."""
-
-    order: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
 def _safeguarded_newton(fun_dfun, lo, hi, flo, fhi, tol=1e-15, max_iter=100):
     """Newton iteration constrained to a sign-change bracket, bisecting whenever
     a step leaves the bracket or stalls."""
@@ -130,9 +122,9 @@ def _bracketed_roots(fun_dfun, count: int, what: str) -> np.ndarray:
     return np.array(roots)
 
 
-def lobatto_nodes(q: int) -> NodeSet:
-    """The q+1 Lobatto points on [0, 1]: endpoints plus the interior zeros of
-    x P_q(x) - P_{q-1}(x) mapped affinely from [-1, 1]."""
+def lobatto_nodes(q: int) -> np.ndarray:
+    """The q+1 Lobatto points on [0, 1], read-only: endpoints plus the
+    interior zeros of x P_q(x) - P_{q-1}(x) mapped affinely from [-1, 1]."""
     if q < 1:
         raise ValueError(f"Lobatto node set needs order >= 1, got {q}")
     if q > MAX_ORDER:
@@ -150,12 +142,14 @@ def lobatto_nodes(q: int) -> NodeSet:
     nodes = np.concatenate(([0.0], (interior + 1.0) / 2.0, [1.0]))
     if not np.all(np.diff(nodes) > 0.0):
         raise TableauError("Lobatto nodes not strictly increasing")
-    return NodeSet(order=q, nodes=nodes)
+    nodes.setflags(write=False)
+    return nodes
 
 
-def radau_nodes(q: int) -> NodeSet:
-    """The q+1 right-Radau points on [0, 1]: zeros of P_q(x) + P_{q+1}(x) with
-    time reversed so the right endpoint is included."""
+def radau_nodes(q: int) -> np.ndarray:
+    """The q+1 right-Radau points on [0, 1], read-only: zeros of
+    P_q(x) + P_{q+1}(x) with time reversed so the right endpoint is
+    included."""
     if q < 0:
         raise ValueError(f"Radau node set needs order >= 0, got {q}")
     if q > MAX_ORDER:
@@ -175,7 +169,8 @@ def radau_nodes(q: int) -> NodeSet:
     nodes[-1] = 1.0
     if not np.all(np.diff(nodes) > 0.0):
         raise TableauError("Radau nodes not strictly increasing")
-    return NodeSet(order=q, nodes=nodes)
+    nodes.setflags(write=False)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -233,37 +228,6 @@ def differentiation_matrix(nodes: np.ndarray) -> np.ndarray:
     return D
 
 
-@dataclass(frozen=True)
-class LagrangeBasis:
-    """Evaluable Lagrange basis on a set of distinct nodes."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-
-    def eval(self, x) -> np.ndarray:
-        """Values of every basis function at x, shape (n_basis, n_points)."""
-        return lagrange_matrix(self.nodes, x)
-
-    def eval_derivative(self, x, order: int = 1) -> np.ndarray:
-        """Values of the order-th derivative of every basis function at x."""
-        D = differentiation_matrix(self.nodes)
-        # Node values of the r-th derivative of basis function n sit in column
-        # n of D^r; they interpolate the (lower-degree) derivative exactly, so
-        # re-expand through the same basis.
-        coeffs = np.linalg.matrix_power(D, order)
-        return coeffs.T @ lagrange_matrix(self.nodes, x)
-
-
-def lagrange_basis(nodes) -> LagrangeBasis:
-    """Build a Lagrange basis; duplicate nodes are rejected."""
-    nodes = np.asarray(nodes, dtype=float).copy()
-    if len(np.unique(nodes)) != len(nodes):
-        raise ValueError("duplicate interpolation nodes")
-    return LagrangeBasis(nodes=nodes)
-
-
 @lru_cache(maxsize=None)
 def gauss_rule_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule on [0, 1] (exact through degree 2n-1)."""
@@ -297,7 +261,7 @@ class MethodTableau:
 
     method: str
     order: int
-    nodes: NodeSet
+    nodes: np.ndarray
     test_nodes: np.ndarray
     quad_weights: np.ndarray
     node_weights: np.ndarray
@@ -305,7 +269,7 @@ class MethodTableau:
     amat_inv: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.test_nodes, self.quad_weights, self.node_weights,
+        for arr in (self.nodes, self.test_nodes, self.quad_weights, self.node_weights,
                     self.amat, self.amat_inv):
             arr.setflags(write=False)
 
@@ -318,7 +282,7 @@ class MethodTableau:
         return {
             "method": self.method,
             "q": self.order,
-            "nodes": [float(s) for s in self.nodes.nodes],
+            "nodes": [float(s) for s in self.nodes],
             "quad_weights": [[float(w) for w in row] for row in self.quad_weights],
         }
 
@@ -333,16 +297,12 @@ def build_mcg_tableau(q: int) -> MethodTableau:
     if q < 1:
         raise ValueError(f"mcG order must be >= 1, got {q}")
     nodes = lobatto_nodes(q)
-    trial = lagrange_basis(nodes.nodes)
-    if q >= 2:
-        test_nodes = lobatto_nodes(q - 1).nodes.copy()
-    else:
-        test_nodes = np.array([1.0])  # degree-0 test space: the constant
-    test = lagrange_basis(test_nodes)
+    # degree-0 test space for q = 1: the constant
+    test_nodes = lobatto_nodes(q - 1) if q >= 2 else np.array([1.0])
 
     xg, wg = gauss_rule_01(q + 2)
-    dtrial = trial.eval_derivative(xg)          # (q+1, G)
-    tvals = test.eval(xg)                       # (q, G)
+    dtrial = differentiation_matrix(nodes).T @ lagrange_matrix(nodes, xg)  # (q+1, G)
+    tvals = lagrange_matrix(test_nodes, xg)     # (q, G)
     a_full = (tvals * wg) @ dtrial.T            # a_full[m-1, n] = int l'_n l_{m-1}
     amat = a_full[:, 1:].copy()
     amat_inv = np.linalg.inv(amat)
@@ -354,8 +314,8 @@ def build_mcg_tableau(q: int) -> MethodTableau:
             f"{np.max(np.abs(identity + 1.0)):.3e}"
         )
 
-    rho = trial.eval(xg) @ wg                   # interpolatory node weights
-    w_at_nodes = amat_inv @ test.eval(nodes.nodes)
+    rho = lagrange_matrix(nodes, xg) @ wg       # interpolatory node weights
+    w_at_nodes = amat_inv @ lagrange_matrix(test_nodes, nodes)
     quad_weights = w_at_nodes * rho[None, :]
     return MethodTableau(
         method=MCG,
@@ -378,12 +338,11 @@ def build_mdg_tableau(q: int) -> MethodTableau:
     if q < 0:
         raise ValueError(f"mdG order must be >= 0, got {q}")
     nodes = radau_nodes(q)
-    basis = lagrange_basis(nodes.nodes)
-    lam0 = basis.eval(0.0)[:, 0]
+    lam0 = lagrange_matrix(nodes, 0.0)[:, 0]
 
     xg, wg = gauss_rule_01(q + 2)
-    dvals = basis.eval_derivative(xg)
-    vals = basis.eval(xg)
+    dvals = differentiation_matrix(nodes).T @ lagrange_matrix(nodes, xg)
+    vals = lagrange_matrix(nodes, xg)
     amat = (vals * wg) @ dvals.T + np.outer(lam0, lam0)
     amat_inv = np.linalg.inv(amat)
 
@@ -402,7 +361,7 @@ def build_mdg_tableau(q: int) -> MethodTableau:
         method=MDG,
         order=q,
         nodes=nodes,
-        test_nodes=nodes.nodes.copy(),
+        test_nodes=nodes,
         quad_weights=quad_weights,
         node_weights=rho,
         amat=amat,
@@ -448,7 +407,7 @@ def integration_rule(method: str, q: int, depth: int) -> tuple[np.ndarray, np.nd
             f"dyadic depth must lie in [0, {MAX_QUAD_DEPTH}], got {depth}")
     tab = tableau(method, q)
     pieces = 1 << depth
-    s = tab.nodes.nodes
+    s = tab.nodes
     points = (np.arange(pieces)[:, None] + s[None, :]).ravel() / pieces
     weights = np.tile(tab.node_weights / pieces, pieces)
     points.setflags(write=False)

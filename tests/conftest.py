@@ -21,7 +21,7 @@ def reference_single_rate(method, q, rhs, u0, T, n_steps,
     discontinuous family these are the left limits at the grid points.
     """
     tab = tableau(method, q)
-    s = tab.nodes.nodes
+    s = tab.nodes
     W = tab.quad_weights
     u = np.asarray(u0, dtype=float).copy()
     k = T / n_steps

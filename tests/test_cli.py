@@ -335,6 +335,44 @@ class TestRunErrors:
         assert not out.exists()
 
 
+class TestNoUnsolvedSuccess:
+    # runs that used to exit 0 with an unsolved slab or an overflowed bound
+    ALL_ARTIFACTS = ARTIFACTS + ["error_summary.csv", "trajectory.json",
+                                 "dual.json"]
+
+    def run(self, tmp_path, extra):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "linear_decay", "steps": 0.1,
+                                    "orders": 1, "methods": "mcG", **extra}))
+        out = tmp_path / "out"
+        return main(["run", "--config", str(path), "--out", str(out)]), out
+
+    def test_tiny_damping_is_a_solver_error(self, tmp_path, capsys):
+        status, out = self.run(tmp_path, {"solver": {"damping": 1e-300}})
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: slab 0 ") and err.count("\n") == 1
+        assert "threshold damping * tolerance = 1.000e-310" in err
+        assert not out.exists()
+
+    def test_infinite_solver_tolerance_rejected(self, tmp_path, capsys):
+        status, out = self.run(tmp_path, {"solver": {"tolerance": float("inf")}})
+        assert status == 1
+        assert "tolerance must be positive and finite" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_overflowed_bound_exits_2(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, out = self.run(tmp_path, {"dual": {"phi_T": [1e308]}})
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err == "tolerance not met after 1 rounds (bound inf)\n"
+        for name in self.ALL_ARTIFACTS:
+            assert (out / name).exists(), name
+        report = json.loads((out / "error_report.json").read_text())
+        assert report["explicit_total"] == float("inf")
+
+
 class TestTableauDump:
     def test_backward_euler_weights(self, capsys):
         assert main(["tableau", "mdG", "0"]) == 0

@@ -161,6 +161,17 @@ class TestAdapt:
         e_T = abs(res.trajectory.end_state()[0] - np.exp(-1.0))
         assert e_T <= res.report.explicit_total
 
+    def test_overflowed_bound_is_not_met(self):
+        # a huge terminal weight overflows the bound to inf; tol = inf stays
+        # legal, but an infinite bound meets no tolerance
+        prob = model("linear_decay").problem()
+        part = build_partition(0.1, 1, 1.0, methods=prob.methods)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = adapt(prob, part, settings(tol=np.inf, max_rounds=1,
+                                             phi_T=np.array([1e308])))
+        assert res.report.explicit_total == np.inf
+        assert not res.met and res.rounds == 1
+
     def test_budget_exhaustion_flagged(self):
         entry = model("linear_decay")
         prob = entry.problem()

@@ -154,8 +154,8 @@ class TestReversalBookkeeping:
         dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[1.0]),
                           dual_partition_for(part, 1),
                           SolveSettings(tolerance=1e-13))
-        assert dual.derivative(0, 0.5, 1) == pytest.approx(np.exp(-0.5), rel=1e-4)
-        assert dual.derivative(0, 0.5, 2) == pytest.approx(np.exp(-0.5), rel=1e-2)
+        assert dual.value(0, 0.5, order=1) == pytest.approx(np.exp(-0.5), rel=1e-4)
+        assert dual.value(0, 0.5, order=2) == pytest.approx(np.exp(-0.5), rel=1e-2)
 
     def test_dual_partition_refinement(self):
         part = build_partition(0.5, 1, 1.0, methods=("mcG",))
@@ -187,9 +187,9 @@ class TestReversalBookkeeping:
             batch = dual.values(i, ts)
             for t, v in zip(ts, batch):
                 assert dual.value(i, float(t)) == pytest.approx(v, abs=0)
-            dbatch = dual.derivatives(i, ts, 1)
+            dbatch = dual.values(i, ts, order=1)
             for t, v in zip(ts, dbatch):
-                assert dual.derivative(i, float(t), 1) == pytest.approx(v, abs=0)
+                assert dual.value(i, float(t), order=1) == pytest.approx(v, abs=0)
 
 
 class TestStackedDualRhs:
@@ -246,6 +246,29 @@ class TestStackedDualRhs:
                     psi_rhs(np.ascontiguousarray(psi[:, perm]), sigma[perm]),
                     ref[:, perm])
                 assert len(calls) == seen
+
+    # The same state in any memory layout gives the same bits: the stacked
+    # product takes the state in C order.  F-ordered and fancy-indexed states
+    # used to round differently at these N.
+    @pytest.mark.parametrize("N", [6, 7, 10, 11, 14, 15])
+    def test_state_layout_does_not_change_rounding(self, N):
+        rng = np.random.default_rng(N)
+        A = 0.05 * rng.normal(size=(N, N))
+        prob = OdeProblem(rhs=lambda U, t: A @ U, u0=np.ones(N), T=1.0,
+                          jacobian=lambda u, t: A, vectorized=True)
+        part = build_partition([0.25] * N, 1, 1.0)
+        dual = solve_dual(DualSpec(problem=prob, primal=solve(prob, part),
+                                   phi_T=np.ones(N)), part)
+        psi_rhs = dual.psi_problem.rhs
+        for _ in range(20):
+            P = int(rng.integers(2, 14))
+            sigma = rng.uniform(0.0, 1.0, P)
+            psi = rng.normal(size=(N, P))
+            out = psi_rhs(psi, sigma)
+            fancy = psi[:, np.arange(P)]
+            assert not fancy.flags.c_contiguous
+            for state in (np.asfortranarray(psi), fancy):
+                assert np.array_equal(psi_rhs(state, sigma), out)
 
 
 # -- one refinement path: the seed's two paths as the oracle -------------------

@@ -317,7 +317,7 @@ def seed_s1_global_scalar(traj, dual):
     for a, b in zip(segs[:-1], segs[1:]):
         q = traj.order(0, traj.partition.interval_at(0, 0.5 * (a + b), "left"))
         p = _deriv_order(traj.methods[0], q)
-        fn = lambda ts: dual.derivatives(0, ts, order=p)  # noqa: E731
+        fn = lambda ts: dual.values(0, ts, order=p)  # noqa: E731
         s1 += splitting_abs(fn, a, b, 2 * (max(1, q) + 2), 8 * (max(1, q) + 2))
     return s1
 
@@ -344,7 +344,7 @@ class TestGlobalFactorScalar:
         for k in (0.1, 1.0 / 6.0):
             _, traj, dual = run_with_dual(prob, q, k, refine=2, tol=1e-12)
             p = q if method == "mcG" else q + 1
-            d = dual.derivatives(0, np.linspace(0.0, 1.0, 201), p)
+            d = dual.values(0, np.linspace(0.0, 1.0, 201), order=p)
             assert d.min() < 0.0 < d.max()       # the derivative changes sign
             got = galerkin_estimates(traj, dual, prob).factors.s1_global
             assert got == seed_s1_global_scalar(traj, dual)

@@ -42,8 +42,8 @@ def lagrange_loop(nodes, x):
     return out
 
 
-NODE_SETS = ([("lobatto", q, lobatto_nodes(q).nodes) for q in range(1, MAX_ORDER + 1)]
-             + [("radau", q, radau_nodes(q).nodes) for q in range(0, MAX_ORDER + 1)])
+NODE_SETS = ([("lobatto", q, lobatto_nodes(q)) for q in range(1, MAX_ORDER + 1)]
+             + [("radau", q, radau_nodes(q)) for q in range(0, MAX_ORDER + 1)])
 
 
 class TestLagrangeMatrix:
@@ -60,7 +60,7 @@ class TestLagrangeMatrix:
             assert np.array_equal(lagrange_matrix(nodes, x), lagrange_loop(nodes, x))
 
     def test_columns_independent_of_batch(self):
-        nodes = lobatto_nodes(4).nodes
+        nodes = lobatto_nodes(4)
         x = np.linspace(-0.1, 1.1, 23)
         L = lagrange_matrix(nodes, x)
         for p in range(len(x)):
@@ -175,8 +175,8 @@ class TestDualEvaluator:
             for order in (1, 2):
                 ref = _grouped_loop(
                     psi, i, sigma, j,
-                    lambda c, jc, s: psi.interval_derivative(c, jc, s, order=order))
-                assert np.array_equal(dual.derivatives(i, ts, order, side),
+                    lambda c, jc, s: psi.interval_values(c, jc, s, order=order))
+                assert np.array_equal(dual.values(i, ts, side, order),
                                       (-1.0) ** order * ref)
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -195,8 +195,8 @@ class TestDualEvaluator:
                 s0, s1 = psi.partition.span(i, j)
                 s = (sigma - s0) / (s1 - s0)
                 assert dual.value(i, t, side) == psi.interval_values(i, j, s)[0]
-                assert (dual.derivative(i, t, 1, side)
-                        == -psi.interval_derivative(i, j, s, order=1)[0])
+                assert (dual.value(i, t, side, 1)
+                        == -psi.interval_values(i, j, s, order=1)[0])
 
 
 # -- the one f_i owner against the two bodies it replaced ---------------------
@@ -359,7 +359,7 @@ class TestSlabStencils:
                         assert all((src.i, src.t0) == (c, part.span(c, jc)[0])
                                    for jc in js[sel])
                         nodes = (lobatto_nodes if src.method == "mcG"
-                                 else radau_nodes)(src.order).nodes
+                                 else radau_nodes)(src.order)
                         assert np.array_equal(L, lagrange_matrix(nodes, ss[sel]))
                     assert np.array_equal(cover, np.ones(P, dtype=int))
                     # one group, hence one contraction, per source interval
@@ -512,7 +512,7 @@ class TestOneTime:
                             oracle_dual_evaluate(dual, i, x, 0, side))
                         for order in range(4):
                             assert np.array_equal(
-                                dual.derivatives(i, x, order, side),
+                                dual.values(i, x, side, order),
                                 (-1.0) ** order
                                 * oracle_dual_evaluate(dual, i, x, order, side))
                 # the multi-point path is unchanged

@@ -1,6 +1,7 @@
 """The helpers of the repository's scripts: the per-field report comparison
-of ``scripts/compare_artifacts.py`` and the code-line counter of
-``scripts/count_code_lines.py``.  Each script is loaded by its path."""
+and the dump comparison of ``scripts/compare_artifacts.py`` and the
+code-line counter of ``scripts/count_code_lines.py``.  Each script is loaded
+by its path."""
 
 import importlib.util
 import math
@@ -70,6 +71,26 @@ class TestFieldDeviations:
         assert got == {"E_C": (1, 1, math.inf),
                        "components[1].rc": (1, 3, math.inf),
                        "extra": (1, 1, math.inf)}
+
+
+class TestDifferingEntries:
+    # two hand-made tableau dumps, one "name<TAB>JSON" line per entry
+    PARENT = ('mcG-q1\t{"nodes": [0.0, 1.0]}\n'
+              'mcG-q1-depth0\t{"scheme_rule": [[0.0, 1.0], [[0.5, 0.5]]]}\n'
+              'mdG-q0\t{"nodes": [1.0]}\n')
+
+    def test_identical_dumps_have_none(self):
+        compare = load_script("compare_artifacts")
+        assert compare.differing_entries(self.PARENT, self.PARENT) == []
+
+    def test_changed_missing_and_extra_entries(self):
+        compare = load_script("compare_artifacts")
+        # one ulp off in one weight, one entry dropped, one entry added
+        change = (self.PARENT.replace("[[0.5, 0.5]]", "[[0.5, 0.5000000000000001]]")
+                  .replace('mdG-q0\t{"nodes": [1.0]}\n', "")
+                  + 'mdG-q1\t{"nodes": [0.3333333333333333, 1.0]}\n')
+        assert compare.differing_entries(self.PARENT, change) == [
+            "mcG-q1-depth0", "mdG-q0", "mdG-q1"]
 
 
 SNIPPET = '''"""Module docstring,

@@ -515,6 +515,19 @@ class TestDamping:
         # trapezoid amplification at lambda k = -2 is exactly zero
         assert traj.end_state()[0] == 0.0
 
+    def test_tiny_damping_does_not_accept_an_unsolved_slab(self):
+        # damping 1e-300 rounds every update away, so the state keeps its
+        # initial value and the damped increment is 1e-301 per sweep: above
+        # damping * tolerance, so the slab runs out of sweeps
+        prob = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0,
+                          methods="mcG", vectorized=True)
+        part = build_partition(0.1, 1, 1.0, methods=prob.methods)
+        with pytest.raises(ConvergenceFailure) as err:
+            solve(prob, part, SolveSettings(damping=1e-300))
+        slab = err.value.report.slabs[-1]
+        assert slab.index == 0 and slab.sweeps == 500 and not slab.converged
+        assert "threshold damping * tolerance = 1.000e-310" in str(err.value)
+
     def test_diverging_slab_stops_early(self):
         # lambda k = -5: the increments grow 5.0, 12.5, ... by 2.5 per sweep
         # and pass 1e4 times the first one at sweep 12
@@ -589,6 +602,11 @@ class TestSolveSlabDriver:
             SolveSettings(quad_depth=tb.MAX_QUAD_DEPTH)
         with pytest.raises(ValueError, match="quad_depth"):
             SolveSettings(quad_depth=40)
+
+    def test_infinite_tolerance_rejected(self):
+        # an infinite tolerance would accept every slab after one sweep
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolveSettings(tolerance=np.inf)
 
     # integer settings fail when they are built, as the CLI schema does,
     # not in scheme_rule mid-solve (quad_depth) or by rounding the sweep
