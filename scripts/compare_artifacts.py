@@ -25,19 +25,23 @@ texts and each multirate case's coefficients and report JSON byte for byte,
 and names each one that differs.  A third subprocess per tree dumps every
 tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
 ``test_nodes``, ``node_weights``, ``amat`` and ``amat_inv``) and its
-``scheme_rule`` and ``integration_rule`` at dyadic depths 0-3, which covers
-the orders no compared run reaches; JSON writes each float exactly, so equal
-texts are equal bits.  The dump reads only names that both the node-set
-API (``tab.nodes.nodes``) and the node-array API provide.  For each error
-report that differs (the Kepler ``error_report.json``, a grid case, a
-multirate report) it also prints each differing field, how many of its
-entries differ and their largest relative deviation, in the max norm
-relative to the parent's field, as the golden gates measure it.  Exits 0
-when all are identical, 1 on any difference or failed run.  Everything is
-written under a temporary directory, removed at the end.
+``scheme_rule`` and ``integration_rule`` at dyadic depths 0-3, and its
+per-order numbers (the derivative order p, the interpolation constant C_q,
+the residual-zero points and the product-quadrature constant; see
+``order_numbers``), which covers the orders no compared run reaches; JSON
+writes each float exactly, so equal texts are equal bits.  The dump reads
+only names that both the node-set API (``tab.nodes.nodes``) and the
+node-array API provide.  For each error report that differs (the Kepler
+``error_report.json``, a grid case, a multirate report) it also prints
+each differing field, how many of its entries differ and their largest
+relative deviation, in the max norm relative to the parent's field, as the
+golden gates measure it.  Exits 0 when all are identical, 1 on any
+difference or failed run.  Everything is written under a temporary
+directory, removed at the end.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -65,11 +69,31 @@ MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
 TABLEAU_CASES = ([("mcG", q) for q in range(1, 13)]
                  + [("mdG", q) for q in range(0, 13)])
 RULE_DEPTHS = [0, 1, 2, 3]
-# Prints one line per tableau and one per (tableau, rule depth): the name, a
-# tab, the JSON text.
+
+
+def order_numbers(tab, estimator) -> dict:
+    """p, C_q, the residual-zero points and the product-quadrature constant
+    of one tableau: its own fields where the tree's tableau holds them, else
+    the per-(method, order) helpers of the tree's estimator module."""
+    if hasattr(tab, "deriv_order"):
+        return {"p": tab.deriv_order, "C_q": tab.interp_const,
+                "residual_zeros": tab.residual_zeros.tolist(),
+                "product_constant": tab.product_constant}
+    method, q = tab.method, tab.order
+    return {"p": estimator._deriv_order(method, q),
+            "C_q": estimator._interp_const(method, q),
+            "residual_zeros": estimator._interp_points(method, q).tolist(),
+            "product_constant": estimator.product_quadrature_constant(method, q)}
+
+
+# Prints one line per tableau, one per (tableau, rule depth) and one with the
+# tableau's per-order numbers: the name, a tab, the JSON text.
 TABLEAU_SCRIPT = f"""
 import json
+import mgode.estimator as estimator
 from mgode.tableau import integration_rule, scheme_rule, tableau
+
+{inspect.getsource(order_numbers)}
 
 for method, q in {TABLEAU_CASES!r}:
     tab = tableau(method, q)
@@ -81,6 +105,8 @@ for method, q in {TABLEAU_CASES!r}:
         rules = {{rule.__name__: [a.tolist() for a in rule(method, q, depth)]
                  for rule in (scheme_rule, integration_rule)}}
         print(f"{{method}}-q{{q}}-depth{{depth}}\\t" + json.dumps(rules))
+    print(f"{{method}}-q{{q}}-numbers\\t"
+          + json.dumps(order_numbers(tab, estimator)))
 """
 # Prints one line per grid case and per multirate text: the name, a tab, the
 # JSON text.
@@ -220,8 +246,8 @@ def finish(name: str, proc: subprocess.Popen, ok=(0,)) -> str | None:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Byte-compare the Kepler run artifacts, the "
-                    "effectivity-grid reports and the multirate cases of two "
-                    "source trees.")
+                    "effectivity-grid reports, the multirate cases and the "
+                    "scheme tableaus of two source trees.")
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("change_root", type=Path)
     args = parser.parse_args()
@@ -276,9 +302,11 @@ def main() -> int:
             print(f"differs: {name}")
         else:
             print_deviations(name, a[name], b[name])
-    tableau_differ = differing_entries(*dumps)
-    for name in tableau_differ:
+    dump_differ = differing_entries(*dumps)
+    for name in dump_differ:
         print(f"differs: {name}")
+    numbers_differ = [name for name in dump_differ if name.endswith("-numbers")]
+    tableau_differ = [name for name in dump_differ if name not in numbers_differ]
     print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")
@@ -287,7 +315,9 @@ def main() -> int:
     n_tableau = len(TABLEAU_CASES) * (1 + len(RULE_DEPTHS))
     print(f"{n_tableau - len(tableau_differ)} of {n_tableau} tableau entries "
           "identical")
-    return (1 if differ or grid_differ or multirate_differ or tableau_differ
+    print(f"{len(TABLEAU_CASES) - len(numbers_differ)} of {len(TABLEAU_CASES)} "
+          "per-order entries identical")
+    return (1 if differ or grid_differ or multirate_differ or dump_differ
             else 0)
 
 

@@ -14,6 +14,7 @@ from .tableau import (
     MAX_ORDER,
     MethodTableau,
     TableauError,
+    interp_constant,
     legendre_eval,
     lobatto_nodes,
     radau_nodes,
@@ -37,7 +38,6 @@ from .estimator import (
     estimate,
     error_representation,
     galerkin_estimates,
-    interp_constant,
 )
 from .controller import AdaptSettings, AdaptResult, adapt, propose_steps
 from .models import ModelCatalogEntry, model, model_names
@@ -48,6 +48,7 @@ __all__ = [
     "MAX_ORDER",
     "MethodTableau",
     "TableauError",
+    "interp_constant",
     "legendre_eval",
     "lobatto_nodes",
     "radau_nodes",
@@ -74,7 +75,6 @@ __all__ = [
     "estimate",
     "error_representation",
     "galerkin_estimates",
-    "interp_constant",
     "AdaptSettings",
     "AdaptResult",
     "adapt",

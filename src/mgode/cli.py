@@ -244,7 +244,9 @@ def run_command(args) -> int:
             "phi_T": None if isinstance(phi_T, str) else np.asarray(phi_T, dtype=float),
             "solver": solver_settings,
         })
-        result = adapt(problem, partition, settings)
+        # an overflow shows as a non-finite bound, reported once below
+        with np.errstate(all="ignore"):
+            result = adapt(problem, partition, settings)
     except (ConfigError, ValueError, TableauError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

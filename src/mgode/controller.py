@@ -17,10 +17,13 @@ import numpy as np
 
 from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
                    terminal_weight)
-from .estimator import ErrorReport, _deriv_order, _interp_const, estimate
+from .estimator import ErrorReport, estimate
 from .partition import Partition, _check_integer, _check_intervals
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
-from .tableau import MCG
+from .tableau import MCG, tableau
+
+# Most intervals one component packs into one synchronized slab window.
+_MAX_RATIO = 32
 
 
 @dataclass
@@ -72,14 +75,13 @@ def propose_steps(report: ErrorReport,
         s_i = float(report.factors.s_deriv[i])
         new_steps = np.empty(len(qs))
         for j, q in enumerate(qs):
-            p = _deriv_order(method, int(q))
-            cq = _interp_const(method, int(q))
-            denom = s_i * cq * float(res[j])
+            tab = tableau(method, int(q))
+            denom = s_i * tab.interp_const * float(res[j])
             if denom <= 0.0 or not np.isfinite(denom):
                 new_steps[j] = settings.k_max
                 degenerate.append(i)
             else:
-                new_steps[j] = (budget / denom) ** (1.0 / p)
+                new_steps[j] = (budget / denom) ** (1.0 / tab.deriv_order)
         np.clip(new_steps, settings.k_min, settings.k_max, out=new_steps)
         fns.append(lambda t, i=i, ks=new_steps:
                    float(ks[part.point(i, t, "right")[0]]))
@@ -92,8 +94,7 @@ def propose_steps(report: ErrorReport,
 
 
 def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
-                           k_min: float, k_max: float,
-                           max_ratio: int = 32) -> Partition:
+                           k_min: float, k_max: float) -> Partition:
     """Build a partition from per-component step functions with regular
     synchronization.
 
@@ -102,7 +103,7 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
     target.  This keeps every slab's interval count bounded (the sweep count
     of the slab solver grows with the intervals a sweep must propagate
     across), at the cost of steps up to a factor 2 below their proposals.
-    When proposals spread by more than ``max_ratio``, the window shrinks so
+    When proposals spread by more than ``_MAX_RATIO``, the window shrinks so
     no component packs more than that many intervals into one slab; the
     slowest components then step below their proposals.
 
@@ -114,7 +115,7 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
     t = 0.0
     while True:
         props = [min(max(float(fn(t)), k_min), k_max) for fn in step_fns]
-        k_slab = min(max(props), max_ratio * min(props))
+        k_slab = min(max(props), _MAX_RATIO * min(props))
         remaining = T - t
         if remaining <= 1.5 * k_slab:
             windows.append(T)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,7 +26,6 @@ from .tableau import (
     MDG,
     gauss_rule_01,
     lagrange_matrix,
-    legendre_eval,
     tableau,
     integration_rule,
 )
@@ -113,13 +112,6 @@ class _MemoFn:
 # ---------------------------------------------------------------------------
 # Interpolation of the dual
 # ---------------------------------------------------------------------------
-
-def interp_constant(q: int) -> float:
-    """Midpoint Taylor interpolation constant 1 / (2^q q!)."""
-    if q < 0:
-        raise ValueError(f"order must be >= 0, got {q}")
-    return 1.0 / (2.0**q * math.factorial(q))
-
 
 def _taylor_interpolant(dual: DualSolution, i: int, t_mid: float, degree: int):
     """Taylor expansion of the dual's local polynomial around the interval
@@ -237,18 +229,6 @@ class GalerkinEstimates:
         return (self.e0, self.e1, self.e2, self.e3, self.e4, self.e5)
 
 
-def _deriv_order(method: str, q: int) -> int:
-    return q if method == MCG else q + 1
-
-
-def _interp_degree(method: str, q: int) -> int:
-    return q - 1 if method == MCG else q
-
-
-def _interp_const(method: str, q: int) -> float:
-    return interp_constant(_interp_degree(method, q))
-
-
 def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                        problem: OdeProblem) -> GalerkinEstimates:
     """Assemble the interpolation-constant estimate chain and the stability
@@ -288,8 +268,8 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             t0, t1 = part.span(i, j)
             k = t1 - t0
             q = traj.order(i, j)
-            p = _deriv_order(method, q)
-            cq = _interp_const(method, q)
+            tab = tableau(method, q)
+            p, cq = tab.deriv_order, tab.interp_const
             npts = 2 * (q + 2)
             n_scan = 8 * (q + 2)
 
@@ -320,9 +300,8 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             s_ij = s_abs / k
             s_deriv[i] += k * s_ij
 
-            # E0/E1: midpoint Taylor interpolant in the test space
-            pi_fn = _taylor_interpolant(dual, i, 0.5 * (t0 + t1),
-                                        _interp_degree(method, q))
+            # E0/E1: midpoint Taylor interpolant of degree p - 1, in the test space
+            pi_fn = _taylor_interpolant(dual, i, 0.5 * (t0 + t1), p - 1)
             prod = lambda s: Rfn(s) * (phi_loc(s) - pi_fn(t0 + k * s))  # noqa: E731
             signed, absval = integrate_splitting(
                 prod, 0.0, 1.0, npts=npts, n_scan=n_scan,
@@ -377,7 +356,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             q = traj.order(i, part.interval_at(i, mid, "left"))
             qmax = max(qmax, q)
             fns.append(partial(dual.values, i,
-                               order=_deriv_order(traj.methods[i], q)))
+                               order=tableau(traj.methods[i], q).deriv_order))
         npts = 2 * (qmax + 2)
         n_scan = 8 * (qmax + 2)
         if N == 1:
@@ -472,20 +451,15 @@ def quadrature_residual(traj: Trajectory, problem: OdeProblem, i: int, j: int,
                         m: int | None = None) -> QuadratureResidual:
     """Estimate the interval's quadrature residual from depths m and m+1.
 
-    The node rule converges dyadically with ratio 2^(-2q) (continuous family)
-    or 2^(-1-2q) (discontinuous family), giving the computable bound
-    |R^Q_m| <= |R^Q_m - R^Q_{m+1}| / (1 - ratio)."""
+    The node rule converges dyadically with the tableau's ``dyadic_ratio``,
+    giving the computable bound |R^Q_m| <= |R^Q_m - R^Q_{m+1}| / (1 - ratio)."""
     if m is None:
         m = _solver_depth(traj)
     k = traj.partition.step(i, j)
     qm = _integral_of_rhs(traj, problem, i, j, m)
     qm1 = _integral_of_rhs(traj, problem, i, j, m + 1)
     delta = (qm - qm1) / k
-    q = traj.order(i, j)
-    if traj.methods[i] == MCG:
-        ratio = 2.0 ** (-2 * q)
-    else:
-        ratio = 2.0 ** (-1 - 2 * q)
+    ratio = tableau(traj.methods[i], traj.order(i, j)).dyadic_ratio
     return QuadratureResidual(delta=delta, bound=abs(delta) / (1.0 - ratio))
 
 
@@ -530,41 +504,13 @@ def quadrature_error(traj: Trajectory, problem: OdeProblem,
 # Residual-zero interpolation: direct evaluation of the Galerkin term
 # ---------------------------------------------------------------------------
 
-def radau_polynomial(q: int, x) -> np.ndarray:
-    """The degree-q polynomial (P_q(x) + P_{q+1}(x)) / (x + 1) on [-1, 1],
-    with the removable singularity at x = -1 filled by its limit."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    num = legendre_eval(q, xs) + legendre_eval(q + 1, xs)
-    out = np.empty_like(xs)
-    at_end = xs == -1.0
-    out[~at_end] = num[~at_end] / (xs[~at_end] + 1.0)
-    # the limit is P_q'(-1) + P_{q+1}'(-1) = (-1)^q (q + 1)
-    out[at_end] = (-1.0) ** q * (q + 1)
-    return out
-
-
-def _interp_points(method: str, q: int) -> np.ndarray:
-    """Reference interpolation points killing the leading residual shape:
-    the interior Legendre zeros (continuous family) or the interval start
-    plus the interior zeros of the residual's Radau shape polynomial
-    (discontinuous family).
-
-    The discontinuous scheme's nodes include the right endpoint (reversed
-    construction), but its residual vanishes where the unreversed Radau
-    polynomial does, i.e. at the mirror images of the interior nodes."""
-    if method == MCG:
-        return gauss_rule_01(q)[0]
-    nodes = tableau(MDG, q).nodes
-    return np.concatenate(([0.0], np.sort(1.0 - nodes[:-1])))
-
-
 def _residual_zero_interpolant(dual: DualSolution, traj: Trajectory,
                                i: int, j: int):
-    """Interpolant of phi_i on interval j through the residual-zero points,
-    as a callable of the local coordinate."""
+    """Interpolant of phi_i on interval j through the tableau's
+    residual-zero points, as a callable of the local coordinate."""
     t0, t1 = traj.partition.span(i, j)
     k = t1 - t0
-    pts = _interp_points(traj.methods[i], traj.order(i, j))
+    pts = tableau(traj.methods[i], traj.order(i, j)).residual_zeros
     vals = dual.values(i, t0 + k * pts, "left")
 
     def fn(s):
@@ -572,25 +518,6 @@ def _residual_zero_interpolant(dual: DualSolution, traj: Trajectory,
         return vals @ L
 
     return fn
-
-
-@lru_cache(maxsize=None)
-def product_quadrature_constant(method: str, q: int) -> float:
-    """Constant c with int_0^1 |shape_R * shape_phi| ds = c * |shape_R(1)| *
-    |shape_phi(1)| for the residual and interpolation-defect shapes of the
-    scheme, computed numerically."""
-    xg, wg = gauss_rule_01(2 * (q + 2))
-    if method == MCG:
-        if q == 0:
-            raise ValueError("continuous family needs q >= 1")
-        vals = legendre_eval(q, 2.0 * xg - 1.0)
-        integral = float(wg @ (vals * vals))
-        end = legendre_eval(q, 1.0)
-        return integral / (end * end)
-    vals = radau_polynomial(q, 2.0 * xg - 1.0)
-    integral = float(wg @ (xg * vals * vals))
-    end = float(radau_polynomial(q, 1.0)[0])
-    return integral / (end * end)
 
 
 @dataclass
@@ -634,7 +561,7 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
             a_i[j] = np.sign(term)
             r_end = float(interval_residual(traj, problem, i, j, 1.0)[0])
             dphi_end = dual.value(i, t1, "left") - float(pi_fn(1.0)[0])
-            shortcut += (product_quadrature_constant(method, q) * k
+            shortcut += (tableau(method, q).product_constant * k
                          * abs(r_end) * abs(dphi_end))
         alphas.append(a_i)
     return ResidualZeroReport(
@@ -702,7 +629,7 @@ class ErrorReport:
                     "steps": [float(x) for x in part.steps(i)],
                     "orders": [int(x) for x in part.orders[i]],
                     "interp_constants": [
-                        _interp_const(self.methods[i], int(q))
+                        tableau(self.methods[i], int(q)).interp_const
                         for q in part.orders[i]
                     ],
                     "r": [float(x) for x in self.r[i]],

@@ -49,7 +49,6 @@ every component's stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +60,6 @@ from .tableau import (
     MAX_QUAD_DEPTH,
     MDG,
     METHODS,
-    differentiation_matrix,
     lagrange_matrix,
     min_order,
     scheme_rule,
@@ -234,16 +232,6 @@ class SolveReport:
         return all(s.converged for s in self.slabs)
 
 
-@lru_cache(maxsize=None)
-def _basis_nodes(method: str, q: int) -> np.ndarray:
-    return tableau(method, q).nodes
-
-
-@lru_cache(maxsize=None)
-def _diff_matrix(method: str, q: int) -> np.ndarray:
-    return differentiation_matrix(_basis_nodes(method, q))
-
-
 def _interval_groups(j: np.ndarray):
     """(interval, selector) pairs grouping the positions of the interval
     indices j by interval, in increasing interval order."""
@@ -293,7 +281,7 @@ class Trajectory:
 
     def node_times(self, i: int, j: int) -> np.ndarray:
         t0, t1 = self.partition.span(i, j)
-        return t0 + (t1 - t0) * _basis_nodes(self.methods[i], self.order(i, j))
+        return t0 + (t1 - t0) * tableau(self.methods[i], self.order(i, j)).nodes
 
     def incoming_value(self, i: int, j: int) -> float:
         """Left limit of component i at the start of its interval j."""
@@ -307,7 +295,7 @@ class Trajectory:
         return self._contract(i, j, self._lagrange(i, j, s), order)
 
     def _lagrange(self, i: int, j: int, s) -> np.ndarray:
-        return lagrange_matrix(_basis_nodes(self.methods[i], self.order(i, j)), s)
+        return lagrange_matrix(tableau(self.methods[i], self.order(i, j)).nodes, s)
 
     def _contract(self, i: int, j: int, L: np.ndarray, order: int = 0) -> np.ndarray:
         """Values (order 0) or order-th time derivatives of component i's
@@ -315,7 +303,7 @@ class Trajectory:
         vals = self._coeffs[i][j]
         if not order:
             return vals @ L
-        D = _diff_matrix(self.methods[i], self.order(i, j))
+        D = tableau(self.methods[i], self.order(i, j)).diff
         for _ in range(order):
             vals = D @ vals
         return (vals @ L) / self.partition.step(i, j) ** order
@@ -346,7 +334,7 @@ class Trajectory:
                 key = (self.methods[c], self.order(c, jc))
                 batches.setdefault(key, []).append((row, c, jc, sel, s))
         for (method, q), items in batches.items():
-            L = lagrange_matrix(_basis_nodes(method, q),
+            L = lagrange_matrix(tableau(method, q).nodes,
                                 np.concatenate([item[4] for item in items]))
             start = 0
             for row, c, jc, sel, s in items:
@@ -398,7 +386,7 @@ class Trajectory:
             U = self.u0[:, None].copy()
             for (method, q), items in classes.items():
                 rows, js, ss = zip(*items)
-                L = lagrange_matrix(_basis_nodes(method, q), ss)
+                L = lagrange_matrix(tableau(method, q).nodes, ss)
                 coeffs = np.array([self._coeffs[c][jc] for c, jc in zip(rows, js)])
                 U[rows, 0] = np.matmul(coeffs[:, None, :],
                                        np.ascontiguousarray(L.T)[:, :, None])[:, 0, 0]
@@ -597,7 +585,7 @@ def _build_work(problem, partition, slab, settings):
         lo, hi = slab.spans[c]
         for q in sorted(set(partition.orders[c][lo:hi].tolist())):
             factors.setdefault(q + 1, []).append(lagrange_matrix(
-                _basis_nodes(methods[c], q), s[c, nodes[c] == q + 1]))
+                tableau(methods[c], q).nodes, s[c, nodes[c] == q + 1]))
     nodes = nodes.ravel()
     col = np.empty(len(nodes), dtype=int)
     for n, blocks in factors.items():
@@ -640,9 +628,11 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     arrays up to the slab start.  Returns the new interval coefficient arrays
     (appended per component, in interval order) and an iteration report.
     The slab converges once a sweep's damped increment is at most damping *
-    tolerance.  Raises ConvergenceFailure, carrying this slab's report, as
-    soon as a sweep's increment is non-finite or exceeds both that threshold
-    and _DIVERGED times the first sweep's.
+    tolerance; it stops unconverged when a sweep leaves the state bit for
+    bit unchanged, since every later sweep would repeat it.  Raises
+    ConvergenceFailure, carrying this slab's report, as soon as a sweep's
+    increment is non-finite or exceeds both that threshold and _DIVERGED
+    times the first sweep's.
     """
     N = problem.dimension
     work, stencils = _build_work(problem, partition, slab, settings)
@@ -693,6 +683,9 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
         increment = float(item_increments.max())
         if increment <= threshold:
             converged = True
+            break
+        # a sweep is deterministic: an unchanged state repeats it exactly
+        if np.array_equal(state, new_state):
             break
         if first_increment is None:
             first_increment = increment

@@ -3,9 +3,12 @@
 Everything that depends only on (method, polynomial order) lives here: Legendre
 polynomials, the Lobatto and Radau nodes, the local coefficient matrices of the
 continuous (mcG) and discontinuous (mdG) families, their polynomial weight
-functions, and the folded nodal quadrature weights.  Tableaus are built once per
-(method, order), checked against their defining identities, and cached
-immutably, so they are safe to share across threads.
+functions, the folded nodal quadrature weights, and the numbers the estimator
+and the step controller read per interval (derivative order, interpolation
+constant, residual-zero points, product-quadrature constant, dyadic ratio).
+Tableaus are built once per (method, order), checked against their defining
+identities, and cached immutably, so they are safe to share across threads;
+no other module keeps a per-(method, order) cache.
 
 A node set is a read-only float array on [0, 1] (``lobatto_nodes``,
 ``radau_nodes``, ``MethodTableau.nodes``).  A Lagrange basis on nodes s is
@@ -16,6 +19,7 @@ lagrange_matrix(s, x)`` their first derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,6 +74,26 @@ def legendre_eval(q: int, x):
     xs = np.asarray(x, dtype=float)
     p = _legendre(q, xs)[0]
     return float(p) if xs.ndim == 0 else np.broadcast_to(p, xs.shape).copy()
+
+
+def radau_polynomial(q: int, x) -> np.ndarray:
+    """The degree-q polynomial (P_q(x) + P_{q+1}(x)) / (x + 1) on [-1, 1],
+    with the removable singularity at x = -1 filled by its limit."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    num = legendre_eval(q, xs) + legendre_eval(q + 1, xs)
+    out = np.empty_like(xs)
+    at_end = xs == -1.0
+    out[~at_end] = num[~at_end] / (xs[~at_end] + 1.0)
+    # the limit is P_q'(-1) + P_{q+1}'(-1) = (-1)^q (q + 1)
+    out[at_end] = (-1.0) ** q * (q + 1)
+    return out
+
+
+def interp_constant(q: int) -> float:
+    """Midpoint Taylor interpolation constant 1 / (2^q q!)."""
+    if q < 0:
+        raise ValueError(f"order must be >= 0, got {q}")
+    return 1.0 / (2.0**q * math.factorial(q))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +269,9 @@ def gauss_rule_01(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MethodTableau:
-    """Per-(method, order) scheme data.
+    """Per-(method, order) scheme data: every number that depends only on
+    the family and the order q.  The solver, the estimator and the step
+    controller read them here.
 
     The nodal update on an interval of length k reads, with xi0 the incoming
     value (shared end value for mcG, left limit for mdG),
@@ -256,7 +282,19 @@ class MethodTableau:
     mcG, m = 0..q for mdG).  The rows of ``amat_inv`` are the coefficients
     of the polynomial weight functions w_m in the Lagrange basis on
     ``test_nodes``; folding the interpolatory node rule into them yields
-    ``quad_weights``.
+    ``quad_weights``.  ``diff`` is ``differentiation_matrix(nodes)``.
+
+    The a posteriori numbers: the interpolation estimate of the dual uses
+    its ``deriv_order``-th derivative p (q for mcG, q + 1 for mdG) with the
+    constant ``interp_const`` C_q (``interp_constant`` of degree p - 1);
+    the residual vanishes, to leading order, at ``residual_zeros`` (the
+    interior Legendre zeros for mcG; for mdG the interval start plus the
+    mirror images of the interior nodes, since the residual vanishes where
+    the unreversed Radau polynomial does); ``product_constant`` c satisfies
+    int_0^1 |shape_R * shape_phi| ds = c * |shape_R(1)| * |shape_phi(1)| for
+    the residual and interpolation-defect shapes; and the node rule
+    converges dyadically with ratio ``dyadic_ratio`` (2^(-2q) for mcG,
+    2^(-1-2q) for mdG).
     """
 
     method: str
@@ -267,10 +305,16 @@ class MethodTableau:
     node_weights: np.ndarray
     amat: np.ndarray
     amat_inv: np.ndarray
+    diff: np.ndarray
+    deriv_order: int
+    interp_const: float
+    residual_zeros: np.ndarray
+    product_constant: float
+    dyadic_ratio: float
 
     def __post_init__(self):
         for arr in (self.nodes, self.test_nodes, self.quad_weights, self.node_weights,
-                    self.amat, self.amat_inv):
+                    self.amat, self.amat_inv, self.diff, self.residual_zeros):
             arr.setflags(write=False)
 
     def weight_values(self, s) -> np.ndarray:
@@ -301,7 +345,8 @@ def build_mcg_tableau(q: int) -> MethodTableau:
     test_nodes = lobatto_nodes(q - 1) if q >= 2 else np.array([1.0])
 
     xg, wg = gauss_rule_01(q + 2)
-    dtrial = differentiation_matrix(nodes).T @ lagrange_matrix(nodes, xg)  # (q+1, G)
+    diff = differentiation_matrix(nodes)
+    dtrial = diff.T @ lagrange_matrix(nodes, xg)  # (q+1, G)
     tvals = lagrange_matrix(test_nodes, xg)     # (q, G)
     a_full = (tvals * wg) @ dtrial.T            # a_full[m-1, n] = int l'_n l_{m-1}
     amat = a_full[:, 1:].copy()
@@ -317,6 +362,11 @@ def build_mcg_tableau(q: int) -> MethodTableau:
     rho = lagrange_matrix(nodes, xg) @ wg       # interpolatory node weights
     w_at_nodes = amat_inv @ lagrange_matrix(test_nodes, nodes)
     quad_weights = w_at_nodes * rho[None, :]
+
+    # the residual and interpolation-defect shapes are both P_q
+    xp, wp = gauss_rule_01(2 * (q + 2))
+    shape = legendre_eval(q, 2.0 * xp - 1.0)
+    end = legendre_eval(q, 1.0)
     return MethodTableau(
         method=MCG,
         order=q,
@@ -326,6 +376,12 @@ def build_mcg_tableau(q: int) -> MethodTableau:
         node_weights=rho,
         amat=amat,
         amat_inv=amat_inv,
+        diff=diff,
+        deriv_order=q,
+        interp_const=interp_constant(q - 1),
+        residual_zeros=gauss_rule_01(q)[0],
+        product_constant=float(wp @ (shape * shape)) / (end * end),
+        dyadic_ratio=2.0 ** (-2 * q),
     )
 
 
@@ -341,7 +397,8 @@ def build_mdg_tableau(q: int) -> MethodTableau:
     lam0 = lagrange_matrix(nodes, 0.0)[:, 0]
 
     xg, wg = gauss_rule_01(q + 2)
-    dvals = differentiation_matrix(nodes).T @ lagrange_matrix(nodes, xg)
+    diff = differentiation_matrix(nodes)
+    dvals = diff.T @ lagrange_matrix(nodes, xg)
     vals = lagrange_matrix(nodes, xg)
     amat = (vals * wg) @ dvals.T + np.outer(lam0, lam0)
     amat_inv = np.linalg.inv(amat)
@@ -357,6 +414,11 @@ def build_mdg_tableau(q: int) -> MethodTableau:
     # Weight values at the nodes are just amat_inv (cardinal basis), so the
     # folded weights come out as a row scaling.
     quad_weights = amat_inv * rho[None, :]
+
+    # the two shapes are the Radau polynomial and (x + 1) times it
+    xp, wp = gauss_rule_01(2 * (q + 2))
+    shape = radau_polynomial(q, 2.0 * xp - 1.0)
+    end = float(radau_polynomial(q, 1.0)[0])
     return MethodTableau(
         method=MDG,
         order=q,
@@ -366,6 +428,12 @@ def build_mdg_tableau(q: int) -> MethodTableau:
         node_weights=rho,
         amat=amat,
         amat_inv=amat_inv,
+        diff=diff,
+        deriv_order=q + 1,
+        interp_const=interp_constant(q),
+        residual_zeros=np.concatenate(([0.0], np.sort(1.0 - nodes[:-1]))),
+        product_constant=float(wp @ (xp * shape * shape)) / (end * end),
+        dyadic_ratio=2.0 ** (-1 - 2 * q),
     )
 
 

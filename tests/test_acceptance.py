@@ -20,12 +20,12 @@ from mgode.estimator import (
     error_representation,
     galerkin_estimates,
     quadrature_residual,
-    radau_polynomial,
     stability_factor_error,
 )
 from mgode.models import model
 from mgode.partition import build_partition
 from mgode.solver import OdeProblem, SolveSettings, solve
+from mgode.tableau import radau_polynomial
 
 A2 = np.array([[-1.0, 2.0], [0.5, -3.0]])
 CHAIN_SLACK = 1e-10

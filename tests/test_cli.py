@@ -362,8 +362,7 @@ class TestNoUnsolvedSuccess:
         assert not out.exists()
 
     def test_overflowed_bound_exits_2(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            status, out = self.run(tmp_path, {"dual": {"phi_T": [1e308]}})
+        status, out = self.run(tmp_path, {"dual": {"phi_T": [1e308]}})
         assert status == 2
         err = capsys.readouterr().err
         assert err == "tolerance not met after 1 rounds (bound inf)\n"
@@ -371,6 +370,19 @@ class TestNoUnsolvedSuccess:
             assert (out / name).exists(), name
         report = json.loads((out / "error_report.json").read_text())
         assert report["explicit_total"] == float("inf")
+
+    def test_overflowed_bound_is_one_stderr_line_in_a_subprocess(self, tmp_path):
+        # numpy's overflow warnings stay off stderr; the bound reports it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "linear_decay", "steps": 0.1,
+                                    "orders": 1, "methods": "mcG",
+                                    "dual": {"phi_T": [1e308]}}))
+        res = subprocess.run([sys.executable, "-m", "mgode.cli", "run",
+                              "--config", str(path),
+                              "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr == "tolerance not met after 1 rounds (bound inf)\n"
 
 
 class TestTableauDump:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mgode.controller
 import mgode.partition
 from mgode.cli import main
 from mgode.controller import (
@@ -11,11 +12,12 @@ from mgode.controller import (
     propose_steps,
     synchronized_partition,
 )
-from mgode.estimator import estimate, interp_constant
+from mgode.estimator import estimate
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import PartitionError, build_partition
 from mgode.solver import SolveSettings, solve
+from mgode.tableau import interp_constant
 
 
 def _report_for(prob, part, tol=1e-12):
@@ -102,10 +104,10 @@ class TestSynchronizedPartition:
             hi = np.searchsorted(part.breakpoints[1], b)
             assert (hi - lo) in (1, 2, 4, 8)
 
-    def test_ratio_cap_shrinks_window(self):
+    def test_ratio_cap_shrinks_window(self, monkeypatch):
+        monkeypatch.setattr(mgode.controller, "_MAX_RATIO", 8)
         fns = [lambda t: 1.0, lambda t: 1e-3]
-        part = synchronized_partition(fns, [1, 1], 1.0, 1e-6, 1.0,
-                                      max_ratio=8)
+        part = synchronized_partition(fns, [1, 1], 1.0, 1e-6, 1.0)
         for slab_len in np.diff(part.breakpoints[0]):
             assert slab_len <= 8e-3 * 1.5
 

@@ -16,11 +16,8 @@ from mgode.estimator import (
     estimate,
     galerkin_estimates,
     integrate_splitting,
-    interp_constant,
-    product_quadrature_constant,
     quadrature_error,
     quadrature_residual,
-    radau_polynomial,
     stability_factor_error,
 )
 from mgode.partition import build_partition, build_slabs
@@ -31,6 +28,7 @@ from mgode.solver import (
     solve,
     solve_slab,
 )
+from mgode.tableau import interp_constant, radau_polynomial, tableau
 
 A2 = np.array([[-1.0, 2.0], [0.5, -3.0]])
 CHAIN_SLACK = 1e-10
@@ -297,8 +295,7 @@ def seed_s1_global_scalar(traj, dual):
     """The seed's global derivative factor for N = 1: the absolute integral
     of the dual derivative by the sign-splitting integrator, per elementary
     segment."""
-    from mgode.estimator import (_deriv_order, _elementary_segments,
-                                 _sign_change_roots)
+    from mgode.estimator import _elementary_segments, _sign_change_roots
     from mgode.tableau import gauss_rule_01
 
     def splitting_abs(fn, a, b, npts, n_scan):
@@ -316,7 +313,7 @@ def seed_s1_global_scalar(traj, dual):
     segs = _elementary_segments(traj, dual)
     for a, b in zip(segs[:-1], segs[1:]):
         q = traj.order(0, traj.partition.interval_at(0, 0.5 * (a + b), "left"))
-        p = _deriv_order(traj.methods[0], q)
+        p = tableau(traj.methods[0], q).deriv_order
         fn = lambda ts: dual.values(0, ts, order=p)  # noqa: E731
         s1 += splitting_abs(fn, a, b, 2 * (max(1, q) + 2), 8 * (max(1, q) + 2))
     return s1
@@ -517,9 +514,9 @@ class TestResidualZero:
     def test_product_constants(self):
         # continuous-family constant equals 1/(2q+1) analytically
         for q in (1, 2, 3, 5):
-            assert product_quadrature_constant("mcG", q) == pytest.approx(
+            assert tableau("mcG", q).product_constant == pytest.approx(
                 1.0 / (2 * q + 1), abs=1e-13)
-        assert product_quadrature_constant("mdG", 0) > 0.0
+        assert tableau("mdG", 0).product_constant > 0.0
 
 
 class TestTotalError:

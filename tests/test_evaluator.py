@@ -17,11 +17,11 @@ from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import Partition, build_partition, build_slabs
 from mgode.estimator import _integral_of_rhs, _solver_depth, estimate
-from mgode.solver import (OdeProblem, SolveSettings, Trajectory, _basis_nodes,
+from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
                           _build_work, interval_residual,
                           interval_rhs, solve)
 from mgode.tableau import (MAX_ORDER, integration_rule, lagrange_matrix,
-                           lobatto_nodes, radau_nodes)
+                           lobatto_nodes, radau_nodes, tableau)
 
 
 def lagrange_loop(nodes, x):
@@ -392,7 +392,7 @@ def oracle_evaluate(traj, comps, ts, js, order=0):
             key = (traj.methods[c], traj.order(c, jc))
             batches.setdefault(key, []).append((row, c, jc, sel, s))
     for (method, q), items in batches.items():
-        L = lagrange_matrix(_basis_nodes(method, q),
+        L = lagrange_matrix(tableau(method, q).nodes,
                             np.concatenate([item[4] for item in items]))
         start = 0
         for row, c, jc, sel, s in items:

@@ -17,10 +17,9 @@ from mgode.solver import (
     OdeProblem,
     SlabReport,
     SolveSettings,
-    _basis_nodes,
     solve_slab,
 )
-from mgode.tableau import MCG, lagrange_matrix, scheme_rule
+from mgode.tableau import MCG, lagrange_matrix, scheme_rule, tableau
 
 
 class _Item:
@@ -70,7 +69,7 @@ def _oracle_work(problem, partition, slab, settings, coeffs):
         for item, a, b in zip(work, bounds, bounds[1:]):
             for j in np.unique(jl[a:b]):
                 sel = jl[a:b] == j
-                L = lagrange_matrix(_basis_nodes(methods[c], int(orders[j])),
+                L = lagrange_matrix(tableau(methods[c], int(orders[j])).nodes,
                                     s[a:b][sel])
                 item.groups.append((c, sel, first[c] + int(j), L))
     return work

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,49 @@ class TestOneLegendreRecurrence:
             out = tb.legendre_eval(q, x)
             out[:] = 9.0
             assert x.tolist() == [0.1, 0.2]
+
+
+# -- per-(method, order) numbers: the estimator's former formulas as oracles --
+
+def estimator_order_numbers(method, q):
+    """(p, C_q, residual-zero points, product constant, dyadic ratio) by the
+    formulas the estimator evaluated before the tableau held them."""
+    degree = q - 1 if method == tb.MCG else q
+    xg, wg = tb.gauss_rule_01(2 * (q + 2))
+    if method == tb.MCG:
+        zeros = tb.gauss_rule_01(q)[0]
+        vals = tb.legendre_eval(q, 2.0 * xg - 1.0)
+        integral = float(wg @ (vals * vals))
+        end = tb.legendre_eval(q, 1.0)
+        ratio = 2.0 ** (-2 * q)
+    else:
+        nodes = tb.tableau(tb.MDG, q).nodes
+        zeros = np.concatenate(([0.0], np.sort(1.0 - nodes[:-1])))
+        vals = tb.radau_polynomial(q, 2.0 * xg - 1.0)
+        integral = float(wg @ (xg * vals * vals))
+        end = float(tb.radau_polynomial(q, 1.0)[0])
+        ratio = 2.0 ** (-1 - 2 * q)
+    return (q if method == tb.MCG else q + 1,
+            1.0 / (2.0**degree * math.factorial(degree)),
+            zeros, integral / (end * end), ratio)
+
+
+ALL_ORDERS = ([(tb.MCG, q) for q in range(1, tb.MAX_ORDER + 1)]
+              + [(tb.MDG, q) for q in range(0, tb.MAX_ORDER + 1)])
+
+
+class TestOrderNumbers:
+    @pytest.mark.parametrize("method,q", ALL_ORDERS)
+    def test_fields_equal_the_estimator_formulas(self, method, q):
+        tab = tb.tableau(method, q)
+        p, cq, zeros, product, ratio = estimator_order_numbers(method, q)
+        assert type(tab.deriv_order) is int and tab.deriv_order == p
+        assert tab.interp_const == cq
+        assert np.array_equal(tab.residual_zeros, zeros)
+        assert tab.product_constant == product
+        assert tab.dyadic_ratio == ratio
+        assert np.array_equal(tab.diff, tb.differentiation_matrix(tab.nodes))
+        for arr in (tab.nodes, tab.test_nodes, tab.quad_weights,
+                    tab.node_weights, tab.amat, tab.amat_inv, tab.diff,
+                    tab.residual_zeros):
+            assert not arr.flags.writeable
