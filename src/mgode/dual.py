@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition, _check_integer, _check_intervals
+from .partition import Partition, _check_integer, _check_intervals, _check_side
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
 
@@ -157,6 +157,7 @@ class DualSolution:
         reversed trajectory's at sigma = T - t, where a left limit in t is a
         right limit in sigma, times (-1)^order.  Times outside the breakpoint
         range clamp to the end intervals."""
+        _check_side(side)
         sigma = self.T - np.atleast_1d(np.asarray(ts, dtype=float))
         out = self.psi.values(i, sigma, "right" if side == "left" else "left",
                               order)

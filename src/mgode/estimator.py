@@ -136,6 +136,18 @@ def _taylor_interpolant(dual: DualSolution, i: int, t_mid: float, degree: int):
 # Error representation
 # ---------------------------------------------------------------------------
 
+def _check_matching(problem: OdeProblem, traj: Trajectory,
+                    dual: DualSolution) -> None:
+    """Raise ValueError unless the problem, the trajectory and the dual
+    share the component count N and the horizon T."""
+    if not problem.dimension == traj.dimension == dual.dimension:
+        raise ValueError(f"problem, trajectory and dual have {problem.dimension}, "
+                         f"{traj.dimension} and {dual.dimension} components")
+    if not problem.T == traj.T == dual.T:
+        raise ValueError(f"problem, trajectory and dual horizons differ: "
+                         f"{problem.T!r}, {traj.T!r} and {dual.T!r}")
+
+
 def error_representation(traj: Trajectory, dual: DualSolution,
                          problem: OdeProblem, depth: int = 2) -> float:
     """Evaluate the residual/dual pairing
@@ -148,8 +160,7 @@ def error_representation(traj: Trajectory, dual: DualSolution,
     the rule order is raised to cover the local residual-dual product degree.
     Jump terms enter only for discontinuous-family components.
     """
-    if abs(dual.T - traj.T) > 0.0:
-        raise ValueError("dual and trajectory horizons differ")
+    _check_matching(problem, traj, dual)
     total = 0.0
     part = traj.partition
     for i in range(traj.dimension):
@@ -245,6 +256,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     supply the required derivative, E2..E5 degrade to NaN and a flag records
     the deficiency.
     """
+    _check_matching(problem, traj, dual)
     part = traj.partition
     N = traj.dimension
     flags: list[str] = []
@@ -537,6 +549,7 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
     at the points where the projected residual vanishes; for discontinuous
     components the interval start is interpolated exactly, so no jump terms
     remain."""
+    _check_matching(problem, traj, dual)
     part = traj.partition
     signed_total = 0.0
     abs_total = 0.0

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tableau import MAX_ORDER, MCG, MDG, min_order
+from .tableau import MAX_ORDER, MCG, MDG, _is_integer, min_order
 
 #: Relative tolerance (times the horizon) under which breakpoints of
 #: different components are considered one synchronized level and merged
@@ -33,11 +33,6 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating))
 
 
-def _is_integer(x) -> bool:
-    """An int or numpy integer, and not a bool: what integer settings take."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _check_intervals(count, what: str) -> None:
     """Raise PartitionError when ``count`` passes the interval cap."""
     if count > _MAX_INTERVALS:
@@ -49,6 +44,12 @@ def _check_integer(name: str, value, least: int, most: float = np.inf) -> None:
     if not (_is_integer(value) and least <= value <= most):
         raise ValueError(f"{name} must be an integer in [{least}, {most}], "
                          f"got {value!r}")
+
+
+def _check_side(side: str) -> None:
+    """Raise ValueError unless side is "left" or "right"."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 class PartitionError(ValueError):
@@ -113,8 +114,7 @@ class Partition:
         """
         if not 0.0 <= t <= self.T:
             raise ValueError(f"t={t!r} outside [0, {self.T!r}]")
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        _check_side(side)
         bp = self._bp_lists[i]
         j = (bisect_left if side == "left" else bisect_right)(bp, t) - 1
         if not 0 <= j < len(bp) - 1:
@@ -124,6 +124,7 @@ class Partition:
     def point(self, i: int, t: float, side: str) -> tuple[int, float]:
         """``locate`` for one time, by bisect on the breakpoint list, and the
         local coordinate of t in that interval (``coordinate``)."""
+        _check_side(side)
         bp = self._bp_lists[i]
         j = (bisect_left if side == "left" else bisect_right)(bp, t, 1, len(bp) - 1) - 1
         return j, self.coordinate(i, j, t)
@@ -132,6 +133,7 @@ class Partition:
         """Interval index of component i at each time, with breakpoints
         resolved as in ``interval_at`` and times outside the breakpoint
         range clamped to the first or last interval."""
+        _check_side(side)
         # counting interior breakpoints is searchsorted(bp) - 1 clamped
         return self._interior[i].searchsorted(ts, side)
 

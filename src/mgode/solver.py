@@ -27,23 +27,26 @@ component: the interval (``Partition.point`` for one time, ``.locate`` for
 many), the side another component is read from at a breakpoint
 (``.read`` / ``.reads``: the right limit at the reader's own interval start,
 the left limit elsewhere), the local coordinate (``.coordinate``) and the
-snapping of times near a breakpoint (``.snap``).  The trajectory contracts
-nodal values with Lagrange factors there.  The slab solver and the residual
-pick the times: the slab's quadrature times, snapped, and the residual's
-raw times, not snapped -- the one difference between the two reads.  The
-trajectory's two entries, ``values`` (one component, as the dual asks) and
-``cross_state`` (the state the residual reads), choose between the general
-evaluator and a one-time path for a single time, as the estimator's root
-searches ask for.  The one-time path rounds bitwise alike: a lagrange column
-depends only on its own point, and a stacked matmul rounds each row as that
-row's own product.
+snapping of times near a breakpoint (``.snap``).  The slab solver and the
+residual pick the times: the slab's quadrature times, snapped, and the
+residual's raw times, not snapped -- the one difference between the two
+reads.  The trajectory reads every component's polynomial by one rule:
+one contraction per (component, interval) group, ``interval_values``' one
+lagrange_matrix call and one ``coeffs @ L`` over exactly that group's
+columns.  A lagrange column depends only on its own point and each group
+keeps its own column count, so no read depends on which other times were
+asked for.  The trajectory's two entries, ``values`` (one component, as the
+dual asks) and ``cross_state`` (the state the residual reads), locate a
+single time, as the estimator's root searches ask for, by bisect
+(``.point`` / ``.read``) instead of searchsorted; that is all a single time
+changes.  The slab sweep's stencils are the other contraction rule (above).
 
 A problem may declare which components each f_i reads
 (``OdeProblem.dependencies``).  The residual then locates and interpolates
-only those, on both paths, and fills the other rows of the rhs input with
-u0.  The numbers stay bit for bit for the same two reasons, and because row
-i of f reads only rows that are unchanged.  The slab sweep still builds
-every component's stencils.
+only those, for one time or many, and fills the other rows of the rhs input
+with u0.  The numbers stay bit for bit: each row is read as its own
+groups' products, and row i of f reads only rows that are unchanged.  The
+slab sweep still builds every component's stencils.
 """
 
 from __future__ import annotations
@@ -314,45 +317,31 @@ class Trajectory:
         at the times ``ts``, row r taken from component comps[r] on the
         intervals js[r] (one index per time); shape (len(comps), len(ts)).
 
-        This is the one piecewise-polynomial evaluator.  Times are grouped per
-        (component, interval), and the Lagrange factors of every group with
-        the same (method, order) come from one lagrange_matrix call.  Each
-        group is still contracted by its own ``coeffs @ L``, with its slice
-        of the batched factors copied to a contiguous array: BLAS rounds a
-        matrix-vector product differently depending on how many columns one
-        call receives, and regrouping the contraction moves rounding-level
-        estimator terms (E_Q, E_C) by tens of percent.
-
-        A single time through ``values`` or ``cross_state`` takes the
-        one-time path instead, which rounds alike (see the module docstring).
+        This is the one multi-time evaluator.  Times are grouped per
+        (component, interval), and each group is one ``interval_values``
+        read: one lagrange_matrix call and one ``coeffs @ L`` over that
+        group's own columns.  BLAS rounds a matrix-vector product
+        differently depending on how many columns one call receives, so a
+        group is never split or merged with another; regrouping the
+        contraction moves rounding-level estimator terms (E_Q, E_C) by tens
+        of percent.
         """
         out = np.empty((len(comps), len(ts)))
-        batches: dict[tuple[str, int], list] = {}
         for row, (c, j) in enumerate(zip(comps, js)):
             for jc, sel in _interval_groups(j):
-                s = self.partition.coordinate(c, jc, ts[sel])
-                key = (self.methods[c], self.order(c, jc))
-                batches.setdefault(key, []).append((row, c, jc, sel, s))
-        for (method, q), items in batches.items():
-            L = lagrange_matrix(tableau(method, q).nodes,
-                                np.concatenate([item[4] for item in items]))
-            start = 0
-            for row, c, jc, sel, s in items:
-                stop = start + len(s)
-                out[row, sel] = self._contract(
-                    c, jc, np.ascontiguousarray(L[:, start:stop]), order)
-                start = stop
+                out[row, sel] = self.interval_values(
+                    c, jc, self.partition.coordinate(c, jc, ts[sel]), order)
         return out
 
     def values(self, i: int, ts: np.ndarray, side: str, order: int) -> np.ndarray:
         """Component i's values, or order-th time derivatives, at the times
         ``ts`` (a 1-d array), each on the interval ``Partition.locate`` finds
         with ``side`` (times outside [0, T] clamp to the end intervals).  A
-        single time takes the one-time path: ``Partition.point`` and one
-        contraction."""
+        single time is located by ``Partition.point`` (bisect) instead of
+        searchsorted, and read by the same per-group contraction."""
         if len(ts) == 1:
-            j, s = self.partition.point(i, float(ts[0]), side)
-            return self._contract(i, j, self._lagrange(i, j, s), order)
+            return self.interval_values(
+                i, *self.partition.point(i, float(ts[0]), side), order)
         return self.evaluate((i,), ts, (self.partition.locate(i, ts, side),), order)[0]
 
     def cross_state(self, i: int, j: int, s, comps: Sequence[int]
@@ -363,41 +352,24 @@ class Trajectory:
 
         Row i is the interval's own polynomial at s.  Every other component
         of ``comps`` is read where ``Partition.reads`` puts each time (the
-        right limit at t0, the left limit elsewhere); the rows outside
-        ``comps`` hold u0.
-
-        A single s takes the one-time path: ``Partition.read`` per
-        component, one lagrange_matrix call per (method, order) class, with
-        s as one column of component i's, and one stacked np.matmul per
-        class.  It rounds like the general path: a lagrange column depends
-        only on its own point, and a stacked matmul rounds each row as that
-        row's own product."""
+        right limit at t0, the left limit elsewhere), one contraction per
+        (component, interval) group; the rows outside ``comps`` hold u0.  A
+        single s is located per component by ``Partition.read`` (bisect)
+        instead of ``.reads``."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t0, t1 = self.partition.span(i, j)
         times = t0 + (t1 - t0) * s
-        if len(s) == 1:
-            t = float(times[0])
-            read = self.partition.read
-            classes: dict[tuple[str, int], list] = {}
-            for c in comps:
-                jc, sc = (j, float(s[0])) if c == i else read(c, t, t0)
-                classes.setdefault((self.methods[c], self._orders[c][jc]),
-                                   []).append((c, jc, sc))
-            U = self.u0[:, None].copy()
-            for (method, q), items in classes.items():
-                rows, js, ss = zip(*items)
-                L = lagrange_matrix(tableau(method, q).nodes, ss)
-                coeffs = np.array([self._coeffs[c][jc] for c, jc in zip(rows, js)])
-                U[rows, 0] = np.matmul(coeffs[:, None, :],
-                                       np.ascontiguousarray(L.T)[:, :, None])[:, 0, 0]
-                if i in rows:
-                    own = np.ascontiguousarray(L[:, [rows.index(i)]])
-            return times, U, own
         L = self._lagrange(i, j, s)
         others = [c for c in comps if c != i]
-        js = [self.partition.reads(c, times, t0) for c in others]
-        U = np.repeat(self.u0[:, None], len(times), axis=1)
-        U[others] = self.evaluate(others, times, js)
+        if len(s) == 1:
+            t = float(times[0])
+            U = self.u0[:, None].copy()
+            for c in others:
+                U[c] = self.interval_values(c, *self.partition.read(c, t, t0))
+        else:
+            js = [self.partition.reads(c, times, t0) for c in others]
+            U = np.repeat(self.u0[:, None], len(times), axis=1)
+            U[others] = self.evaluate(others, times, js)
         # own component from this interval's polynomial (matters at breakpoints)
         U[i] = self._contract(i, j, L)
         return times, U, L
@@ -452,14 +424,13 @@ def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     within-interval cross state, and the Lagrange factors of s on the
     interval's nodes.  The residual and the estimator's rhs integrals both
     start from this one quantity; ``Trajectory.cross_state`` forms the
-    state, on its one-time path for a single s, as a root search asks for.
+    state, for one s (as a root search asks for) or many.
 
     Only the components f_i reads (``problem.dependencies``, all of them by
     default) are located and interpolated; the other rows of the rhs input
     hold u0, finite values whose output rows are discarded.  This is bit for
-    bit: row i of f reads only rows that are unchanged, each of those rows
-    is rounded as its own product (see the module docstring), and the
-    Lagrange columns of a point do not depend on the batch."""
+    bit: row i of f reads only rows that are unchanged, and each of those
+    rows is read as its own groups' products (see the module docstring)."""
     comps = (range(traj.dimension) if problem.dependencies is None
              else problem.dependencies[i])
     times, U, L = traj.cross_state(i, j, s, comps)

@@ -46,6 +46,11 @@ class TableauError(ValueError):
     """A node set or method tableau failed one of its construction checks."""
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, and not a bool: what integer settings take."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # Legendre polynomials
 # ---------------------------------------------------------------------------
@@ -437,9 +442,14 @@ def build_mdg_tableau(q: int) -> MethodTableau:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tableau(method: str, q: int) -> MethodTableau:
-    """The cached tableau for one (method, order)."""
+    """The cached tableau for one (method, order).  q is any integer but a
+    bool (ValueError otherwise) and is built as a Python int; the cache keys
+    each argument type apart, so no caller's type reaches another's."""
+    if not _is_integer(q):
+        raise ValueError(f"order must be an integer, got {q!r}")
+    q = int(q)
     if method == MCG:
         return build_mcg_tableau(q)
     if method == MDG:

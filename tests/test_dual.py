@@ -191,6 +191,22 @@ class TestReversalBookkeeping:
             for t, v in zip(ts, dbatch):
                 assert dual.value(i, float(t), order=1) == pytest.approx(v, abs=0)
 
+    @pytest.mark.parametrize("side", ["Left", "middle", None])
+    def test_invalid_side_rejected_for_one_time_and_many(self, side):
+        # a typo must not read the other limit, on the primal or the dual
+        prob, part, traj = solved_linear("mdG", q=1, k=0.25)
+        dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[0.3, 0.7]),
+                          dual_partition_for(part, 1),
+                          SolveSettings(tolerance=1e-12))
+        message = "side must be 'left' or 'right'"
+        for ts in (np.array([0.5]), np.array([0.25, 0.5])):
+            with pytest.raises(ValueError, match=message):
+                traj.values(0, ts, side, 0)
+            with pytest.raises(ValueError, match=message):
+                dual.values(0, ts, side)
+        with pytest.raises(ValueError, match=message):
+            dual.value(0, 0.5, side)
+
 
 class TestStackedDualRhs:
     # The dual rhs applies the frozen linearization of all P times of one

@@ -553,6 +553,43 @@ class TestTotalError:
         assert len(rows) == 2 and rows[0]["component"] == 0
 
 
+class TestMismatchedInputs:
+    """Every estimator entry rejects a problem or a dual whose component
+    count or horizon differs from the trajectory's."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        prob = linear2()
+        _, traj, dual = run_with_dual(prob, 1, 0.25)
+        _, _, dual_n1 = run_with_dual(decay(), 1, 0.25)
+        half = OdeProblem(rhs=prob.rhs, u0=prob.u0, T=0.5,
+                          jacobian=prob.jacobian, methods=prob.methods)
+        _, _, dual_t_half = run_with_dual(half, 1, 0.25)
+        return {
+            "problem": (decay(), traj, dual,
+                        "problem, trajectory and dual have 1, 2 and 2 components"),
+            "dual_dimension": (prob, traj, dual_n1,
+                               "problem, trajectory and dual have 2, 2 and 1 components"),
+            "dual_horizon": (prob, traj, dual_t_half,
+                             "problem, trajectory and dual horizons differ: "
+                             "1.0, 1.0 and 0.5"),
+        }
+
+    @pytest.mark.parametrize("entry", [
+        lambda prob, traj, dual: estimate(prob, traj, dual),
+        lambda prob, traj, dual: error_representation(traj, dual, prob),
+        lambda prob, traj, dual: galerkin_estimates(traj, dual, prob),
+        lambda prob, traj, dual: eg_residual_zero(traj, dual, prob),
+    ], ids=["estimate", "error_representation", "galerkin_estimates",
+            "eg_residual_zero"])
+    @pytest.mark.parametrize("case", ["problem", "dual_dimension", "dual_horizon"])
+    def test_mismatch_is_a_value_error(self, runs, entry, case):
+        prob, traj, dual, message = runs[case]
+        with pytest.raises(ValueError) as err:
+            entry(prob, traj, dual)
+        assert str(err.value) == message
+
+
 class TestStabilityFactorError:
     def test_zero_residual_zero_bound(self):
         # constant dual: f and g vanish identically

@@ -116,6 +116,11 @@ class TestIntervalAt:
         with pytest.raises(ValueError):
             part.interval_at(0, 0.5, "middle")
 
+    @pytest.mark.parametrize("side", ["Left", "middle", None])
+    def test_point_rejects_an_invalid_side(self, part, side):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            part.point(0, 0.5, side)
+
     # interval_at, point and locate are one rule: left-open right-closed
     # intervals, with side choosing the interval at a breakpoint
 

@@ -1,15 +1,17 @@
 """The helpers of the repository's scripts: the per-field report comparison,
 the dump comparison and the per-order number reader of
-``scripts/compare_artifacts.py`` and the code-line counter of
-``scripts/count_code_lines.py``.  Each script is loaded
-by its path."""
+``scripts/compare_artifacts.py``, the code-line counter of
+``scripts/count_code_lines.py`` and the pair summary of
+``scripts/ab_pairs.py``.  Each script is loaded by its path."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -169,3 +171,39 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings():
     assert count.code_lines("") == 0
     assert count.code_lines('"""Only a docstring."""\n') == 0
     assert count.code_lines('x = 1\n"""A later string is code."""\n') == 2
+
+
+class TestAbPairs:
+    def test_summary_of_fixed_pairs(self):
+        ab = load_script("ab_pairs")
+        parent = [4.0, 5.0, 6.0, 7.0]
+        change = [3.0, 5.0, 7.0, 6.0]       # better, tie, worse, better
+        pairs = [({"wall_s": p, "err_T": 1.0, "rate": p},
+                  {"wall_s": c, "err_T": 1.0, "rate": c})
+                 for p, c in zip(parent, change)]
+        pairs[0][1].pop("err_T")            # absent in one run: no row
+        rows = ab.summarize(pairs, [("wall_s", "lower"), ("err_T", "lower"),
+                                    ("rate", "higher")])
+        assert [row["metric"] for row in rows] == ["wall_s", "rate"]
+        wall, rate = rows
+        assert wall["parent"] == (5.5, 4.75, 6.25)
+        assert wall["change"] == (5.5, 4.5, 6.25)
+        assert wall["wins"] == 2 and wall["pairs"] == 4
+        assert rate["wins"] == 1             # only the worse wall pair
+        assert ab.format_row(wall) == (
+            "wall_s       parent 5.5 [4.75, 6.25]  change 5.5 [4.5, 6.25]  "
+            "change better in 2/4")
+
+    def test_result_line_and_run_checks(self):
+        ab = load_script("ab_pairs")
+        good = {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+        out = "perfbench seed=0\n  wall_s 1.0 s\n" + json.dumps(good) + "\n\n"
+        assert ab.read_result(out) == good
+        assert ab.run_problem(good) is None
+        assert ab.run_problem(dict(good, correct=False)) == (
+            "run reports itself incorrect")
+        assert ab.run_problem(dict(good, failed=2)) == "2 failed operations"
+        for bad in ("", "no json here\n", "[1, 2]\n"):
+            with pytest.raises(ValueError):
+                ab.read_result(bad)

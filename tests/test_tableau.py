@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -373,3 +374,22 @@ class TestOrderNumbers:
                     tab.node_weights, tab.amat, tab.amat_inv, tab.diff,
                     tab.residual_zeros):
             assert not arr.flags.writeable
+
+    def test_numpy_integer_order_gives_python_numbers(self):
+        # the cache must not hand the first caller's integer type to later
+        # callers: their tableaus would not serialize to JSON
+        tb.tableau.cache_clear()
+        first = tb.tableau(tb.MDG, np.int64(2))
+        later = tb.tableau(tb.MDG, 2)
+        for tab in (first, later):
+            assert type(tab.order) is int and type(tab.deriv_order) is int
+            assert type(tab.interp_const) is float
+            assert type(tab.dyadic_ratio) is float
+            json.dumps(tab.to_json_dict())
+        assert np.array_equal(first.quad_weights, later.quad_weights)
+
+    @pytest.mark.parametrize("q", [True, 1.0, "1"])
+    def test_non_integer_order_rejected(self, q):
+        tb.tableau(tb.MDG, 1)     # a cached order 1 must not answer for q
+        with pytest.raises(ValueError, match="order must be an integer"):
+            tb.tableau(tb.MDG, q)
