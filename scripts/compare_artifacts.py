@@ -29,15 +29,13 @@ tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
 per-order numbers (the derivative order p, the interpolation constant C_q,
 the residual-zero points and the product-quadrature constant; see
 ``order_numbers``), which covers the orders no compared run reaches; JSON
-writes each float exactly, so equal texts are equal bits.  The dump reads
-only names that both the node-set API (``tab.nodes.nodes``) and the
-node-array API provide.  For each error report that differs (the Kepler
-``error_report.json``, a grid case, a multirate report) it also prints
-each differing field, how many of its entries differ and their largest
-relative deviation, in the max norm relative to the parent's field, as the
-golden gates measure it.  Exits 0 when all are identical, 1 on any
-difference or failed run.  Everything is written under a temporary
-directory, removed at the end.
+writes each float exactly, so equal texts are equal bits.  For each error
+report that differs (the Kepler ``error_report.json``, a grid case, a
+multirate report) it also prints each differing field, how many of its
+entries differ and their largest relative deviation, in the max norm
+relative to the parent's field, as the golden gates measure it.  Exits 0
+when all are identical, 1 on any difference or failed run.  Everything is
+written under a temporary directory, removed at the end.
 """
 
 import argparse
@@ -71,26 +69,18 @@ TABLEAU_CASES = ([("mcG", q) for q in range(1, 13)]
 RULE_DEPTHS = [0, 1, 2, 3]
 
 
-def order_numbers(tab, estimator) -> dict:
+def order_numbers(tab) -> dict:
     """p, C_q, the residual-zero points and the product-quadrature constant
-    of one tableau: its own fields where the tree's tableau holds them, else
-    the per-(method, order) helpers of the tree's estimator module."""
-    if hasattr(tab, "deriv_order"):
-        return {"p": tab.deriv_order, "C_q": tab.interp_const,
-                "residual_zeros": tab.residual_zeros.tolist(),
-                "product_constant": tab.product_constant}
-    method, q = tab.method, tab.order
-    return {"p": estimator._deriv_order(method, q),
-            "C_q": estimator._interp_const(method, q),
-            "residual_zeros": estimator._interp_points(method, q).tolist(),
-            "product_constant": estimator.product_quadrature_constant(method, q)}
+    of one tableau, read from its own fields."""
+    return {"p": tab.deriv_order, "C_q": tab.interp_const,
+            "residual_zeros": tab.residual_zeros.tolist(),
+            "product_constant": tab.product_constant}
 
 
 # Prints one line per tableau, one per (tableau, rule depth) and one with the
 # tableau's per-order numbers: the name, a tab, the JSON text.
 TABLEAU_SCRIPT = f"""
 import json
-import mgode.estimator as estimator
 from mgode.tableau import integration_rule, scheme_rule, tableau
 
 {inspect.getsource(order_numbers)}
@@ -106,7 +96,7 @@ for method, q in {TABLEAU_CASES!r}:
                  for rule in (scheme_rule, integration_rule)}}
         print(f"{{method}}-q{{q}}-depth{{depth}}\\t" + json.dumps(rules))
     print(f"{{method}}-q{{q}}-numbers\\t"
-          + json.dumps(order_numbers(tab, estimator)))
+          + json.dumps(order_numbers(tab)))
 """
 # Prints one line per grid case and per multirate text: the name, a tab, the
 # JSON text.

@@ -11,6 +11,7 @@ adapt_log.jsonl and partition.json in the output directory.  Exit status is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import sys
@@ -179,13 +180,11 @@ def _resolve_problem(config: dict) -> OdeProblem:
             raise ConfigError(
                 f"{config['problem_import']} did not produce an ODE problem"
             )
-        if "methods" in config:
-            problem.methods = config["methods"]
+        # a new problem, validated as it is built; the factory's is untouched
+        overrides = {key: config[key] for key in ("methods", "u0") if key in config}
         if "T" in config:
-            problem.T = float(config["T"])
-        if "u0" in config:
-            problem.u0 = np.asarray(config["u0"], dtype=float)
-        problem.__post_init__()  # validate the overridden fields
+            overrides["T"] = float(config["T"])
+        problem = dataclasses.replace(problem, **overrides)
     return problem
 
 

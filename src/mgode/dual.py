@@ -233,19 +233,18 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
         return _stacked[key]
 
     def psi_rhs(psi, sigma):
-        # stacked form: psi (N, P), sigma (P,); plain vectors accepted too.
-        # BLAS rounds each column by the state's memory layout, so a stacked
-        # state is taken in C order: one np.matmul then rounds each column as
-        # Jt @ psi[:, p] alone does on a C-ordered psi, whatever layout the
-        # caller passed (tests/test_dual.py).  A vector rounds as Jt @ psi.
-        vec_in = np.ndim(psi) > 1
-        psi_mat = (np.ascontiguousarray(psi, dtype=float) if vec_in
-                   else np.asarray(psi, dtype=float)).reshape(N, -1)
+        # stacked form: psi (N, P), sigma (P,); plain vectors (from
+        # jacobian_or_fd) accepted too.  BLAS rounds each column by the
+        # state's memory layout, so every state is taken in C order and as
+        # (N, P): one np.matmul then rounds each column as Jt @ psi[:, p]
+        # alone does on a C-ordered psi, whatever layout the caller passed,
+        # and a vector rounds as its stacked single column (tests/test_dual.py).
+        psi_mat = np.ascontiguousarray(psi, dtype=float).reshape(N, -1)
         Jts, G = _stacked_at(np.atleast_1d(np.asarray(sigma, dtype=float)))
         out = np.ascontiguousarray(np.matmul(Jts, psi_mat.T[:, :, None])[:, :, 0].T)
         if G is not None:
             out += G
-        return out if vec_in else out[:, 0]
+        return out if np.ndim(psi) > 1 else out[:, 0]
 
     psi_problem = OdeProblem(
         rhs=psi_rhs,

@@ -158,13 +158,13 @@ def error_representation(traj: Trajectory, dual: DualSolution,
     interval.  The integrand cancels heavily (the residual is orthogonal to
     the test space), so integration is cut at the dual's piece boundaries and
     the rule order is raised to cover the local residual-dual product degree.
-    Jump terms enter only for discontinuous-family components.
+    The jump term is the same for both families; a continuous-family jump is
+    exactly 0.0, so it adds an exact zero there.
     """
     _check_matching(problem, traj, dual)
     total = 0.0
     part = traj.partition
     for i in range(traj.dimension):
-        method = traj.methods[i]
         for j in range(part.n_intervals(i)):
             t0, t1 = part.span(i, j)
             k = t1 - t0
@@ -179,8 +179,7 @@ def error_representation(traj: Trajectory, dual: DualSolution,
                 R = interval_residual(traj, problem, i, j, s_loc)
                 phi = dual.values(i, t0 + k * s_loc, "left")
                 total += (b - a) * float(w @ (R * phi))
-            if method == MDG:
-                total += traj.jump(i, j) * dual.value(i, t0, "left")
+            total += traj.jump(i, j) * dual.value(i, t0, "left")
     return total
 
 
@@ -246,8 +245,8 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     factors.
 
     One pass over each component's intervals computes the normalized
-    residual r (with the jump contribution rbar for discontinuous
-    components), the dual derivative factor s, the midpoint Taylor
+    residual r (and rbar, with the jump contribution, which is zero for
+    continuous components), the dual derivative factor s, the midpoint Taylor
     interpolation terms feeding E0 and E1, the L2 pieces of E5, and the mean
     and residual-zero interpolation factors; one pass over the elementary
     segments computes the global derivative-norm factor and the L1 norm of
@@ -297,8 +296,10 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             _, r_abs = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
                                            n_scan=n_scan)
             r_ij = r_abs  # (1/k) * int |R| dt = int |R(s)| ds
-            # the jump rule serves both families: mcG jumps are exactly 0.0,
-            # so rbar == r and the jump terms below add exact zeros
+            # one jump rule serves both families, here, in the E0/E1 and E5
+            # terms below and in error_representation: an mcG jump is exactly
+            # 0.0 (see Trajectory.jump), so rbar == r and each jump term adds
+            # an exact zero
             jmp = traj.jump(i, j)
             rbar_ij = r_ij + abs(jmp) / k
             r_prof[i][j] = r_ij
@@ -320,10 +321,9 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                 splits=part.coordinate(i, j, cuts))
             e0_signed += k * signed
             e1 += k * absval
-            if method == MDG:
-                dphi0 = dual.value(i, t0, "left") - float(pi_fn(t0)[0])
-                e0_signed += jmp * dphi0
-                e1 += abs(jmp) * abs(dphi0)
+            dphi0 = dual.value(i, t0, "left") - float(pi_fn(t0)[0])
+            e0_signed += jmp * dphi0
+            e1 += abs(jmp) * abs(dphi0)
 
             # weighted residual C_q k^p rbar
             comp_max[i] = max(comp_max[i], cq * k**p * rbar_ij)

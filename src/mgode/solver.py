@@ -403,12 +403,13 @@ class Trajectory:
 
     def jump(self, i: int, j: int) -> float:
         """Right minus left limit of component i at breakpoint t_{i,j},
-        0 <= j < M_i.  Identically zero for continuous-family components."""
+        0 <= j < M_i, for either family.  A continuous-family jump is exactly
+        0.0: ``solve_slab`` pins each interval's first nodal value to its
+        incoming value bit for bit, and the Lagrange column at s = 0 on the
+        Lobatto nodes is e_0 (up to signed zeros)."""
         M = self.partition.n_intervals(i)
         if not 0 <= j < M:
             raise ValueError(f"breakpoint index {j} outside [0, {M})")
-        if self.methods[i] == MCG:
-            return 0.0
         left = self.incoming_value(i, j)
         right = float(self.interval_values(i, j, 0.0)[0])
         return right - left

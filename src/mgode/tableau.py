@@ -224,13 +224,12 @@ def lagrange_matrix(nodes: np.ndarray, x) -> np.ndarray:
     All ratios (x - s_k) / (s_m - s_k) are formed in one array operation with
     the k = m factor set to 1, then multiplied along k in index order; this
     is the same sequence of roundings as the factor-by-factor product, and
-    every column depends on its own point only.
+    every column depends on its own point only.  On one node the only ratio
+    is the unit diagonal, so the basis is exactly 1.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
-    if n == 1:
-        return np.ones((1, len(xs)))
     ratios = (xs - nodes[:, None]) / _lagrange_denominators(nodes.tobytes())
     ratios.reshape(n * n, len(xs))[:: n + 1] = 1.0
     return np.multiply.reduce(ratios, axis=1)

@@ -184,6 +184,28 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_problem_import_overrides_leave_the_factory_problem(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "userprob_shared.py").write_text(
+            "from mgode.solver import OdeProblem\n"
+            "PROBLEM = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0,\n"
+            "                     methods='mcG', vectorized=True)\n"
+            "def make():\n"
+            "    return PROBLEM\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "userprob_shared", raising=False)
+        cfg = write_config(tmp_path, {"problem_import": "userprob_shared:make",
+                                      "T": 0.5, "u0": [2.0], "methods": "mdG"},
+                           drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "partition.json").read_text())["T"] == 0.5
+        problem = sys.modules["userprob_shared"].PROBLEM
+        assert problem.T == 1.0
+        assert np.array_equal(problem.u0, [1.0])
+        assert problem.methods == ("mcG",)
+
     def test_model_and_import_both_given(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem_import": "userprob:make"})
         assert main(["run", "--config", str(cfg)]) == 1

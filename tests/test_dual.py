@@ -252,7 +252,9 @@ class TestStackedDualRhs:
                     if forced:
                         ref[:, p] += g(t)
                 assert np.array_equal(out, ref)
-                assert np.array_equal(psi_rhs(psi[:, -1], sigma[-1]), ref[:, -1])
+                # a vector rounds as its stacked single column
+                assert np.array_equal(psi_rhs(psi[:, -1], sigma[-1]),
+                                      psi_rhs(psi[:, -1:], sigma[-1:])[:, 0])
                 # a time array already seen in another order stacks the
                 # cached matrices, which view the first stack; the state
                 # comes C-ordered, as the slab solver passes it
@@ -285,6 +287,28 @@ class TestStackedDualRhs:
             assert not fancy.flags.c_contiguous
             for state in (np.asfortranarray(psi), fancy):
                 assert np.array_equal(psi_rhs(state, sigma), out)
+
+    # A plain vector, strided or not, gives the bits of the same state as a
+    # stacked C-ordered single column.  A strided column psi[:, p] used to
+    # round by its stride at these N.
+    @pytest.mark.parametrize("N", [6, 7, 10, 11, 14, 15])
+    def test_vector_rounds_as_its_stacked_column(self, N):
+        rng = np.random.default_rng(N)
+        A = 0.05 * rng.normal(size=(N, N))
+        prob = OdeProblem(rhs=lambda U, t: A @ U, u0=np.ones(N), T=1.0,
+                          jacobian=lambda u, t: A, vectorized=True)
+        part = build_partition([0.25] * N, 1, 1.0)
+        dual = solve_dual(DualSpec(problem=prob, primal=solve(prob, part),
+                                   phi_T=np.ones(N)), part)
+        psi_rhs = dual.psi_problem.rhs
+        for _ in range(200):
+            P = int(rng.integers(2, 14))
+            psi = rng.normal(size=(N, P))
+            p = int(rng.integers(P))
+            s = float(rng.uniform(0.0, 1.0))
+            column = np.ascontiguousarray(psi[:, p])[:, None]
+            assert np.array_equal(psi_rhs(psi[:, p], s),
+                                  psi_rhs(column, [s])[:, 0])
 
 
 # -- one refinement path: the seed's two paths as the oracle -------------------

@@ -59,6 +59,11 @@ class TestLagrangeMatrix:
         for x in (0.3, float(nodes[-1]), -0.2):
             assert np.array_equal(lagrange_matrix(nodes, x), lagrange_loop(nodes, x))
 
+    def test_one_node_basis_is_exactly_one(self):
+        xs = np.array([-0.5, 0.0, 0.3, 0.7, 1.0, 1.5])
+        assert np.array_equal(lagrange_matrix(np.array([0.3]), xs),
+                              np.ones((1, len(xs))))
+
     def test_columns_independent_of_batch(self):
         nodes = lobatto_nodes(4)
         x = np.linspace(-0.1, 1.1, 23)

@@ -100,46 +100,21 @@ class TestDifferingEntries:
 
 
 class TestOrderNumbers:
-    # stub tableaus and a stub estimator module: the reader takes the
-    # tableau's fields when it has them, else the estimator's helpers
+    # a stub tableau: the reader takes the tableau's own fields
     NUMBERS = {"p": 3, "C_q": 0.125, "residual_zeros": [0.0, 0.25, 0.75],
                "product_constant": 0.2}
 
-    def estimator(self, calls):
-        def helper(name, value):
-            def fn(method, q):
-                calls.append((name, method, q))
-                return value
-            return fn
-        return SimpleNamespace(
-            _deriv_order=helper("_deriv_order", 3),
-            _interp_const=helper("_interp_const", 0.125),
-            _interp_points=helper("_interp_points", np.array([0.0, 0.25, 0.75])),
-            product_quadrature_constant=helper("product_quadrature_constant", 0.2))
-
     def test_fields_of_the_tableau(self):
         compare = load_script("compare_artifacts")
-        calls = []
         tab = SimpleNamespace(method="mdG", order=2, deriv_order=3,
                               interp_const=0.125,
                               residual_zeros=np.array([0.0, 0.25, 0.75]),
                               product_constant=0.2)
-        got = compare.order_numbers(tab, self.estimator(calls))
-        assert got == self.NUMBERS and calls == []
-
-    def test_estimator_helpers_without_the_fields(self):
-        compare = load_script("compare_artifacts")
-        calls = []
-        tab = SimpleNamespace(method="mdG", order=2)
-        got = compare.order_numbers(tab, self.estimator(calls))
-        assert got == self.NUMBERS
-        assert calls == [("_deriv_order", "mdG", 2), ("_interp_const", "mdG", 2),
-                         ("_interp_points", "mdG", 2),
-                         ("product_quadrature_constant", "mdG", 2)]
+        assert compare.order_numbers(tab) == self.NUMBERS
 
     def test_dump_script_carries_the_reader(self):
         compare = load_script("compare_artifacts")
-        assert "def order_numbers(tab, estimator)" in compare.TABLEAU_SCRIPT
+        assert "def order_numbers(tab)" in compare.TABLEAU_SCRIPT
 
 
 SNIPPET = '''"""Module docstring,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import mgode.tableau as tb
+from mgode.models import model
 from mgode.partition import build_partition, build_slabs
 from mgode.solver import (
     ConvergenceFailure,
@@ -322,10 +323,20 @@ class TestResidual:
 
 class TestJump:
     def test_mcg_jump_zero(self):
+        # exactly 0.0 at every breakpoint of every mcG component, also beside
+        # an mdG component on a multirate partition
         prob = decay_problem()
-        part = build_partition(0.25, 1, 1.0, methods=prob.methods)
-        traj = solve(prob, part)
-        assert traj.jump(0, 2) == 0.0
+        trajs = [solve(prob, build_partition(0.25, 1, 1.0, methods=prob.methods))]
+        prob = model("linear_system").problem(methods=("mcG", "mdG"))
+        part = build_partition([[0.03] * 10 + [0.07] * 10, [0.1] * 10], [2, 1],
+                               prob.T, methods=prob.methods)
+        trajs.append(solve(prob, part,
+                           SolveSettings(tolerance=1e-13, quad_depth=1)))
+        for traj in trajs:
+            for i in range(traj.dimension):
+                if traj.methods[i] == "mcG":
+                    assert all(traj.jump(i, j) == 0.0
+                               for j in range(traj.partition.n_intervals(i)))
 
     def test_mdg0_jump_closed_form(self):
         # oracle: one-step recursion xi_{n+1} = xi_n / 1.1
