@@ -20,7 +20,7 @@ from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
 from .estimator import ErrorReport, estimate
 from .partition import Partition, _check_integer, _check_intervals
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
-from .tableau import MCG, tableau
+from .tableau import tableau
 
 # Most intervals one component packs into one synchronized slab window.
 _MAX_RATIO = 32
@@ -49,7 +49,8 @@ class AdaptSettings:
         _check_integer("dual_order_increment", self.dual_order_increment, 0)
         _check_integer("dual_refine", self.dual_refine, 1)
         if not 0.0 < self.k_min <= self.k_max:
-            raise ValueError("step bounds must satisfy 0 < k_min <= k_max")
+            raise ValueError("step bounds must satisfy 0 < k_min <= k_max, "
+                             f"got k_min={self.k_min!r}, k_max={self.k_max!r}")
 
 
 def propose_steps(report: ErrorReport,
@@ -57,11 +58,12 @@ def propose_steps(report: ErrorReport,
     """New per-component step-size functions from the bound's local form.
 
     Each component receives the budget theta * tol / N; on every old interval
-    the step solving  S_i * C_q * k^p * r = budget  is proposed (p = q for the
-    continuous family, q + 1 with the jump-augmented residual for the
-    discontinuous one), clamped to the configured bounds.  A step function
-    is constant on each old interval, the one ``Partition.point`` finds to
-    the right of t (clamped to the first and last).
+    the step solving  S_i * C_q * k^p * rbar = budget  is proposed, with the
+    jump-augmented residual rbar (p = q for the continuous family, whose
+    jumps are exactly 0.0, so its rbar is r; q + 1 for the discontinuous
+    one), clamped to the configured bounds.  A step function is constant on
+    each old interval, the one ``Partition.point`` finds to the right of t
+    (clamped to the first and last).
     """
     part = report.partition
     n = len(report.methods)
@@ -71,7 +73,7 @@ def propose_steps(report: ErrorReport,
     for i in range(n):
         method = report.methods[i]
         qs = part.orders[i]
-        res = report.rbar[i] if method != MCG else report.r[i]
+        res = report.rbar[i]
         s_i = float(report.factors.s_deriv[i])
         new_steps = np.empty(len(qs))
         for j, q in enumerate(qs):

@@ -195,7 +195,11 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
     N = problem.dimension
 
     # the linearization (and forcing) along the fixed primal trajectory does
-    # not change between sweeps, so cache them per quadrature time
+    # not change between sweeps, so cache them per quadrature time.  Only the
+    # missing times are sampled, on purpose: a primal read depends on the
+    # other times of its (component, interval) group in the same call (see
+    # the solver module), so sampling each new time array whole would read a
+    # time again among other times and could change its bits
     _frozen: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def _linearization_at(ts: np.ndarray) -> list:

@@ -87,28 +87,6 @@ def _gauss_integral(fn, a: float, b: float, npts: int) -> float:
     return (b - a) * float(wg @ fn(a + (b - a) * xg))
 
 
-class _MemoFn:
-    """Memoize a vectorized function of a point array on exact point sets.
-
-    The splitting integrators evaluate the same scan grids and Gauss nodes
-    for several integrals over one interval; caching by the byte image of
-    the request removes the repeated residual and dual evaluations.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.cache: dict[bytes, np.ndarray] = {}
-
-    def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = x.tobytes()
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = np.asarray(self.fn(x), dtype=float)
-            self.cache[key] = hit
-        return hit
-
-
 # ---------------------------------------------------------------------------
 # Interpolation of the dual
 # ---------------------------------------------------------------------------
@@ -291,7 +269,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                     f"{dual.local_order(i, t0, t1)} < required derivative order {p}"
                 )
 
-            Rfn = _MemoFn(lambda s: interval_residual(traj, problem, i, j, s))
+            Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
             phi_loc = lambda s: dual.values(i, t0 + k * s, "left")  # noqa: E731
             _, r_abs = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
                                            n_scan=n_scan)
@@ -306,7 +284,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             rbar_prof[i][j] = rbar_ij
 
             # dual derivative factor, split at the dual's own piece boundaries
-            dfn = _MemoFn(lambda ts: dual.values(i, ts, "left", p))
+            dfn = partial(dual.values, i, side="left", order=p)
             cuts = dual.piece_boundaries(i, t0, t1)
             _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
                                            n_scan=n_scan, splits=cuts)

@@ -10,7 +10,7 @@ f_i reads.  Each rhs fills a preallocated array row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tableau import MAX_ORDER, MCG, MDG, _is_integer, min_order
+from .tableau import MAX_ORDER, _is_integer, min_order
 
 #: Relative tolerance (times the horizon) under which breakpoints of
 #: different components are considered one synchronized level and merged

@@ -33,9 +33,10 @@ residual's raw times, not snapped -- the one difference between the two
 reads.  The trajectory reads every component's polynomial by one rule:
 one contraction per (component, interval) group, ``interval_values``' one
 lagrange_matrix call and one ``coeffs @ L`` over exactly that group's
-columns.  A lagrange column depends only on its own point and each group
-keeps its own column count, so no read depends on which other times were
-asked for.  The trajectory's two entries, ``values`` (one component, as the
+columns.  A lagrange column depends only on its own point, but BLAS rounds
+``coeffs @ L`` by its column count, so a read depends on the other times
+asked for on the same (component, interval) in the same call, and on no
+other time.  The trajectory's two entries, ``values`` (one component, as the
 dual asks) and ``cross_state`` (the state the residual reads), locate a
 single time, as the estimator's root searches ask for, by bisect
 (``.point`` / ``.read``) instead of searchsorted; that is all a single time
@@ -61,7 +62,6 @@ from .partition import (Partition, TimeSlab, _check_integer, _is_integer,
 from .tableau import (
     MCG,
     MAX_QUAD_DEPTH,
-    MDG,
     METHODS,
     lagrange_matrix,
     min_order,

@@ -290,6 +290,16 @@ class TestRunErrors:
         one_error_line(capsys)
         assert not out.exists()
 
+    def test_horizon_below_the_default_k_min_names_both_bounds(self, tmp_path,
+                                                               capsys):
+        # without an adapt block, k_max defaults to T and k_min keeps 1e-8
+        cfg = write_config(tmp_path, {"T": 1e-9}, drop=("adapt",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "k_min=1e-08" in err and "k_max=1e-09" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("phi_T,message", [
         ([float("nan")], "phi_T must be finite"),
         ([1.0, 0.0], "phi_T has length 2, expected 1"),

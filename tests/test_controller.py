@@ -45,7 +45,9 @@ class TestProposeSteps:
         _, report = _report_for(prob, part)
         st = settings()
         fns1 = propose_steps(report, st)
+        # an mcG report's rbar is its r; propose_steps reads rbar
         report.r[0][:] = report.r[0] / 2.0
+        report.rbar[0][:] = report.r[0]
         fns2 = propose_steps(report, st)
         for t in (0.05, 0.45, 0.95):
             # q = 2: steps scale by 2^(1/2) when the residual halves
@@ -57,8 +59,8 @@ class TestProposeSteps:
         part = build_partition(0.1, 2, 1.0, methods=prob.methods)
         _, report = _report_for(prob, part)
         # impose a factor-1000 residual imbalance with equal stability factors
-        report.r[0][:] = 1.0
-        report.r[1][:] = 1000.0
+        report.r[0][:] = report.rbar[0][:] = 1.0
+        report.r[1][:] = report.rbar[1][:] = 1000.0
         report.factors.s_deriv[:] = 1.0
         st = settings(k_min=1e-12, k_max=1e6)
         fns = propose_steps(report, st)
@@ -70,7 +72,7 @@ class TestProposeSteps:
         prob = entry.problem()
         part = build_partition(0.25, 2, 1.0, methods=prob.methods)
         _, report = _report_for(prob, part)
-        report.r[0][:] = 0.0
+        report.r[0][:] = report.rbar[0][:] = 0.0
         st = settings()
         with pytest.warns(RuntimeWarning, match="clamp"):
             fns = propose_steps(report, st)
@@ -89,6 +91,17 @@ class TestProposeSteps:
         expect = (budget / denom) ** (1.0 / 2.0)
         assert fns[0](float(report.partition.breakpoints[0][j])) == \
             pytest.approx(expect, rel=1e-12)
+
+    def test_mcg_rbar_is_r_and_mdg_rbar_bounds_r(self):
+        # the identity that lets propose_steps read rbar for both families:
+        # an mcG jump is exactly 0.0, so rbar = r + 0.0 / k is r bit for bit
+        prob = model("linear_system").problem(methods=["mcG", "mdG"])
+        part = build_partition([1 / 24, 1 / 32], [2, 1], 1.0,
+                               methods=prob.methods)
+        _, report = _report_for(prob, part)
+        assert np.array_equal(report.rbar[0], report.r[0])
+        assert np.all(report.rbar[1] >= report.r[1])
+        assert np.any(report.rbar[1] > report.r[1])
 
 
 class TestSynchronizedPartition:

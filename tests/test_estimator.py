@@ -7,7 +7,6 @@ import scipy.linalg as sla
 import mgode.tableau as tb
 from mgode.dual import DualSolution, DualSpec, dual_partition_for, solve_dual
 from mgode.estimator import (
-    _MemoFn,
     _integral_of_rhs,
     computational_error,
     computational_residual,
@@ -83,19 +82,6 @@ class TestIntegrateSplitting:
                                              splits=(0.5,))
         assert signed == pytest.approx(0.0, abs=1e-14)
         assert absval == pytest.approx(1.0, abs=1e-14)
-
-    def test_memo_avoids_recomputation(self):
-        calls = []
-
-        def fn(x):
-            calls.append(len(x))
-            return x**2
-
-        m = _MemoFn(fn)
-        xs = np.linspace(0, 1, 5)
-        m(xs)
-        m(xs)
-        assert len(calls) == 1
 
 
 class TestErrorRepresentation:
