@@ -33,8 +33,12 @@ writes each float exactly, so equal texts are equal bits.  For each error
 report that differs (the Kepler ``error_report.json``, a grid case, a
 multirate report) it also prints each differing field, how many of its
 entries differ and their largest relative deviation, in the max norm
-relative to the parent's field, as the golden gates measure it.  Exits 0
-when all are identical, 1 on any difference or failed run.  Everything is
+relative to the parent's field, as the golden gates measure it.  One
+summary line says whether the Kepler numbers that feed ``propose_steps``
+are identical: each component's r and r-bar, the per-component derivative
+factor, ``partition.json`` and the trajectory and dual coefficients; the
+numerical contract keeps these bit for bit.  Exits 0 when all are
+identical, 1 on any difference or failed run.  Everything is
 written under a temporary directory, removed at the end.
 """
 
@@ -202,6 +206,36 @@ def print_deviations(name: str, parent: str, change: str) -> None:
               f"largest relative deviation {dev:.3e}")
 
 
+def steering_parts(texts: dict[str, str]) -> dict[str, str]:
+    """Part name -> JSON text of each number set of one Kepler run that
+    feeds ``propose_steps``, read from the artifact texts by file name."""
+    report = json.loads(texts["error_report.json"])
+    return {
+        "r": json.dumps([c["r"] for c in report["components"]]),
+        "rbar": json.dumps([c["rbar"] for c in report["components"]]),
+        "s_deriv": json.dumps(
+            report["stability_factors"]["per_component_derivative"]),
+        "partition": texts["partition.json"],
+        **{name: json.dumps([c["coefficients"] for c in
+                             json.loads(texts[f"{name}.json"])["components"]])
+           for name in ("trajectory", "dual")},
+    }
+
+
+def steering_summary(parent: dict[str, str], change: dict[str, str]) -> str:
+    """One line saying whether the numbers that feed ``propose_steps`` are
+    identical in two runs' artifact texts, naming the parts that differ."""
+    try:
+        a, b = steering_parts(parent), steering_parts(change)
+    except (KeyError, TypeError, ValueError):
+        return "propose_steps inputs differ: unreadable artifacts"
+    differ = [name for name in a if a[name] != b[name]]
+    if differ:
+        return "propose_steps inputs differ: " + ", ".join(differ)
+    return ("propose_steps inputs identical (r, rbar, s_deriv, partition, "
+            "trajectory and dual coefficients)")
+
+
 def entries(text: str) -> dict[str, str]:
     """Name -> JSON text of a dump that prints one ``name<TAB>JSON`` line
     per entry."""
@@ -280,6 +314,9 @@ def main() -> int:
                     print_deviations(artifact, a.read_text(), b.read_text())
                 else:
                     print(f"differs: {artifact}")
+        steering = steering_summary(*(
+            {artifact: (out / artifact).read_text() for artifact in ARTIFACTS
+             if (out / artifact).is_file()} for out in outs.values()))
     a, b = (entries(text) for text in reports)
     if len(a) != len(GRID_CASES) + len(MULTIRATE_TEXTS) or set(a) != set(b):
         print("error: the two trees report different grid cases", file=sys.stderr)
@@ -298,6 +335,7 @@ def main() -> int:
     numbers_differ = [name for name in dump_differ if name.endswith("-numbers")]
     tableau_differ = [name for name in dump_differ if name not in numbers_differ]
     print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
+    print(steering)
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")
     print(f"{len(MULTIRATE_TEXTS) - len(multirate_differ)} of "

@@ -234,10 +234,12 @@ def run_command(args) -> int:
                                     problem.T, methods=problem.methods)
         dual_cfg = config.get("dual", {})
         phi_T = dual_cfg.get("phi_T", "unit")
-        # CLI defaults, then the keys the config sets (dual refine ->
-        # dual_refine); the rest, and phi_T "unit", keep the adapt defaults
+        # CLI defaults (the step bounds fit inside [0, T]), then the keys the
+        # config sets (dual refine -> dual_refine); the rest, and phi_T
+        # "unit", keep the adapt defaults
         settings = AdaptSettings(**{
             "tol": float("inf"), "max_rounds": 1, "k_max": problem.T,
+            "k_min": min(AdaptSettings.k_min, problem.T),
             **config.get("adapt", {}),
             **{f"dual_{key}": val for key, val in dual_cfg.items() if key != "phi_T"},
             "phi_T": None if isinstance(phi_T, str) else np.asarray(phi_T, dtype=float),

@@ -232,6 +232,17 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     follows from the assembled sums.  When the dual's local degree cannot
     supply the required derivative, E2..E5 degrade to NaN and a flag records
     the deficiency.
+
+    E0/E1 integrate R (phi - pi phi), which changes sign only where R or
+    phi - pi phi does, so no root search runs on the product.  Each
+    interval scans R once and finds its roots with brentq; they cut r's
+    integral of |R| into pieces.  The E0/E1 integral is cut at those roots,
+    at the dual's piece boundaries and at the sign changes of phi - pi phi,
+    which a scan and brentq on the dual alone find.  An E0/E1 piece that no
+    dual cut or root of phi - pi phi splits further is a piece of r and
+    reuses R's values at its Gauss nodes, as E5's L2 rule does when R has
+    no root; so R is read once per point set and no brentq step on the
+    product reads it.
     """
     _check_matching(problem, traj, dual)
     part = traj.partition
@@ -271,9 +282,31 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
 
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
             phi_loc = lambda s: dual.values(i, t0 + k * s, "left")  # noqa: E731
-            _, r_abs = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
-                                           n_scan=n_scan)
-            r_ij = r_abs  # (1/k) * int |R| dt = int |R(s)| ds
+            cuts = dual.piece_boundaries(i, t0, t1)
+            # E0/E1 integrate R (phi - pi phi), pi the midpoint Taylor
+            # interpolant of degree p - 1 in the test space, cut where a
+            # factor changes sign; the cuts of phi - pi phi read no residual
+            pi_fn = _taylor_interpolant(dual, i, 0.5 * (t0 + t1), p - 1)
+            dphi = lambda s: phi_loc(s) - pi_fn(t0 + k * s)  # noqa: E731
+            dpts = [0.0, *part.coordinate(i, j, cuts), 1.0]
+            dcuts = {*dpts[1:-1], *(x for a, b in zip(dpts[:-1], dpts[1:])
+                                    for x in _sign_change_roots(dphi, a, b, n_scan))}
+            # R's roots, found once, cut r = (1/k) int |R| dt = int |R(s)| ds;
+            # an E0/E1 piece that nothing else cuts is a piece of r
+            xg, wg = gauss_rule_01(npts)
+            rpts = [0.0, *_sign_change_roots(Rfn, 0.0, 1.0, n_scan), 1.0]
+            r_ij = signed = absval = 0.0
+            for a, b in zip(rpts[:-1], rpts[1:]):
+                if b > a:
+                    Rv = Rfn(a + (b - a) * xg)
+                    r_ij += abs((b - a) * float(wg @ Rv))
+                    sub = [a, *sorted(c for c in dcuts if a < c < b), b]
+                    for s0, s1 in zip(sub[:-1], sub[1:]):
+                        x = s0 + (s1 - s0) * xg
+                        R = Rv if len(sub) == 2 else Rfn(x)
+                        val = (s1 - s0) * float(wg @ (R * dphi(x)))
+                        signed += val
+                        absval += abs(val)
             # one jump rule serves both families, here, in the E0/E1 and E5
             # terms below and in error_representation: an mcG jump is exactly
             # 0.0 (see Trajectory.jump), so rbar == r and each jump term adds
@@ -285,18 +318,12 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
 
             # dual derivative factor, split at the dual's own piece boundaries
             dfn = partial(dual.values, i, side="left", order=p)
-            cuts = dual.piece_boundaries(i, t0, t1)
             _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
                                            n_scan=n_scan, splits=cuts)
             s_ij = s_abs / k
             s_deriv[i] += k * s_ij
 
-            # E0/E1: midpoint Taylor interpolant of degree p - 1, in the test space
-            pi_fn = _taylor_interpolant(dual, i, 0.5 * (t0 + t1), p - 1)
-            prod = lambda s: Rfn(s) * (phi_loc(s) - pi_fn(t0 + k * s))  # noqa: E731
-            signed, absval = integrate_splitting(
-                prod, 0.0, 1.0, npts=npts, n_scan=n_scan,
-                splits=part.coordinate(i, j, cuts))
+            # E0/E1 with the jump term at the interval start
             e0_signed += k * signed
             e1 += k * absval
             dphi0 = dual.value(i, t0, "left") - float(pi_fn(t0)[0])
@@ -307,9 +334,9 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             comp_max[i] = max(comp_max[i], cq * k**p * rbar_ij)
             e2 += cq * k ** (p + 1) * rbar_ij * s_ij
 
-            # L2 pieces for E5
-            R2 = lambda s: Rfn(s) ** 2  # noqa: E731
-            int_R2 = k * _gauss_integral(R2, 0.0, 1.0, npts)
+            # L2 pieces for E5; without a root of R, r's one piece holds
+            # R's values at this rule's nodes
+            int_R2 = k * float(wg @ (Rv if len(rpts) == 2 else Rfn(xg)) ** 2)
             c_over_k = abs(jmp) / k
             int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
             l2_weighted_sq += (cq * k**p) ** 2 * int_rbar2

@@ -126,6 +126,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
 
+    def test_horizon_below_the_default_k_min_runs(self, tmp_path):
+        # without an adapt block k_max defaults to T, and k_min to the
+        # smaller of AdaptSettings' own default and T
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": "linear_decay", "steps": 0.1,
+                                   "orders": 1, "T": 1e-9}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ARTIFACTS:
+            assert (out / name).exists(), name
+        part = json.loads((out / "partition.json").read_text())
+        assert part["components"][0]["breakpoints"] == [0.0, 1e-9]
+
     def test_unreachable_tolerance_exit_2_with_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, {
             "adapt": {"tol": 1e-12, "max_rounds": 1},
@@ -290,10 +303,11 @@ class TestRunErrors:
         one_error_line(capsys)
         assert not out.exists()
 
-    def test_horizon_below_the_default_k_min_names_both_bounds(self, tmp_path,
-                                                               capsys):
-        # without an adapt block, k_max defaults to T and k_min keeps 1e-8
-        cfg = write_config(tmp_path, {"T": 1e-9}, drop=("adapt",))
+    def test_config_k_min_above_k_max_names_both_bounds(self, tmp_path,
+                                                        capsys):
+        # the config's own k_min stands even above k_max, which defaults to T
+        cfg = write_config(tmp_path, {"T": 1e-9, "adapt": {"k_min": 1e-8}},
+                           drop=("adapt",))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         err = one_error_line(capsys)

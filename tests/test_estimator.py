@@ -1,9 +1,12 @@
 import dataclasses
+import math
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import mgode.estimator
 import mgode.tableau as tb
 from mgode.dual import DualSolution, DualSpec, dual_partition_for, solve_dual
 from mgode.estimator import (
@@ -19,6 +22,7 @@ from mgode.estimator import (
     quadrature_residual,
     stability_factor_error,
 )
+from mgode.models import model
 from mgode.partition import build_partition, build_slabs
 from mgode.solver import (
     OdeProblem,
@@ -654,3 +658,258 @@ class TestStabilityFactorError:
         assert sfe.constant > 0.0
         assert sfe.bound == pytest.approx(sfe.constant * sfe.residual_l1,
                                           rel=1e-12)
+
+
+# -- the E0/E1 split against the product search it replaced ------------------
+#
+# parent_galerkin_estimates is galerkin_estimates as it was when E0/E1
+# root-searched the product R (phi - pi phi) with its own scan and brentq.
+# The split at the sign changes of each factor may move only E0 and E1;
+# every other number, which feeds the controller or the other bounds, must
+# stay bit for bit.
+
+def parent_galerkin_estimates(traj, dual, problem):
+    """The product-splitting galerkin_estimates, copied as the oracle."""
+    from mgode.estimator import (GalerkinEstimates, StabilityFactors,
+                                 _check_matching, _elementary_segments,
+                                 _gauss_integral, _residual_zero_interpolant,
+                                 _sign_change_roots, _taylor_interpolant)
+    from mgode.solver import interval_residual
+
+    _check_matching(problem, traj, dual)
+    part = traj.partition
+    N = traj.dimension
+    flags = []
+
+    e0_signed = 0.0
+    e1 = 0.0
+    e2 = 0.0
+    r_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
+    rbar_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
+    comp_max = np.zeros(N)
+    s_deriv = np.zeros(N)
+    s_mean = np.zeros(N)
+    s_interp = np.zeros(N)
+    l2_weighted_sq = 0.0
+    s2_sq = 0.0
+    degraded = False
+
+    for i in range(N):
+        method = traj.methods[i]
+        for j in range(part.n_intervals(i)):
+            t0, t1 = part.span(i, j)
+            k = t1 - t0
+            q = traj.order(i, j)
+            tab = tableau(method, q)
+            p, cq = tab.deriv_order, tab.interp_const
+            npts = 2 * (q + 2)
+            n_scan = 8 * (q + 2)
+
+            if dual.local_order(i, t0, t1) < p:
+                degraded = True
+                flags.append(
+                    f"component {i} interval {j}: dual degree "
+                    f"{dual.local_order(i, t0, t1)} < required derivative order {p}"
+                )
+
+            Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
+            phi_loc = lambda s: dual.values(i, t0 + k * s, "left")  # noqa: E731
+            _, r_abs = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
+                                           n_scan=n_scan)
+            r_ij = r_abs
+            jmp = traj.jump(i, j)
+            rbar_ij = r_ij + abs(jmp) / k
+            r_prof[i][j] = r_ij
+            rbar_prof[i][j] = rbar_ij
+
+            dfn = partial(dual.values, i, side="left", order=p)
+            cuts = dual.piece_boundaries(i, t0, t1)
+            _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
+                                           n_scan=n_scan, splits=cuts)
+            s_ij = s_abs / k
+            s_deriv[i] += k * s_ij
+
+            pi_fn = _taylor_interpolant(dual, i, 0.5 * (t0 + t1), p - 1)
+            prod = lambda s: Rfn(s) * (phi_loc(s) - pi_fn(t0 + k * s))  # noqa: E731
+            signed, absval = integrate_splitting(
+                prod, 0.0, 1.0, npts=npts, n_scan=n_scan,
+                splits=part.coordinate(i, j, cuts))
+            e0_signed += k * signed
+            e1 += k * absval
+            dphi0 = dual.value(i, t0, "left") - float(pi_fn(t0)[0])
+            e0_signed += jmp * dphi0
+            e1 += abs(jmp) * abs(dphi0)
+
+            comp_max[i] = max(comp_max[i], cq * k**p * rbar_ij)
+            e2 += cq * k ** (p + 1) * rbar_ij * s_ij
+
+            R2 = lambda s: Rfn(s) ** 2  # noqa: E731
+            int_R2 = k * _gauss_integral(R2, 0.0, 1.0, npts)
+            c_over_k = abs(jmp) / k
+            int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
+            l2_weighted_sq += (cq * k**p) ** 2 * int_rbar2
+
+            d2 = lambda ts: dfn(ts) ** 2  # noqa: E731
+            pieces = [t0] + list(cuts) + [t1]
+            for a, b in zip(pieces[:-1], pieces[1:]):
+                s2_sq += _gauss_integral(d2, a, b, npts)
+
+            mean = _gauss_integral(lambda ts: dual.values(i, ts, "left"),
+                                   t0, t1, 6) / k
+            s_mean[i] += k * abs(mean)
+            pi_rz = _residual_zero_interpolant(dual, traj, i, j)
+            diff = lambda s: np.abs(phi_loc(s) - pi_rz(s))  # noqa: E731
+            s_interp[i] += k ** (1 - p) * _gauss_integral(diff, 0.0, 1.0,
+                                                          2 * (q + 3))
+
+    s1_global = 0.0
+    s_phi = 0.0
+    phi_norm = lambda ts: np.sqrt(np.sum(np.stack(  # noqa: E731
+        [dual.values(i, ts, "left") for i in range(N)])**2, axis=0))
+    segs = _elementary_segments(traj, dual)
+    for a, b in zip(segs[:-1], segs[1:]):
+        mid = 0.5 * (a + b)
+        fns = []
+        qmax = 1
+        for i in range(N):
+            q = traj.order(i, part.interval_at(i, mid, "left"))
+            qmax = max(qmax, q)
+            fns.append(partial(dual.values, i,
+                               order=tableau(traj.methods[i], q).deriv_order))
+        npts = 2 * (qmax + 2)
+        n_scan = 8 * (qmax + 2)
+        if N == 1:
+            s1_global += integrate_splitting(fns[0], a, b, npts=npts,
+                                             n_scan=n_scan)[1]
+        else:
+            cuts = [c for fn in fns for c in _sign_change_roots(fn, a, b, n_scan)]
+            norm = lambda ts: np.sqrt(np.sum(np.stack([fn(ts) for fn in fns])**2,
+                                             axis=0))  # noqa: E731
+            pieces = [a] + sorted(c for c in cuts if a < c < b) + [b]
+            for lo, hi in zip(pieces[:-1], pieces[1:]):
+                s1_global += _gauss_integral(norm, lo, hi, npts)
+        s_phi += _gauss_integral(phi_norm, a, b, 8)
+
+    e0 = abs(e0_signed)
+    e3 = float(np.sum(s_deriv * comp_max))
+    e4 = s1_global * math.sqrt(N) * float(np.max(comp_max)) if N else 0.0
+    s2_global = math.sqrt(s2_sq)
+    e5 = s2_global * math.sqrt(l2_weighted_sq)
+    if degraded:
+        e2 = e3 = e4 = e5 = float("nan")
+    factors = StabilityFactors(s_deriv=s_deriv, s_mean=s_mean,
+                               s_interp=s_interp, s1_global=s1_global,
+                               s2_global=s2_global, s_phi=s_phi)
+    return GalerkinEstimates(e0=e0, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5,
+                             r=r_prof, rbar=rbar_prof, component_max=comp_max,
+                             factors=factors, flags=flags)
+
+
+MIXED_METHODS = ("mcG", "mdG", "mcG", "mcG", "mdG", "mcG", "mdG", "mcG")
+
+
+def kepler_mixed_run():
+    """Kepler on a mixed-family multirate partition with per-interval orders
+    and non-dyadic steps, its dual on a twice refined partition."""
+    T = 0.88
+    prob = model("kepler_2body").problem(T=T, methods=MIXED_METHODS)
+    steps = [0.1, 0.06, [0.325, 0.555], T / 7, 0.05, 0.1, T / 9, 0.15]
+    uniform = build_partition(steps, 1, T)
+    orders = [[max(1 if m == "mcG" else 0, 1 + j % 3)
+               for j in range(uniform.n_intervals(i))]
+              for i, m in enumerate(MIXED_METHODS)]
+    part = build_partition(steps, orders, T, methods=MIXED_METHODS)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-13, quad_depth=1))
+    dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=np.full(8, 0.35)),
+                      dual_partition_for(part, 1, 2),
+                      SolveSettings(tolerance=1e-13))
+    return prob, traj, dual
+
+
+def kepler_uniform_run():
+    """Kepler from the acceptance #12 start: mcG(2), k = 0.1, T = 2,
+    quad_depth 1."""
+    prob = model("kepler_2body").problem(T=2.0, methods="mcG")
+    part = build_partition(0.1, 2, 2.0, methods=prob.methods)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-11, quad_depth=1))
+    dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=np.full(8, 0.35)),
+                      dual_partition_for(part, 1, 1),
+                      SolveSettings(tolerance=1e-11))
+    return prob, traj, dual
+
+
+def single_rate_run(method, q):
+    prob = linear2(method)
+    _, traj, dual = run_with_dual(prob, q, 0.1)
+    return prob, traj, dual
+
+
+SPLIT_CASES = {
+    "kepler_mixed": kepler_mixed_run,
+    "kepler_mcG2": kepler_uniform_run,
+    "linear_mcG1": lambda: single_rate_run("mcG", 1),
+    "linear_mcG2": lambda: single_rate_run("mcG", 2),
+    "linear_mdG0": lambda: single_rate_run("mdG", 0),
+    "linear_mdG1": lambda: single_rate_run("mdG", 1),
+    "linear_mdG2": lambda: single_rate_run("mdG", 2),
+}
+
+
+SINGLE_RATE = [name for name in SPLIT_CASES if name != "kepler_mixed"]
+
+
+class TestFactorSplit:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """Case name -> (galerkin_estimates, the oracle) on that run."""
+        out = {}
+        for name, run in SPLIT_CASES.items():
+            prob, traj, dual = run()
+            out[name] = (galerkin_estimates(traj, dual, prob),
+                         parent_galerkin_estimates(traj, dual, prob))
+        return out
+
+    @pytest.mark.parametrize("name", list(SPLIT_CASES))
+    def test_all_but_e0_e1_bit_for_bit(self, pairs, name):
+        got, ref = pairs[name]
+        for a, b in zip(got.r + got.rbar, ref.r + ref.rbar):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.component_max, ref.component_max)
+        for field in dataclasses.fields(ref.factors):
+            assert np.array_equal(getattr(got.factors, field.name),
+                                  getattr(ref.factors, field.name)), field.name
+        assert (got.e2, got.e3, got.e4, got.e5) == (ref.e2, ref.e3, ref.e4,
+                                                    ref.e5)
+        assert got.flags == ref.flags
+
+    # on the multirate case R jumps inside a reader's intervals, and E0/E1
+    # move by more
+    @pytest.mark.parametrize("name", SINGLE_RATE)
+    def test_e0_e1_agree_on_single_rate_runs(self, pairs, name):
+        got, ref = pairs[name]
+        assert got.e0 == pytest.approx(ref.e0, rel=1e-10, abs=0.0)
+        assert got.e1 == pytest.approx(ref.e1, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name", list(SPLIT_CASES))
+    def test_e1_dominates_e0(self, pairs, name):
+        got, _ = pairs[name]
+        assert got.e1 >= got.e0
+
+
+def test_no_residual_point_set_is_evaluated_twice(monkeypatch):
+    # R is read once per interval on each point set: the scan, each brentq
+    # step of its own roots, the Gauss nodes of each piece of r (which E0/E1
+    # and E5 reuse), and only the E0/E1 pieces that a dual cut or a root of
+    # phi - pi phi splits further
+    prob, traj, dual = kepler_uniform_run()
+    seen = []
+    residual = mgode.estimator.interval_residual
+
+    def recording(traj_, problem, i, j, s):
+        seen.append((i, j, tuple(np.atleast_1d(s).tolist())))
+        return residual(traj_, problem, i, j, s)
+
+    monkeypatch.setattr(mgode.estimator, "interval_residual", recording)
+    galerkin_estimates(traj, dual, prob)
+    assert len(seen) > traj.partition.total_intervals
+    assert len(set(seen)) == len(seen)

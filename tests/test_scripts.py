@@ -1,6 +1,6 @@
 """The helpers of the repository's scripts: the per-field report comparison,
-the dump comparison and the per-order number reader of
-``scripts/compare_artifacts.py``, the code-line counter of
+the dump comparison, the per-order number reader and the
+``propose_steps`` input summary of ``scripts/compare_artifacts.py``, the code-line counter of
 ``scripts/count_code_lines.py`` and the pair summary of
 ``scripts/ab_pairs.py``.  Each script is loaded by its path."""
 
@@ -115,6 +115,62 @@ class TestOrderNumbers:
     def test_dump_script_carries_the_reader(self):
         compare = load_script("compare_artifacts")
         assert "def order_numbers(tab)" in compare.TABLEAU_SCRIPT
+
+
+def kepler_texts(**changes):
+    """Hand-made texts of the four Kepler artifacts that hold the numbers
+    feeding propose_steps, with the named parts replaced."""
+    parts = {"r": [[1e-3, 2e-3], [4e-3]], "rbar": [[1e-3, 2e-3], [4e-3]],
+             "s_deriv": [0.5, 0.25], "breakpoints": [[0.0, 0.5, 1.0], [0.0, 1.0]],
+             "trajectory": [[[1.0, 0.9, 0.8], [0.8, 0.7, 0.6]], [[0.0, 0.1, 0.2]]],
+             "dual": [[[0.3, 0.4, 0.5, 0.6]], [[0.7, 0.8, 0.9, 1.0]]]}
+    parts.update(changes)
+    report = {"estimates": {"E0": 1e-6},
+              "stability_factors": {"per_component_derivative": parts["s_deriv"]},
+              "components": [{"r": r, "rbar": rbar} for r, rbar
+                             in zip(parts["r"], parts["rbar"])]}
+    return {
+        "error_report.json": json.dumps(report),
+        "partition.json": json.dumps(
+            {"components": [{"breakpoints": bp} for bp in parts["breakpoints"]]}),
+        **{f"{name}.json": json.dumps(
+            {"components": [{"coefficients": c} for c in parts[name]]})
+           for name in ("trajectory", "dual")},
+    }
+
+
+class TestSteeringSummary:
+    def test_identical_inputs(self):
+        compare = load_script("compare_artifacts")
+        assert compare.steering_summary(kepler_texts(), kepler_texts()) == (
+            "propose_steps inputs identical (r, rbar, s_deriv, partition, "
+            "trajectory and dual coefficients)")
+
+    def test_other_report_numbers_do_not_count(self):
+        compare = load_script("compare_artifacts")
+        change = kepler_texts()
+        change["error_report.json"] = change["error_report.json"].replace(
+            '"E0": 1e-06', '"E0": 1.0000000001e-06')
+        assert change != kepler_texts()
+        assert compare.steering_summary(kepler_texts(), change).startswith(
+            "propose_steps inputs identical")
+
+    def test_each_differing_part_is_named(self):
+        compare = load_script("compare_artifacts")
+        # one ulp in r, a moved breakpoint, a dual coefficient of -0.0
+        change = kepler_texts(r=[[1e-3, 0.0020000000000000005], [4e-3]],
+                              breakpoints=[[0.0, 0.25, 1.0], [0.0, 1.0]],
+                              dual=[[[-0.0, 0.4, 0.5, 0.6]], [[0.7, 0.8, 0.9, 1.0]]])
+        parent = kepler_texts(dual=[[[0.0, 0.4, 0.5, 0.6]], [[0.7, 0.8, 0.9, 1.0]]])
+        assert compare.steering_summary(parent, change) == (
+            "propose_steps inputs differ: r, partition, dual")
+
+    def test_missing_artifact(self):
+        compare = load_script("compare_artifacts")
+        change = kepler_texts()
+        del change["dual.json"]
+        assert compare.steering_summary(kepler_texts(), change) == (
+            "propose_steps inputs differ: unreadable artifacts")
 
 
 SNIPPET = '''"""Module docstring,
