@@ -174,12 +174,21 @@ def adapt(problem: OdeProblem, partition: Partition,
 
     The returned result flags whether the criterion was met; an exhausted
     budget still returns the last round's artifacts.
+
+    The re-partition keeps one order per component, so with more than one
+    round every component must have a single order on all its intervals; a
+    per-interval order profile raises ValueError before the first solve.  A
+    single round solves the partition as given, profile included.
     """
-    # a bad terminal weight fails before any solve
+    # a bad terminal weight or order profile fails before any solve
     phi_T = (_default_phi_T(problem.dimension) if settings.phi_T is None
              else terminal_weight(settings.phi_T, problem.dimension))
+    for i, qs in enumerate(partition.orders):
+        if settings.max_rounds > 1 and len(np.unique(qs)) > 1:
+            raise ValueError(f"component {i} has orders {np.unique(qs).tolist()}; "
+                             "adapt keeps one order per component")
+    orders = [int(qs[0]) for qs in partition.orders]
     log: list[dict] = []
-    orders = None
     met = False
     traj = dual = report = None
     rounds = 0
@@ -207,10 +216,6 @@ def adapt(problem: OdeProblem, partition: Partition,
             break
         if rounds == settings.max_rounds:
             break
-        if orders is None:
-            # order assignment is fixed per run: one order per component
-            orders = [int(partition.orders[i][0])
-                      for i in range(partition.n_components)]
         step_fns = propose_steps(report, settings)
         partition = synchronized_partition(step_fns, orders, problem.T,
                                            settings.k_min, settings.k_max)

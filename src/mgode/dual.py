@@ -195,37 +195,32 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
     N = problem.dimension
 
     # the linearization (and forcing) along the fixed primal trajectory does
-    # not change between sweeps, so cache them per quadrature time.  Only the
-    # missing times are sampled, on purpose: a primal read depends on the
-    # other times of its (component, interval) group in the same call (see
-    # the solver module), so sampling each new time array whole would read a
-    # time again among other times and could change its bits
-    _frozen: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
-
-    def _linearization_at(ts: np.ndarray) -> list:
-        missing = [p for p, t in enumerate(ts) if float(t) not in _frozen]
-        if missing:
-            tm = ts[missing]
-            U = primal.sample_states(tm, "left")
-            V = reference.sample_states(tm, "left") if reference is not None else U
-            for col, p in enumerate(missing):
-                t = float(ts[p])
-                Jt = jstar(V[:, col], U[:, col], t, jac)
-                gv = None
-                if g is not None:
-                    gv = np.asarray(g(t), dtype=float).reshape(-1)
-                _frozen[t] = (Jt, gv)
-        return [_frozen[float(t)] for t in ts]
-
-    # the same time arrays come back every sweep: stack their linearization
+    # not change between sweeps, so cache them per quadrature time, and the
+    # same time arrays come back every sweep: stack their linearization
     # once, (P, N, N) with the forcing (N, P) alongside
+    _frozen: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
     _stacked: dict[bytes, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def _stacked_at(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         key = sigmas.tobytes()
         if key not in _stacked:
             ts = T - sigmas
-            pairs = _linearization_at(ts)
+            # only the missing times are sampled, on purpose: a primal read
+            # depends on the other times of its (component, interval) group
+            # in the same call (see the solver module), so sampling each new
+            # time array whole would read a time again among other times and
+            # could change its bits
+            missing = [p for p, t in enumerate(ts) if float(t) not in _frozen]
+            if missing:
+                tm = ts[missing]
+                U = primal.sample_states(tm, "left")
+                V = reference.sample_states(tm, "left") if reference is not None else U
+                for col, p in enumerate(missing):
+                    t = float(ts[p])
+                    _frozen[t] = (jstar(V[:, col], U[:, col], t, jac),
+                                  None if g is None
+                                  else np.asarray(g(t), dtype=float).reshape(-1))
+            pairs = [_frozen[float(t)] for t in ts]
             # np.stack keeps the matrices' common memory layout, which
             # decides how BLAS rounds each product (tests/test_dual.py)
             Jts = np.stack([Jt for Jt, _ in pairs])

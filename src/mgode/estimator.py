@@ -63,16 +63,10 @@ def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
     fn must accept an array of points.  Each final piece is single-signed (up
     to scan resolution), so the absolute integral is the sum of |piece|.
     """
-    cuts = sorted(p for p in splits if a < p < b)
-    pieces = []
-    lo = a
-    for p in cuts + [b]:
-        if p > lo:
-            pieces.append((lo, p))
-            lo = p
+    cuts = [a, *sorted({p for p in splits if a < p < b}), b]
     signed = 0.0
     absolute = 0.0
-    for lo, hi in pieces:
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         sub = [lo] + _sign_change_roots(fn, lo, hi, n_scan) + [hi]
         for s0, s1 in zip(sub[:-1], sub[1:]):
             if s1 > s0:
@@ -94,10 +88,8 @@ def _gauss_integral(fn, a: float, b: float, npts: int) -> float:
 def _taylor_interpolant(dual: DualSolution, i: int, t_mid: float, degree: int):
     """Taylor expansion of the dual's local polynomial around the interval
     midpoint, as a callable of time."""
-    coeffs = [dual.value(i, t_mid, "left")]
-    for order in range(1, degree + 1):
-        coeffs.append(dual.value(i, t_mid, "left", order)
-                      / math.factorial(order))
+    coeffs = [dual.value(i, t_mid, "left", order) / math.factorial(order)
+              for order in range(degree + 1)]
 
     def fn(ts):
         ts = np.atleast_1d(ts)
@@ -365,15 +357,12 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     phi_norm = lambda ts: np.sqrt(np.sum(np.stack(  # noqa: E731
         [dual.values(i, ts, "left") for i in range(N)])**2, axis=0))
     segs = _elementary_segments(traj, dual)
-    for a, b in zip(segs[:-1], segs[1:]):
-        mid = 0.5 * (a + b)
-        fns = []
-        qmax = 1
-        for i in range(N):
-            q = traj.order(i, part.interval_at(i, mid, "left"))
-            qmax = max(qmax, q)
-            fns.append(partial(dual.values, i,
-                               order=tableau(traj.methods[i], q).deriv_order))
+    for a, b, js in zip(segs[:-1], segs[1:], _segment_intervals(part, segs)):
+        qs = [traj.order(i, j) for i, j in enumerate(js)]
+        fns = [partial(dual.values, i,
+                       order=tableau(traj.methods[i], q).deriv_order)
+               for i, q in enumerate(qs)]
+        qmax = max([1, *qs])
         npts = 2 * (qmax + 2)
         n_scan = 8 * (qmax + 2)
         if N == 1:
@@ -390,7 +379,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
 
     e0 = abs(e0_signed)
     e3 = float(np.sum(s_deriv * comp_max))
-    e4 = s1_global * math.sqrt(N) * float(np.max(comp_max)) if N else 0.0
+    e4 = s1_global * math.sqrt(N) * float(np.max(comp_max))
     s2_global = math.sqrt(s2_sq)
     e5 = s2_global * math.sqrt(l2_weighted_sq)
 
@@ -410,6 +399,15 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
         r=r_prof, rbar=rbar_prof,
         component_max=comp_max, factors=factors, flags=flags,
     )
+
+
+def _segment_intervals(part: Partition, segs: np.ndarray) -> list[list[int]]:
+    """Per segment between consecutive points of ``segs``, the interval of
+    every component that holds it: one ``Partition.locate`` call per
+    component at the segment midpoints."""
+    mids = 0.5 * (segs[:-1] + segs[1:])
+    return np.array([part.locate(i, mids) for i in range(part.n_components)]
+                    ).T.tolist()
 
 
 def _elementary_segments(traj: Trajectory, dual: DualSolution) -> np.ndarray:
@@ -738,14 +736,8 @@ def stability_factor_error(dual: DualSolution,
 
     res_l1 = 0.0
     segs = np.unique(np.concatenate([part.breakpoints[i] for i in range(N)]))
-    for a, b in zip(segs[:-1], segs[1:]):
-        mid = 0.5 * (a + b)
-        qmax = 1
-        idx = []
-        for i in range(N):
-            j = part.interval_at(i, mid, "left")
-            idx.append(j)
-            qmax = max(qmax, psi.order(i, j))
+    for a, b, idx in zip(segs[:-1], segs[1:], _segment_intervals(part, segs)):
+        qmax = max([1, *(psi.order(i, j) for i, j in enumerate(idx))])
 
         def norm(sigmas):
             vals = np.empty((N, len(sigmas)))

@@ -326,6 +326,8 @@ def build_partition(steps, orders, T: float, methods=None) -> Partition:
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise PartitionError(f"horizon must be positive and finite, got {T!r}")
+    if methods is not None and not len(methods):
+        raise PartitionError("no components: the method list is empty")
     # A scalar or callable spec broadcasts over components; a sequence is one
     # spec per component (a single component's explicit list is written
     # [[k1, k2, ...]]).

@@ -138,6 +138,8 @@ class OdeProblem:
         if not np.all(np.isfinite(self.u0)):
             raise ValueError("initial value u0 must be finite")
         n = len(self.u0)
+        if not n:
+            raise ValueError("initial value u0 has no components")
         if isinstance(self.methods, str):
             self.methods = (self.methods,) * n
         else:
@@ -473,7 +475,6 @@ _DIVERGED = 1e4
 @dataclass
 class _IntervalWork:
     i: int
-    method: str
     order: int
     t0: float
     k: float
@@ -530,7 +531,7 @@ def _build_work(problem, partition, slab, settings):
             k = t1 - t0
             times = t0 + k * pts
             work.append(_IntervalWork(
-                i=i, method=methods[i], order=q, t0=t0, k=k, W=W, times=times,
+                i=i, order=q, t0=t0, k=k, W=W, times=times,
                 inc_at=at - 1 if j > lo else i, at=at, inputs_at=inputs_at,
             ))
             at += q + 1
@@ -618,8 +619,10 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     inputs = np.empty(sum(N * len(item.times) for item in work))
     blocks = [inputs[item.inputs_at:item.inputs_at + N * len(item.times)]
               .reshape(N, len(item.times)) for item in work]
-    solved = [slice(item.at + (item.method == MCG), item.at + item.order + 1)
-              for item in work]
+    # W has one row per solved nodal value, so an interval pins its first
+    # order + 1 - len(W) values to its incoming value: 1 for mcG, 0 for mdG
+    pinned = [slice(item.at, item.at + item.order + 1 - len(item.W)) for item in work]
+    solved = [slice(p.stop, item.at + item.order + 1) for p, item in zip(pinned, work)]
     item_increments = np.empty(len(work))
 
     # damping * tolerance bounds the damped increment as tolerance bounds
@@ -649,8 +652,7 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
             step = damping * (target - old)
             item_increments[w] = np.abs(step).max()
             new_state[solved[w]] = old + step
-            if item.method == MCG:
-                new_state[item.at] = inc
+            new_state[pinned[w]] = inc
         state, new_state = new_state, state
         increment = float(item_increments.max())
         if increment <= threshold:
@@ -680,14 +682,12 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
             report=SolveReport(slabs=(report,)),
         )
 
-    # accept: write back in interval order, pinning continuous-family interval
-    # start values bitwise to the predecessor's end value
+    # accept: write back in interval order, pinning bitwise to the incoming
+    # value (a predecessor's end value is solved, never pinned)
     out = [[] for _ in range(N)]
-    for item in work:
-        arr = state[item.at:item.at + item.order + 1].copy()
-        if item.method == MCG:
-            arr[0] = state[item.inc_at]
-        out[item.i].append(arr)
+    for w, item in enumerate(work):
+        state[pinned[w]] = state[item.inc_at]
+        out[item.i].append(state[item.at:solved[w].stop].copy())
     return out, report
 
 

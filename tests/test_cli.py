@@ -282,6 +282,19 @@ class TestRunErrors:
         assert "userprob3:make" in err and "RuntimeError: boom" in err
         assert not out.exists()
 
+    def test_zero_component_factory(self, tmp_path, capsys, monkeypatch):
+        helper = tmp_path / "userprob4.py"
+        helper.write_text("from mgode.solver import OdeProblem\n"
+                          "def make():\n"
+                          "    return OdeProblem(rhs=lambda u, t: u, u0=[], T=1.0)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": "userprob4:make"},
+                           drop=("model", "methods"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "u0 has no components" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_failing_config_leaves_no_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": "not_a_model"})
         out = tmp_path / "out"

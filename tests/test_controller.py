@@ -157,6 +157,43 @@ class TestSynchronizedPartition:
         assert not out.exists()
 
 
+PROFILE = [[1] * 5 + [3] * 5, [2] * 10]
+
+
+class TestOrderProfile:
+    """The re-partition keeps one order per component, so a per-interval
+    order profile is refused before the first solve of a multi-round run
+    instead of being cut to each component's first order."""
+
+    def test_refused_before_the_first_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called before the orders were checked")
+
+        monkeypatch.setattr(mgode.controller, "solve", no_solve)
+        prob = model("linear_system").problem()
+        part = build_partition(0.1, PROFILE, 1.0, methods=prob.methods)
+        with pytest.raises(ValueError, match=r"component 0 has orders \[1, 3\]"):
+            adapt(prob, part, settings(max_rounds=2))
+
+    def test_single_round_keeps_the_profile(self):
+        prob = model("linear_system").problem()
+        part = build_partition(0.1, PROFILE, 1.0, methods=prob.methods)
+        res = adapt(prob, part, settings(tol=1e3, max_rounds=1))
+        assert [qs.tolist() for qs in res.trajectory.partition.orders] == PROFILE
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": "linear_system", "orders": PROFILE, "steps": 0.1,
+            "adapt": {"tol": 1e-12, "max_rounds": 2}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: component 0 has orders [1, 3]"), err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestAdapt:
     def test_huge_tolerance_single_round(self):
         entry = model("linear_decay")

@@ -913,3 +913,52 @@ def test_no_residual_point_set_is_evaluated_twice(monkeypatch):
     galerkin_estimates(traj, dual, prob)
     assert len(seen) > traj.partition.total_intervals
     assert len(set(seen)) == len(seen)
+
+
+def multirate_linear_cases(count):
+    """Random mixed-family multirate linear systems with a closed form,
+    drawn from np.random.default_rng(0): N in {2, 3}, A = normal(N, N) -
+    1.5 I, u0 normal, a family per component with both families present, q
+    in {1, 2} for mcG and {0, 1, 2} for mdG, and steps base / d with base in
+    {0.1, 0.05, 0.125} and a different d in {1, 2, 3, 4} per component, so
+    no two components step alike."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(count):
+        n = int(rng.choice([2, 3]))
+        A = rng.normal(size=(n, n)) - 1.5 * np.eye(n)
+        u0 = rng.normal(size=n)
+        methods = [str(m) for m in rng.choice(["mcG", "mdG"], size=n)]
+        if len(set(methods)) == 1:
+            methods[int(rng.integers(n))] = "mdG" if methods[0] == "mcG" else "mcG"
+        orders = [int(rng.choice([1, 2] if m == "mcG" else [0, 1, 2]))
+                  for m in methods]
+        base = float(rng.choice([0.1, 0.05, 0.125]))
+        steps = [base / int(d) for d in rng.choice([1, 2, 3, 4], size=n,
+                                                   replace=False)]
+        cases.append((A, u0, tuple(methods), orders, steps))
+    return cases
+
+
+MULTIRATE_CASES = multirate_linear_cases(8)
+
+
+@pytest.mark.parametrize("case", MULTIRATE_CASES, ids=[
+    f"{n}-" + "-".join(f"{m}{q}" for m, q in zip(c[2], c[3]))
+    for n, c in enumerate(MULTIRATE_CASES)])
+def test_explicit_bound_covers_mixed_family_multirate_error(case):
+    # the slabs here pin mcG and solve mdG intervals side by side; the
+    # explicit bound (E3 + E_C + E_Q) that adapt reads must cover the exact
+    # error e(T), with the terminal weight along e(T)
+    A, u0, methods, orders, steps = case
+    T = 1.0
+    prob = OdeProblem(rhs=lambda U, t: A @ U, u0=u0, T=T,
+                      jacobian=lambda u, t: A, methods=methods, vectorized=True)
+    part = build_partition(steps, orders, T, methods=methods)
+    settings = SolveSettings(tolerance=1e-13)
+    traj = solve(prob, part, settings)
+    e = sla.expm(A * T) @ u0 - traj.end_state()
+    dual = solve_dual(DualSpec(problem=prob, primal=traj,
+                               phi_T=e / np.linalg.norm(e)),
+                      dual_partition_for(part, 1, 4), settings)
+    assert estimate(prob, traj, dual).explicit_total >= np.linalg.norm(e)

@@ -363,7 +363,7 @@ class TestSlabStencils:
                         # an interval start names the interval of component c
                         assert all((src.i, src.t0) == (c, part.span(c, jc)[0])
                                    for jc in js[sel])
-                        nodes = (lobatto_nodes if src.method == "mcG"
+                        nodes = (lobatto_nodes if methods[src.i] == "mcG"
                                  else radau_nodes)(src.order)
                         assert np.array_equal(L, lagrange_matrix(nodes, ss[sel]))
                     assert np.array_equal(cover, np.ones(P, dtype=int))

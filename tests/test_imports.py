@@ -1,9 +1,13 @@
-"""Every module-level import of the package is used by its module.
+"""Lint checks on the package source, by parsing it.
 
-The repository has no linter, so this parses each module of ``src/mgode``
-(except ``__init__.py``, whose imports are its public re-exports) and checks
-that every name bound by a module-level ``import`` or ``from ... import``
-is read in that module, as a name or as the base of an attribute.
+The repository has no linter, so this parses each module of ``src/mgode``.
+Every name bound by a module-level ``import`` or ``from ... import`` must be
+read in its module, as a name or as the base of an attribute (except in
+``__init__.py``, whose imports are its public re-exports).  And the scheme
+family is read in one place outside ``tableau.py``: the tableau owns every
+per-family number, and the slab solver takes its pinned/solved split from
+the scheme rule, so the only comparison against a family tag left is
+``stability_factor_error``'s rejection of a discontinuous dual.
 """
 
 import ast
@@ -38,3 +42,58 @@ def test_scanner_sees_names_and_attribute_bases():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+FAMILY_NAMES = {"MCG", "MDG"}
+FAMILY_TAGS = {"mcG", "mdG"}
+
+
+def _names_family(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_family(e) for e in node.elts)
+    if isinstance(node, ast.Name):
+        return node.id in FAMILY_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in FAMILY_NAMES
+    return isinstance(node, ast.Constant) and node.value in FAMILY_TAGS
+
+
+def family_comparisons(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing function, source text) of every comparison with an
+    operand that is MCG, MDG, "mcG" or "mdG", or a tuple, list or set
+    holding one."""
+    tree = ast.parse(source)
+    owner = {}
+    found = []
+    for node in ast.walk(tree):      # breadth first: parents come first
+        name = (node.name if isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                else owner.get(node))
+        for child in ast.iter_child_nodes(node):
+            owner[child] = name
+        if (isinstance(node, ast.Compare)
+                and any(map(_names_family, [node.left, *node.comparators]))):
+            found.append((owner.get(node), ast.unparse(node)))
+    return found
+
+
+def test_family_scanner_sees_every_form():
+    source = ("def f(m, t):\n"
+              "    a = m == MCG\n"
+              "    b = t.method != tableau.MDG\n"
+              "    c = 'mdG' == m\n"
+              "    def g():\n"
+              "        return m in (MCG, MDG)\n"
+              "    return m in METHODS and [MCG, MDG] and m == 'mcg'\n"
+              "x = m is MDG\n")
+    assert family_comparisons(source) == [
+        (None, "m is MDG"), ("f", "m == MCG"), ("f", "t.method != tableau.MDG"),
+        ("f", "'mdG' == m"), ("g", "m in (MCG, MDG)")]
+
+
+def test_family_read_in_one_place_outside_the_tableau():
+    found = [(path.name, *hit) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "tableau.py"
+             for hit in family_comparisons(path.read_text())]
+    assert found == [("estimator.py", "stability_factor_error",
+                      "m == MDG")]

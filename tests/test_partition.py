@@ -35,6 +35,11 @@ class TestBuildPartition:
         with pytest.raises(PartitionError):
             build_partition(-0.1, 1, 1.0, methods=("mcG",))
 
+    @pytest.mark.parametrize("steps", [0.1, []], ids=["scalar", "list"])
+    def test_zero_components_rejected(self, steps):
+        with pytest.raises(PartitionError, match="no components"):
+            build_partition(steps, 1, 1.0, methods=())
+
     def test_subnormal_step_rejected(self):
         # T / k overflows to inf and must not reach round()
         with pytest.raises(PartitionError, match="too many intervals"):

@@ -152,6 +152,10 @@ class TestBasicSolves:
         with pytest.raises(ValueError):
             solve(prob, part)
 
+    def test_empty_u0_rejected(self):
+        with pytest.raises(ValueError, match="u0 has no components"):
+            OdeProblem(rhs=lambda u, t: u, u0=[], T=1.0)
+
     def test_nonfinite_rhs_aborts(self):
         prob = OdeProblem(rhs=lambda u, t: u / (0.5 - t), u0=[1.0], T=1.0,
                           methods="mcG", vectorized=False)
