@@ -9,20 +9,25 @@ Usage:
 Runs ``mgode run`` on the acceptance #12 Kepler config (model kepler_2body,
 T = 2, mcG q = 2, k = 0.1, solver tolerance 1e-11 at quad_depth 1, adapt
 tolerance 1e-4, 2 rounds, k in [1e-3, 0.5]; the benchmark's kepler_run at
-seed 0) once per tree, and the effectivity grid (model linear_system, mcG
-and mdG x q in {1, 2} x k in {0.1, 0.05, 0.025}, dual refine 4, tolerance
-1e-13, terminal weight along the true error; the benchmark's
-effectivity_grid at seed 0), each in its own subprocess with
+seed 0) once per tree, which meets its tolerance on the last round of its
+budget, and the same config with a budget of 3 rounds, written to a
+``max_rounds3`` subdirectory, which meets it in round 2 before its budget
+runs out, so ``adapt`` completes its report from a stage that it first
+tested against the tolerance.  It also runs the effectivity grid (model
+linear_system, mcG and mdG x q in {1, 2} x k in {0.1, 0.05, 0.025}, dual
+refine 4, tolerance 1e-13, terminal weight along the true error; the
+benchmark's effectivity_grid at seed 0), each in its own subprocess with
 PYTHONPATH=<root>/src and BLAS pinned to one thread.  The grid is the only
-one of the two that runs mdG jump terms.  The grid's subprocess then runs
+compared run with mdG jump terms.  The grid's subprocess then runs
 two mixed-family multirate cases (model linear_system, steps
 [0.03]*10 + [0.07]*10 and [0.1]*10, orders [2, 1], methods (mcG, mdG) and
 (mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
 [1, 0]): the only compared runs with an mdG multirate partition, whose
 nodes land an ulp off another component's breakpoint.  Then it compares the
-eight Kepler artifacts, the twelve grid ``ErrorReport.to_json_dict()`` JSON
-texts and each multirate case's coefficients and report JSON byte for byte,
-and names each one that differs.  A third subprocess per tree dumps every
+eight artifacts of each Kepler run, the twelve grid
+``ErrorReport.to_json_dict()`` JSON texts and each multirate case's
+coefficients and report JSON byte for byte, and names each one that
+differs.  One more subprocess per tree dumps every
 tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
 ``test_nodes``, ``node_weights``, ``amat`` and ``amat_inv``) and its
 ``scheme_rule`` and ``integration_rule`` at dyadic depths 0-3, and its
@@ -30,12 +35,12 @@ per-order numbers (the derivative order p, the interpolation constant C_q,
 the residual-zero points and the product-quadrature constant; see
 ``order_numbers``), which covers the orders no compared run reaches; JSON
 writes each float exactly, so equal texts are equal bits.  For each error
-report that differs (the Kepler ``error_report.json``, a grid case, a
+report that differs (a Kepler ``error_report.json``, a grid case, a
 multirate report) it also prints each differing field, how many of its
 entries differ and their largest relative deviation, in the max norm
 relative to the parent's field, as the golden gates measure it.  One
-summary line says whether the Kepler numbers that feed ``propose_steps``
-are identical: each component's r and r-bar, the per-component derivative
+summary line says whether the numbers of the first Kepler run that feed
+``propose_steps`` are identical: each component's r and r-bar, the per-component derivative
 factor, ``partition.json`` and the trajectory and dual coefficients; the
 numerical contract keeps these bit for bit.  Exits 0 when all are
 identical, 1 on any difference or failed run.  Everything is
@@ -61,6 +66,9 @@ CONFIG = {
 ARTIFACTS = ("trajectory.csv", "dual.csv", "error_report.json",
              "error_summary.csv", "adapt_log.jsonl", "partition.json",
              "trajectory.json", "dual.json")
+HANDOFF_CONFIG = {**CONFIG, "adapt": {**CONFIG["adapt"], "max_rounds": 3}}
+HANDOFF_DIR = "max_rounds3"
+HANDOFF_ARTIFACTS = tuple(f"{HANDOFF_DIR}/{name}" for name in ARTIFACTS)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
@@ -286,17 +294,21 @@ def main() -> int:
         tmp = Path(tmp)
         config = tmp / "kepler.json"
         config.write_text(json.dumps(CONFIG))
+        handoff = tmp / "kepler-max_rounds3.json"
+        handoff.write_text(json.dumps(HANDOFF_CONFIG))
         outs = {name: tmp / name for name in roots}
-        runs = {name: start(root, ["-m", "mgode.cli", "run", "--config",
-                                   str(config), "--out", str(outs[name])])
-                for name, root in roots.items()}
+        runs = {(name, cfg): start(root, ["-m", "mgode.cli", "run", "--config",
+                                          str(cfg), "--out", str(out)])
+                for name, root in roots.items()
+                for cfg, out in ((config, outs[name]),
+                                 (handoff, outs[name] / HANDOFF_DIR))}
         grids = {name: start(root, ["-c", GRID_SCRIPT])
                  for name, root in roots.items()}
         tableaus = {name: start(root, ["-c", TABLEAU_SCRIPT])
                     for name, root in roots.items()}
         # mgode run exits 2 when it finishes without meeting its tolerance
-        done = [finish(f"{name}: mgode run", runs[name], (0, 2))
-                for name in roots]
+        done = [finish(f"{name}: mgode run {cfg.name}", proc, (0, 2))
+                for (name, cfg), proc in runs.items()]
         reports = [finish(f"{name}: effectivity grid", grids[name])
                    for name in roots]
         dumps = [finish(f"{name}: tableau dump", tableaus[name])
@@ -305,12 +317,13 @@ def main() -> int:
             return 1
 
         differ = []
-        for artifact in ARTIFACTS:
+        for artifact in ARTIFACTS + HANDOFF_ARTIFACTS:
             a, b = (outs[name] / artifact for name in roots)
             if not (a.is_file() and b.is_file()
                     and a.read_bytes() == b.read_bytes()):
                 differ.append(artifact)
-                if artifact == "error_report.json" and a.is_file() and b.is_file():
+                if (artifact.endswith("error_report.json")
+                        and a.is_file() and b.is_file()):
                     print_deviations(artifact, a.read_text(), b.read_text())
                 else:
                     print(f"differs: {artifact}")
@@ -334,7 +347,11 @@ def main() -> int:
         print(f"differs: {name}")
     numbers_differ = [name for name in dump_differ if name.endswith("-numbers")]
     tableau_differ = [name for name in dump_differ if name not in numbers_differ]
-    print(f"{len(ARTIFACTS) - len(differ)} of {len(ARTIFACTS)} artifacts identical")
+    handoff_differ = [name for name in differ if name in HANDOFF_ARTIFACTS]
+    print(f"{len(ARTIFACTS) - len(differ) + len(handoff_differ)} of "
+          f"{len(ARTIFACTS)} artifacts identical")
+    print(f"{len(HANDOFF_ARTIFACTS) - len(handoff_differ)} of "
+          f"{len(HANDOFF_ARTIFACTS)} max_rounds 3 artifacts identical")
     print(steering)
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")

@@ -15,6 +15,7 @@ import dataclasses
 import importlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,11 @@ def run_command(args) -> int:
             "phi_T": None if isinstance(phi_T, str) else np.asarray(phi_T, dtype=float),
             "solver": solver_settings,
         })
-        # an overflow shows as a non-finite bound, reported once below
-        with np.errstate(all="ignore"):
+        # an overflow shows as a non-finite bound, reported once below; a
+        # warning is reported as one line, each time it is raised
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(all="ignore"):
+            warnings.simplefilter("always")
             result = adapt(problem, partition, settings)
     except (ConfigError, ValueError, TableauError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -254,6 +258,8 @@ def run_command(args) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
     out_dir = Path(args.out or config.get("out", "."))
     try:

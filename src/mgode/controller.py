@@ -1,9 +1,11 @@
 """Step-size selection from stability factors and residual profiles.
 
-One adaptation round solves the problem, solves its dual, assembles the error
-report, and checks the per-component-max form of the bound against the
-tolerance; if it misses, each component's steps are re-chosen to equalize the
-local contributions, and the loop repeats on the new partition.
+One adaptation round solves the problem, solves its dual, computes the
+explicit stage of the estimator, and checks the per-component-max form of the
+bound against the tolerance; if it misses, each component's steps are
+re-chosen to equalize the local contributions, and the loop repeats on the
+new partition.  Only the round that is returned completes its full error
+report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .dual import (DualSolution, DualSpec, dual_partition_for, solve_dual,
                    terminal_weight)
-from .estimator import ErrorReport, estimate
+from .estimator import ErrorReport, ExplicitEstimates, estimate, explicit_estimates
 from .partition import Partition, _check_integer, _check_intervals
 from .solver import OdeProblem, SolveSettings, Trajectory, solve
 from .tableau import tableau
@@ -53,9 +55,12 @@ class AdaptSettings:
                              f"got k_min={self.k_min!r}, k_max={self.k_max!r}")
 
 
-def propose_steps(report: ErrorReport,
+def propose_steps(report: ErrorReport | ExplicitEstimates,
                   settings: AdaptSettings) -> list[Callable[[float], float]]:
     """New per-component step-size functions from the bound's local form.
+
+    Reads the ``methods``, ``partition``, ``rbar`` and ``s_deriv`` of a full
+    report or of the estimator's explicit stage.
 
     Each component receives the budget theta * tol / N; on every old interval
     the step solving  S_i * C_q * k^p * rbar = budget  is proposed, with the
@@ -74,7 +79,7 @@ def propose_steps(report: ErrorReport,
         method = report.methods[i]
         qs = part.orders[i]
         res = report.rbar[i]
-        s_i = float(report.factors.s_deriv[i])
+        s_i = float(report.s_deriv[i])
         new_steps = np.empty(len(qs))
         for j, q in enumerate(qs):
             tab = tableau(method, int(q))
@@ -168,25 +173,43 @@ def _default_phi_T(n: int) -> np.ndarray:
 
 def adapt(problem: OdeProblem, partition: Partition,
           settings: AdaptSettings) -> AdaptResult:
-    """Iterate solve -> dual solve -> estimate until the per-component-max
-    bound is finite and satisfies the tolerance, or the round budget runs
-    out.
+    """Iterate solve -> dual solve -> explicit stage until the
+    per-component-max bound E3 + E_C + E_Q is finite and satisfies the
+    tolerance, or the round budget runs out.
 
-    The returned result flags whether the criterion was met; an exhausted
-    budget still returns the last round's artifacts.
+    Each round computes only the estimator's explicit stage, which holds the
+    bound and every number ``propose_steps`` reads; the round that is
+    returned (tolerance met or budget exhausted) completes it into the full
+    report with ``estimate``.  The returned result flags whether the
+    criterion was met; an exhausted budget still returns the last round's
+    artifacts.
 
     The re-partition keeps one order per component, so with more than one
-    round every component must have a single order on all its intervals; a
-    per-interval order profile raises ValueError before the first solve.  A
-    single round solves the partition as given, profile included.
+    round every component must have a single order on all its intervals,
+    and a dual order that cannot supply the derivative order p of its
+    component's scheme (which leaves the bound NaN) is refused; both raise
+    ValueError before the first solve.  A single round solves the partition
+    as given, profile included, and reports a low dual order as flags and a
+    NaN bound.
     """
-    # a bad terminal weight or order profile fails before any solve
+    # a bad terminal weight, order profile or dual order fails before any solve
     phi_T = (_default_phi_T(problem.dimension) if settings.phi_T is None
              else terminal_weight(settings.phi_T, problem.dimension))
-    for i, qs in enumerate(partition.orders):
-        if settings.max_rounds > 1 and len(np.unique(qs)) > 1:
-            raise ValueError(f"component {i} has orders {np.unique(qs).tolist()}; "
-                             "adapt keeps one order per component")
+    if settings.max_rounds > 1:
+        for i, qs in enumerate(partition.orders):
+            if len(np.unique(qs)) > 1:
+                raise ValueError(f"component {i} has orders {np.unique(qs).tolist()}; "
+                                 "adapt keeps one order per component")
+        dual_orders = dual_partition_for(partition, settings.dual_order_increment,
+                                         settings.dual_refine).orders
+        for i, (method, qs, dqs) in enumerate(zip(problem.methods, partition.orders,
+                                                 dual_orders)):
+            q, dq = int(qs[0]), int(np.min(dqs))
+            p = tableau(method, q).deriv_order
+            if dq < p:
+                raise ValueError(f"component {i} ({method}, q={q}) has dual order "
+                                 f"{dq} < required derivative order p={p}; "
+                                 "its bound would be NaN")
     orders = [int(qs[0]) for qs in partition.orders]
     log: list[dict] = []
     met = False
@@ -198,8 +221,8 @@ def adapt(problem: OdeProblem, partition: Partition,
         dual_part = dual_partition_for(
             partition, settings.dual_order_increment, settings.dual_refine)
         dual = solve_dual(dual_spec, dual_part, settings.solver)
-        report = estimate(problem, traj, dual)
-        bound = report.explicit_total
+        explicit = explicit_estimates(problem, traj, dual)
+        bound = explicit.explicit_total
         log.append({
             "round": rounds,
             "bound": bound,
@@ -211,12 +234,11 @@ def adapt(problem: OdeProblem, partition: Partition,
             ],
         })
         # an overflowed bound bounds nothing, even under tol = inf
-        if np.isfinite(bound) and bound <= settings.tol:
-            met = True
+        met = bool(np.isfinite(bound) and bound <= settings.tol)
+        if met or rounds == settings.max_rounds:
+            report = estimate(problem, traj, dual, explicit)
             break
-        if rounds == settings.max_rounds:
-            break
-        step_fns = propose_steps(report, settings)
+        step_fns = propose_steps(explicit, settings)
         partition = synchronized_partition(step_fns, orders, problem.T,
                                            settings.k_min, settings.k_max)
     return AdaptResult(trajectory=traj, dual=dual, report=report,

@@ -11,6 +11,7 @@ bound on stability factors computed from approximate duals.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -209,68 +210,193 @@ class GalerkinEstimates:
         return (self.e0, self.e1, self.e2, self.e3, self.e4, self.e5)
 
 
-def galerkin_estimates(traj: Trajectory, dual: DualSolution,
-                       problem: OdeProblem) -> GalerkinEstimates:
-    """Assemble the interpolation-constant estimate chain and the stability
-    factors.
+@dataclass
+class _ExplicitPass:
+    """What the explicit stage's one pass over the intervals finds: the
+    residual profiles r and rbar, the derivative and mean factors, the
+    weighted residual maxima and E3 (NaN with a flag per interval whose dual
+    degree cannot supply the required derivative).
 
-    One pass over each component's intervals computes the normalized
-    residual r (and rbar, with the jump contribution, which is zero for
-    continuous components), the dual derivative factor s, the midpoint Taylor
-    interpolation terms feeding E0 and E1, the L2 pieces of E5, and the mean
-    and residual-zero interpolation factors; one pass over the elementary
-    segments computes the global derivative-norm factor and the L1 norm of
-    the dual.  The chain E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then
-    follows from the assembled sums.  When the dual's local degree cannot
-    supply the required derivative, E2..E5 degrade to NaN and a flag records
-    the deficiency.
-
-    E0/E1 integrate R (phi - pi phi), which changes sign only where R or
-    phi - pi phi does, so no root search runs on the product.  Each
-    interval scans R once and finds its roots with brentq; they cut r's
-    integral of |R| into pieces.  The E0/E1 integral is cut at those roots,
-    at the dual's piece boundaries and at the sign changes of phi - pi phi,
-    which a scan and brentq on the dual alone find.  An E0/E1 piece that no
-    dual cut or root of phi - pi phi splits further is a piece of r and
-    reuses R's values at its Gauss nodes, as E5's L2 rule does when R has
-    no root; so R is read once per point set and no brentq step on the
-    product reads it.
+    ``intervals[i][j]`` keeps what the completion reads again on interval
+    I_ij: R's cuts of [0, 1] (0, its roots, 1), R's values at the Gauss
+    nodes of each nonempty piece between them, the jump and the derivative
+    factor s_ij.  ``inputs`` are weak references to the problem, trajectory
+    and dual it read: a stage identifies them without keeping them alive.
     """
+
+    methods: tuple[str, ...]
+    partition: Partition
+    r: list[np.ndarray]
+    rbar: list[np.ndarray]
+    s_deriv: np.ndarray
+    s_mean: np.ndarray
+    component_max: np.ndarray
+    e3: float
+    flags: list[str]
+    intervals: list[list[tuple]] = field(repr=False)
+    inputs: tuple = field(repr=False)
+
+
+@dataclass
+class ExplicitEstimates(_ExplicitPass):
+    """The explicit stage: the explicit form of the bound, E3 + E_C + E_Q,
+    with everything ``propose_steps`` reads (``methods``, ``partition``,
+    ``rbar``, ``s_deriv``) and what the completion in ``estimate`` reuses."""
+
+    e_c: float
+    e_q: float
+    rc: list[np.ndarray]
+    rq_bound: list[np.ndarray]
+    explicit_total: float
+
+
+def _interval_rule(traj: Trajectory, i: int, j: int) -> tuple:
+    """Interval I_ij's (t0, t1, k, q, p, C_q) and the Gauss and scan point
+    counts of its integrals."""
+    t0, t1 = traj.partition.span(i, j)
+    q = traj.order(i, j)
+    tab = tableau(traj.methods[i], q)
+    return (t0, t1, t1 - t0, q, tab.deriv_order, tab.interp_const,
+            2 * (q + 2), 8 * (q + 2))
+
+
+def _explicit_pass(traj: Trajectory, dual: DualSolution,
+                   problem: OdeProblem) -> _ExplicitPass:
+    """One pass over each component's intervals for the explicit form of the
+    bound.  Each interval scans R once and finds its roots with brentq; they
+    cut r's integral of |R| into pieces, whose Gauss values are kept.  The
+    dual derivative factor s is split at the dual's own piece boundaries and
+    at its sign changes."""
     _check_matching(problem, traj, dual)
     part = traj.partition
     N = traj.dimension
     flags: list[str] = []
-
-    e0_signed = 0.0
-    e1 = 0.0
-    e2 = 0.0
     r_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
     rbar_prof = [np.zeros(part.n_intervals(i)) for i in range(N)]
     comp_max = np.zeros(N)
     s_deriv = np.zeros(N)
     s_mean = np.zeros(N)
-    s_interp = np.zeros(N)
-    l2_weighted_sq = 0.0   # int of (C k^p residual-with-jump)^2 dt, summed
-    s2_sq = 0.0
-    degraded = False
+    intervals = []
 
     for i in range(N):
-        method = traj.methods[i]
+        kept = []
         for j in range(part.n_intervals(i)):
-            t0, t1 = part.span(i, j)
-            k = t1 - t0
-            q = traj.order(i, j)
-            tab = tableau(method, q)
-            p, cq = tab.deriv_order, tab.interp_const
-            npts = 2 * (q + 2)
-            n_scan = 8 * (q + 2)
-
+            t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
             if dual.local_order(i, t0, t1) < p:
-                degraded = True
                 flags.append(
                     f"component {i} interval {j}: dual degree "
                     f"{dual.local_order(i, t0, t1)} < required derivative order {p}"
                 )
+
+            # R's roots, found once, cut r = (1/k) int |R| dt = int |R(s)| ds
+            Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
+            xg, wg = gauss_rule_01(npts)
+            rpts = [0.0, *_sign_change_roots(Rfn, 0.0, 1.0, n_scan), 1.0]
+            Rvs = []
+            r_ij = 0.0
+            for a, b in zip(rpts[:-1], rpts[1:]):
+                if b > a:
+                    Rvs.append(Rfn(a + (b - a) * xg))
+                    r_ij += abs((b - a) * float(wg @ Rvs[-1]))
+            # one jump rule serves both families, here, in the completion's
+            # E0/E1 and E5 terms and in error_representation: an mcG jump is
+            # exactly 0.0 (see Trajectory.jump), so rbar == r and each jump
+            # term adds an exact zero
+            jmp = traj.jump(i, j)
+            rbar_ij = r_ij + abs(jmp) / k
+            r_prof[i][j] = r_ij
+            rbar_prof[i][j] = rbar_ij
+
+            # dual derivative factor, split at the dual's own piece boundaries
+            dfn = partial(dual.values, i, side="left", order=p)
+            _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts, n_scan=n_scan,
+                                           splits=dual.piece_boundaries(i, t0, t1))
+            s_ij = s_abs / k
+            s_deriv[i] += k * s_ij
+
+            # weighted residual C_q k^p rbar
+            comp_max[i] = max(comp_max[i], cq * k**p * rbar_ij)
+
+            # piecewise-constant surrogate k |mean(phi_i)|
+            mean = _gauss_integral(lambda ts: dual.values(i, ts, "left"),
+                                   t0, t1, 6) / k
+            s_mean[i] += k * abs(mean)
+            kept.append((rpts, Rvs, jmp, s_ij))
+        intervals.append(kept)
+
+    e3 = float(np.sum(s_deriv * comp_max))
+    return _ExplicitPass(
+        methods=traj.methods, partition=part, r=r_prof, rbar=rbar_prof,
+        s_deriv=s_deriv, s_mean=s_mean, component_max=comp_max,
+        e3=float("nan") if flags else e3, flags=flags,
+        intervals=intervals,
+        inputs=tuple(weakref.ref(x) for x in (problem, traj, dual)),
+    )
+
+
+def explicit_estimates(problem: OdeProblem, traj: Trajectory,
+                       dual: DualSolution) -> ExplicitEstimates:
+    """The explicit stage of the estimator: one pass over the intervals for
+    r, rbar, the derivative and mean factors and E3, then E_C and E_Q.  Its
+    ``explicit_total`` E3 + E_C + E_Q is the bound ``adapt`` steers on;
+    ``estimate`` completes a report from it."""
+    ex = _explicit_pass(traj, dual, problem)
+    ec = computational_error(traj, problem, ex)
+    eq = quadrature_error(traj, problem, ex)
+    return ExplicitEstimates(
+        **vars(ex), e_c=ec.value, e_q=eq.value,
+        rc=ec.profiles, rq_bound=eq.profiles,
+        explicit_total=ex.e3 + ec.value + eq.value,
+    )
+
+
+def galerkin_estimates(traj: Trajectory, dual: DualSolution,
+                       problem: OdeProblem,
+                       explicit: _ExplicitPass | None = None) -> GalerkinEstimates:
+    """Assemble the interpolation-constant estimate chain and the stability
+    factors.
+
+    The explicit stage's pass (``explicit``, or one made here) supplies r,
+    rbar, the derivative and mean factors and E3; this completion makes a
+    second pass over each component's intervals for the midpoint Taylor
+    interpolation terms feeding E0 and E1, E2, the L2 pieces of E5 and the
+    residual-zero interpolation factor, and one pass over the elementary
+    segments for the global derivative-norm factor and the L1 norm of the
+    dual.  Each sum adds its terms interval by interval in the order of the
+    pass.  The chain E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then follows
+    from the assembled sums.  When the dual's local degree cannot supply the
+    required derivative, E2..E5 degrade to NaN and a flag records the
+    deficiency.  A stage made from another problem, trajectory or dual
+    raises ValueError.
+
+    E0/E1 integrate R (phi - pi phi), which changes sign only where R or
+    phi - pi phi does, so no root search runs on the product.  The E0/E1
+    integral is cut at R's roots from the pass, at the dual's piece
+    boundaries and at the sign changes of phi - pi phi, which a scan and
+    brentq on the dual alone find.  An E0/E1 piece that no dual cut or root
+    of phi - pi phi splits further is a piece of r and reuses R's values at
+    its Gauss nodes from the pass, as E5's L2 rule does when R has no root;
+    so R is read once per point set and no brentq step on the product reads
+    it.
+    """
+    stage = _explicit_pass(traj, dual, problem) if explicit is None else explicit
+    if any(ref() is not x for ref, x in zip(stage.inputs, (problem, traj, dual))):
+        raise ValueError("the explicit stage was computed for another problem, "
+                         "trajectory or dual")
+    part = traj.partition
+    N = traj.dimension
+
+    e0_signed = 0.0
+    e1 = 0.0
+    e2 = 0.0
+    s_interp = np.zeros(N)
+    l2_weighted_sq = 0.0   # int of (C k^p residual-with-jump)^2 dt, summed
+    s2_sq = 0.0
+
+    for i in range(N):
+        for j, (rpts, Rvs, jmp, s_ij) in enumerate(stage.intervals[i]):
+            t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
+            r_ij, rbar_ij = float(stage.r[i][j]), float(stage.rbar[i][j])
 
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
             phi_loc = lambda s: dual.values(i, t0 + k * s, "left")  # noqa: E731
@@ -283,37 +409,18 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             dpts = [0.0, *part.coordinate(i, j, cuts), 1.0]
             dcuts = {*dpts[1:-1], *(x for a, b in zip(dpts[:-1], dpts[1:])
                                     for x in _sign_change_roots(dphi, a, b, n_scan))}
-            # R's roots, found once, cut r = (1/k) int |R| dt = int |R(s)| ds;
             # an E0/E1 piece that nothing else cuts is a piece of r
             xg, wg = gauss_rule_01(npts)
-            rpts = [0.0, *_sign_change_roots(Rfn, 0.0, 1.0, n_scan), 1.0]
-            r_ij = signed = absval = 0.0
-            for a, b in zip(rpts[:-1], rpts[1:]):
-                if b > a:
-                    Rv = Rfn(a + (b - a) * xg)
-                    r_ij += abs((b - a) * float(wg @ Rv))
-                    sub = [a, *sorted(c for c in dcuts if a < c < b), b]
-                    for s0, s1 in zip(sub[:-1], sub[1:]):
-                        x = s0 + (s1 - s0) * xg
-                        R = Rv if len(sub) == 2 else Rfn(x)
-                        val = (s1 - s0) * float(wg @ (R * dphi(x)))
-                        signed += val
-                        absval += abs(val)
-            # one jump rule serves both families, here, in the E0/E1 and E5
-            # terms below and in error_representation: an mcG jump is exactly
-            # 0.0 (see Trajectory.jump), so rbar == r and each jump term adds
-            # an exact zero
-            jmp = traj.jump(i, j)
-            rbar_ij = r_ij + abs(jmp) / k
-            r_prof[i][j] = r_ij
-            rbar_prof[i][j] = rbar_ij
-
-            # dual derivative factor, split at the dual's own piece boundaries
-            dfn = partial(dual.values, i, side="left", order=p)
-            _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
-                                           n_scan=n_scan, splits=cuts)
-            s_ij = s_abs / k
-            s_deriv[i] += k * s_ij
+            signed = absval = 0.0
+            rpieces = [(a, b) for a, b in zip(rpts[:-1], rpts[1:]) if b > a]
+            for (a, b), Rv in zip(rpieces, Rvs):
+                sub = [a, *sorted(c for c in dcuts if a < c < b), b]
+                for s0, s1 in zip(sub[:-1], sub[1:]):
+                    x = s0 + (s1 - s0) * xg
+                    R = Rv if len(sub) == 2 else Rfn(x)
+                    val = (s1 - s0) * float(wg @ (R * dphi(x)))
+                    signed += val
+                    absval += abs(val)
 
             # E0/E1 with the jump term at the interval start
             e0_signed += k * signed
@@ -322,27 +429,22 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             e0_signed += jmp * dphi0
             e1 += abs(jmp) * abs(dphi0)
 
-            # weighted residual C_q k^p rbar
-            comp_max[i] = max(comp_max[i], cq * k**p * rbar_ij)
             e2 += cq * k ** (p + 1) * rbar_ij * s_ij
 
             # L2 pieces for E5; without a root of R, r's one piece holds
             # R's values at this rule's nodes
-            int_R2 = k * float(wg @ (Rv if len(rpts) == 2 else Rfn(xg)) ** 2)
+            int_R2 = k * float(wg @ (Rvs[0] if len(rpts) == 2 else Rfn(xg)) ** 2)
             c_over_k = abs(jmp) / k
             int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
             l2_weighted_sq += (cq * k**p) ** 2 * int_rbar2
 
-            d2 = lambda ts: dfn(ts) ** 2  # noqa: E731
+            d2 = lambda ts: dual.values(i, ts, "left", p) ** 2  # noqa: E731
             pieces = [t0] + list(cuts) + [t1]
             for a, b in zip(pieces[:-1], pieces[1:]):
                 s2_sq += _gauss_integral(d2, a, b, npts)
 
-            # piecewise-constant surrogate k |mean(phi_i)| and the integral
-            # of k^(-p) |phi_i - pi phi_i| with the residual-zero interpolant
-            mean = _gauss_integral(lambda ts: dual.values(i, ts, "left"),
-                                   t0, t1, 6) / k
-            s_mean[i] += k * abs(mean)
+            # the integral of k^(-p) |phi_i - pi phi_i| with the
+            # residual-zero interpolant
             pi_rz = _residual_zero_interpolant(dual, traj, i, j)
             diff = lambda s: np.abs(phi_loc(s) - pi_rz(s))  # noqa: E731
             s_interp[i] += k ** (1 - p) * _gauss_integral(diff, 0.0, 1.0,
@@ -377,27 +479,27 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                 s1_global += _gauss_integral(norm, lo, hi, npts)
         s_phi += _gauss_integral(phi_norm, a, b, 8)
 
+    comp_max = stage.component_max
     e0 = abs(e0_signed)
-    e3 = float(np.sum(s_deriv * comp_max))
     e4 = s1_global * math.sqrt(N) * float(np.max(comp_max))
     s2_global = math.sqrt(s2_sq)
     e5 = s2_global * math.sqrt(l2_weighted_sq)
 
-    if degraded:
-        e2 = e3 = e4 = e5 = float("nan")
+    if stage.flags:
+        e2 = e4 = e5 = float("nan")
 
     factors = StabilityFactors(
-        s_deriv=s_deriv,
-        s_mean=s_mean,
+        s_deriv=stage.s_deriv,
+        s_mean=stage.s_mean,
         s_interp=s_interp,
         s1_global=s1_global,
         s2_global=s2_global,
         s_phi=s_phi,
     )
     return GalerkinEstimates(
-        e0=e0, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5,
-        r=r_prof, rbar=rbar_prof,
-        component_max=comp_max, factors=factors, flags=flags,
+        e0=e0, e1=e1, e2=e2, e3=stage.e3, e4=e4, e5=e5,
+        r=stage.r, rbar=stage.rbar,
+        component_max=comp_max, factors=factors, flags=stage.flags,
     )
 
 
@@ -487,7 +589,7 @@ class DefectReport:
 
 
 def _weighted_max(profiles: list[np.ndarray],
-                  factors: StabilityFactors) -> DefectReport:
+                  factors: StabilityFactors | _ExplicitPass) -> DefectReport:
     """sum_i s_mean[i] * max_j profiles[i][j]."""
     total = 0.0
     for i, vals in enumerate(profiles):
@@ -496,8 +598,9 @@ def _weighted_max(profiles: list[np.ndarray],
 
 
 def computational_error(traj: Trajectory, problem: OdeProblem,
-                        factors: StabilityFactors) -> DefectReport:
-    """E_C = sum_i s_mean[i] * max_j |R^C_ij|."""
+                        factors: StabilityFactors | _ExplicitPass) -> DefectReport:
+    """E_C = sum_i s_mean[i] * max_j |R^C_ij|, with ``s_mean`` read from the
+    report's stability factors or the explicit stage's pass."""
     return _weighted_max([
         np.abs(np.array([computational_residual(traj, problem, i, j)
                          for j in range(traj.partition.n_intervals(i))]))
@@ -506,8 +609,9 @@ def computational_error(traj: Trajectory, problem: OdeProblem,
 
 
 def quadrature_error(traj: Trajectory, problem: OdeProblem,
-                     factors: StabilityFactors) -> DefectReport:
-    """E_Q = sum_i s_mean[i] * max_j bound(R^Q_ij)."""
+                     factors: StabilityFactors | _ExplicitPass) -> DefectReport:
+    """E_Q = sum_i s_mean[i] * max_j bound(R^Q_ij), with ``s_mean`` as in
+    ``computational_error``."""
     return _weighted_max([
         np.array([quadrature_residual(traj, problem, i, j).bound
                   for j in range(traj.partition.n_intervals(i))])
@@ -620,6 +724,12 @@ class ErrorReport:
     #: bound over true error, fillable by callers holding a reference solution
     effectivity: float | None = None
 
+    @property
+    def s_deriv(self) -> np.ndarray:
+        """The per-component derivative factors, under the explicit stage's
+        name, so ``propose_steps`` reads a report and a stage alike."""
+        return self.factors.s_deriv
+
     def to_json_dict(self) -> dict:
         part = self.partition
         return {
@@ -678,24 +788,29 @@ class ErrorReport:
         return rows
 
 
-def estimate(problem: OdeProblem, traj: Trajectory,
-             dual: DualSolution) -> ErrorReport:
+def estimate(problem: OdeProblem, traj: Trajectory, dual: DualSolution,
+             explicit: ExplicitEstimates | None = None) -> ErrorReport:
     """Run the full estimator pipeline and assemble one report: the total
     bound adds the Galerkin, computational and quadrature parts, and its
-    explicit form replaces the Galerkin part by the per-component max E3."""
-    est = galerkin_estimates(traj, dual, problem)
-    ec = computational_error(traj, problem, est.factors)
-    eq = quadrature_error(traj, problem, est.factors)
+    explicit form replaces the Galerkin part by the per-component max E3.
+
+    The report is the explicit stage (``explicit``, made by
+    ``explicit_estimates`` for the same problem, trajectory and dual, or one
+    made here) completed by ``galerkin_estimates`` and ``eg_residual_zero``;
+    a stage made from other inputs raises ValueError."""
+    if explicit is None:
+        explicit = explicit_estimates(problem, traj, dual)
+    est = galerkin_estimates(traj, dual, problem, explicit)
     eg = eg_residual_zero(traj, dual, problem)
     return ErrorReport(
         methods=traj.methods,
         e0=est.e0, e1=est.e1, e2=est.e2, e3=est.e3, e4=est.e4, e5=est.e5,
-        e_g=eg.value, e_c=ec.value, e_q=eq.value,
-        total=eg.value + ec.value + eq.value,
-        explicit_total=est.e3 + ec.value + eq.value,
+        e_g=eg.value, e_c=explicit.e_c, e_q=explicit.e_q,
+        total=eg.value + explicit.e_c + explicit.e_q,
+        explicit_total=explicit.explicit_total,
         factors=est.factors,
         r=est.r, rbar=est.rbar,
-        rc=ec.profiles, rq_bound=eq.profiles,
+        rc=explicit.rc, rq_bound=explicit.rq_bound,
         partition=traj.partition,
         alphas=eg.alphas,
         eg_signed=eg.signed, eg_abs_sum=eg.abs_sum, eg_shortcut=eg.shortcut,

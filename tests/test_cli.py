@@ -236,6 +236,33 @@ def one_error_line(capsys):
 ONE_ROUND = {"adapt": {"max_rounds": 1}}
 
 
+class TestRunWarnings:
+    def test_each_warning_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # component 1 never moves: its residual vanishes, propose_steps warns
+        # and clamps its steps; the run itself succeeds
+        helper = tmp_path / "userzero.py"
+        helper.write_text(
+            "import numpy as np\n"
+            "from mgode.solver import OdeProblem\n"
+            "def make():\n"
+            "    return OdeProblem(rhs=lambda u, t: np.stack([-u[0], 0.0 * u[1]]),\n"
+            "                      u0=[1.0, 0.0], T=1.0, vectorized=True)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "problem_import": "userzero:make", "steps": 0.25, "orders": 2,
+            "adapt": {"tol": 1e-5, "max_rounds": 2}}))
+        # a second run in the same process reports its warning again
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == (
+                "warning: vanishing stability factor or residual for "
+                "component(s) [1]; steps clamp to the maximum bound\n")
+            assert (out / "error_report.json").exists()
+
+
 class TestRunErrors:
     def test_out_names_an_existing_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ONE_ROUND)
@@ -341,6 +368,21 @@ class TestRunErrors:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert one_error_line(capsys) == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_dual_order_below_p_is_refused(self, tmp_path, capsys):
+        # an mdG(1) dual of order 1 has no second derivative: every round's
+        # bound would be NaN, and steps proposed from it clamp to k_max
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": "linear_system", "methods": "mdG", "orders": 1,
+            "steps": 0.1, "dual": {"order_increment": 0},
+            "adapt": {"tol": 1e-6, "max_rounds": 3}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == (
+            "error: component 0 (mdG, q=1) has dual order 1 < required "
+            "derivative order p=2; its bound would be NaN\n")
         assert not out.exists()
 
 

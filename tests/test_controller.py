@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import mgode.controller
+import mgode.estimator
 import mgode.partition
 from mgode.cli import main
 from mgode.controller import (
@@ -192,6 +194,98 @@ class TestOrderProfile:
         assert err.startswith("error: component 0 has orders [1, 3]"), err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestDualOrder:
+    """A dual order below the derivative order p of its component's scheme
+    leaves E3, and with it the bound adapt steers on, NaN; a multi-round
+    run refuses it before the first solve."""
+
+    def problem_and_partition(self):
+        prob = model("linear_system").problem(methods="mdG")
+        return prob, build_partition(0.1, 1, 1.0, methods=prob.methods)
+
+    def test_refused_before_the_first_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called before the dual order was checked")
+
+        monkeypatch.setattr(mgode.controller, "solve", no_solve)
+        prob, part = self.problem_and_partition()
+        with pytest.raises(ValueError, match=(
+                r"^component 0 \(mdG, q=1\) has dual order 1 < required "
+                r"derivative order p=2; its bound would be NaN$")):
+            adapt(prob, part, settings(max_rounds=3, dual_order_increment=0))
+
+    def test_single_round_keeps_the_flagged_report(self):
+        prob, part = self.problem_and_partition()
+        res = adapt(prob, part, settings(max_rounds=1, dual_order_increment=0))
+        assert res.rounds == 1 and not res.met
+        assert res.report.flags and np.isnan(res.report.explicit_total)
+
+
+def assert_same_report(got, want):
+    """Equal JSON texts, and equal bits in every per-interval profile and
+    stability factor."""
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    for name in ("r", "rbar", "rc", "rq_bound", "alphas"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b) and all(
+            np.array_equal(x, y) for x, y in zip(a, b)), name
+    for field in dataclasses.fields(want.factors):
+        assert np.array_equal(getattr(got.factors, field.name),
+                              getattr(want.factors, field.name)), field.name
+
+
+def decay_run():
+    prob = model("linear_decay").problem()
+    return prob, build_partition(0.25, 2, 1.0, methods=prob.methods)
+
+
+def mixed_multirate_run():
+    prob = model("linear_system").problem(methods=("mcG", "mdG"))
+    return prob, build_partition([0.1, 0.05], [2, 1], prob.T,
+                                 methods=prob.methods)
+
+
+# name -> (run, adapt settings, met, rounds); decay meets 1e-5 in round 2,
+# the mixed multirate run misses 1e-3 in rounds 1-5 and meets it in round 6
+COMPLETION_PATHS = {
+    "met_on_the_last_round": (decay_run, dict(tol=1e-5, max_rounds=2), True, 2),
+    "met_before_the_budget": (decay_run, dict(tol=1e-5, max_rounds=3), True, 2),
+    "single_round_unmet": (decay_run, dict(tol=1e-5, max_rounds=1), False, 1),
+    "multirate_unmet": (mixed_multirate_run,
+                        dict(tol=1e-3, max_rounds=2, k_min=1e-3), False, 2),
+    "multirate_met": (mixed_multirate_run,
+                      dict(tol=1e-3, max_rounds=8, k_min=1e-3), True, 6),
+}
+
+
+class TestCompletion:
+    """adapt computes the explicit stage each round and completes only the
+    round it returns, into the report estimate makes from scratch."""
+
+    @pytest.mark.parametrize("name", list(COMPLETION_PATHS))
+    def test_report_equals_estimate(self, name):
+        run, kw, met, rounds = COMPLETION_PATHS[name]
+        prob, part = run()
+        res = adapt(prob, part, settings(**kw))
+        assert (res.met, res.rounds) == (met, rounds)
+        assert res.log[-1]["bound"] == res.report.explicit_total
+        assert_same_report(res.report, estimate(prob, res.trajectory, res.dual))
+
+    def test_only_the_returned_round_runs_eg(self, monkeypatch):
+        calls = []
+        eg = mgode.estimator.eg_residual_zero
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eg(*args, **kwargs)
+
+        monkeypatch.setattr(mgode.estimator, "eg_residual_zero", counting)
+        run, kw, _, _ = COMPLETION_PATHS["multirate_unmet"]
+        res = adapt(*run(), settings(**kw))
+        assert res.rounds == 2 and len(res.log) == 2
+        assert len(calls) == 1 and calls[0][0] is res.trajectory
 
 
 class TestAdapt:

@@ -16,6 +16,7 @@ from mgode.estimator import (
     eg_residual_zero,
     error_representation,
     estimate,
+    explicit_estimates,
     galerkin_estimates,
     integrate_splitting,
     quadrature_error,
@@ -570,8 +571,9 @@ class TestMismatchedInputs:
         lambda prob, traj, dual: error_representation(traj, dual, prob),
         lambda prob, traj, dual: galerkin_estimates(traj, dual, prob),
         lambda prob, traj, dual: eg_residual_zero(traj, dual, prob),
+        lambda prob, traj, dual: explicit_estimates(prob, traj, dual),
     ], ids=["estimate", "error_representation", "galerkin_estimates",
-            "eg_residual_zero"])
+            "eg_residual_zero", "explicit_estimates"])
     @pytest.mark.parametrize("case", ["problem", "dual_dimension", "dual_horizon"])
     def test_mismatch_is_a_value_error(self, runs, entry, case):
         prob, traj, dual, message = runs[case]
@@ -962,3 +964,89 @@ def test_explicit_bound_covers_mixed_family_multirate_error(case):
                                phi_T=e / np.linalg.norm(e)),
                       dual_partition_for(part, 1, 4), settings)
     assert estimate(prob, traj, dual).explicit_total >= np.linalg.norm(e)
+
+
+def mixed_multirate_run():
+    """linear_system with (mcG, mdG) on a multirate partition, orders
+    [2, 1], and its dual on a twice refined partition."""
+    prob = model("linear_system").problem(methods=("mcG", "mdG"))
+    part = build_partition([[0.03] * 10 + [0.07] * 10, [0.1] * 10], [2, 1],
+                           prob.T, methods=prob.methods)
+    settings = SolveSettings(tolerance=1e-13, quad_depth=1)
+    traj = solve(prob, part, settings)
+    dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[1.0, 0.0]),
+                      dual_partition_for(part, 1, 2), settings)
+    return prob, traj, dual
+
+
+def degraded_run():
+    """mdG(1) with a dual of order 1, which cannot supply p = 2."""
+    prob = linear2("mdG")
+    _, traj, dual = run_with_dual(prob, 1, 0.1, incr=0)
+    return prob, traj, dual
+
+
+STAGE_CASES = {
+    "linear_mcG2": lambda: single_rate_run("mcG", 2),
+    "linear_mdG1": lambda: single_rate_run("mdG", 1),
+    "mixed_multirate": mixed_multirate_run,
+    "degraded_mdG1": degraded_run,
+}
+
+
+def same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestExplicitStage:
+    """The explicit stage, which adapt steers on in every round, holds the
+    bits of the report that estimate completes from it."""
+
+    @pytest.fixture(scope="class")
+    def stages(self):
+        """Case name -> (explicit stage, estimate's report) on that run."""
+        out = {}
+        for name, run in STAGE_CASES.items():
+            prob, traj, dual = run()
+            out[name] = (explicit_estimates(prob, traj, dual),
+                         estimate(prob, traj, dual))
+        return out
+
+    @pytest.mark.parametrize("name", list(STAGE_CASES))
+    def test_bits_equal_to_the_report(self, stages, name):
+        stage, report = stages[name]
+        assert same(stage.explicit_total, report.explicit_total)
+        assert same(stage.e3, report.e3)
+        assert same(stage.e_c, report.e_c) and same(stage.e_q, report.e_q)
+        for field in ("r", "rbar", "rc", "rq_bound"):
+            got, want = getattr(stage, field), getattr(report, field)
+            assert len(got) == len(want)
+            assert all(same(a, b) for a, b in zip(got, want)), field
+        assert same(stage.s_deriv, report.factors.s_deriv)
+        assert same(stage.s_mean, report.factors.s_mean)
+        assert stage.flags == report.flags
+
+    def test_degraded_dual_flags_a_nan_bound(self, stages):
+        stage, report = stages["degraded_mdG1"]
+        assert stage.flags
+        assert math.isnan(stage.e3) and math.isnan(stage.explicit_total)
+        assert math.isnan(report.e3) and math.isnan(report.explicit_total)
+
+    def test_completing_a_stage_gives_the_same_report(self):
+        prob, traj, dual = mixed_multirate_run()
+        stage = explicit_estimates(prob, traj, dual)
+        got = estimate(prob, traj, dual, stage)
+        want = estimate(prob, traj, dual)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.rc is stage.rc and got.factors.s_deriv is stage.s_deriv
+
+    def test_stage_of_another_run_is_refused(self):
+        # equal numbers, other objects: a stage is tied to what it read
+        prob, traj, dual = single_rate_run("mcG", 1)
+        _, traj2, dual2 = single_rate_run("mcG", 1)
+        stage = explicit_estimates(prob, traj2, dual2)
+        for args in ((prob, traj, dual2), (prob, traj2, dual),
+                     (linear2("mcG"), traj2, dual2)):
+            with pytest.raises(ValueError, match="explicit stage was computed "
+                               "for another problem, trajectory or dual"):
+                estimate(*args, stage)

@@ -139,6 +139,25 @@ def kepler_texts(**changes):
     }
 
 
+class TestHandoffRun:
+    # the second Kepler run differs from the first only in its round budget
+    def test_config_adds_one_round(self):
+        compare = load_script("compare_artifacts")
+        adapt = dict(compare.HANDOFF_CONFIG["adapt"])
+        assert adapt.pop("max_rounds") == 3
+        assert {**compare.HANDOFF_CONFIG, "adapt": adapt} == {
+            **compare.CONFIG, "adapt": {key: value for key, value in
+                                        compare.CONFIG["adapt"].items()
+                                        if key != "max_rounds"}}
+
+    def test_artifact_names(self):
+        compare = load_script("compare_artifacts")
+        assert compare.HANDOFF_ARTIFACTS == tuple(
+            f"max_rounds3/{name}" for name in compare.ARTIFACTS)
+        assert len(compare.HANDOFF_ARTIFACTS) == 8
+        assert not set(compare.HANDOFF_ARTIFACTS) & set(compare.ARTIFACTS)
+
+
 class TestSteeringSummary:
     def test_identical_inputs(self):
         compare = load_script("compare_artifacts")
