@@ -5,7 +5,7 @@ explicit stage of the estimator, and checks the per-component-max form of the
 bound against the tolerance; if it misses, each component's steps are
 re-chosen to equalize the local contributions, and the loop repeats on the
 new partition.  Only the round that is returned completes its full error
-report.
+report, which extends that round's stage; ``propose_steps`` reads a stage.
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ class AdaptSettings:
                              f"got k_min={self.k_min!r}, k_max={self.k_max!r}")
 
 
-def propose_steps(report: ErrorReport | ExplicitEstimates,
+def propose_steps(report: ExplicitEstimates,
                   settings: AdaptSettings) -> list[Callable[[float], float]]:
     """New per-component step-size functions from the bound's local form.
 
-    Reads the ``methods``, ``partition``, ``rbar`` and ``s_deriv`` of a full
-    report or of the estimator's explicit stage.
+    Reads the ``methods``, ``partition``, ``rbar`` and ``s_deriv`` of the
+    estimator's explicit stage; a full report extends the stage, so it is
+    read alike.
 
     Each component receives the budget theta * tol / N; on every old interval
     the step solving  S_i * C_q * k^p * rbar = budget  is proposed, with the

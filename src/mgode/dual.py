@@ -54,6 +54,12 @@ class DualSpec:
 
     def __post_init__(self):
         self.phi_T = terminal_weight(self.phi_T, self.problem.dimension)
+        want = (self.problem.dimension, self.problem.T)
+        for name, traj in (("primal", self.primal), ("reference", self.reference)):
+            if traj is not None and (traj.dimension, traj.T) != want:
+                raise ValueError(f"{name} has {traj.dimension} components up to "
+                                 f"T = {traj.T!r}, the problem {want[0]} up to "
+                                 f"T = {want[1]!r}")
 
 
 def jstar(v1, v2, t: float, jac: Callable, s_points: int = 3) -> np.ndarray:

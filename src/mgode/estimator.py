@@ -6,13 +6,19 @@ constant bound chain E0..E5, computational and quadrature residuals with
 their dyadic estimates, the residual-zero direct evaluation of the Galerkin
 term, stability factors, the assembled total bound, and the a posteriori
 bound on stability factors computed from approximate duals.
+
+The estimate comes in two stages.  ``explicit_estimates`` returns the
+explicit stage, ``ExplicitEstimates``: r, rbar, the factors, E3, E_C, E_Q
+and the explicit bound.  ``estimate`` completes it; its ``ErrorReport``
+extends the stage's record with what the completion adds, so a report is a
+stage and carries the stage's fields as they are.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -211,11 +217,14 @@ class GalerkinEstimates:
 
 
 @dataclass
-class _ExplicitPass:
-    """What the explicit stage's one pass over the intervals finds: the
-    residual profiles r and rbar, the derivative and mean factors, the
-    weighted residual maxima and E3 (NaN with a flag per interval whose dual
-    degree cannot supply the required derivative).
+class ExplicitEstimates:
+    """The explicit stage: the explicit form of the bound, E3 + E_C + E_Q,
+    with everything ``propose_steps`` reads (``methods``, ``partition``,
+    ``rbar``, ``s_deriv``) and what the completion in ``estimate`` reuses.
+    It holds the residual profiles r and rbar, the derivative and mean
+    factors, the weighted residual maxima, E3 (NaN with a flag per interval
+    whose dual degree cannot supply the required derivative), E_C and E_Q
+    with their profiles.
 
     ``intervals[i][j]`` keeps what the completion reads again on interval
     I_ij: R's cuts of [0, 1] (0, its roots, 1), R's values at the Gauss
@@ -232,22 +241,14 @@ class _ExplicitPass:
     s_mean: np.ndarray
     component_max: np.ndarray
     e3: float
-    flags: list[str]
-    intervals: list[list[tuple]] = field(repr=False)
-    inputs: tuple = field(repr=False)
-
-
-@dataclass
-class ExplicitEstimates(_ExplicitPass):
-    """The explicit stage: the explicit form of the bound, E3 + E_C + E_Q,
-    with everything ``propose_steps`` reads (``methods``, ``partition``,
-    ``rbar``, ``s_deriv``) and what the completion in ``estimate`` reuses."""
-
     e_c: float
     e_q: float
     rc: list[np.ndarray]
     rq_bound: list[np.ndarray]
     explicit_total: float
+    flags: list[str]
+    intervals: list[list[tuple]] = field(repr=False)
+    inputs: tuple = field(repr=False)
 
 
 def _interval_rule(traj: Trajectory, i: int, j: int) -> tuple:
@@ -260,13 +261,17 @@ def _interval_rule(traj: Trajectory, i: int, j: int) -> tuple:
             2 * (q + 2), 8 * (q + 2))
 
 
-def _explicit_pass(traj: Trajectory, dual: DualSolution,
-                   problem: OdeProblem) -> _ExplicitPass:
-    """One pass over each component's intervals for the explicit form of the
-    bound.  Each interval scans R once and finds its roots with brentq; they
-    cut r's integral of |R| into pieces, whose Gauss values are kept.  The
-    dual derivative factor s is split at the dual's own piece boundaries and
-    at its sign changes."""
+def explicit_estimates(problem: OdeProblem, traj: Trajectory,
+                       dual: DualSolution) -> ExplicitEstimates:
+    """The explicit stage of the estimator: one pass over the intervals for
+    r, rbar, the derivative and mean factors and E3, then E_C and E_Q.  Its
+    ``explicit_total`` E3 + E_C + E_Q is the bound ``adapt`` steers on;
+    ``estimate`` completes a report from it.
+
+    Each interval scans R once and finds its roots with brentq; they cut r's
+    integral of |R| into pieces, whose Gauss values are kept.  The dual
+    derivative factor s is split at the dual's own piece boundaries and at
+    its sign changes."""
     _check_matching(problem, traj, dual)
     part = traj.partition
     N = traj.dimension
@@ -324,43 +329,30 @@ def _explicit_pass(traj: Trajectory, dual: DualSolution,
             kept.append((rpts, Rvs, jmp, s_ij))
         intervals.append(kept)
 
-    e3 = float(np.sum(s_deriv * comp_max))
-    return _ExplicitPass(
+    e3 = float("nan") if flags else float(np.sum(s_deriv * comp_max))
+    ec = computational_error(traj, problem, s_mean)
+    eq = quadrature_error(traj, problem, s_mean)
+    return ExplicitEstimates(
         methods=traj.methods, partition=part, r=r_prof, rbar=rbar_prof,
-        s_deriv=s_deriv, s_mean=s_mean, component_max=comp_max,
-        e3=float("nan") if flags else e3, flags=flags,
+        s_deriv=s_deriv, s_mean=s_mean, component_max=comp_max, e3=e3,
+        e_c=ec.value, e_q=eq.value, rc=ec.profiles, rq_bound=eq.profiles,
+        explicit_total=e3 + ec.value + eq.value, flags=flags,
         intervals=intervals,
         inputs=tuple(weakref.ref(x) for x in (problem, traj, dual)),
     )
 
 
-def explicit_estimates(problem: OdeProblem, traj: Trajectory,
-                       dual: DualSolution) -> ExplicitEstimates:
-    """The explicit stage of the estimator: one pass over the intervals for
-    r, rbar, the derivative and mean factors and E3, then E_C and E_Q.  Its
-    ``explicit_total`` E3 + E_C + E_Q is the bound ``adapt`` steers on;
-    ``estimate`` completes a report from it."""
-    ex = _explicit_pass(traj, dual, problem)
-    ec = computational_error(traj, problem, ex)
-    eq = quadrature_error(traj, problem, ex)
-    return ExplicitEstimates(
-        **vars(ex), e_c=ec.value, e_q=eq.value,
-        rc=ec.profiles, rq_bound=eq.profiles,
-        explicit_total=ex.e3 + ec.value + eq.value,
-    )
-
-
 def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                        problem: OdeProblem,
-                       explicit: _ExplicitPass | None = None) -> GalerkinEstimates:
+                       explicit: ExplicitEstimates | None = None) -> GalerkinEstimates:
     """Assemble the interpolation-constant estimate chain and the stability
     factors.
 
-    The explicit stage's pass (``explicit``, or one made here) supplies r,
-    rbar, the derivative and mean factors and E3; this completion makes a
-    second pass over each component's intervals for the midpoint Taylor
-    interpolation terms feeding E0 and E1, E2, the L2 pieces of E5 and the
-    residual-zero interpolation factor, and one pass over the elementary
+    The explicit stage (``explicit``, or one made by ``explicit_estimates``)
+    supplies r, rbar, the derivative and mean factors and E3; this completion
+    makes a second pass over each component's intervals for the midpoint
+    Taylor interpolation terms feeding E0 and E1, E2, the L2 pieces of E5 and
+    the residual-zero interpolation factor, and one pass over the elementary
     segments for the global derivative-norm factor and the L1 norm of the
     dual.  Each sum adds its terms interval by interval in the order of the
     pass.  The chain E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then follows
@@ -379,7 +371,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     so R is read once per point set and no brentq step on the product reads
     it.
     """
-    stage = _explicit_pass(traj, dual, problem) if explicit is None else explicit
+    stage = explicit_estimates(problem, traj, dual) if explicit is None else explicit
     if any(ref() is not x for ref, x in zip(stage.inputs, (problem, traj, dual))):
         raise ValueError("the explicit stage was computed for another problem, "
                          "trajectory or dual")
@@ -588,35 +580,34 @@ class DefectReport:
     value: float
 
 
-def _weighted_max(profiles: list[np.ndarray],
-                  factors: StabilityFactors | _ExplicitPass) -> DefectReport:
+def _weighted_max(profiles: list[np.ndarray], s_mean: np.ndarray) -> DefectReport:
     """sum_i s_mean[i] * max_j profiles[i][j]."""
     total = 0.0
     for i, vals in enumerate(profiles):
-        total += factors.s_mean[i] * (float(np.max(vals)) if len(vals) else 0.0)
+        total += s_mean[i] * (float(np.max(vals)) if len(vals) else 0.0)
     return DefectReport(profiles=profiles, value=total)
 
 
 def computational_error(traj: Trajectory, problem: OdeProblem,
-                        factors: StabilityFactors | _ExplicitPass) -> DefectReport:
-    """E_C = sum_i s_mean[i] * max_j |R^C_ij|, with ``s_mean`` read from the
-    report's stability factors or the explicit stage's pass."""
+                        s_mean: np.ndarray) -> DefectReport:
+    """E_C = sum_i s_mean[i] * max_j |R^C_ij|, with ``s_mean`` the
+    per-component mean factors."""
     return _weighted_max([
         np.abs(np.array([computational_residual(traj, problem, i, j)
                          for j in range(traj.partition.n_intervals(i))]))
         for i in range(traj.dimension)
-    ], factors)
+    ], s_mean)
 
 
 def quadrature_error(traj: Trajectory, problem: OdeProblem,
-                     factors: StabilityFactors | _ExplicitPass) -> DefectReport:
+                     s_mean: np.ndarray) -> DefectReport:
     """E_Q = sum_i s_mean[i] * max_j bound(R^Q_ij), with ``s_mean`` as in
     ``computational_error``."""
     return _weighted_max([
         np.array([quadrature_residual(traj, problem, i, j).bound
                   for j in range(traj.partition.n_intervals(i))])
         for i in range(traj.dimension)
-    ], factors)
+    ], s_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -695,40 +686,26 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ErrorReport:
-    """Everything the adaptation loop and the batch front end consume."""
+class ErrorReport(ExplicitEstimates):
+    """The explicit stage completed: everything the adaptation loop and the
+    batch front end consume.  It declares only what the completion adds to
+    the stage: the rest of the chain E0..E5, E_G and the total bound, the
+    stability factors and the sign bookkeeping of E_G."""
 
-    methods: tuple[str, ...]
     e0: float
     e1: float
     e2: float
-    e3: float
     e4: float
     e5: float
     e_g: float
-    e_c: float
-    e_q: float
     total: float
-    explicit_total: float
     factors: StabilityFactors
-    r: list[np.ndarray]
-    rbar: list[np.ndarray]
-    rc: list[np.ndarray]
-    rq_bound: list[np.ndarray]
-    partition: Partition
     alphas: list[np.ndarray]
     eg_signed: float
     eg_abs_sum: float
     eg_shortcut: float
-    flags: list[str]
     #: bound over true error, fillable by callers holding a reference solution
     effectivity: float | None = None
-
-    @property
-    def s_deriv(self) -> np.ndarray:
-        """The per-component derivative factors, under the explicit stage's
-        name, so ``propose_steps`` reads a report and a stage alike."""
-        return self.factors.s_deriv
 
     def to_json_dict(self) -> dict:
         part = self.partition
@@ -782,8 +759,8 @@ class ErrorReport:
                 "max_rbar": max((float(x) for x in self.rbar[i]), default=0.0),
                 "max_rc": max((float(x) for x in self.rc[i]), default=0.0),
                 "max_rq_bound": max((float(x) for x in self.rq_bound[i]), default=0.0),
-                "stability_deriv": float(self.factors.s_deriv[i]),
-                "stability_mean": float(self.factors.s_mean[i]),
+                "stability_deriv": float(self.s_deriv[i]),
+                "stability_mean": float(self.s_mean[i]),
             })
         return rows
 
@@ -796,25 +773,20 @@ def estimate(problem: OdeProblem, traj: Trajectory, dual: DualSolution,
 
     The report is the explicit stage (``explicit``, made by
     ``explicit_estimates`` for the same problem, trajectory and dual, or one
-    made here) completed by ``galerkin_estimates`` and ``eg_residual_zero``;
-    a stage made from other inputs raises ValueError."""
+    made here) completed by ``galerkin_estimates`` and ``eg_residual_zero``:
+    it carries the stage's fields as they are, so a report passed as
+    ``explicit`` completes alike.  A stage made from other inputs raises
+    ValueError."""
     if explicit is None:
         explicit = explicit_estimates(problem, traj, dual)
     est = galerkin_estimates(traj, dual, problem, explicit)
     eg = eg_residual_zero(traj, dual, problem)
     return ErrorReport(
-        methods=traj.methods,
-        e0=est.e0, e1=est.e1, e2=est.e2, e3=est.e3, e4=est.e4, e5=est.e5,
-        e_g=eg.value, e_c=explicit.e_c, e_q=explicit.e_q,
-        total=eg.value + explicit.e_c + explicit.e_q,
-        explicit_total=explicit.explicit_total,
-        factors=est.factors,
-        r=est.r, rbar=est.rbar,
-        rc=explicit.rc, rq_bound=explicit.rq_bound,
-        partition=traj.partition,
-        alphas=eg.alphas,
-        eg_signed=eg.signed, eg_abs_sum=eg.abs_sum, eg_shortcut=eg.shortcut,
-        flags=est.flags,
+        **{f.name: getattr(explicit, f.name) for f in fields(ExplicitEstimates)},
+        e0=est.e0, e1=est.e1, e2=est.e2, e4=est.e4, e5=est.e5, e_g=eg.value,
+        total=eg.value + explicit.e_c + explicit.e_q, factors=est.factors,
+        alphas=eg.alphas, eg_signed=eg.signed, eg_abs_sum=eg.abs_sum,
+        eg_shortcut=eg.shortcut,
     )
 
 

@@ -706,6 +706,9 @@ def solve(problem: OdeProblem, partition: Partition,
             f"partition has {partition.n_components} components, problem has "
             f"{problem.dimension}"
         )
+    if partition.T != problem.T:
+        raise ValueError(
+            f"partition horizon {partition.T!r} != problem horizon {problem.T!r}")
     for i, m in enumerate(problem.methods):
         lo = min_order(m)
         if np.any(partition.orders[i] < lo):

@@ -131,6 +131,24 @@ class TestSolveDual:
         with pytest.raises(ValueError):
             DualSpec(problem=prob, primal=traj, phi_T=[np.inf, 0.0])
 
+    def test_mismatched_primal_or_reference_rejected(self):
+        # a primal or reference of another size or horizon fails at once,
+        # not after a dual solve
+        prob, _, traj = solved_linear()
+        scalar = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, methods="mcG")
+        longer = OdeProblem(rhs=lambda u, t: A2 @ u, u0=[1.0, -0.5], T=2.0,
+                            methods="mcG")
+        narrow = solve(scalar, build_partition(0.25, 1, 1.0, methods=scalar.methods))
+        long = solve(longer, build_partition(0.25, 1, 2.0, methods=longer.methods))
+        for name, bad, want in (("primal", narrow, "1 components up to T = 1.0"),
+                                ("primal", long, "2 components up to T = 2.0"),
+                                ("reference", narrow, "1 components up to T = 1.0"),
+                                ("reference", long, "2 components up to T = 2.0")):
+            kwargs = {"primal": traj, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} has {want}, the "
+                               "problem 2 up to T = 1.0$"):
+                DualSpec(problem=prob, phi_T=[1.0, 0.0], **kwargs)
+
 
 class TestReversalBookkeeping:
     def test_double_reversal_reproduces_structure(self):

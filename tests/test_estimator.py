@@ -371,7 +371,7 @@ class TestComputationalResidual:
         prob = linear2()
         _, traj, dual = run_with_dual(prob, 2, 0.1)
         est = galerkin_estimates(traj, dual, prob)
-        ec = computational_error(traj, prob, est.factors)
+        ec = computational_error(traj, prob, est.factors.s_mean)
         by_hand = sum(
             est.factors.s_mean[i] * np.max(ec.profiles[i]) for i in (0, 1)
         )
@@ -431,7 +431,7 @@ class TestQuadratureResidual:
         prob = linear2()
         _, traj, dual = run_with_dual(prob, 2, 0.1)
         est = galerkin_estimates(traj, dual, prob)
-        eq = quadrature_error(traj, prob, est.factors)
+        eq = quadrature_error(traj, prob, est.factors.s_mean)
         assert eq.value >= 0.0
         assert all(np.all(p >= 0.0) for p in eq.profiles)
 

@@ -16,7 +16,9 @@ import pytest
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import Partition, build_partition, build_slabs
-from mgode.estimator import _integral_of_rhs, _solver_depth, estimate
+from mgode.controller import AdaptSettings, propose_steps
+from mgode.estimator import (ExplicitEstimates, _integral_of_rhs, _solver_depth,
+                             estimate, explicit_estimates)
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
                           _build_work, interval_residual,
                           interval_rhs, solve)
@@ -587,20 +589,24 @@ def _pattern_points(traj, i, j):
     return [0.0, 1.0, 0.37, *rule.tolist(), *(s for s in hits if s is not None)]
 
 
-def _assert_reports_equal(a, b):
-    """Every field of two estimator reports, recursing into dataclasses."""
-    assert type(a) is type(b)
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if dataclasses.is_dataclass(x):
-            _assert_reports_equal(x, y)
-        elif isinstance(x, list) and x and isinstance(x[0], np.ndarray):
-            assert len(x) == len(y)
-            assert all(np.array_equal(u, v) for u, v in zip(x, y)), field.name
-        elif isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), field.name
-        else:
-            assert x == y, field.name
+def _assert_reports_equal(a, b, name="report"):
+    """Every field of two estimator reports, recursing into dataclasses,
+    lists and tuples, except ``inputs``: its weak references name each
+    run's own problem, trajectory and dual."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), name
+        for field in dataclasses.fields(a):
+            if field.name != "inputs":
+                _assert_reports_equal(getattr(a, field.name),
+                                      getattr(b, field.name), field.name)
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), name
+        for x, y in zip(a, b):
+            _assert_reports_equal(x, y, name)
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), name
+    else:
+        assert a == b, name
 
 
 @pytest.fixture(scope="module")
@@ -677,3 +683,48 @@ class TestDependencyPattern:
                     interval_rhs(traj, p, i, 1, x)
                     assert set(seen) == reads
                     assert len(seen) == len(reads)
+
+
+# -- a report is the explicit stage it completes --------------------------------
+
+@pytest.fixture(scope="module")
+def kepler_round():
+    """A shortened first round of the acceptance #12 Kepler run: mcG(2) at
+    k = 0.1 and quadrature depth 1, with the dual adapt solves."""
+    prob = model("kepler_2body").problem(T=0.6, methods="mcG")
+    part = build_partition(0.1, 2, 0.6, methods=prob.methods)
+    settings = SolveSettings(tolerance=1e-11, quad_depth=1)
+    traj = solve(prob, part, settings)
+    spec = DualSpec(problem=prob, primal=traj, phi_T=np.full(8, 8 ** -0.5))
+    return prob, traj, solve_dual(spec, dual_partition_for(part, 1), settings)
+
+
+class TestReportExtendsTheStage:
+    """``estimate`` completes the explicit stage into a report that is that
+    stage: ``propose_steps`` and ``estimate`` read it as they read the
+    stage."""
+
+    @pytest.fixture(scope="class", params=["kepler_round", "harmonic_mixed"])
+    def case(self, request):
+        prob, traj, dual = request.getfixturevalue(request.param)
+        stage = explicit_estimates(prob, traj, dual)
+        return prob, traj, dual, stage, estimate(prob, traj, dual, stage)
+
+    def test_a_report_is_a_stage(self, case):
+        *_, stage, report = case
+        assert isinstance(report, ExplicitEstimates)
+        assert type(stage) is ExplicitEstimates
+
+    def test_propose_steps_reads_a_report_as_its_stage(self, case):
+        _, traj, _, stage, report = case
+        settings = AdaptSettings(tol=1e-6, k_min=1e-6, k_max=0.5)
+        got, want = propose_steps(report, settings), propose_steps(stage, settings)
+        part = traj.partition
+        for i in range(part.n_components):
+            for j in range(part.n_intervals(i)):
+                t = 0.5 * sum(part.span(i, j))
+                assert np.float64(got[i](t)).tobytes() == np.float64(want[i](t)).tobytes()
+
+    def test_a_report_completes_as_its_stage(self, case):
+        prob, traj, dual, _, report = case
+        _assert_reports_equal(estimate(prob, traj, dual, explicit=report), report)

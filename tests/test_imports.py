@@ -7,7 +7,9 @@ read in its module, as a name or as the base of an attribute (except in
 family is read in one place outside ``tableau.py``: the tableau owns every
 per-family number, and the slab solver takes its pinned/solved split from
 the scheme rule, so the only comparison against a family tag left is
-``stability_factor_error``'s rejection of a discontinuous dual.
+``stability_factor_error``'s rejection of a discontinuous dual.  No public
+function or method signature annotates a ``_``-prefixed name: a caller
+cannot name a private type it must pass or receive.
 """
 
 import ast
@@ -97,3 +99,53 @@ def test_family_read_in_one_place_outside_the_tableau():
              for hit in family_comparisons(path.read_text())]
     assert found == [("estimator.py", "stability_factor_error",
                       "m == MDG")]
+
+
+def private_annotations(source: str) -> list[tuple[str, str]]:
+    """(function, name) for every ``_``-prefixed name or attribute in the
+    parameter and return annotations of a public module-level function or a
+    public method of a public class; a string annotation is parsed."""
+    found = []
+
+    def scan(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                scan(node.body, f"{prefix}{node.name}.")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_")):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                anns = [p.annotation for p in params if p] + [node.returns]
+                for ann in filter(None, anns):
+                    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                        ann = ast.parse(ann.value, mode="eval")
+                    for n in ast.walk(ann):
+                        name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", "")
+                        if name.startswith("_"):
+                            found.append((prefix + node.name, name))
+
+    scan(ast.parse(source).body, "")
+    return found
+
+
+def test_private_annotation_scanner_sees_every_form():
+    source = ("def f(a: _A, /, b: int, *c: list[int], d: '_B | None',\n"
+              "      **e: m._C) -> tuple[_D, int]: ...\n"
+              "def _g(a: _A): ...\n"
+              "def h(a, b=_A): ...\n"
+              "class K:\n"
+              "    def m(self, a: _E = None): ...\n"
+              "    def _n(self, a: _E): ...\n"
+              "    def __init__(self, a: _E): ...\n"
+              "class _L:\n"
+              "    def m(self, a: _E): ...\n"
+              "def outer(x: int):\n"
+              "    def inner(y: _F): ...\n")
+    assert private_annotations(source) == [
+        ("f", "_A"), ("f", "_B"), ("f", "_C"), ("f", "_D"), ("K.m", "_E")]
+
+
+def test_public_signatures_name_no_private_type():
+    found = [(path.name, *hit) for path in sorted(PACKAGE.glob("*.py"))
+             for hit in private_annotations(path.read_text())]
+    assert found == []

@@ -152,6 +152,14 @@ class TestBasicSolves:
         with pytest.raises(ValueError):
             solve(prob, part)
 
+    def test_horizon_mismatch(self):
+        # a T = 2 partition would integrate a T = 1 problem up to t = 2
+        prob = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0)
+        part = build_partition(0.1, 1, 2.0, methods=("mcG",))
+        with pytest.raises(ValueError, match=re.escape(
+                "partition horizon 2.0 != problem horizon 1.0")):
+            solve(prob, part)
+
     def test_empty_u0_rejected(self):
         with pytest.raises(ValueError, match="u0 has no components"):
             OdeProblem(rhs=lambda u, t: u, u0=[], T=1.0)
@@ -160,8 +168,9 @@ class TestBasicSolves:
         prob = OdeProblem(rhs=lambda u, t: u / (0.5 - t), u0=[1.0], T=1.0,
                           methods="mcG", vectorized=False)
         part = build_partition(0.25, 1, 1.0, methods=prob.methods)
-        with pytest.raises(NonFiniteRHS):
-            solve(prob, part)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            with pytest.raises(NonFiniteRHS):
+                solve(prob, part)
 
     def test_nonconvergence_reported(self):
         # stiff decay with a huge step: the plain iteration diverges
