@@ -231,6 +231,8 @@ class ExplicitEstimates:
     nodes of each nonempty piece between them, the jump and the derivative
     factor s_ij.  ``inputs`` are weak references to the problem, trajectory
     and dual it read: a stage identifies them without keeping them alive.
+    A pickled or copied stage leaves them out, so it still reads as a record
+    but completes no report.
     """
 
     methods: tuple[str, ...]
@@ -249,6 +251,9 @@ class ExplicitEstimates:
     flags: list[str]
     intervals: list[list[tuple]] = field(repr=False)
     inputs: tuple = field(repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "inputs": ()}
 
 
 def _interval_rule(traj: Trajectory, i: int, j: int) -> tuple:
@@ -358,8 +363,9 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     pass.  The chain E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then follows
     from the assembled sums.  When the dual's local degree cannot supply the
     required derivative, E2..E5 degrade to NaN and a flag records the
-    deficiency.  A stage made from another problem, trajectory or dual
-    raises ValueError.
+    deficiency.  A stage that does not hold live references to exactly this
+    problem, trajectory and dual (one made from other inputs, or a pickled
+    copy) raises ValueError.
 
     E0/E1 integrate R (phi - pi phi), which changes sign only where R or
     phi - pi phi does, so no root search runs on the product.  The E0/E1
@@ -372,9 +378,9 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     it.
     """
     stage = explicit_estimates(problem, traj, dual) if explicit is None else explicit
-    if any(ref() is not x for ref, x in zip(stage.inputs, (problem, traj, dual))):
+    if [id(ref()) for ref in stage.inputs] != list(map(id, (problem, traj, dual))):
         raise ValueError("the explicit stage was computed for another problem, "
-                         "trajectory or dual")
+                         "trajectory or dual, or is a pickled copy")
     part = traj.partition
     N = traj.dimension
 
@@ -775,8 +781,8 @@ def estimate(problem: OdeProblem, traj: Trajectory, dual: DualSolution,
     ``explicit_estimates`` for the same problem, trajectory and dual, or one
     made here) completed by ``galerkin_estimates`` and ``eg_residual_zero``:
     it carries the stage's fields as they are, so a report passed as
-    ``explicit`` completes alike.  A stage made from other inputs raises
-    ValueError."""
+    ``explicit`` completes alike.  A stage made from other inputs, or a
+    pickled copy, raises ValueError."""
     if explicit is None:
         explicit = explicit_estimates(problem, traj, dual)
     est = galerkin_estimates(traj, dual, problem, explicit)

@@ -14,7 +14,10 @@ A node set is a read-only float array on [0, 1] (``lobatto_nodes``,
 ``radau_nodes``, ``MethodTableau.nodes``).  A Lagrange basis on nodes s is
 read through two functions: ``lagrange_matrix(s, x)`` gives every cardinal
 function at the points x, and ``differentiation_matrix(s).T @
-lagrange_matrix(s, x)`` their first derivatives.
+lagrange_matrix(s, x)`` their first derivatives.  ``lagrange_matrix`` reads
+one point in plain Python floats and many in one array operation; both paths
+make the same roundings in the same order, from the off-diagonal factors it
+caches once per node set.
 """
 
 from __future__ import annotations
@@ -207,32 +210,47 @@ def radau_nodes(q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _lagrange_denominators(node_bytes: bytes) -> np.ndarray:
-    """Node differences s_m - s_k, shape (n, n, 1), with a unit diagonal."""
+def _lagrange_factors(node_bytes: bytes) -> tuple:
+    """The off-diagonal factors of a node set s: for each cardinal function
+    m, the pairs (s_k, s_m - s_k) with k != m in index order, as tuples of
+    Python floats and as two read-only (n, n - 1, 1) arrays."""
     nodes = np.frombuffer(node_bytes)
-    denom = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(denom, 1.0)
-    denom = denom[:, :, None]
-    denom.setflags(write=False)
-    return denom
+    n = len(nodes)
+    off = ~np.eye(n, dtype=bool)
+    sk = np.broadcast_to(nodes, (n, n))[off].reshape(n, n - 1, 1)
+    den = (nodes[:, None] - nodes[None, :])[off].reshape(n, n - 1, 1)
+    sk.setflags(write=False)
+    den.setflags(write=False)
+    pairs = tuple(tuple(zip(s.ravel().tolist(), d.ravel().tolist()))
+                  for s, d in zip(sk, den))
+    return pairs, sk, den
 
 
 def lagrange_matrix(nodes: np.ndarray, x) -> np.ndarray:
     """Cardinal-function values out[n, p] = lambda_n(x[p]) for the Lagrange
     basis on the given distinct nodes.
 
-    All ratios (x - s_k) / (s_m - s_k) are formed in one array operation with
-    the k = m factor set to 1, then multiplied along k in index order; this
-    is the same sequence of roundings as the factor-by-factor product, and
-    every column depends on its own point only.  On one node the only ratio
-    is the unit diagonal, so the basis is exactly 1.
+    lambda_m(x) is the product of the ratios (x - s_k) / (s_m - s_k), k != m,
+    multiplied in index order.  One point (a float, a 0-d array or a
+    1-element array) is read in plain Python floats, many in one array
+    operation; both make the same roundings in the same order, so every
+    column depends on its own point only.  The factors are cached once per
+    node set.  On one node the product is empty, so the basis is exactly 1.
     """
+    pairs, sk, den = _lagrange_factors(np.asarray(nodes, dtype=float).tobytes())
+    if isinstance(x, np.ndarray) and x.shape in ((), (1,)):
+        x = x.item()
+    if isinstance(x, float):
+        x = float(x)    # a numpy float would make each step a numpy scalar op
+        out = []
+        for row in pairs:
+            p = 1.0
+            for s, d in row:
+                p *= (x - s) / d
+            out.append(p)
+        return np.array(out)[:, None]
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
-    ratios = (xs - nodes[:, None]) / _lagrange_denominators(nodes.tobytes())
-    ratios.reshape(n * n, len(xs))[:: n + 1] = 1.0
-    return np.multiply.reduce(ratios, axis=1)
+    return np.multiply.reduce((xs - sk) / den, axis=1)
 
 
 def differentiation_matrix(nodes: np.ndarray) -> np.ndarray:

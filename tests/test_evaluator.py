@@ -8,6 +8,7 @@ every comparison here is ``np.array_equal``, not a tolerance.
 """
 
 import dataclasses
+import pickle
 import sys
 
 import numpy as np
@@ -22,8 +23,8 @@ from mgode.estimator import (ExplicitEstimates, _integral_of_rhs, _solver_depth,
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
                           _build_work, interval_residual,
                           interval_rhs, solve)
-from mgode.tableau import (MAX_ORDER, integration_rule, lagrange_matrix,
-                           lobatto_nodes, radau_nodes, tableau)
+from mgode.tableau import (MAX_ORDER, METHODS, integration_rule, lagrange_matrix,
+                           lobatto_nodes, min_order, radau_nodes, tableau)
 
 
 def lagrange_loop(nodes, x):
@@ -47,6 +48,11 @@ def lagrange_loop(nodes, x):
 NODE_SETS = ([("lobatto", q, lobatto_nodes(q)) for q in range(1, MAX_ORDER + 1)]
              + [("radau", q, radau_nodes(q)) for q in range(0, MAX_ORDER + 1)])
 
+# every node set a tableau reads a basis on
+TABLEAU_NODE_SETS = [(f"{m}{q}-{attr}", getattr(tableau(m, q), attr))
+                     for m in METHODS for q in range(min_order(m), MAX_ORDER + 1)
+                     for attr in ("nodes", "test_nodes", "residual_zeros")]
+
 
 class TestLagrangeMatrix:
     @pytest.mark.parametrize("kind,q,nodes", NODE_SETS,
@@ -60,6 +66,23 @@ class TestLagrangeMatrix:
             assert np.array_equal(lagrange_matrix(nodes, x), lagrange_loop(nodes, x))
         for x in (0.3, float(nodes[-1]), -0.2):
             assert np.array_equal(lagrange_matrix(nodes, x), lagrange_loop(nodes, x))
+
+    @pytest.mark.parametrize("nodes", [n for _, n in TABLEAU_NODE_SETS],
+                             ids=[name for name, _ in TABLEAU_NODE_SETS])
+    def test_one_point_column_equal_to_loop_formula(self, nodes):
+        # a float, a numpy float, a 0-d and a 1-element array all read one
+        # column, made with the same roundings as the factor-by-factor loop
+        inside = np.random.default_rng(len(nodes)).uniform(0.0, 1.0, 5)
+        outside = [-0.75, -1e-9, 1.0 + 1e-9, 1.5]
+        for x in [*inside, *nodes, 0.0, 1.0, *outside]:
+            want = lagrange_loop(nodes, x)
+            for arg in (float(x), np.float64(x), np.array(x), np.array([x])):
+                got = lagrange_matrix(nodes, arg)
+                assert got.shape == (len(nodes), 1) and got.dtype == np.float64
+                assert np.array_equal(got, want), (x, type(arg))
+        xs = np.concatenate([inside, nodes, [0.0, 1.0], outside])
+        assert np.array_equal(lagrange_matrix(nodes, xs), lagrange_loop(nodes, xs))
+        assert np.array_equal(lagrange_matrix(nodes, xs[:2]), lagrange_loop(nodes, xs[:2]))
 
     def test_one_node_basis_is_exactly_one(self):
         xs = np.array([-0.5, 0.0, 0.3, 0.7, 1.0, 1.5])
@@ -728,3 +751,21 @@ class TestReportExtendsTheStage:
     def test_a_report_completes_as_its_stage(self, case):
         prob, traj, dual, _, report = case
         _assert_reports_equal(estimate(prob, traj, dual, explicit=report), report)
+
+    def test_a_report_pickles_without_its_inputs(self, case):
+        prob, traj, dual, stage, report = case
+        for record in (stage, report):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy.inputs == () and len(record.inputs) == 3
+            _assert_reports_equal(copy, record)
+        assert copy.to_json_dict() == report.to_json_dict()
+
+    def test_a_stage_without_all_three_inputs_is_refused(self, case):
+        # an unpickled copy holds no inputs, and none may pass for them
+        prob, traj, dual, stage, report = case
+        for record in (stage, report):
+            for copy in (pickle.loads(pickle.dumps(record)),
+                         dataclasses.replace(record, inputs=()),
+                         dataclasses.replace(record, inputs=record.inputs[:2])):
+                with pytest.raises(ValueError, match="explicit stage"):
+                    estimate(prob, traj, dual, explicit=copy)

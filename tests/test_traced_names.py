@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import mgode.estimator
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.estimator import estimate
 from mgode.models import model
@@ -65,3 +66,21 @@ def test_solver_spans_and_lagrange_calls_are_counted():
                   for c, (lo, hi) in enumerate(slab.spans))
     assert classes > len(build_slabs(part)) * prob.dimension
     assert metrics["tableau.lagrange_calls"] == classes
+
+
+def test_one_point_residual_reads_are_counted_as_lagrange_calls():
+    # the brentq steps of the estimator read the residual one point at a
+    # time; such a read must still reach lagrange_matrix through the module
+    # attribute the tracer wraps, or its time lands in the caller's span
+    tracing = load_tracing()
+    prob = model("linear_system").problem(methods=("mcG", "mdG"))
+    part = build_partition([0.25, 0.125], [1, 0], prob.T, methods=prob.methods)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-12))
+    for s in (0.3, np.float64(0.3), np.array(0.3), np.array([0.3])):
+        tracer = tracing.Tracer()
+        R = tracer.traced("bench.residual", lambda: mgode.estimator.interval_residual(
+            traj, prob, 0, 1, s))
+        assert R.shape == (1,)
+        metrics = tracer.metrics()
+        assert metrics["estimator.residual_calls"] == 1
+        assert metrics["tableau.lagrange_calls"] >= 1
