@@ -169,7 +169,8 @@ def _resolve_problem(config: dict) -> OdeProblem:
             )
         try:
             factory = getattr(importlib.import_module(mod_name), attr)
-        except (ImportError, AttributeError) as exc:
+        # a relative or empty module name is a TypeError or ValueError
+        except (ImportError, AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot import {config['problem_import']}: {exc}") from exc
         try:
             problem = factory()

@@ -8,17 +8,19 @@ term, stability factors, the assembled total bound, and the a posteriori
 bound on stability factors computed from approximate duals.
 
 The estimate comes in two stages.  ``explicit_estimates`` returns the
-explicit stage, ``ExplicitEstimates``: r, rbar, the factors, E3, E_C, E_Q
-and the explicit bound.  ``estimate`` completes it; its ``ErrorReport``
-extends the stage's record with what the completion adds, so a report is a
-stage and carries the stage's fields as they are.
+explicit stage, ``ExplicitEstimates``: r, rbar, the derivative and mean
+factors, E3, E_C, E_Q and the explicit bound, with a payload that only the
+completion reads.  ``estimate`` completes it; its ``ErrorReport`` extends the
+stage's record with what the completion adds and leaves the payload out, so
+each number of a report is held once and a report reads as a stage but
+completes no second report.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -166,19 +168,14 @@ def error_representation(traj: Trajectory, dual: DualSolution,
 
 @dataclass
 class StabilityFactors:
-    """Integrals of the dual solution converting residuals into bounds.
+    """The integrals of the dual solution that the completion adds to the
+    explicit stage's derivative and mean factors ``s_deriv`` and ``s_mean``.
 
-    ``s_deriv[i]`` integrates |phi_i^(p_i)| with p_i the per-interval
-    derivative order used by the estimates (q for the continuous family,
-    q+1 for the discontinuous one); ``s_mean[i]`` is the piecewise-constant
-    surrogate sum_j k_ij |mean(phi_i)|; ``s_interp[i]`` integrates
-    k^(-p) |phi_i - pi phi_i| with the residual-zero interpolant.  The global
-    factors integrate the Euclidean norm of the derivative vector and of the
-    dual itself.
+    ``s_interp[i]`` integrates k^(-p) |phi_i - pi phi_i| with the
+    residual-zero interpolant.  The global factors integrate the Euclidean
+    norm of the derivative vector and of the dual itself.
     """
 
-    s_deriv: np.ndarray
-    s_mean: np.ndarray
     s_interp: np.ndarray
     s1_global: float
     s2_global: float
@@ -186,8 +183,6 @@ class StabilityFactors:
 
     def to_json_dict(self) -> dict:
         return {
-            "per_component_derivative": [float(x) for x in self.s_deriv],
-            "per_component_mean": [float(x) for x in self.s_mean],
             "per_component_interp": [float(x) for x in self.s_interp],
             "global_l1": float(self.s1_global),
             "global_l2": float(self.s2_global),
@@ -197,23 +192,15 @@ class StabilityFactors:
 
 @dataclass
 class GalerkinEstimates:
-    """The estimate chain E0..E5 plus its per-interval ingredients."""
+    """What the completion adds to the explicit stage's E3: the rest of the
+    chain E0..E5 and the stability factors the stage does not hold."""
 
     e0: float
     e1: float
     e2: float
-    e3: float
     e4: float
     e5: float
-    r: list[np.ndarray]
-    rbar: list[np.ndarray]
-    component_max: np.ndarray     # max_j of the weighted residual per component
     factors: StabilityFactors
-    flags: list[str] = field(default_factory=list)
-
-    @property
-    def chain(self) -> tuple[float, ...]:
-        return (self.e0, self.e1, self.e2, self.e3, self.e4, self.e5)
 
 
 @dataclass
@@ -224,15 +211,18 @@ class ExplicitEstimates:
     It holds the residual profiles r and rbar, the derivative and mean
     factors, the weighted residual maxima, E3 (NaN with a flag per interval
     whose dual degree cannot supply the required derivative), E_C and E_Q
-    with their profiles.
+    with their profiles.  ``s_deriv[i]`` integrates |phi_i^(p_i)| with p_i
+    the per-interval derivative order (q for the continuous family, q+1 for
+    the discontinuous one); ``s_mean[i]`` is the piecewise-constant
+    surrogate sum_j k_ij |mean(phi_i)|.
 
-    ``intervals[i][j]`` keeps what the completion reads again on interval
-    I_ij: R's cuts of [0, 1] (0, its roots, 1), R's values at the Gauss
-    nodes of each nonempty piece between them, the jump and the derivative
-    factor s_ij.  ``inputs`` are weak references to the problem, trajectory
-    and dual it read: a stage identifies them without keeping them alive.
-    A pickled or copied stage leaves them out, so it still reads as a record
-    but completes no report.
+    ``payload`` is read by ``galerkin_estimates`` alone: weak references to
+    the problem, trajectory and dual the stage read, which identify them
+    without keeping them alive, and per interval I_ij what the completion
+    reads again there: R's cuts of [0, 1] (0, its roots, 1), R's values at
+    the Gauss nodes of each nonempty piece between them, the jump and the
+    derivative factor s_ij.  A report, and a pickled or copied stage, hold
+    None there: they still read as records but complete no report.
     """
 
     methods: tuple[str, ...]
@@ -249,11 +239,10 @@ class ExplicitEstimates:
     rq_bound: list[np.ndarray]
     explicit_total: float
     flags: list[str]
-    intervals: list[list[tuple]] = field(repr=False)
-    inputs: tuple = field(repr=False)
+    payload: tuple | None = field(repr=False)
 
     def __getstate__(self) -> dict:
-        return {**vars(self), "inputs": ()}
+        return {**vars(self), "payload": None}
 
 
 def _interval_rule(traj: Trajectory, i: int, j: int) -> tuple:
@@ -342,30 +331,29 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
         s_deriv=s_deriv, s_mean=s_mean, component_max=comp_max, e3=e3,
         e_c=ec.value, e_q=eq.value, rc=ec.profiles, rq_bound=eq.profiles,
         explicit_total=e3 + ec.value + eq.value, flags=flags,
-        intervals=intervals,
-        inputs=tuple(weakref.ref(x) for x in (problem, traj, dual)),
+        payload=(tuple(weakref.ref(x) for x in (problem, traj, dual)), intervals),
     )
 
 
 def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                        problem: OdeProblem,
                        explicit: ExplicitEstimates | None = None) -> GalerkinEstimates:
-    """Assemble the interpolation-constant estimate chain and the stability
-    factors.
+    """Complete the interpolation-constant estimate chain and the stability
+    factors: E0, E1, E2, E4, E5 and the factors the stage does not hold.
 
     The explicit stage (``explicit``, or one made by ``explicit_estimates``)
-    supplies r, rbar, the derivative and mean factors and E3; this completion
-    makes a second pass over each component's intervals for the midpoint
-    Taylor interpolation terms feeding E0 and E1, E2, the L2 pieces of E5 and
-    the residual-zero interpolation factor, and one pass over the elementary
-    segments for the global derivative-norm factor and the L1 norm of the
-    dual.  Each sum adds its terms interval by interval in the order of the
+    supplies r, rbar, the derivative and mean factors and E3 and keeps them;
+    this completion makes a second pass over each component's intervals for
+    the midpoint Taylor interpolation terms feeding E0 and E1, E2, the L2
+    pieces of E5 and the residual-zero interpolation factor, and one pass
+    over the elementary segments for the global derivative-norm factor and
+    the L1 norm of the dual.  Each sum adds its terms interval by interval in the order of the
     pass.  The chain E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then follows
     from the assembled sums.  When the dual's local degree cannot supply the
     required derivative, E2..E5 degrade to NaN and a flag records the
-    deficiency.  A stage that does not hold live references to exactly this
-    problem, trajectory and dual (one made from other inputs, or a pickled
-    copy) raises ValueError.
+    deficiency.  A stage whose payload does not hold live references to
+    exactly this problem, trajectory and dual (one made from other inputs, a
+    report, or a pickled or copied stage) raises ValueError.
 
     E0/E1 integrate R (phi - pi phi), which changes sign only where R or
     phi - pi phi does, so no root search runs on the product.  The E0/E1
@@ -378,9 +366,10 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     it.
     """
     stage = explicit_estimates(problem, traj, dual) if explicit is None else explicit
-    if [id(ref()) for ref in stage.inputs] != list(map(id, (problem, traj, dual))):
+    inputs, intervals = stage.payload or ((), None)
+    if [id(ref()) for ref in inputs] != list(map(id, (problem, traj, dual))):
         raise ValueError("the explicit stage was computed for another problem, "
-                         "trajectory or dual, or is a pickled copy")
+                         "trajectory or dual, or is a report or a pickled copy")
     part = traj.partition
     N = traj.dimension
 
@@ -392,7 +381,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     s2_sq = 0.0
 
     for i in range(N):
-        for j, (rpts, Rvs, jmp, s_ij) in enumerate(stage.intervals[i]):
+        for j, (rpts, Rvs, jmp, s_ij) in enumerate(intervals[i]):
             t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
             r_ij, rbar_ij = float(stage.r[i][j]), float(stage.rbar[i][j])
 
@@ -477,28 +466,17 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                 s1_global += _gauss_integral(norm, lo, hi, npts)
         s_phi += _gauss_integral(phi_norm, a, b, 8)
 
-    comp_max = stage.component_max
     e0 = abs(e0_signed)
-    e4 = s1_global * math.sqrt(N) * float(np.max(comp_max))
+    e4 = s1_global * math.sqrt(N) * float(np.max(stage.component_max))
     s2_global = math.sqrt(s2_sq)
     e5 = s2_global * math.sqrt(l2_weighted_sq)
 
     if stage.flags:
         e2 = e4 = e5 = float("nan")
 
-    factors = StabilityFactors(
-        s_deriv=stage.s_deriv,
-        s_mean=stage.s_mean,
-        s_interp=s_interp,
-        s1_global=s1_global,
-        s2_global=s2_global,
-        s_phi=s_phi,
-    )
-    return GalerkinEstimates(
-        e0=e0, e1=e1, e2=e2, e3=stage.e3, e4=e4, e5=e5,
-        r=stage.r, rbar=stage.rbar,
-        component_max=comp_max, factors=factors, flags=stage.flags,
-    )
+    factors = StabilityFactors(s_interp=s_interp, s1_global=s1_global,
+                               s2_global=s2_global, s_phi=s_phi)
+    return GalerkinEstimates(e0=e0, e1=e1, e2=e2, e4=e4, e5=e5, factors=factors)
 
 
 def _segment_intervals(part: Partition, segs: np.ndarray) -> list[list[int]]:
@@ -696,7 +674,8 @@ class ErrorReport(ExplicitEstimates):
     """The explicit stage completed: everything the adaptation loop and the
     batch front end consume.  It declares only what the completion adds to
     the stage: the rest of the chain E0..E5, E_G and the total bound, the
-    stability factors and the sign bookkeeping of E_G."""
+    stability factors the stage does not hold and the sign bookkeeping of
+    E_G.  Its ``payload`` is None, so it completes no second report."""
 
     e0: float
     e1: float
@@ -713,14 +692,15 @@ class ErrorReport(ExplicitEstimates):
     #: bound over true error, fillable by callers holding a reference solution
     effectivity: float | None = None
 
+    @property
+    def chain(self) -> tuple[float, ...]:
+        return (self.e0, self.e1, self.e2, self.e3, self.e4, self.e5)
+
     def to_json_dict(self) -> dict:
         part = self.partition
         return {
             "methods": list(self.methods),
-            "estimates": {
-                "E0": self.e0, "E1": self.e1, "E2": self.e2,
-                "E3": self.e3, "E4": self.e4, "E5": self.e5,
-            },
+            "estimates": {f"E{n}": e for n, e in enumerate(self.chain)},
             "E_G": self.e_g,
             "E_C": self.e_c,
             "E_Q": self.e_q,
@@ -730,7 +710,11 @@ class ErrorReport(ExplicitEstimates):
             "eg_abs_sum": self.eg_abs_sum,
             "eg_shortcut": self.eg_shortcut,
             "effectivity": self.effectivity,
-            "stability_factors": self.factors.to_json_dict(),
+            "stability_factors": {
+                "per_component_derivative": [float(x) for x in self.s_deriv],
+                "per_component_mean": [float(x) for x in self.s_mean],
+                **self.factors.to_json_dict(),
+            },
             "components": [
                 {
                     "method": self.methods[i],
@@ -780,15 +764,15 @@ def estimate(problem: OdeProblem, traj: Trajectory, dual: DualSolution,
     The report is the explicit stage (``explicit``, made by
     ``explicit_estimates`` for the same problem, trajectory and dual, or one
     made here) completed by ``galerkin_estimates`` and ``eg_residual_zero``:
-    it carries the stage's fields as they are, so a report passed as
-    ``explicit`` completes alike.  A stage made from other inputs, or a
-    pickled copy, raises ValueError."""
+    it carries the stage's fields as they are, except the payload, which it
+    leaves out.  A stage made from other inputs, a pickled or copied stage
+    and a report raise ValueError."""
     if explicit is None:
         explicit = explicit_estimates(problem, traj, dual)
     est = galerkin_estimates(traj, dual, problem, explicit)
     eg = eg_residual_zero(traj, dual, problem)
     return ErrorReport(
-        **{f.name: getattr(explicit, f.name) for f in fields(ExplicitEstimates)},
+        **{**vars(explicit), "payload": None},
         e0=est.e0, e1=est.e1, e2=est.e2, e4=est.e4, e5=est.e5, e_g=eg.value,
         total=eg.value + explicit.e_c + explicit.e_q, factors=est.factors,
         alphas=eg.alphas, eg_signed=eg.signed, eg_abs_sum=eg.abs_sum,

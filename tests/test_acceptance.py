@@ -18,7 +18,6 @@ from mgode.estimator import (
     _integral_of_rhs,
     estimate,
     error_representation,
-    galerkin_estimates,
     quadrature_residual,
     stability_factor_error,
 )
@@ -195,8 +194,7 @@ def test_07_estimate_chain_matrix():
                              phi_T=np.full(n, 1.0 / np.sqrt(n))),
                     dual_partition_for(part, 1, 2),
                     SolveSettings(tolerance=1e-12))
-                est = galerkin_estimates(traj, dual, prob)
-                e0, e1, e2, e3, e4, e5 = est.chain
+                e0, e1, e2, e3, e4, e5 = estimate(prob, traj, dual).chain
                 ok &= e0 <= e1 + CHAIN_SLACK
                 ok &= e1 <= e2 + CHAIN_SLACK
                 ok &= e2 <= e3 + CHAIN_SLACK

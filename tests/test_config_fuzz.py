@@ -118,7 +118,8 @@ def configs(draw):
         cfg["model"] = "no_such_model"
     if source in ("bad_import", "both"):
         cfg["problem_import"] = draw(pick(["no_such_module:make", "math",
-                                           "math:no_such_attr"]))
+                                           "math:no_such_attr", ".x:make",
+                                           ":make"]))
     elif source == "raising_factory":
         cfg["problem_import"] = "json:loads"         # TypeError: no argument
     elif source == "not_a_problem":
@@ -196,6 +197,7 @@ BASE = {"model": "lorenz", "steps": 0.1, "orders": 2}
 @example(cfg={**BASE, "adapt": {"max_rounds": 2.0}})          # TypeError later
 @example(cfg={**BASE, "T": -1.0, "extra": 1})                 # two-line error
 @example(cfg={"problem_import": "json:loads", "steps": 0.1, "orders": 2})
+@example(cfg={"problem_import": ".x:make", "steps": 0.1, "orders": 2})  # traceback
 def test_config_boundary(workdir, cfg):
     path = workdir / "config.json"
     path.write_text(json.dumps(cfg))

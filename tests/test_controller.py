@@ -63,7 +63,7 @@ class TestProposeSteps:
         # impose a factor-1000 residual imbalance with equal stability factors
         report.r[0][:] = report.rbar[0][:] = 1.0
         report.r[1][:] = report.rbar[1][:] = 1000.0
-        report.factors.s_deriv[:] = 1.0
+        report.s_deriv[:] = 1.0
         st = settings(k_min=1e-12, k_max=1e6)
         fns = propose_steps(report, st)
         ratio = fns[0](0.5) / fns[1](0.5)
@@ -89,7 +89,7 @@ class TestProposeSteps:
         fns = propose_steps(report, st)
         budget = st.theta * st.tol / 1
         j = 5
-        denom = report.factors.s_deriv[0] * interp_constant(1) * report.rbar[0][j]
+        denom = report.s_deriv[0] * interp_constant(1) * report.rbar[0][j]
         expect = (budget / denom) ** (1.0 / 2.0)
         assert fns[0](float(report.partition.breakpoints[0][j])) == \
             pytest.approx(expect, rel=1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -178,8 +179,7 @@ class TestGalerkinEstimates:
         dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[1.0]),
                           dual_partition_for(part, 1),
                           SolveSettings(tolerance=1e-14))
-        est = galerkin_estimates(traj, dual, prob)
-        for v in est.chain:
+        for v in estimate(prob, traj, dual).chain:
             assert abs(v) < 1e-11
 
     @pytest.mark.parametrize("method,q", [("mcG", 1), ("mcG", 2), ("mdG", 0),
@@ -187,8 +187,7 @@ class TestGalerkinEstimates:
     def test_chain_property(self, method, q):
         prob = linear2(method)
         _, traj, dual = run_with_dual(prob, q, 0.1)
-        est = galerkin_estimates(traj, dual, prob)
-        e0, e1, e2, e3, e4, e5 = est.chain
+        e0, e1, e2, e3, e4, e5 = estimate(prob, traj, dual).chain
         assert e0 <= e1 + CHAIN_SLACK
         assert e1 <= e2 + CHAIN_SLACK
         assert e2 <= e3 + CHAIN_SLACK
@@ -203,7 +202,7 @@ class TestGalerkinEstimates:
         prob = decay()
         q = 2
         _, traj, dual = run_with_dual(prob, q, 0.125)
-        est = galerkin_estimates(traj, dual, prob)
+        stage = explicit_estimates(prob, traj, dual)
         part = traj.partition
         s_total = 0.0
         max_term = 0.0
@@ -225,13 +224,14 @@ class TestGalerkinEstimates:
             s_total += s_int
             max_term = max(max_term, interp_constant(q - 1) * k**q * r_ij)
         brute = s_total * max_term
-        assert est.e3 == pytest.approx(brute, rel=1e-4)
+        assert stage.e3 == pytest.approx(brute, rel=1e-4)
 
     def test_one_norm_dominates_two_norm(self):
         prob = linear2()
         _, traj, dual = run_with_dual(prob, 2, 0.1)
-        est = galerkin_estimates(traj, dual, prob)
-        assert est.factors.s_deriv.sum() >= est.factors.s1_global - 1e-12
+        stage = explicit_estimates(prob, traj, dual)
+        est = galerkin_estimates(traj, dual, prob, stage)
+        assert stage.s_deriv.sum() >= est.factors.s1_global - 1e-12
 
     def test_test_space_pairing_vanishes_globally(self):
         # replacing the dual by any test-space function in the pairing
@@ -262,8 +262,9 @@ class TestGalerkinEstimates:
         low_part = build_partition(0.25, 1, 1.0, methods=("mcG",))
         dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[1.0]),
                           low_part, SolveSettings(tolerance=1e-13))
-        est = galerkin_estimates(traj, dual, prob)
-        assert est.flags
+        stage = explicit_estimates(prob, traj, dual)
+        est = galerkin_estimates(traj, dual, prob, stage)
+        assert stage.flags
         assert np.isnan(est.e2) and np.isnan(est.e5)
         assert np.isfinite(est.e0) and np.isfinite(est.e1)
 
@@ -370,10 +371,10 @@ class TestComputationalResidual:
     def test_ec_assembly(self):
         prob = linear2()
         _, traj, dual = run_with_dual(prob, 2, 0.1)
-        est = galerkin_estimates(traj, dual, prob)
-        ec = computational_error(traj, prob, est.factors.s_mean)
+        stage = explicit_estimates(prob, traj, dual)
+        ec = computational_error(traj, prob, stage.s_mean)
         by_hand = sum(
-            est.factors.s_mean[i] * np.max(ec.profiles[i]) for i in (0, 1)
+            stage.s_mean[i] * np.max(ec.profiles[i]) for i in (0, 1)
         )
         assert ec.value == pytest.approx(by_hand, rel=1e-12)
 
@@ -430,8 +431,8 @@ class TestQuadratureResidual:
     def test_eq_assembly(self):
         prob = linear2()
         _, traj, dual = run_with_dual(prob, 2, 0.1)
-        est = galerkin_estimates(traj, dual, prob)
-        eq = quadrature_error(traj, prob, est.factors.s_mean)
+        eq = quadrature_error(traj, prob,
+                              explicit_estimates(prob, traj, dual).s_mean)
         assert eq.value >= 0.0
         assert all(np.all(p >= 0.0) for p in eq.profiles)
 
@@ -665,15 +666,21 @@ class TestStabilityFactorError:
 # -- the E0/E1 split against the product search it replaced ------------------
 #
 # parent_galerkin_estimates is galerkin_estimates as it was when E0/E1
-# root-searched the product R (phi - pi phi) with its own scan and brentq.
-# The split at the sign changes of each factor may move only E0 and E1;
-# every other number, which feeds the controller or the other bounds, must
-# stay bit for bit.
+# root-searched the product R (phi - pi phi) with its own scan and brentq,
+# and returned the whole chain with r, rbar and every factor.  The split at
+# the sign changes of each factor may move only E0 and E1; every other
+# number, which feeds the controller or the other bounds, must stay bit for
+# bit, whether the explicit stage or the completion holds it now.
+
+OracleEstimates = namedtuple("OracleEstimates", "e0 e1 e2 e3 e4 e5 r rbar "
+                             "component_max factors flags")
+OracleFactors = namedtuple("OracleFactors", "s_deriv s_mean s_interp "
+                           "s1_global s2_global s_phi")
+
 
 def parent_galerkin_estimates(traj, dual, problem):
     """The product-splitting galerkin_estimates, copied as the oracle."""
-    from mgode.estimator import (GalerkinEstimates, StabilityFactors,
-                                 _check_matching, _elementary_segments,
+    from mgode.estimator import (_check_matching, _elementary_segments,
                                  _gauss_integral, _residual_zero_interpolant,
                                  _sign_change_roots, _taylor_interpolant)
     from mgode.solver import interval_residual
@@ -799,12 +806,12 @@ def parent_galerkin_estimates(traj, dual, problem):
     e5 = s2_global * math.sqrt(l2_weighted_sq)
     if degraded:
         e2 = e3 = e4 = e5 = float("nan")
-    factors = StabilityFactors(s_deriv=s_deriv, s_mean=s_mean,
-                               s_interp=s_interp, s1_global=s1_global,
-                               s2_global=s2_global, s_phi=s_phi)
-    return GalerkinEstimates(e0=e0, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5,
-                             r=r_prof, rbar=rbar_prof, component_max=comp_max,
-                             factors=factors, flags=flags)
+    factors = OracleFactors(s_deriv=s_deriv, s_mean=s_mean,
+                            s_interp=s_interp, s1_global=s1_global,
+                            s2_global=s2_global, s_phi=s_phi)
+    return OracleEstimates(e0=e0, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5,
+                           r=r_prof, rbar=rbar_prof, component_max=comp_max,
+                           factors=factors, flags=flags)
 
 
 MIXED_METHODS = ("mcG", "mdG", "mcG", "mcG", "mdG", "mcG", "mdG", "mcG")
@@ -863,38 +870,42 @@ SINGLE_RATE = [name for name in SPLIT_CASES if name != "kepler_mixed"]
 class TestFactorSplit:
     @pytest.fixture(scope="class")
     def pairs(self):
-        """Case name -> (galerkin_estimates, the oracle) on that run."""
+        """Case name -> (the explicit stage, galerkin_estimates completing
+        it, the oracle) on that run."""
         out = {}
         for name, run in SPLIT_CASES.items():
             prob, traj, dual = run()
-            out[name] = (galerkin_estimates(traj, dual, prob),
+            stage = explicit_estimates(prob, traj, dual)
+            out[name] = (stage, galerkin_estimates(traj, dual, prob, stage),
                          parent_galerkin_estimates(traj, dual, prob))
         return out
 
     @pytest.mark.parametrize("name", list(SPLIT_CASES))
     def test_all_but_e0_e1_bit_for_bit(self, pairs, name):
-        got, ref = pairs[name]
-        for a, b in zip(got.r + got.rbar, ref.r + ref.rbar):
+        stage, got, ref = pairs[name]
+        for a, b in zip(stage.r + stage.rbar, ref.r + ref.rbar):
             assert np.array_equal(a, b)
-        assert np.array_equal(got.component_max, ref.component_max)
-        for field in dataclasses.fields(ref.factors):
-            assert np.array_equal(getattr(got.factors, field.name),
-                                  getattr(ref.factors, field.name)), field.name
-        assert (got.e2, got.e3, got.e4, got.e5) == (ref.e2, ref.e3, ref.e4,
-                                                    ref.e5)
-        assert got.flags == ref.flags
+        assert np.array_equal(stage.component_max, ref.component_max)
+        # the stage holds the derivative and mean factors, the completion
+        # the rest
+        for field, want in ref.factors._asdict().items():
+            holder = stage if field in ("s_deriv", "s_mean") else got.factors
+            assert np.array_equal(getattr(holder, field), want), field
+        assert (got.e2, stage.e3, got.e4, got.e5) == (ref.e2, ref.e3, ref.e4,
+                                                      ref.e5)
+        assert stage.flags == ref.flags
 
     # on the multirate case R jumps inside a reader's intervals, and E0/E1
     # move by more
     @pytest.mark.parametrize("name", SINGLE_RATE)
     def test_e0_e1_agree_on_single_rate_runs(self, pairs, name):
-        got, ref = pairs[name]
+        _, got, ref = pairs[name]
         assert got.e0 == pytest.approx(ref.e0, rel=1e-10, abs=0.0)
         assert got.e1 == pytest.approx(ref.e1, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("name", list(SPLIT_CASES))
     def test_e1_dominates_e0(self, pairs, name):
-        got, _ = pairs[name]
+        _, got, _ = pairs[name]
         assert got.e1 >= got.e0
 
 
@@ -1022,8 +1033,8 @@ class TestExplicitStage:
             got, want = getattr(stage, field), getattr(report, field)
             assert len(got) == len(want)
             assert all(same(a, b) for a, b in zip(got, want)), field
-        assert same(stage.s_deriv, report.factors.s_deriv)
-        assert same(stage.s_mean, report.factors.s_mean)
+        assert same(stage.s_deriv, report.s_deriv)
+        assert same(stage.s_mean, report.s_mean)
         assert stage.flags == report.flags
 
     def test_degraded_dual_flags_a_nan_bound(self, stages):
@@ -1038,7 +1049,7 @@ class TestExplicitStage:
         got = estimate(prob, traj, dual, stage)
         want = estimate(prob, traj, dual)
         assert got.to_json_dict() == want.to_json_dict()
-        assert got.rc is stage.rc and got.factors.s_deriv is stage.s_deriv
+        assert got.rc is stage.rc and got.s_deriv is stage.s_deriv
 
     def test_stage_of_another_run_is_refused(self):
         # equal numbers, other objects: a stage is tied to what it read

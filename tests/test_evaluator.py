@@ -7,6 +7,7 @@ alone.  The estimator's rounding-level terms depend on those exact bits, so
 every comparison here is ``np.array_equal``, not a tolerance.
 """
 
+import copy
 import dataclasses
 import pickle
 import sys
@@ -18,7 +19,8 @@ from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import Partition, build_partition, build_slabs
 from mgode.controller import AdaptSettings, propose_steps
-from mgode.estimator import (ExplicitEstimates, _integral_of_rhs, _solver_depth,
+from mgode.estimator import (ExplicitEstimates, GalerkinEstimates,
+                             StabilityFactors, _integral_of_rhs, _solver_depth,
                              estimate, explicit_estimates)
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
                           _build_work, interval_residual,
@@ -613,15 +615,13 @@ def _pattern_points(traj, i, j):
 
 
 def _assert_reports_equal(a, b, name="report"):
-    """Every field of two estimator reports, recursing into dataclasses,
-    lists and tuples, except ``inputs``: its weak references name each
-    run's own problem, trajectory and dual."""
+    """Every field of two estimator records, recursing into dataclasses,
+    lists and tuples."""
     if dataclasses.is_dataclass(a):
         assert type(a) is type(b), name
         for field in dataclasses.fields(a):
-            if field.name != "inputs":
-                _assert_reports_equal(getattr(a, field.name),
-                                      getattr(b, field.name), field.name)
+            _assert_reports_equal(getattr(a, field.name),
+                                  getattr(b, field.name), field.name)
     elif isinstance(a, (list, tuple)):
         assert type(a) is type(b) and len(a) == len(b), name
         for x, y in zip(a, b):
@@ -724,8 +724,8 @@ def kepler_round():
 
 class TestReportExtendsTheStage:
     """``estimate`` completes the explicit stage into a report that is that
-    stage: ``propose_steps`` and ``estimate`` read it as they read the
-    stage."""
+    stage without its payload: ``propose_steps`` reads it as it reads the
+    stage, and ``estimate`` refuses it as a stage to complete."""
 
     @pytest.fixture(scope="class", params=["kepler_round", "harmonic_mixed"])
     def case(self, request):
@@ -748,24 +748,39 @@ class TestReportExtendsTheStage:
                 t = 0.5 * sum(part.span(i, j))
                 assert np.float64(got[i](t)).tobytes() == np.float64(want[i](t)).tobytes()
 
-    def test_a_report_completes_as_its_stage(self, case):
+    def test_a_report_is_refused_as_a_stage(self, case):
         prob, traj, dual, _, report = case
-        _assert_reports_equal(estimate(prob, traj, dual, explicit=report), report)
+        assert report.payload is None
+        with pytest.raises(ValueError, match="explicit stage"):
+            estimate(prob, traj, dual, explicit=report)
 
     def test_a_report_pickles_without_its_inputs(self, case):
-        prob, traj, dual, stage, report = case
-        for record in (stage, report):
-            copy = pickle.loads(pickle.dumps(record))
-            assert copy.inputs == () and len(record.inputs) == 3
-            _assert_reports_equal(copy, record)
-        assert copy.to_json_dict() == report.to_json_dict()
+        # a report holds no payload, so it pickles whole
+        *_, report = case
+        dup = pickle.loads(pickle.dumps(report))
+        _assert_reports_equal(dup, report)
+        assert dup.to_json_dict() == report.to_json_dict()
+
+    def test_a_stage_pickles_without_its_payload(self, case):
+        prob, traj, dual, stage, _ = case
+        for dup in (pickle.loads(pickle.dumps(stage)), copy.copy(stage),
+                    copy.deepcopy(stage)):
+            assert dup.payload is None and stage.payload is not None
+            _assert_reports_equal(dup, dataclasses.replace(stage, payload=None))
+            with pytest.raises(ValueError, match="explicit stage"):
+                estimate(prob, traj, dual, explicit=dup)
 
     def test_a_stage_without_all_three_inputs_is_refused(self, case):
-        # an unpickled copy holds no inputs, and none may pass for them
-        prob, traj, dual, stage, report = case
-        for record in (stage, report):
-            for copy in (pickle.loads(pickle.dumps(record)),
-                         dataclasses.replace(record, inputs=()),
-                         dataclasses.replace(record, inputs=record.inputs[:2])):
-                with pytest.raises(ValueError, match="explicit stage"):
-                    estimate(prob, traj, dual, explicit=copy)
+        # a stage's payload names the problem, trajectory and dual it read,
+        # and nothing less may pass for them
+        prob, traj, dual, stage, _ = case
+        inputs, intervals = stage.payload
+        for payload in (None, ((), intervals), (inputs[:2], intervals)):
+            with pytest.raises(ValueError, match="explicit stage"):
+                estimate(prob, traj, dual,
+                         explicit=dataclasses.replace(stage, payload=payload))
+
+    def test_no_record_redeclares_a_stage_field(self):
+        stage = {f.name for f in dataclasses.fields(ExplicitEstimates)}
+        for record in (GalerkinEstimates, StabilityFactors):
+            assert not stage & {f.name for f in dataclasses.fields(record)}

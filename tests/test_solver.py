@@ -494,7 +494,7 @@ class TestHeterogeneousOrders:
 
     def test_estimates_with_varying_orders(self):
         from mgode.dual import DualSpec, dual_partition_for, solve_dual
-        from mgode.estimator import galerkin_estimates
+        from mgode.estimator import estimate
 
         prob = decay_problem()
         part = build_partition([[0.25, 0.25, 0.25, 0.25]], [[1, 2, 2, 1]],
@@ -503,8 +503,7 @@ class TestHeterogeneousOrders:
         dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[1.0]),
                           dual_partition_for(part, 1),
                           SolveSettings(tolerance=1e-13))
-        est = galerkin_estimates(traj, dual, prob)
-        e0, e1, e2, e3, e4, e5 = est.chain
+        e0, e1, e2, e3, e4, e5 = estimate(prob, traj, dual).chain
         assert e0 <= e1 + 1e-10 and e1 <= e2 + 1e-10 and e2 <= e3 + 1e-10
         assert e3 <= e4 + 1e-10 and e2 <= e5 + 1e-10
 
