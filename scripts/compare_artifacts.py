@@ -13,7 +13,10 @@ seed 0) once per tree, which meets its tolerance on the last round of its
 budget, and the same config with a budget of 3 rounds, written to a
 ``max_rounds3`` subdirectory, which meets it in round 2 before its budget
 runs out, so ``adapt`` completes its report from a stage that it first
-tested against the tolerance.  It also runs the effectivity grid (model
+tested against the tolerance, and the same config with a budget of 1 round
+(the CLI default), written to a ``max_rounds1`` subdirectory, where
+``adapt`` builds the dual partition before the only solve and reports
+without re-partitioning.  It also runs the effectivity grid (model
 linear_system, mcG and mdG x q in {1, 2} x k in {0.1, 0.05, 0.025}, dual
 refine 4, tolerance 1e-13, terminal weight along the true error; the
 benchmark's effectivity_grid at seed 0), each in its own subprocess with
@@ -24,7 +27,7 @@ two mixed-family multirate cases (model linear_system, steps
 (mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
 [1, 0]): the only compared runs with an mdG multirate partition, whose
 nodes land an ulp off another component's breakpoint.  Then it compares the
-eight artifacts of each Kepler run, the twelve grid
+eight artifacts of each of the three Kepler runs, the twelve grid
 ``ErrorReport.to_json_dict()`` JSON texts and each multirate case's
 coefficients and report JSON byte for byte, and names each one that
 differs.  One more subprocess per tree dumps every
@@ -69,6 +72,9 @@ ARTIFACTS = ("trajectory.csv", "dual.csv", "error_report.json",
 HANDOFF_CONFIG = {**CONFIG, "adapt": {**CONFIG["adapt"], "max_rounds": 3}}
 HANDOFF_DIR = "max_rounds3"
 HANDOFF_ARTIFACTS = tuple(f"{HANDOFF_DIR}/{name}" for name in ARTIFACTS)
+ONE_ROUND_CONFIG = {**CONFIG, "adapt": {**CONFIG["adapt"], "max_rounds": 1}}
+ONE_ROUND_DIR = "max_rounds1"
+ONE_ROUND_ARTIFACTS = tuple(f"{ONE_ROUND_DIR}/{name}" for name in ARTIFACTS)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
@@ -296,12 +302,15 @@ def main() -> int:
         config.write_text(json.dumps(CONFIG))
         handoff = tmp / "kepler-max_rounds3.json"
         handoff.write_text(json.dumps(HANDOFF_CONFIG))
+        one_round = tmp / "kepler-max_rounds1.json"
+        one_round.write_text(json.dumps(ONE_ROUND_CONFIG))
         outs = {name: tmp / name for name in roots}
         runs = {(name, cfg): start(root, ["-m", "mgode.cli", "run", "--config",
                                           str(cfg), "--out", str(out)])
                 for name, root in roots.items()
                 for cfg, out in ((config, outs[name]),
-                                 (handoff, outs[name] / HANDOFF_DIR))}
+                                 (handoff, outs[name] / HANDOFF_DIR),
+                                 (one_round, outs[name] / ONE_ROUND_DIR))}
         grids = {name: start(root, ["-c", GRID_SCRIPT])
                  for name, root in roots.items()}
         tableaus = {name: start(root, ["-c", TABLEAU_SCRIPT])
@@ -317,7 +326,7 @@ def main() -> int:
             return 1
 
         differ = []
-        for artifact in ARTIFACTS + HANDOFF_ARTIFACTS:
+        for artifact in ARTIFACTS + HANDOFF_ARTIFACTS + ONE_ROUND_ARTIFACTS:
             a, b = (outs[name] / artifact for name in roots)
             if not (a.is_file() and b.is_file()
                     and a.read_bytes() == b.read_bytes()):
@@ -348,10 +357,14 @@ def main() -> int:
     numbers_differ = [name for name in dump_differ if name.endswith("-numbers")]
     tableau_differ = [name for name in dump_differ if name not in numbers_differ]
     handoff_differ = [name for name in differ if name in HANDOFF_ARTIFACTS]
-    print(f"{len(ARTIFACTS) - len(differ) + len(handoff_differ)} of "
-          f"{len(ARTIFACTS)} artifacts identical")
+    one_round_differ = [name for name in differ if name in ONE_ROUND_ARTIFACTS]
+    first_differ = len(differ) - len(handoff_differ) - len(one_round_differ)
+    print(f"{len(ARTIFACTS) - first_differ} of {len(ARTIFACTS)} artifacts "
+          "identical")
     print(f"{len(HANDOFF_ARTIFACTS) - len(handoff_differ)} of "
           f"{len(HANDOFF_ARTIFACTS)} max_rounds 3 artifacts identical")
+    print(f"{len(ONE_ROUND_ARTIFACTS) - len(one_round_differ)} of "
+          f"{len(ONE_ROUND_ARTIFACTS)} max_rounds 1 artifacts identical")
     print(steering)
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")

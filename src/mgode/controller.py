@@ -120,9 +120,11 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
     """
     n = len(step_fns)
     windows = [0.0]
+    wants = []      # per window, each component's proposal floored at k_min
     t = 0.0
     while True:
-        props = [min(max(float(fn(t)), k_min), k_max) for fn in step_fns]
+        wants.append([max(float(fn(t)), k_min) for fn in step_fns])
+        props = [min(want, k_max) for want in wants[-1]]
         k_slab = min(max(props), _MAX_RATIO * min(props))
         remaining = T - t
         if remaining <= 1.5 * k_slab:
@@ -136,9 +138,8 @@ def synchronized_partition(step_fns: Sequence, orders: Sequence[int], T: float,
     breakpoints = []
     for i in range(n):
         pts = [0.0]
-        for a, b in zip(windows[:-1], windows[1:]):
-            want = max(float(step_fns[i](float(a))), k_min)
-            m = max(0, int(np.ceil(np.log2(max((b - a) / want, 1.0)))))
+        for a, b, want in zip(windows[:-1], windows[1:], wants):
+            m = max(0, int(np.ceil(np.log2(max((b - a) / want[i], 1.0)))))
             parts = 1 << m
             sub = a + (b - a) * np.arange(1, parts + 1) / parts
             sub[-1] = b
@@ -183,7 +184,10 @@ def adapt(problem: OdeProblem, partition: Partition,
     returned (tolerance met or budget exhausted) completes it into the full
     report with ``estimate``.  The returned result flags whether the
     criterion was met; an exhausted budget still returns the last round's
-    artifacts.
+    artifacts.  Each round's dual partition is built once, before that
+    round's solve: from the given partition before the first round, and
+    after each re-partition; a dual partition past the interval cap raises
+    PartitionError before the first solve, with any round budget.
 
     The re-partition keeps one order per component, so with more than one
     round every component must have a single order on all its intervals,
@@ -193,7 +197,8 @@ def adapt(problem: OdeProblem, partition: Partition,
     as given, profile included, and reports a low dual order as flags and a
     NaN bound.
     """
-    # a bad terminal weight, order profile or dual order fails before any solve
+    # a bad terminal weight, order profile, dual partition or dual order
+    # fails before any solve
     phi_T = (_default_phi_T(problem.dimension) if settings.phi_T is None
              else terminal_weight(settings.phi_T, problem.dimension))
     if settings.max_rounds > 1:
@@ -201,10 +206,11 @@ def adapt(problem: OdeProblem, partition: Partition,
             if len(np.unique(qs)) > 1:
                 raise ValueError(f"component {i} has orders {np.unique(qs).tolist()}; "
                                  "adapt keeps one order per component")
-        dual_orders = dual_partition_for(partition, settings.dual_order_increment,
-                                         settings.dual_refine).orders
+    dual_part = dual_partition_for(partition, settings.dual_order_increment,
+                                   settings.dual_refine)
+    if settings.max_rounds > 1:
         for i, (method, qs, dqs) in enumerate(zip(problem.methods, partition.orders,
-                                                 dual_orders)):
+                                                 dual_part.orders)):
             q, dq = int(qs[0]), int(np.min(dqs))
             p = tableau(method, q).deriv_order
             if dq < p:
@@ -219,8 +225,6 @@ def adapt(problem: OdeProblem, partition: Partition,
     for rounds in range(1, settings.max_rounds + 1):
         traj = solve(problem, partition, settings.solver)
         dual_spec = DualSpec(problem=problem, primal=traj, phi_T=phi_T)
-        dual_part = dual_partition_for(
-            partition, settings.dual_order_increment, settings.dual_refine)
         dual = solve_dual(dual_spec, dual_part, settings.solver)
         explicit = explicit_estimates(problem, traj, dual)
         bound = explicit.explicit_total
@@ -242,5 +246,7 @@ def adapt(problem: OdeProblem, partition: Partition,
         step_fns = propose_steps(explicit, settings)
         partition = synchronized_partition(step_fns, orders, problem.T,
                                            settings.k_min, settings.k_max)
+        dual_part = dual_partition_for(partition, settings.dual_order_increment,
+                                       settings.dual_refine)
     return AdaptResult(trajectory=traj, dual=dual, report=report,
                        partition=partition, rounds=rounds, met=met, log=log)

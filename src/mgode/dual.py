@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .partition import Partition, _check_integer, _check_intervals, _check_side
-from .solver import OdeProblem, SolveSettings, Trajectory, solve
+from .solver import (OdeProblem, SolveSettings, SolverError, Trajectory,
+                     _user_error, solve)
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
 
 
@@ -68,19 +69,27 @@ def jstar(v1, v2, t: float, jac: Callable, s_points: int = 3) -> np.ndarray:
         ( integral_0^1 df/du(s v1 + (1-s) v2, t) ds )^T,
 
     by an s_points Gauss-Legendre rule; exact whenever df/du is polynomial of
-    degree <= 2 s_points - 1 along the segment."""
+    degree <= 2 s_points - 1 along the segment.  An exception from ``jac``
+    other than a SolverError is raised again as a SolverError."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if np.array_equal(v1, v2):
-        J = np.asarray(jac(v1, t), dtype=float)
+    same = np.array_equal(v1, v2)
+    try:
+        if same:
+            J = np.asarray(jac(v1, t), dtype=float)
+        else:
+            xs, ws = gauss_rule_01(s_points)
+            acc = np.zeros((len(v1), len(v1)))
+            for x, w in zip(xs, ws):
+                acc += w * np.asarray(jac(x * v1 + (1.0 - x) * v2, t), dtype=float)
+    except SolverError:
+        raise
+    except Exception as exc:
+        raise _user_error("Jacobian", jac, exc) from exc
+    if same:
         if not np.all(np.isfinite(J)):
             raise ValueError(f"non-finite Jacobian at t={t!r}")
         return J.T
-    xs, ws = gauss_rule_01(s_points)
-    acc = np.zeros((len(v1), len(v1)))
-    for x, w in zip(xs, ws):
-        J = np.asarray(jac(x * v1 + (1.0 - x) * v2, t), dtype=float)
-        acc += w * J
     if not np.all(np.isfinite(acc)):
         raise ValueError(f"non-finite Jacobian average at t={t!r}")
     return acc.T

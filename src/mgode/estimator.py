@@ -44,6 +44,14 @@ from .tableau import (
 # Quadrature with sign-change splitting
 # ---------------------------------------------------------------------------
 
+def _one_point(x: float, fn) -> float:
+    """fn at the single point x.  ``brentq`` takes it with ``args=(fn,)``, so
+    no bracket builds a closure over fn (which would keep fn's trajectory and
+    dual alive in scipy's self-referencing wrapper until the cyclic collector
+    runs)."""
+    return float(fn(np.array([x]))[0])
+
+
 def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
     """Roots of fn inside (a, b) located from sign changes on a uniform scan."""
     xs = np.linspace(a, b, n_scan)
@@ -54,9 +62,8 @@ def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
             roots.append(float(x0))
         elif f0 * f1 < 0.0:
             try:
-                roots.append(float(brentq(
-                    lambda x: float(fn(np.array([x]))[0]),
-                    x0, x1, xtol=1e-15, rtol=8.9e-16)))
+                roots.append(float(brentq(_one_point, x0, x1, args=(fn,),
+                                          xtol=1e-15, rtol=8.9e-16)))
             except ValueError:
                 # noise-level values can flip sign between batched and
                 # pointwise evaluation; the piece is negligible either way
@@ -337,23 +344,24 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
 
 def galerkin_estimates(traj: Trajectory, dual: DualSolution,
                        problem: OdeProblem,
-                       explicit: ExplicitEstimates | None = None) -> GalerkinEstimates:
+                       explicit: ExplicitEstimates) -> GalerkinEstimates:
     """Complete the interpolation-constant estimate chain and the stability
     factors: E0, E1, E2, E4, E5 and the factors the stage does not hold.
 
-    The explicit stage (``explicit``, or one made by ``explicit_estimates``)
-    supplies r, rbar, the derivative and mean factors and E3 and keeps them;
-    this completion makes a second pass over each component's intervals for
-    the midpoint Taylor interpolation terms feeding E0 and E1, E2, the L2
-    pieces of E5 and the residual-zero interpolation factor, and one pass
-    over the elementary segments for the global derivative-norm factor and
-    the L1 norm of the dual.  Each sum adds its terms interval by interval in the order of the
-    pass.  The chain E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then follows
-    from the assembled sums.  When the dual's local degree cannot supply the
-    required derivative, E2..E5 degrade to NaN and a flag records the
-    deficiency.  A stage whose payload does not hold live references to
-    exactly this problem, trajectory and dual (one made from other inputs, a
-    report, or a pickled or copied stage) raises ValueError.
+    The explicit stage ``explicit``, made by ``explicit_estimates`` for the
+    same problem, trajectory and dual, supplies r, rbar, the derivative and
+    mean factors and E3 and keeps them; this completion makes a second pass
+    over each component's intervals for the midpoint Taylor interpolation
+    terms feeding E0 and E1, E2, the L2 pieces of E5 and the residual-zero
+    interpolation factor, and one pass over the elementary segments for the
+    global derivative-norm factor and the L1 norm of the dual.  Each sum adds
+    its terms interval by interval in the order of the pass.  The chain
+    E0 <= E1 <= E2 <= E3 <= E4 and E2 <= E5 then follows from the assembled
+    sums.  When the dual's local degree cannot supply the required
+    derivative, E2..E5 degrade to NaN and a flag records the deficiency.  A
+    stage whose payload does not hold live references to exactly this
+    problem, trajectory and dual (one made from other inputs, a report, or a
+    pickled or copied stage) raises ValueError.
 
     E0/E1 integrate R (phi - pi phi), which changes sign only where R or
     phi - pi phi does, so no root search runs on the product.  The E0/E1
@@ -365,8 +373,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     so R is read once per point set and no brentq step on the product reads
     it.
     """
-    stage = explicit_estimates(problem, traj, dual) if explicit is None else explicit
-    inputs, intervals = stage.payload or ((), None)
+    inputs, intervals = explicit.payload or ((), None)
     if [id(ref()) for ref in inputs] != list(map(id, (problem, traj, dual))):
         raise ValueError("the explicit stage was computed for another problem, "
                          "trajectory or dual, or is a report or a pickled copy")
@@ -383,7 +390,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     for i in range(N):
         for j, (rpts, Rvs, jmp, s_ij) in enumerate(intervals[i]):
             t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
-            r_ij, rbar_ij = float(stage.r[i][j]), float(stage.rbar[i][j])
+            r_ij, rbar_ij = float(explicit.r[i][j]), float(explicit.rbar[i][j])
 
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
             phi_loc = lambda s: dual.values(i, t0 + k * s, "left")  # noqa: E731
@@ -467,11 +474,11 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
         s_phi += _gauss_integral(phi_norm, a, b, 8)
 
     e0 = abs(e0_signed)
-    e4 = s1_global * math.sqrt(N) * float(np.max(stage.component_max))
+    e4 = s1_global * math.sqrt(N) * float(np.max(explicit.component_max))
     s2_global = math.sqrt(s2_sq)
     e5 = s2_global * math.sqrt(l2_weighted_sq)
 
-    if stage.flags:
+    if explicit.flags:
         e2 = e4 = e5 = float("nan")
 
     factors = StabilityFactors(s_interp=s_interp, s1_global=s1_global,
@@ -512,10 +519,6 @@ def _integral_of_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     return traj.partition.step(i, j) * float(w @ f)
 
 
-def _solver_depth(traj: Trajectory) -> int:
-    return traj.settings.quad_depth if traj.settings is not None else 0
-
-
 def computational_residual(traj: Trajectory, problem: OdeProblem, i: int,
                            j: int, depth: int | None = None) -> float:
     """Defect of the end-value update equation on interval I_ij,
@@ -525,7 +528,7 @@ def computational_residual(traj: Trajectory, problem: OdeProblem, i: int,
     with the integral one dyadic depth finer than the solver used (or at the
     explicitly given depth)."""
     if depth is None:
-        depth = _solver_depth(traj) + 1
+        depth = traj.settings.quad_depth + 1
     xi = traj.coefficients(i, j)
     inc = traj.incoming_value(i, j)
     k = traj.partition.step(i, j)
@@ -547,7 +550,7 @@ def quadrature_residual(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     The node rule converges dyadically with the tableau's ``dyadic_ratio``,
     giving the computable bound |R^Q_m| <= |R^Q_m - R^Q_{m+1}| / (1 - ratio)."""
     if m is None:
-        m = _solver_depth(traj)
+        m = traj.settings.quad_depth
     k = traj.partition.step(i, j)
     qm = _integral_of_rhs(traj, problem, i, j, m)
     qm1 = _integral_of_rhs(traj, problem, i, j, m + 1)

@@ -2,9 +2,9 @@
 
 Every entry carries what the solver and the test batteries need: a vectorized
 right-hand side, its Jacobian, default initial data and horizon, and where
-available a closed-form solution, a conserved energy, suggested relative
-step sizes for multirate runs, and, where f is sparse, the components each
-f_i reads.  Each rhs fills a preallocated array row by row.
+available a closed-form solution, a conserved energy and, where f is
+sparse, the components each f_i reads.  Each rhs fills a preallocated array
+row by row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class ModelCatalogEntry:
     description: str = ""
     closed_form: Callable | None = None
     invariant: Callable | None = None
-    suggested_step_ratios: tuple[float, ...] | None = None
     dependencies: tuple[tuple[int, ...], ...] | None = None
 
     def problem(self, T: float | None = None, u0=None,
@@ -136,7 +135,6 @@ def _harmonic() -> ModelCatalogEntry:
         u0=u0, T_default=10.0,
         description="two uncoupled oscillators [x1, x2, v1, v2], frequencies 1 and 2",
         closed_form=closed, invariant=energy,
-        suggested_step_ratios=(1.0, 0.5, 1.0, 0.5),
         dependencies=((2,), (3,), (0,), (1,)),
     )
 
@@ -220,14 +218,12 @@ def _kepler_2body() -> ModelCatalogEntry:
         p = -1.0 / np.hypot(u[0], u[1]) - 1.0 / np.hypot(u[2], u[3])
         return k + p
 
-    ratio = (a_out / a_in) ** 1.5
     return ModelCatalogEntry(
         name="kepler_2body", dimension=8, rhs=rhs, jacobian=jac,
         u0=u0, T_default=2.0 * np.pi,
         description="two independent Kepler orbits (fast inner, slow outer), "
                     "eccentricity 0.5",
         closed_form=closed, invariant=energy,
-        suggested_step_ratios=(1.0, 1.0, ratio, ratio, 1.0, 1.0, ratio, ratio),
         dependencies=((4,), (5,), (6,), (7,), (0, 1), (0, 1), (2, 3), (2, 3)),
     )
 

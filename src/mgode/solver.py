@@ -86,6 +86,13 @@ class ConvergenceFailure(SolverError):
         self.report = report
 
 
+def _user_error(what: str, fn: Callable, exc: Exception) -> SolverError:
+    """The SolverError that reports an exception from a user callable: it
+    names the callable and the exception's type and message."""
+    name = getattr(fn, "__qualname__", type(fn).__name__)
+    return SolverError(f"{what} {name} raised {type(exc).__name__}: {exc}")
+
+
 @dataclass
 class SolveSettings:
     """Fixed-point iteration controls for the slab solver."""
@@ -159,17 +166,25 @@ class OdeProblem:
         return len(self.u0)
 
     def eval_rhs(self, U: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Right-hand side at stacked states U (N, P) and times t (P,)."""
-        if self.vectorized:
-            F = np.asarray(self.rhs(U, t), dtype=float)
-            if F.shape != U.shape:
-                raise SolverError(
-                    f"vectorized rhs returned shape {F.shape}, expected {U.shape}"
-                )
-            return F
-        F = np.empty_like(U)
-        for p in range(U.shape[1]):
-            F[:, p] = np.asarray(self.rhs(U[:, p], float(t[p])), dtype=float)
+        """Right-hand side at stacked states U (N, P) and times t (P,).
+
+        An exception from ``rhs`` other than a SolverError is raised again
+        as a SolverError (see ``_user_error``)."""
+        try:
+            if self.vectorized:
+                F = np.asarray(self.rhs(U, t), dtype=float)
+            else:
+                F = np.empty_like(U)
+                for p in range(U.shape[1]):
+                    F[:, p] = np.asarray(self.rhs(U[:, p], float(t[p])), dtype=float)
+        except SolverError:
+            raise
+        except Exception as exc:
+            raise _user_error("right-hand side", self.rhs, exc) from exc
+        if F.shape != U.shape:
+            raise SolverError(
+                f"vectorized rhs returned shape {F.shape}, expected {U.shape}"
+            )
         return F
 
     def jacobian_or_fd(self) -> Callable:
@@ -251,12 +266,13 @@ class Trajectory:
 
     Nodal coefficients are stored per component and interval; evaluation is by
     Lagrange interpolation on the scheme nodes.  Instances are immutable once
-    a solve has produced them.
+    a solve has produced them.  ``settings`` are those of the solve that made
+    the coefficients; the estimator reads their ``quad_depth``.
     """
 
     def __init__(self, partition: Partition, methods: Sequence[str],
-                 u0: np.ndarray, coeffs, report: SolveReport | None = None,
-                 settings: SolveSettings | None = None):
+                 u0: np.ndarray, coeffs, report: SolveReport | None = None, *,
+                 settings: SolveSettings):
         self.partition = partition
         self.methods = tuple(methods)
         self.u0 = np.asarray(u0, dtype=float).reshape(-1)

@@ -304,7 +304,8 @@ class MethodTableau:
     mcG, m = 0..q for mdG).  The rows of ``amat_inv`` are the coefficients
     of the polynomial weight functions w_m in the Lagrange basis on
     ``test_nodes``; folding the interpolatory node rule into them yields
-    ``quad_weights``.  ``diff`` is ``differentiation_matrix(nodes)``.
+    ``quad_weights``, which is ``scheme_rule``'s matrix at depth 0, the same
+    array, made once.  ``diff`` is ``differentiation_matrix(nodes)``.
 
     The a posteriori numbers: the interpolation estimate of the dual uses
     its ``deriv_order``-th derivative p (q for mcG, q + 1 for mdG) with the
@@ -323,7 +324,6 @@ class MethodTableau:
     order: int
     nodes: np.ndarray
     test_nodes: np.ndarray
-    quad_weights: np.ndarray
     node_weights: np.ndarray
     amat: np.ndarray
     amat_inv: np.ndarray
@@ -335,9 +335,14 @@ class MethodTableau:
     dyadic_ratio: float
 
     def __post_init__(self):
-        for arr in (self.nodes, self.test_nodes, self.quad_weights, self.node_weights,
+        for arr in (self.nodes, self.test_nodes, self.node_weights,
                     self.amat, self.amat_inv, self.diff, self.residual_zeros):
             arr.setflags(write=False)
+
+    @property
+    def quad_weights(self) -> np.ndarray:
+        """The folded nodal weights: ``scheme_rule``'s matrix at depth 0."""
+        return scheme_rule(self.method, self.order, 0)[1]
 
     def weight_values(self, s) -> np.ndarray:
         """Values w_m(s) of every weight function, one row per solved nodal
@@ -368,7 +373,8 @@ def build_mcg_tableau(q: int) -> MethodTableau:
 
     xg, wg = gauss_rule_01(q + 2)
     diff = differentiation_matrix(nodes)
-    dtrial = diff.T @ lagrange_matrix(nodes, xg)  # (q+1, G)
+    vals = lagrange_matrix(nodes, xg)           # (q+1, G)
+    dtrial = diff.T @ vals
     tvals = lagrange_matrix(test_nodes, xg)     # (q, G)
     a_full = (tvals * wg) @ dtrial.T            # a_full[m-1, n] = int l'_n l_{m-1}
     amat = a_full[:, 1:].copy()
@@ -381,9 +387,7 @@ def build_mcg_tableau(q: int) -> MethodTableau:
             f"{np.max(np.abs(identity + 1.0)):.3e}"
         )
 
-    rho = lagrange_matrix(nodes, xg) @ wg       # interpolatory node weights
-    w_at_nodes = amat_inv @ lagrange_matrix(test_nodes, nodes)
-    quad_weights = w_at_nodes * rho[None, :]
+    rho = vals @ wg                             # interpolatory node weights
 
     # the residual and interpolation-defect shapes are both P_q
     xp, wp = gauss_rule_01(2 * (q + 2))
@@ -394,7 +398,6 @@ def build_mcg_tableau(q: int) -> MethodTableau:
         order=q,
         nodes=nodes,
         test_nodes=test_nodes,
-        quad_weights=quad_weights,
         node_weights=rho,
         amat=amat,
         amat_inv=amat_inv,
@@ -420,8 +423,8 @@ def build_mdg_tableau(q: int) -> MethodTableau:
 
     xg, wg = gauss_rule_01(q + 2)
     diff = differentiation_matrix(nodes)
-    dvals = diff.T @ lagrange_matrix(nodes, xg)
     vals = lagrange_matrix(nodes, xg)
+    dvals = diff.T @ vals
     amat = (vals * wg) @ dvals.T + np.outer(lam0, lam0)
     amat_inv = np.linalg.inv(amat)
 
@@ -433,9 +436,6 @@ def build_mdg_tableau(q: int) -> MethodTableau:
         )
 
     rho = vals @ wg
-    # Weight values at the nodes are just amat_inv (cardinal basis), so the
-    # folded weights come out as a row scaling.
-    quad_weights = amat_inv * rho[None, :]
 
     # the two shapes are the Radau polynomial and (x + 1) times it
     xp, wp = gauss_rule_01(2 * (q + 2))
@@ -446,7 +446,6 @@ def build_mdg_tableau(q: int) -> MethodTableau:
         order=q,
         nodes=nodes,
         test_nodes=nodes,
-        quad_weights=quad_weights,
         node_weights=rho,
         amat=amat,
         amat_inv=amat_inv,
@@ -484,8 +483,8 @@ def scheme_rule(method: str, q: int, depth: int) -> tuple[np.ndarray, np.ndarray
 
     Returns (points, W): the points of ``integration_rule`` and a matrix W
     with one row per solved nodal value such that
-    xi_m = xi0 + k * W[m] . f(points).  Depth 0 reproduces the plain
-    quad_weights/nodes pair.
+    xi_m = xi0 + k * W[m] . f(points).  At depth 0 the points are the nodes
+    and W is ``MethodTableau.quad_weights``.
     """
     points, wq = integration_rule(method, q, depth)
     W = tableau(method, q).weight_values(points) * wq[None, :]

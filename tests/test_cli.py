@@ -309,6 +309,28 @@ class TestRunErrors:
         assert "userprob3:make" in err and "RuntimeError: boom" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,problem,callable_name", [
+        ("userrhs", "rhs=lambda u, t: 1 / 0",
+         "right-hand side make.<locals>.<lambda>"),
+        ("userjac", "rhs=lambda u, t: -u, jacobian=lambda u, t: 1 / 0",
+         "Jacobian make.<locals>.<lambda>"),
+    ], ids=["rhs", "jacobian"])
+    def test_raising_user_callable(self, tmp_path, capsys, monkeypatch, name,
+                                   problem, callable_name):
+        (tmp_path / f"{name}.py").write_text(
+            "from mgode.solver import OdeProblem\n"
+            "def make():\n"
+            f"    return OdeProblem({problem}, u0=[1.0], T=1.0, vectorized=True)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": f"{name}:make", **ONE_ROUND},
+                           drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"solver error: {callable_name} raised "
+                       "ZeroDivisionError: division by zero\n")
+        assert not out.exists()
+
     def test_zero_component_factory(self, tmp_path, capsys, monkeypatch):
         helper = tmp_path / "userprob4.py"
         helper.write_text("from mgode.solver import OdeProblem\n"

@@ -126,6 +126,21 @@ class TestSynchronizedPartition:
         for slab_len in np.diff(part.breakpoints[0]):
             assert slab_len <= 8e-3 * 1.5
 
+    def test_each_step_function_is_called_once_per_window(self):
+        starts = [[], []]
+
+        def recording(i, k):
+            def fn(t):
+                starts[i].append(t)
+                return k
+            return fn
+
+        part = synchronized_partition([recording(0, 0.25), recording(1, 0.05)],
+                                      [1, 1], 1.0, 1e-6, 1.0)
+        windows = part.synchronized_levels()[:-1].tolist()
+        assert windows == [0.0, 0.25, 0.5, 0.75]
+        assert starts == [windows, windows]
+
     # the partition's interval cap, checked while generating: a 1e-8 step
     # proposal would otherwise build about 1e8 intervals before failing
     def test_windows_past_the_cap_raise(self, monkeypatch):
@@ -221,6 +236,39 @@ class TestDualOrder:
         res = adapt(prob, part, settings(max_rounds=1, dual_order_increment=0))
         assert res.rounds == 1 and not res.met
         assert res.report.flags and np.isnan(res.report.explicit_total)
+
+
+class TestDualPartition:
+    """adapt builds each round's dual partition once, before that round's
+    solve: first from the given partition, then after each re-partition."""
+
+    def run(self, steps=0.25):
+        prob = model("linear_decay").problem()
+        return prob, build_partition(steps, 2, 1.0, methods=prob.methods)
+
+    def test_refused_before_the_first_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called before the dual partition was built")
+
+        monkeypatch.setattr(mgode.controller, "solve", no_solve)
+        # 10 intervals refined 2e6 times pass the interval cap
+        prob, part = self.run(steps=0.1)
+        with pytest.raises(PartitionError, match="dual intervals: too many"):
+            adapt(prob, part, settings(max_rounds=1, dual_refine=2_000_000))
+
+    @pytest.mark.parametrize("max_rounds,builds", [(1, 1), (2, 2)])
+    def test_one_build_per_round(self, monkeypatch, max_rounds, builds):
+        made = []
+
+        def counting(*args):
+            made.append(dual_partition_for(*args))
+            return made[-1]
+
+        monkeypatch.setattr(mgode.controller, "dual_partition_for", counting)
+        prob, part = self.run()
+        res = adapt(prob, part, settings(tol=1e-5, max_rounds=max_rounds))
+        assert res.rounds == max_rounds and len(made) == builds
+        assert res.dual.psi.partition.n_intervals(0) == made[-1].n_intervals(0)
 
 
 def assert_same_report(got, want):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from collections import namedtuple
 from functools import partial
 
@@ -277,7 +279,8 @@ class TestGalerkinEstimates:
             for method in ("mcG", "mdG"):
                 prob = linear2(method)
                 _, traj, dual = run_with_dual(prob, 1, k)
-                vals[method] = galerkin_estimates(traj, dual, prob).e2
+                vals[method] = galerkin_estimates(
+                    traj, dual, prob, explicit_estimates(prob, traj, dual)).e2
             ratios.append(vals["mdG"] / vals["mcG"])
         slope = np.polyfit(np.log(ks), np.log(ratios), 1)[0]
         assert abs(slope - 1.0) <= 0.3
@@ -335,7 +338,8 @@ class TestGlobalFactorScalar:
             p = q if method == "mcG" else q + 1
             d = dual.values(0, np.linspace(0.0, 1.0, 201), order=p)
             assert d.min() < 0.0 < d.max()       # the derivative changes sign
-            got = galerkin_estimates(traj, dual, prob).factors.s1_global
+            got = galerkin_estimates(traj, dual, prob, explicit_estimates(
+                prob, traj, dual)).factors.s1_global
             assert got == seed_s1_global_scalar(traj, dual)
 
 
@@ -361,7 +365,8 @@ class TestComputationalResidual:
                 new, _ = solve_slab(prob, part, slab, coeffs, settings)
                 for i in range(2):
                     coeffs[i].extend(new[i])
-            traj = Trajectory(part, prob.methods, prob.u0, coeffs)
+            traj = Trajectory(part, prob.methods, prob.u0, coeffs,
+                              settings=settings)
             defects.append(max(
                 abs(computational_residual(traj, prob, i, j, depth=1))
                 for i in (0, 1) for j in range(4)
@@ -489,7 +494,8 @@ class TestResidualZero:
         # jump terms in E1 that the residual-zero interpolant eliminates
         prob = decay(method)
         _, traj, dual = run_with_dual(prob, q, 0.1)
-        est = galerkin_estimates(traj, dual, prob)
+        est = galerkin_estimates(traj, dual, prob,
+                                 explicit_estimates(prob, traj, dual))
         eg = eg_residual_zero(traj, dual, prob)
         assert eg.value <= est.e1 * (1 + 1e-12)
         assert est.e1 <= factor * eg.value
@@ -570,7 +576,8 @@ class TestMismatchedInputs:
     @pytest.mark.parametrize("entry", [
         lambda prob, traj, dual: estimate(prob, traj, dual),
         lambda prob, traj, dual: error_representation(traj, dual, prob),
-        lambda prob, traj, dual: galerkin_estimates(traj, dual, prob),
+        lambda prob, traj, dual: galerkin_estimates(
+            traj, dual, prob, explicit_estimates(prob, traj, dual)),
         lambda prob, traj, dual: eg_residual_zero(traj, dual, prob),
         lambda prob, traj, dual: explicit_estimates(prob, traj, dual),
     ], ids=["estimate", "error_representation", "galerkin_estimates",
@@ -923,7 +930,7 @@ def test_no_residual_point_set_is_evaluated_twice(monkeypatch):
         return residual(traj_, problem, i, j, s)
 
     monkeypatch.setattr(mgode.estimator, "interval_residual", recording)
-    galerkin_estimates(traj, dual, prob)
+    galerkin_estimates(traj, dual, prob, explicit_estimates(prob, traj, dual))
     assert len(seen) > traj.partition.total_intervals
     assert len(set(seen)) == len(seen)
 
@@ -1061,3 +1068,21 @@ class TestExplicitStage:
             with pytest.raises(ValueError, match="explicit stage was computed "
                                "for another problem, trajectory or dual"):
                 estimate(*args, stage)
+
+
+def test_an_estimate_keeps_no_run_alive():
+    # the root search leaves no reference cycle over the residual: the
+    # trajectory and the dual die when the caller drops them, without the
+    # cyclic collector
+    prob = model("linear_decay").problem()
+    gc.disable()
+    try:
+        _, traj, dual = run_with_dual(prob, 1, 0.25)
+        report = estimate(prob, traj, dual)
+        refs = [weakref.ref(traj), weakref.ref(dual)]
+        del traj, dual
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
+    assert math.isfinite(report.total)

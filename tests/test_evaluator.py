@@ -20,8 +20,8 @@ from mgode.models import model
 from mgode.partition import Partition, build_partition, build_slabs
 from mgode.controller import AdaptSettings, propose_steps
 from mgode.estimator import (ExplicitEstimates, GalerkinEstimates,
-                             StabilityFactors, _integral_of_rhs, _solver_depth,
-                             estimate, explicit_estimates)
+                             StabilityFactors, _integral_of_rhs, estimate,
+                             explicit_estimates)
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
                           _build_work, interval_residual,
                           interval_rhs, solve)
@@ -610,7 +610,7 @@ def _pattern_points(traj, i, j):
     bp = np.unique(np.concatenate(part.breakpoints))
     hits = [_hit(t0, t1 - t0, b) for b in bp[(bp > t0) & (bp < t1)]]
     rule = integration_rule(traj.methods[i], traj.order(i, j),
-                            _solver_depth(traj))[0]
+                            traj.settings.quad_depth)[0]
     return [0.0, 1.0, 0.37, *rule.tolist(), *(s for s in hits if s is not None)]
 
 

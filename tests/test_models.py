@@ -122,12 +122,6 @@ class TestProblemFactory:
         assert prob.u0[0] == 3.0
         assert prob.methods == ("mdG",)
 
-    def test_suggested_ratios_mark_fast_components(self):
-        entry = model("kepler_2body")
-        ratios = np.asarray(entry.suggested_step_ratios)
-        # inner-orbit components move faster and get smaller relative steps
-        assert np.all(ratios[[0, 1, 4, 5]] < ratios[[2, 3, 6, 7]])
-
 
 # The np.stack bodies the catalog rhs replaced, kept as oracles: each rhs now
 # fills a preallocated array row by row with the same expressions.

@@ -158,6 +158,26 @@ class TestHandoffRun:
         assert not set(compare.HANDOFF_ARTIFACTS) & set(compare.ARTIFACTS)
 
 
+class TestOneRoundRun:
+    # the third Kepler run differs from the first only in its round budget,
+    # the CLI default of one round
+    def test_config_has_one_round(self):
+        compare = load_script("compare_artifacts")
+        adapt = dict(compare.ONE_ROUND_CONFIG["adapt"])
+        assert adapt.pop("max_rounds") == 1
+        assert {**compare.ONE_ROUND_CONFIG, "adapt": adapt} == {
+            **compare.CONFIG, "adapt": {key: value for key, value in
+                                        compare.CONFIG["adapt"].items()
+                                        if key != "max_rounds"}}
+
+    def test_artifact_names(self):
+        compare = load_script("compare_artifacts")
+        assert compare.ONE_ROUND_ARTIFACTS == tuple(
+            f"max_rounds1/{name}" for name in compare.ARTIFACTS)
+        assert not set(compare.ONE_ROUND_ARTIFACTS) & (
+            set(compare.ARTIFACTS) | set(compare.HANDOFF_ARTIFACTS))
+
+
 class TestSteeringSummary:
     def test_identical_inputs(self):
         compare = load_script("compare_artifacts")

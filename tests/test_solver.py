@@ -603,7 +603,7 @@ class TestSolveSlabDriver:
             assert report.converged
             for i in range(2):
                 coeffs[i].extend(new[i])
-        manual = Trajectory(part, prob.methods, prob.u0, coeffs)
+        manual = Trajectory(part, prob.methods, prob.u0, coeffs, settings=settings)
         auto = solve(prob, part, settings)
         for i in range(2):
             for j in range(part.n_intervals(i)):

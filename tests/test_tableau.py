@@ -213,12 +213,21 @@ class TestIdentities:
                                    atol=1e-11)
 
 
+ALL_ORDERS = ([(tb.MCG, q) for q in range(1, tb.MAX_ORDER + 1)]
+              + [(tb.MDG, q) for q in range(0, tb.MAX_ORDER + 1)])
+
+
 class TestRules:
     def test_scheme_rule_depth0_matches_quad_weights(self):
         tab = tb.tableau(tb.MCG, 2)
         pts, W = tb.scheme_rule(tb.MCG, 2, 0)
         np.testing.assert_allclose(pts, tab.nodes, atol=0)
         np.testing.assert_allclose(W, tab.quad_weights, atol=1e-15)
+
+    # the nodal weights have one maker: the tableau hands out the rule's array
+    @pytest.mark.parametrize("method,q", ALL_ORDERS)
+    def test_quad_weights_are_the_depth0_scheme_rule(self, method, q):
+        assert tb.tableau(method, q).quad_weights is tb.scheme_rule(method, q, 0)[1]
 
     @pytest.mark.parametrize("method,q", [(tb.MCG, 2), (tb.MDG, 1)])
     def test_scheme_rule_depth_preserves_constants(self, method, q):
@@ -353,10 +362,6 @@ def estimator_order_numbers(method, q):
     return (q if method == tb.MCG else q + 1,
             1.0 / (2.0**degree * math.factorial(degree)),
             zeros, integral / (end * end), ratio)
-
-
-ALL_ORDERS = ([(tb.MCG, q) for q in range(1, tb.MAX_ORDER + 1)]
-              + [(tb.MDG, q) for q in range(0, tb.MAX_ORDER + 1)])
 
 
 class TestOrderNumbers:
