@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Byte-compare the Kepler run artifacts, the effectivity-grid reports, the
-multirate cases and the scheme tableaus of two source trees.
+multirate cases, a chain solve and the scheme tableaus of two source trees.
 
 Usage:
 
@@ -26,11 +26,16 @@ two mixed-family multirate cases (model linear_system, steps
 [0.03]*10 + [0.07]*10 and [0.1]*10, orders [2, 1], methods (mcG, mdG) and
 (mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
 [1, 0]): the only compared runs with an mdG multirate partition, whose
-nodes land an ulp off another component's breakpoint.  Then it compares the
-eight artifacts of each of the three Kepler runs, the twelve grid
-``ErrorReport.to_json_dict()`` JSON texts and each multirate case's
-coefficients and report JSON byte for byte, and names each one that
-differs.  One more subprocess per tree dumps every
+nodes land an ulp off another component's breakpoint.  One more subprocess
+per tree runs the forward solve of the benchmark's chain_solve at seed 0,
+built here (64-component diffusion chain, last component at k/4, mcG q =
+2, k = 0.1, T = 1, solver tolerance 1e-12; see ``chain_texts``): the only
+compared run that is a solve alone, with many intervals per slab.  Then it
+compares the eight artifacts of each of the three Kepler runs, the twelve
+grid ``ErrorReport.to_json_dict()`` JSON texts, each multirate case's
+coefficients and report JSON and the chain's coefficients and
+``SolveReport`` byte for byte, and names each one that differs.  One more
+subprocess per tree dumps every
 tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
 ``test_nodes``, ``node_weights``, ``amat`` and ``amat_inv``) and its
 ``scheme_rule`` and ``integration_rule`` at dyadic depths 0-3, and its
@@ -82,6 +87,7 @@ GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
 MULTIRATE_METHODS = [("mcG", "mdG"), ("mdG", "mcG")]
 MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
                    for text in ("coefficients", "report")]
+CHAIN_TEXTS = ("chain-coefficients", "chain-report")
 TABLEAU_CASES = ([("mcG", q) for q in range(1, 13)]
                  + [("mdG", q) for q in range(0, 13)])
 RULE_DEPTHS = [0, 1, 2, 3]
@@ -115,6 +121,52 @@ for method, q in {TABLEAU_CASES!r}:
         print(f"{{method}}-q{{q}}-depth{{depth}}\\t" + json.dumps(rules))
     print(f"{{method}}-q{{q}}-numbers\\t"
           + json.dumps(order_numbers(tab)))
+"""
+
+
+def chain_texts() -> dict[str, str]:
+    """Name -> JSON text of the coefficients and the ``SolveReport`` of the
+    forward solve of benchmark chain_solve at seed 0: u' = A u with A the
+    64-component diffusion chain (coefficient 0.5 between neighbours, an
+    extra decay of 4 on the last component), u0 = 1 + cos(pi x) / 2 on a
+    uniform grid x of [0, 1], mcG(2) on k = 0.1 and k / 4 for the last
+    component, T = 1, solver tolerance 1e-12."""
+    import dataclasses
+
+    import numpy as np
+    from mgode.partition import build_partition
+    from mgode.solver import OdeProblem, SolveSettings, solve
+
+    n, d, lam, k = 64, 0.5, 4.0, 0.1
+
+    def rhs(u, t):
+        f = -2.0 * d * u
+        f[1:] += d * u[:-1]
+        f[:-1] += d * u[1:]
+        f[0] += d * u[0]
+        f[-1] += (d - lam) * u[-1]
+        return f
+
+    u0 = 1.0 + 0.5 * np.cos(np.pi * np.linspace(0.0, 1.0, n))
+    prob = OdeProblem(rhs=rhs, u0=u0, T=1.0, methods="mcG", vectorized=True)
+    part = build_partition([k] * (n - 1) + [k / 4], 2, 1.0, methods=prob.methods)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-12))
+    coeffs = [[traj.coefficients(i, j).tolist()
+               for j in range(part.n_intervals(i))] for i in range(n)]
+    return dict(zip(CHAIN_TEXTS, (json.dumps(coeffs),
+                                  json.dumps(dataclasses.asdict(traj.report)))))
+
+
+# Prints one line per chain text: the name, a tab, the JSON text.
+CHAIN_SCRIPT = f"""
+import json
+
+CHAIN_TEXTS = {CHAIN_TEXTS!r}
+
+{inspect.getsource(chain_texts)}
+
+for name, text in chain_texts().items():
+    print(name + "\\t" + text)
 """
 # Prints one line per grid case and per multirate text: the name, a tab, the
 # JSON text.
@@ -315,6 +367,8 @@ def main() -> int:
                  for name, root in roots.items()}
         tableaus = {name: start(root, ["-c", TABLEAU_SCRIPT])
                     for name, root in roots.items()}
+        chains = {name: start(root, ["-c", CHAIN_SCRIPT])
+                  for name, root in roots.items()}
         # mgode run exits 2 when it finishes without meeting its tolerance
         done = [finish(f"{name}: mgode run {cfg.name}", proc, (0, 2))
                 for (name, cfg), proc in runs.items()]
@@ -322,7 +376,9 @@ def main() -> int:
                    for name in roots]
         dumps = [finish(f"{name}: tableau dump", tableaus[name])
                  for name in roots]
-        if None in done or None in reports or None in dumps:
+        chain_dumps = [finish(f"{name}: chain solve", chains[name])
+                       for name in roots]
+        if None in done + reports + dumps + chain_dumps:
             return 1
 
         differ = []
@@ -351,8 +407,12 @@ def main() -> int:
             print(f"differs: {name}")
         else:
             print_deviations(name, a[name], b[name])
+    if any(set(entries(text)) != set(CHAIN_TEXTS) for text in chain_dumps):
+        print("error: a chain solve printed other texts", file=sys.stderr)
+        return 1
+    chain_differ = differing_entries(*chain_dumps)
     dump_differ = differing_entries(*dumps)
-    for name in dump_differ:
+    for name in chain_differ + dump_differ:
         print(f"differs: {name}")
     numbers_differ = [name for name in dump_differ if name.endswith("-numbers")]
     tableau_differ = [name for name in dump_differ if name not in numbers_differ]
@@ -370,13 +430,14 @@ def main() -> int:
           "grid reports identical")
     print(f"{len(MULTIRATE_TEXTS) - len(multirate_differ)} of "
           f"{len(MULTIRATE_TEXTS)} multirate texts identical")
+    print(f"{0 if chain_differ else 1} of 1 chain solves identical")
     n_tableau = len(TABLEAU_CASES) * (1 + len(RULE_DEPTHS))
     print(f"{n_tableau - len(tableau_differ)} of {n_tableau} tableau entries "
           "identical")
     print(f"{len(TABLEAU_CASES) - len(numbers_differ)} of {len(TABLEAU_CASES)} "
           "per-order entries identical")
-    return (1 if differ or grid_differ or multirate_differ or dump_differ
-            else 0)
+    return (1 if differ or grid_differ or multirate_differ or chain_differ
+            or dump_differ else 0)
 
 
 if __name__ == "__main__":

@@ -169,18 +169,14 @@ def _kepler_2body() -> ModelCatalogEntry:
     a_in, a_out = _KEPLER_A
 
     def rhs(u, t):
-        x1, y1, x2, y2 = u[0], u[1], u[2], u[3]
-        r1 = (x1**2 + y1**2) ** 1.5
-        r2 = (x2**2 + y2**2) ** 1.5
-        out = np.empty((8,) + np.shape(x1))
-        out[0] = u[4]
-        out[1] = u[5]
-        out[2] = u[6]
-        out[3] = u[7]
-        out[4] = -x1 / r1
-        out[5] = -y1 / r1
-        out[6] = -x2 / r2
-        out[7] = -y2 / r2
+        # positions (x1, y1, x2, y2) in rows 0-3, velocities in rows 4-7;
+        # r holds |x_b|^3 of both bodies, one row each
+        x = u[:4]
+        sq = x * x
+        r = (sq[0::2] + sq[1::2]) ** 1.5
+        out = np.empty((8,) + np.shape(x)[1:])
+        out[:4] = u[4:8]
+        np.divide(-x, r.repeat(2, axis=0), out=out[4:])
         return out
 
     def _grav_block(x, y):

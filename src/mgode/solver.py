@@ -20,7 +20,10 @@ stacked matmul rounds each row exactly like that group's own ``values @ L``,
 so the numbers do not depend on the batching.  The rhs is still called once
 per interval: a batched ``A @ U`` over the slab's columns rounds differently
 from the per-interval products, and the estimator's rounding-level terms
-would move.
+would move.  Each call keeps only its own component's row, in one flat
+array; the nodal update of all intervals of one scheme class (method,
+order), which share one ``scheme_rule`` W, is one stacked np.matmul, which
+rounds each row like that interval's own ``W @ f``.
 
 Who decides what.  The partition alone decides where a time reads a
 component: the interval (``Partition.point`` for one time, ``.locate`` for
@@ -266,12 +269,13 @@ class Trajectory:
 
     Nodal coefficients are stored per component and interval; evaluation is by
     Lagrange interpolation on the scheme nodes.  Instances are immutable once
-    a solve has produced them.  ``settings`` are those of the solve that made
-    the coefficients; the estimator reads their ``quad_depth``.
+    a solve has produced them.  ``report`` is that solve's per-slab
+    iteration report, and ``settings`` its settings; the estimator reads
+    their ``quad_depth``.
     """
 
     def __init__(self, partition: Partition, methods: Sequence[str],
-                 u0: np.ndarray, coeffs, report: SolveReport | None = None, *,
+                 u0: np.ndarray, coeffs, report: SolveReport, *,
                  settings: SolveSettings):
         self.partition = partition
         self.methods = tuple(methods)
@@ -493,10 +497,7 @@ class _IntervalWork:
     i: int
     order: int
     t0: float
-    k: float
-    W: np.ndarray                # (n_solved, P) scheme weights
     times: np.ndarray            # (P,) quadrature times
-    inc_at: int                  # slab-state offset of its incoming value
     at: int                      # offset of its nodal values in the slab state
     inputs_at: int               # offset of its (N, P) rhs-input block
 
@@ -512,13 +513,35 @@ class _Stencils:
     scatter: np.ndarray
 
 
+@dataclass
+class _Updates:
+    """One stacked nodal update per scheme class (method, order): the work
+    items ``ws`` (G,) share the weights W (n_solved, P) and read their rhs
+    rows at ``fidx`` (G, P) of the slab's flat rhs-row array, their
+    incoming values at ``inc`` (G,) and their steps from ``k`` (G, 1); they
+    solve the state at ``solved`` (G, n_solved) and pin it at ``pinned``
+    (G, n_pinned) to the incoming value."""
+
+    W: np.ndarray
+    ws: np.ndarray
+    fidx: np.ndarray
+    inc: np.ndarray
+    k: np.ndarray
+    solved: np.ndarray
+    pinned: np.ndarray
+
+
 def _build_work(problem, partition, slab, settings):
-    """Precompute quadrature times, scheme weights and cross-component
-    evaluation stencils for every interval in the slab.
+    """Precompute quadrature times, cross-component evaluation stencils and
+    the nodal-update tables for every interval in the slab.
 
     The slab state opens with one incoming-value slot per component; an
-    item reads its incoming value at ``inc_at``, its predecessor's end value
-    or, first in the slab, its component's slot.
+    interval's incoming value is its predecessor's end value or, first in
+    the slab, its component's slot.  The intervals of one scheme class
+    (method, order) share one ``scheme_rule`` W, so each class gets one
+    ``_Updates`` table, in the order the classes first occur; an
+    interval's rhs row sits in the flat rhs-row array at its first time's
+    position in the concatenated times.
 
     Every quadrature time lies in the slab, so the stencils of a component
     only read its own intervals in the slab.  ``Partition.snap`` moves the
@@ -530,28 +553,29 @@ def _build_work(problem, partition, slab, settings):
     (item, interval) in the concatenated times, and its Lagrange factors are
     a column slice of one lagrange_matrix call per (component, order).
 
-    Returns the work items and the stencil classes.
+    Returns the work items, the stencil classes and the update classes.
     """
     N = problem.dimension
     methods = problem.methods
     work: list[_IntervalWork] = []
     first = []                   # work index of each component's first interval
+    inc_at, steps, classes = [], [], {}
     at, inputs_at = N, 0
     for i in range(N):
         first.append(len(work))
         lo, hi = slab.spans[i]
         for j in range(lo, hi):
             q = int(partition.orders[i][j])
-            pts, W = scheme_rule(methods[i], q, settings.quad_depth)
+            pts, _ = scheme_rule(methods[i], q, settings.quad_depth)
             t0, t1 = partition.span(i, j)
             k = t1 - t0
-            times = t0 + k * pts
-            work.append(_IntervalWork(
-                i=i, order=q, t0=t0, k=k, W=W, times=times,
-                inc_at=at - 1 if j > lo else i, at=at, inputs_at=inputs_at,
-            ))
+            classes.setdefault((methods[i], q), []).append(len(work))
+            inc_at.append(at - 1 if j > lo else i)
+            steps.append(k)
+            work.append(_IntervalWork(i=i, order=q, t0=t0, times=t0 + k * pts,
+                                      at=at, inputs_at=inputs_at))
             at += q + 1
-            inputs_at += N * len(times)
+            inputs_at += N * len(pts)
 
     counts = np.array([len(item.times) for item in work])
     owner = np.repeat(np.arange(len(work)), counts)
@@ -592,7 +616,8 @@ def _build_work(problem, partition, slab, settings):
     edge = np.flatnonzero(cut)
     head, m = edge[:-1], edge[1:] - edge[:-1]
     n = nodes[head]
-    gather = np.array([item.at for item in work])[srcf[head]]
+    ats = np.array([item.at for item in work])
+    gather = ats[srcf[head]]
     # rhs-input offset of (component, time) in its item's (N, P) block
     scatter = (np.array([item.inputs_at for item in work])[owner]
                + np.arange(len(times)) - offsets[owner]
@@ -606,7 +631,22 @@ def _build_work(problem, partition, slab, settings):
             L=np.ascontiguousarray(factors[nc][:, cols].transpose(1, 0, 2)),
             scatter=scatter[sel][:, None] + np.arange(mc),
         ))
-    return work, stencils
+
+    # W has one row per solved nodal value, so an interval pins its first
+    # order + 1 - len(W) values to its incoming value: 1 for mcG, 0 for mdG
+    inc_at, steps = np.array(inc_at), np.array(steps)
+    updates = []
+    for (method, q), ws in classes.items():
+        pts, W = scheme_rule(method, q, settings.quad_depth)
+        ws = np.array(ws)
+        pin = q + 1 - len(W)
+        updates.append(_Updates(
+            W=W, ws=ws, fidx=offsets[ws][:, None] + np.arange(len(pts)),
+            inc=inc_at[ws], k=steps[ws][:, None],
+            solved=ats[ws][:, None] + np.arange(pin, q + 1),
+            pinned=ats[ws][:, None] + np.arange(pin),
+        ))
+    return work, stencils, updates
 
 
 def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
@@ -616,6 +656,14 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     ``coeffs`` holds the already-accepted per-component interval coefficient
     arrays up to the slab start.  Returns the new interval coefficient arrays
     (appended per component, in interval order) and an iteration report.
+
+    Each sweep fills every interval's rhs inputs from the previous sweep's
+    state and runs the rhs of every interval in the slab before it checks
+    the rhs rows it keeps: a non-finite one raises NonFiniteRHS naming the
+    first such interval in work order (component, then interval).  It then
+    makes the nodal update xi = xi_0 + k W f of all intervals of one scheme
+    class in one stacked np.matmul (see ``_Updates``).
+
     The slab converges once a sweep's damped increment is at most damping *
     tolerance; it stops unconverged when a sweep leaves the state bit for
     bit unchanged, since every later sweep would repeat it.  Raises
@@ -624,7 +672,7 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     times the first sweep's.
     """
     N = problem.dimension
-    work, stencils = _build_work(problem, partition, slab, settings)
+    work, stencils, updates = _build_work(problem, partition, slab, settings)
     # the incoming-value slots, and every nodal value starting from its
     # component's (constant extrapolation)
     incoming = np.array([problem.u0[i] if lo == 0 else coeffs[i][lo - 1][-1]
@@ -632,13 +680,13 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     state = np.concatenate([incoming] + [np.full(item.order + 1, incoming[item.i])
                                          for item in work])
     new_state = state.copy()
-    inputs = np.empty(sum(N * len(item.times) for item in work))
-    blocks = [inputs[item.inputs_at:item.inputs_at + N * len(item.times)]
-              .reshape(N, len(item.times)) for item in work]
-    # W has one row per solved nodal value, so an interval pins its first
-    # order + 1 - len(W) values to its incoming value: 1 for mcG, 0 for mdG
-    pinned = [slice(item.at, item.at + item.order + 1 - len(item.W)) for item in work]
-    solved = [slice(p.stop, item.at + item.order + 1) for p, item in zip(pinned, work)]
+    sizes = [len(item.times) for item in work]
+    inputs = np.empty(N * sum(sizes))
+    blocks = [inputs[item.inputs_at:item.inputs_at + N * P].reshape(N, P)
+              for item, P in zip(work, sizes)]
+    # each interval's own rhs row, in work order
+    frows = np.empty(sum(sizes))
+    rows = np.split(frows, np.cumsum(sizes)[:-1])
     item_increments = np.empty(len(work))
 
     # damping * tolerance bounds the damped increment as tolerance bounds
@@ -654,21 +702,24 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
         sweeps += 1
         for st in stencils:
             inputs[st.scatter] = np.matmul(state[st.gather][:, None, :], st.L)[:, 0]
-        for w, item in enumerate(work):
-            inc = state[item.inc_at]
-            F = problem.eval_rhs(blocks[w], item.times)
-            frow = F[item.i]
-            if not np.isfinite(frow).all():
-                raise NonFiniteRHS(
-                    f"non-finite right-hand side for component {item.i} in "
-                    f"slab {slab.index} near t={item.t0!r}"
-                )
-            target = inc + item.k * (item.W @ frow)
-            old = state[solved[w]]
+        for item, block, row in zip(work, blocks, rows):
+            row[:] = problem.eval_rhs(block, item.times)[item.i]
+        if not np.isfinite(frows).all():
+            bad = next(item for item, row in zip(work, rows)
+                       if not np.isfinite(row).all())
+            raise NonFiniteRHS(
+                f"non-finite right-hand side for component {bad.i} in "
+                f"slab {slab.index} near t={bad.t0!r}"
+            )
+        for up in updates:
+            inc = state[up.inc]
+            target = inc[:, None] + up.k * np.matmul(
+                up.W, frows[up.fidx][:, :, None])[:, :, 0]
+            old = state[up.solved]
             step = damping * (target - old)
-            item_increments[w] = np.abs(step).max()
-            new_state[solved[w]] = old + step
-            new_state[pinned[w]] = inc
+            item_increments[up.ws] = np.abs(step).max(axis=1)
+            new_state[up.solved] = old + step
+            new_state[up.pinned] = inc[:, None]
         state, new_state = new_state, state
         increment = float(item_increments.max())
         if increment <= threshold:
@@ -698,12 +749,13 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
             report=SolveReport(slabs=(report,)),
         )
 
-    # accept: write back in interval order, pinning bitwise to the incoming
-    # value (a predecessor's end value is solved, never pinned)
+    # accept: pin bitwise to the incoming value (a predecessor's end value is
+    # solved, never pinned), then write back in interval order
+    for up in updates:
+        state[up.pinned] = state[up.inc][:, None]
     out = [[] for _ in range(N)]
-    for w, item in enumerate(work):
-        state[pinned[w]] = state[item.inc_at]
-        out[item.i].append(state[item.at:solved[w].stop].copy())
+    for item in work:
+        out[item.i].append(state[item.at:item.at + item.order + 1].copy())
     return out, report
 
 

@@ -30,6 +30,7 @@ from mgode.models import model
 from mgode.partition import build_partition, build_slabs
 from mgode.solver import (
     OdeProblem,
+    SolveReport,
     SolveSettings,
     Trajectory,
     solve,
@@ -360,12 +361,14 @@ class TestComputationalResidual:
         defects = []
         for sweeps in (1, 2, 4, 8):
             settings = SolveSettings(tolerance=1e-30, max_sweeps=sweeps)
-            coeffs = [[], []]
+            coeffs, reports = [[], []], []
             for slab in build_slabs(part):
-                new, _ = solve_slab(prob, part, slab, coeffs, settings)
+                new, report = solve_slab(prob, part, slab, coeffs, settings)
+                reports.append(report)
                 for i in range(2):
                     coeffs[i].extend(new[i])
             traj = Trajectory(part, prob.methods, prob.u0, coeffs,
+                              SolveReport(slabs=tuple(reports)),
                               settings=settings)
             defects.append(max(
                 abs(computational_residual(traj, prob, i, j, depth=1))

@@ -102,6 +102,34 @@ class TestClosedForms:
         for t in part.synchronized_levels()[1:]:
             assert abs(entry.invariant(traj.state(float(t), "left")) - E0) <= 1e-10
 
+    def test_kepler_rhs_matches_row_by_row_formulation(self):
+        # The rhs fuses its row writes and powers; on stacked (8, P) states
+        # it keeps the bits, sign bits included, of one write and one power
+        # per row.
+        def row_by_row(u):
+            x1, y1, x2, y2 = u[0], u[1], u[2], u[3]
+            r1 = (x1**2 + y1**2) ** 1.5
+            r2 = (x2**2 + y2**2) ** 1.5
+            out = np.empty((8,) + np.shape(x1))
+            out[0], out[1], out[2], out[3] = u[4], u[5], u[6], u[7]
+            out[4], out[5] = -x1 / r1, -y1 / r1
+            out[6], out[7] = -x2 / r2, -y2 / r2
+            return out
+
+        rhs = model("kepler_2body").rhs
+        rng = np.random.default_rng(12)
+        states = [rng.standard_normal((8, P)) * rng.uniform(0.1, 4.0)
+                  for P in rng.integers(1, 20, size=2000)]
+        signed = rng.standard_normal((8, 5))
+        signed[[0, 3, 4, 7]] = [[0.0], [-0.0], [-0.0], [0.0]]
+        for u in states + [signed]:
+            got = rhs(u, 0.0)
+            assert np.array_equal(got.view(np.int64), row_by_row(u).view(np.int64))
+            # one state as a vector, as a per-point problem passes it: the
+            # bits of its column in the stacked call
+            col = rhs(u[:, -1], 0.0)
+            assert col.shape == (8,)
+            assert np.array_equal(col.view(np.int64), got[:, -1].view(np.int64))
 
 class TestMonotone:
     def test_monotonicity_certificate(self, rng):

@@ -1,6 +1,7 @@
 """The helpers of the repository's scripts: the per-field report comparison,
-the dump comparison, the per-order number reader and the
-``propose_steps`` input summary of ``scripts/compare_artifacts.py``, the code-line counter of
+the dump comparison, the per-order number reader, the
+``propose_steps`` input summary and the chain solve of
+``scripts/compare_artifacts.py``, the code-line counter of
 ``scripts/count_code_lines.py`` and the pair summary of
 ``scripts/ab_pairs.py``.  Each script is loaded by its path."""
 
@@ -210,6 +211,34 @@ class TestSteeringSummary:
         del change["dual.json"]
         assert compare.steering_summary(kepler_texts(), change) == (
             "propose_steps inputs differ: unreadable artifacts")
+
+
+class TestChainSolve:
+    def test_texts_are_the_benchmark_chain_solve_at_seed_0(self, tmp_path):
+        # the script builds its own chain; it must be the benchmark's
+        compare = load_script("compare_artifacts")
+        texts = compare.chain_texts()
+        assert tuple(texts) == compare.CHAIN_TEXTS
+        spec = importlib.util.spec_from_file_location(
+            "workloads", SCRIPTS.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        bench = workloads.ChainSolve(0, tmp_path)
+        traj = bench.run()
+        coeffs = json.loads(texts["chain-coefficients"])
+        assert len(coeffs) == bench.N
+        assert [len(c) for c in coeffs] == [10] * (bench.N - 1) + [40]
+        for i, comp in enumerate(coeffs):
+            for j, c in enumerate(comp):
+                assert np.array_equal(c, traj.coefficients(i, j))
+        report = json.loads(texts["chain-report"])
+        assert report["slabs"] == [dict(vars(s)) for s in traj.report.slabs]
+        assert sum(s["sweeps"] for s in report["slabs"]) == 174
+
+    def test_script_carries_chain_texts(self):
+        compare = load_script("compare_artifacts")
+        assert "def chain_texts()" in compare.CHAIN_SCRIPT
+        assert repr(compare.CHAIN_TEXTS) in compare.CHAIN_SCRIPT
 
 
 SNIPPET = '''"""Module docstring,

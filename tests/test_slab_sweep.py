@@ -1,12 +1,16 @@
-"""The batched slab sweep against the per-group loop it replaced.
+"""The batched slab sweep against the per-group, per-interval loop it
+replaced.
 
 ``solve_slab`` contracts the slab state with the stencils' Lagrange factors in
-one stacked ``np.matmul`` per (node count, column count) class.  The oracle
-below is the per-group sweep: one ``lagrange_matrix`` call and one
-``state[widx] @ L`` per (work item, component, source interval), with every
-group's times selected by a mask.  Every comparison is ``np.array_equal`` or
-``==``: the estimator's rounding-level terms and the controller's partitions
-depend on those exact bits.
+one stacked ``np.matmul`` per (node count, column count) class, and makes the
+nodal update of all intervals of one scheme class (method, order) in one
+stacked ``np.matmul`` with that class's W.  The oracle below is the per-group
+sweep: one ``lagrange_matrix`` call and one ``state[widx] @ L`` per (work
+item, component, source interval), with every group's times selected by a
+mask, and one ``W @ frow`` update per interval.  The fast partition puts 16
+intervals of one class in every slab.  Every comparison is
+``np.array_equal`` or ``==``: the estimator's rounding-level terms and the
+controller's partitions depend on those exact bits.
 """
 
 import numpy as np
@@ -137,6 +141,19 @@ def _partition(methods):
     return build_partition(steps, orders, T3, methods=methods)
 
 
+def _fast_partition(methods):
+    # component 1 at k/16 beside two slow ones, all of order 2: each slab
+    # holds one scheme class of 16 intervals, a stacked update with G = 16
+    return build_partition([0.1, 0.1 / 16, 0.1], 2, T3, methods=methods)
+
+
+# the partition function and the methods of each case; a case's id is its
+# methods, prefixed by "fast-" for the fast partition
+CASES3 = ([pytest.param(_partition, m, id="-".join(m)) for m in METHODS3]
+          + [pytest.param(_fast_partition, m, id="fast-" + "-".join(m))
+             for m in METHODS3])
+
+
 def _nonlinear(U, t):
     return A3 @ U + np.sin(3.0 * t) * U * U
 
@@ -156,10 +173,10 @@ RHS = {
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 @pytest.mark.parametrize("rhs", list(RHS))
-@pytest.mark.parametrize("methods", METHODS3, ids=["-".join(m) for m in METHODS3])
-def test_batched_sweep_matches_per_group_loop(methods, rhs, depth):
+@pytest.mark.parametrize("partition,methods", CASES3)
+def test_batched_sweep_matches_per_group_loop(partition, methods, rhs, depth):
     prob = RHS[rhs](methods)
-    part = _partition(methods)
+    part = partition(methods)
     settings = SolveSettings(tolerance=1e-13, quad_depth=depth)
     coeffs = [[] for _ in methods]
     for slab in build_slabs(part):
@@ -202,3 +219,19 @@ def test_stacked_matmul_equals_per_slice_products():
             R = np.matmul(V[:, None, :], np.stack(slices))
             for g in range(G):
                 assert np.array_equal(R[g, 0], V[g] @ slices[g]), (n, m, g)
+
+
+@pytest.mark.parametrize("G", [1, 2, 7, 40])
+def test_stacked_matvec_equals_per_row_products(G):
+    # The premise of the stacked nodal update: one scheme class's W times a
+    # stack of G rhs rows rounds each row exactly like that row's own
+    # W @ f.  Every scheme rule the solver can take is covered.
+    rng = np.random.default_rng(G)
+    for method, orders in (("mcG", range(1, 13)), ("mdG", range(0, 13))):
+        for q in orders:
+            for depth in range(3):
+                _, W = scheme_rule(method, q, depth)
+                F = rng.standard_normal((G, W.shape[1]))
+                R = np.matmul(W, F[:, :, None])[:, :, 0]
+                for g in range(G):
+                    assert np.array_equal(R[g], W @ F[g]), (method, q, depth, g)

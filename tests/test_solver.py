@@ -13,6 +13,7 @@ from mgode.solver import (
     ConvergenceFailure,
     NonFiniteRHS,
     OdeProblem,
+    SolveReport,
     SolveSettings,
     Trajectory,
     interval_residual,
@@ -171,6 +172,31 @@ class TestBasicSolves:
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             with pytest.raises(NonFiniteRHS):
                 solve(prob, part)
+
+    def test_nonfinite_rhs_names_the_first_interval_in_work_order(self):
+        # In slab 0 (0, 0.1], component 2's interval (0.025, 0.05] goes
+        # non-finite earlier in time than component 1's (0.05, 0.1]; the
+        # error names component 1's, first in work order (component, then
+        # interval), after the rhs of every interval in the slab has run.
+        calls = []
+
+        def rhs(U, t):
+            calls.append(t[0])
+            F = -U
+            F[1, t > 0.07] = np.nan
+            F[2, (t > 0.03) & (t < 0.045)] = np.inf
+            return F
+
+        prob = OdeProblem(rhs=rhs, u0=[1.0, 0.5, -0.3], T=0.2,
+                          methods=("mcG", "mdG", "mcG"), vectorized=True)
+        part = build_partition([0.1, 0.05, 0.025], 2, 0.2, methods=prob.methods)
+        slab = build_slabs(part)[0]
+        t0 = part.span(1, 1)[0]
+        with pytest.raises(NonFiniteRHS) as err:
+            solve(prob, part)
+        assert str(err.value) == (f"non-finite right-hand side for component 1 "
+                                  f"in slab {slab.index} near t={t0!r}")
+        assert len(calls) == sum(hi - lo for lo, hi in slab.spans) == 7
 
     def test_nonconvergence_reported(self):
         # stiff decay with a huge step: the plain iteration diverges
@@ -597,14 +623,17 @@ class TestSolveSlabDriver:
         prob = linear2_problem()
         part = build_partition(0.25, 2, 1.0, methods=prob.methods)
         settings = SolveSettings(tolerance=1e-13, max_sweeps=300)
-        coeffs = [[], []]
+        coeffs, reports = [[], []], []
         for slab in build_slabs(part):
             new, report = solve_slab(prob, part, slab, coeffs, settings)
             assert report.converged
+            reports.append(report)
             for i in range(2):
                 coeffs[i].extend(new[i])
-        manual = Trajectory(part, prob.methods, prob.u0, coeffs, settings=settings)
+        manual = Trajectory(part, prob.methods, prob.u0, coeffs,
+                            SolveReport(slabs=tuple(reports)), settings=settings)
         auto = solve(prob, part, settings)
+        assert manual.report == auto.report
         for i in range(2):
             for j in range(part.n_intervals(i)):
                 np.testing.assert_array_equal(manual.coefficients(i, j),
