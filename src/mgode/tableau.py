@@ -17,12 +17,15 @@ function at the points x, and ``differentiation_matrix(s).T @
 lagrange_matrix(s, x)`` their first derivatives.  ``lagrange_matrix`` reads
 one point in plain Python floats and many in one array operation; both paths
 make the same roundings in the same order, from the off-diagonal factors it
-caches once per node set.
+caches once per node set.  Its results are read-only: a bounded LRU cache per
+(node set, point set) hands the same array to every caller that asks for the
+same points, since a column depends only on its own point.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +43,11 @@ MAX_ORDER = 12
 # Deepest dyadic refinement of the node rules: depth d has 2**d pieces, so
 # this bounds a rule at 1024 pieces of at most MAX_ORDER + 1 points.
 MAX_QUAD_DEPTH = 10
+
+# Entries of the Lagrange cache, one per (node set, point set), and the most
+# points an entry may hold, so that the cache stays within a few megabytes.
+_LAGRANGE_CACHE_SIZE = 256
+_LAGRANGE_CACHE_POINTS = 256
 
 _NODE_RESIDUAL_TOL = 1e-13
 _IDENTITY_TOL = 1e-12
@@ -228,29 +236,64 @@ def _lagrange_factors(node_bytes: bytes) -> tuple:
 
 def lagrange_matrix(nodes: np.ndarray, x) -> np.ndarray:
     """Cardinal-function values out[n, p] = lambda_n(x[p]) for the Lagrange
-    basis on the given distinct nodes.
+    basis on the given distinct nodes, read-only.
+
+    x is one real point (a Python or numpy float or int, a 0-d or a
+    1-element array) or a 1-d sequence of them; ValueError for more
+    dimensions, TypeError for anything else (None, strings, complex or
+    boolean values).  One point gives one column.
 
     lambda_m(x) is the product of the ratios (x - s_k) / (s_m - s_k), k != m,
-    multiplied in index order.  One point (a float, a 0-d array or a
-    1-element array) is read in plain Python floats, many in one array
-    operation; both make the same roundings in the same order, so every
-    column depends on its own point only.  The factors are cached once per
-    node set.  On one node the product is empty, so the basis is exactly 1.
+    multiplied in index order.  One point is read in plain Python floats,
+    many in one array operation; both make the same roundings in the same
+    order, so every column depends on its own point only.  The factors are
+    cached once per node set, and the result once per (node set, point
+    set), keyed by the float64 bytes of both, so -0.0 and 0.0 are apart: a
+    repeated call returns the same array.  The cache keeps the 256 most
+    recently used results of at most 256 points each.  On one node the
+    product is empty, so the basis is exactly 1.
     """
-    pairs, sk, den = _lagrange_factors(np.asarray(nodes, dtype=float).tobytes())
-    if isinstance(x, np.ndarray) and x.shape in ((), (1,)):
-        x = x.item()
+    node_bytes = np.asarray(nodes, dtype=float).tobytes()
     if isinstance(x, float):
-        x = float(x)    # a numpy float would make each step a numpy scalar op
+        return _cached_lagrange(node_bytes, _pack_double(x))
+    xs = np.asarray(x)
+    if xs.dtype != np.float64:
+        if xs.dtype.kind not in "fiu":
+            raise TypeError(f"Lagrange points must be real numbers, got {x!r}")
+        xs = xs.astype(float)
+    if xs.ndim > 1:
+        raise ValueError(f"Lagrange points must be a 1-d array, got shape {xs.shape}")
+    if xs.size > _LAGRANGE_CACHE_POINTS:
+        return _lagrange_columns(node_bytes, xs)
+    return _cached_lagrange(node_bytes, xs.tobytes())
+
+
+_pack_double = struct.Struct("d").pack
+
+
+@lru_cache(maxsize=_LAGRANGE_CACHE_SIZE)
+def _cached_lagrange(node_bytes: bytes, point_bytes: bytes) -> np.ndarray:
+    return _lagrange_columns(node_bytes, np.frombuffer(point_bytes))
+
+
+def _lagrange_columns(node_bytes: bytes, xs: np.ndarray) -> np.ndarray:
+    """The read-only Lagrange matrix of the node set at the 1-d float64
+    points xs: one point in plain Python floats, many in one array
+    operation."""
+    pairs, sk, den = _lagrange_factors(node_bytes)
+    if xs.size == 1:
+        x = xs.item()
         out = []
         for row in pairs:
             p = 1.0
             for s, d in row:
                 p *= (x - s) / d
             out.append(p)
-        return np.array(out)[:, None]
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.multiply.reduce((xs - sk) / den, axis=1)
+        out = np.array(out)[:, None]
+    else:
+        out = np.multiply.reduce((xs - sk) / den, axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def differentiation_matrix(nodes: np.ndarray) -> np.ndarray:

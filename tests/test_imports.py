@@ -9,7 +9,9 @@ per-family number, and the slab solver takes its pinned/solved split from
 the scheme rule, so the only comparison against a family tag left is
 ``stability_factor_error``'s rejection of a discontinuous dual.  No public
 function or method signature annotates a ``_``-prefixed name: a caller
-cannot name a private type it must pass or receive.
+cannot name a private type it must pass or receive.  And ``tableau.py``
+holds the only ``functools.lru_cache`` and ``functools.cache`` uses: the
+per-(method, order) numbers and the Lagrange results are cached there, once.
 """
 
 import ast
@@ -149,3 +151,54 @@ def test_public_signatures_name_no_private_type():
     found = [(path.name, *hit) for path in sorted(PACKAGE.glob("*.py"))
              for hit in private_annotations(path.read_text())]
     assert found == []
+
+
+CACHE_FUNCTIONS = {"lru_cache", "cache"}
+
+
+def cache_uses(source: str) -> list[tuple[int, str]]:
+    """(line, source text) of every reference to ``functools.lru_cache`` or
+    ``functools.cache`` -- as a decorator, a call or a value -- under any
+    name an import gives it."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names
+                      if a.name in CACHE_FUNCTIONS}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "functools"}
+    found = [node for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in names)
+             or (isinstance(node, ast.Attribute) and node.attr in CACHE_FUNCTIONS
+                 and isinstance(node.value, ast.Name) and node.value.id in modules)]
+    return sorted((node.lineno, ast.unparse(node)) for node in found)
+
+
+def test_cache_scanner_sees_every_form():
+    source = ("import functools\n"
+              "import functools as ft\n"
+              "from functools import lru_cache, cache as memo, partial\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def a(): ...\n"
+              "@ft.cache\n"
+              "def b(): ...\n"
+              "@lru_cache\n"
+              "def c(): ...\n"
+              "d = memo(len)\n"
+              "@partial(print)\n"
+              "def e(): ...\n"
+              "class K:\n"
+              "    @functools.cached_property\n"
+              "    def f(self): ...\n"
+              "    g = other.lru_cache\n")
+    assert cache_uses(source) == [
+        (4, "functools.lru_cache"), (6, "ft.cache"), (8, "lru_cache"), (10, "memo")]
+
+
+def test_only_the_tableau_caches():
+    found = {path.name: cache_uses(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("tableau.py")
+    assert {name: hits for name, hits in found.items() if hits} == {}

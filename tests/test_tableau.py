@@ -398,3 +398,109 @@ class TestOrderNumbers:
         tb.tableau(tb.MDG, 1)     # a cached order 1 must not answer for q
         with pytest.raises(ValueError, match="order must be an integer"):
             tb.tableau(tb.MDG, q)
+
+
+# -- the Lagrange cache: the uncached kernel as the oracle ----------------------
+
+def uncached_lagrange(nodes, x):
+    """The Lagrange kernel as it ran before its results were cached: one
+    point in plain Python floats, many in one array operation."""
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    off = ~np.eye(n, dtype=bool)
+    sk = np.broadcast_to(nodes, (n, n))[off].reshape(n, n - 1, 1)
+    den = (nodes[:, None] - nodes[None, :])[off].reshape(n, n - 1, 1)
+    if isinstance(x, np.ndarray) and x.shape in ((), (1,)):
+        x = x.item()
+    if isinstance(x, float):
+        x = float(x)
+        out = []
+        for s_row, d_row in zip(sk, den):
+            p = 1.0
+            for s, d in zip(s_row.ravel().tolist(), d_row.ravel().tolist()):
+                p *= (x - s) / d
+            out.append(p)
+        return np.array(out)[:, None]
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.multiply.reduce((xs - sk) / den, axis=1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# every node set a basis is read on: mcG q = 1..12, mdG q = 0..12
+CACHE_NODE_SETS = [(f"{m}{q}-{attr}", getattr(tb.tableau(m, q), attr))
+                   for m in tb.METHODS
+                   for q in range(tb.min_order(m), tb.MAX_ORDER + 1)
+                   for attr in ("nodes", "test_nodes", "residual_zeros")]
+
+
+class TestLagrangeCache:
+    @pytest.mark.parametrize("nodes", [n for _, n in CACHE_NODE_SETS],
+                             ids=[name for name, _ in CACHE_NODE_SETS])
+    def test_equal_to_the_uncached_kernel(self, nodes):
+        tb._cached_lagrange.cache_clear()
+        rng = np.random.default_rng(len(nodes))
+        points = [*rng.uniform(0.0, 1.0, 4), *nodes, 0.0, -0.0, 1.0,
+                  -0.75, -1e-9, 1.0 + 1e-9, 1.5]
+        for x in points:
+            want = uncached_lagrange(nodes, float(x))
+            for arg in (float(x), np.array(x), np.array([x])):
+                for _ in range(2):          # a miss, then a hit
+                    assert_same_bits(tb.lagrange_matrix(nodes, arg), want)
+        for size in (0, 2, 3, 17, 200, 257):
+            xs = rng.uniform(-0.5, 1.5, size)
+            want = uncached_lagrange(nodes, xs)
+            for _ in range(2):
+                assert_same_bits(tb.lagrange_matrix(nodes, xs), want)
+
+    def test_signed_zeros_are_apart(self):
+        nodes = tb.lobatto_nodes(2)
+        plus, minus = tb.lagrange_matrix(nodes, 0.0), tb.lagrange_matrix(nodes, -0.0)
+        assert plus is not minus
+        assert not np.array_equal(np.signbit(plus), np.signbit(minus))
+        assert_same_bits(plus, uncached_lagrange(nodes, 0.0))
+        assert_same_bits(minus, uncached_lagrange(nodes, -0.0))
+
+    @pytest.mark.parametrize("x", [0.3, np.array([0.1, 0.7]), np.zeros(300)],
+                             ids=["one", "batch", "over-the-entry-limit"])
+    def test_results_are_read_only(self, x):
+        out = tb.lagrange_matrix(tb.radau_nodes(2), x)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 1.0
+
+    def test_a_repeated_call_returns_the_cached_array(self):
+        nodes = tb.lobatto_nodes(3)
+        xs = np.array([0.125, 0.5, 0.875])
+        assert tb.lagrange_matrix(nodes, xs) is tb.lagrange_matrix(nodes.copy(), xs.copy())
+        assert tb.lagrange_matrix(nodes, 0.25) is tb.lagrange_matrix(nodes, np.array([0.25]))
+
+    def test_cache_is_bounded(self):
+        maxsize = tb._cached_lagrange.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize < 10_000
+
+
+class TestLagrangePoints:
+    @pytest.mark.parametrize("x", [
+        0.25, np.float64(0.25), np.float32(0.1), np.array(0.25), np.array([0.25]),
+        np.array([0.1], dtype=np.float32), 1, np.int64(1), [0.25, 0.5, 2],
+        np.array([0.1, 0.3], dtype=np.float32), np.array([0, 1]), []])
+    def test_real_points_keep_their_columns(self, x):
+        nodes = tb.lobatto_nodes(3)
+        assert_same_bits(tb.lagrange_matrix(nodes, x), uncached_lagrange(nodes, x))
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 2)), [[0.25]], np.zeros((1, 1, 3))])
+    def test_more_than_one_dimension_rejected(self, x):
+        with pytest.raises(ValueError, match="1-d"):
+            tb.lagrange_matrix(tb.lobatto_nodes(2), x)
+
+    @pytest.mark.parametrize("x", [None, "0.25", b"0.25", 0.25j, np.array([0.5 + 0j]),
+                                   [0.5, None], True, np.array([True, False])],
+                             ids=["None", "str", "bytes", "complex", "complex-array",
+                                  "object-list", "bool", "bool-array"])
+    def test_non_real_points_rejected(self, x):
+        with pytest.raises(TypeError, match="real numbers"):
+            tb.lagrange_matrix(tb.lobatto_nodes(2), x)
