@@ -19,101 +19,52 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
+from jsonschema import Draft202012Validator
 
 from . import __version__
 from .controller import AdaptSettings, adapt
 from .models import model, model_names
 from .partition import build_partition
 from .solver import OdeProblem, SolveSettings, SolverError, Trajectory
-from .tableau import MAX_ORDER, MAX_QUAD_DEPTH, MCG, MDG, TableauError, tableau
+from .tableau import MCG, MDG, TableauError, tableau
 
+# The schema checks shape, JSON types and unknown keys; each value's range
+# is checked once, by the class or builder that takes it.
 _NUMBER = {"type": "number"}
-_STEP_SPEC = {
-    "oneOf": [
-        {"type": "number", "exclusiveMinimum": 0},
-        {"type": "array", "minItems": 1, "items": {
-            "oneOf": [
-                {"type": "number", "exclusiveMinimum": 0},
-                {"type": "array", "minItems": 1,
-                 "items": {"type": "number", "exclusiveMinimum": 0}},
-            ]}},
-    ]
-}
+_INTEGER = {"type": "integer"}
+
+
+def _object(**properties) -> dict:
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties}
+
+
+def _nested(kind: str) -> dict:
+    """One ``kind`` value, or a list of such values and lists of them."""
+    return {"type": [kind, "array"],
+            "items": {"type": [kind, "array"], "items": {"type": kind}}}
+
 
 CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
+    **_object(
+        model={"type": "string"},
+        problem_import={"type": "string"},
+        T=_NUMBER,
+        u0={"type": "array", "items": _NUMBER},
+        methods={"type": ["string", "array"], "items": {"type": "string"}},
+        orders=_nested("integer"),
+        steps=_nested("number"),
+        solver=_object(tolerance=_NUMBER, max_sweeps=_INTEGER,
+                       damping=_NUMBER, quad_depth=_INTEGER),
+        dual=_object(phi_T={"oneOf": [{"const": "unit"},
+                                      {"type": "array", "items": _NUMBER}]},
+                     order_increment=_INTEGER, refine=_INTEGER),
+        adapt=_object(tol=_NUMBER, theta=_NUMBER, max_rounds=_INTEGER,
+                      k_min=_NUMBER, k_max=_NUMBER),
+        out={"type": "string"},
+    ),
     "required": ["steps", "orders"],
-    "properties": {
-        "model": {"type": "string"},
-        "problem_import": {"type": "string"},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "u0": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "methods": {
-            "oneOf": [
-                {"type": "string", "enum": [MCG, MDG]},
-                {"type": "array", "minItems": 1,
-                 "items": {"type": "string", "enum": [MCG, MDG]}},
-            ]
-        },
-        "orders": {
-            "oneOf": [
-                {"type": "integer", "minimum": 0, "maximum": MAX_ORDER},
-                {"type": "array", "minItems": 1, "items": {
-                    "oneOf": [
-                        {"type": "integer", "minimum": 0, "maximum": MAX_ORDER},
-                        {"type": "array", "minItems": 1,
-                         "items": {"type": "integer", "minimum": 0,
-                                   "maximum": MAX_ORDER}},
-                    ]}},
-            ]
-        },
-        "steps": _STEP_SPEC,
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "max_sweeps": {"type": "integer", "minimum": 1},
-                "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "quad_depth": {"type": "integer", "minimum": 0,
-                               "maximum": MAX_QUAD_DEPTH - 1},
-            },
-        },
-        "dual": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "phi_T": {
-                    "oneOf": [
-                        {"type": "string", "enum": ["unit"]},
-                        {"type": "array", "items": _NUMBER, "minItems": 1},
-                    ]
-                },
-                "order_increment": {"type": "integer", "minimum": 0},
-                "refine": {"type": "integer", "minimum": 1},
-            },
-        },
-        "adapt": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "theta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "max_rounds": {"type": "integer", "minimum": 1},
-                "k_min": {"type": "number", "exclusiveMinimum": 0},
-                "k_max": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "out": {"type": "string"},
-    },
 }
-
-
-# jsonschema counts 2.0 as an integer; the settings need a JSON integer
-_Validator = validators.extend(Draft202012Validator, type_checker=(
-    Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)))
 
 
 class ConfigError(ValueError):
@@ -132,7 +83,7 @@ def load_config(path: Path) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
-    validator = _Validator(CONFIG_SCHEMA)
+    validator = Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         msgs = []
@@ -230,10 +181,10 @@ def run_command(args) -> int:
     is created only once the run has produced them."""
     try:
         config = load_config(Path(args.config))
-        problem = _resolve_problem(config)
+        # settings first: a bad solver key fails before user code is
+        # imported, a bad adapt or dual key before the partition is built
         solver_settings = SolveSettings(**config.get("solver", {}))
-        partition = build_partition(config["steps"], config["orders"],
-                                    problem.T, methods=problem.methods)
+        problem = _resolve_problem(config)
         dual_cfg = config.get("dual", {})
         phi_T = dual_cfg.get("phi_T", "unit")
         # CLI defaults (the step bounds fit inside [0, T]), then the keys the
@@ -247,6 +198,8 @@ def run_command(args) -> int:
             "phi_T": None if isinstance(phi_T, str) else np.asarray(phi_T, dtype=float),
             "solver": solver_settings,
         })
+        partition = build_partition(config["steps"], config["orders"],
+                                    problem.T, methods=problem.methods)
         # an overflow shows as a non-finite bound, reported once below; a
         # warning is reported as one line, each time it is raised
         with warnings.catch_warnings(record=True) as caught, \

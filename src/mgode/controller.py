@@ -44,9 +44,9 @@ class AdaptSettings:
 
     def __post_init__(self):
         if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
         if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"safety factor must lie in (0, 1], got {self.theta!r}")
+            raise ValueError(f"theta must lie in (0, 1], got {self.theta!r}")
         _check_integer("max_rounds", self.max_rounds, 1)
         _check_integer("dual_order_increment", self.dual_order_increment, 0)
         _check_integer("dual_refine", self.dual_refine, 1)

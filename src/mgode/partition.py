@@ -271,9 +271,11 @@ def _walk_steps(spec: StepSpec, T: float) -> np.ndarray:
     return np.asarray(bps, dtype=float)
 
 
-def _normalize_orders(orders, n_components: int, counts: list[int]) -> list[np.ndarray]:
+def _normalize_orders(orders, counts: list[int], methods) -> list[np.ndarray]:
     """One int array of interval orders per component; raises PartitionError
-    for an order that is not an integer (a bool, a float, a string)."""
+    for an order that is not an integer (a bool, a float, a string) or lies
+    outside [min_order, MAX_ORDER], checked before the int cast."""
+    n_components = len(counts)
     orders = [orders] * n_components if _is_scalar(orders) else list(orders)
     if len(orders) != n_components:
         raise PartitionError(
@@ -285,6 +287,10 @@ def _normalize_orders(orders, n_components: int, counts: list[int]) -> list[np.n
         if not all(_is_integer(q) for q in arr.flat):
             raise PartitionError(f"component {i}: orders must be integers, "
                                  f"got {spec!r}")
+        lo = min_order(methods[i]) if methods is not None else 0
+        if not all(lo <= q <= MAX_ORDER for q in arr.flat):
+            raise PartitionError(
+                f"component {i}: orders must lie in [{lo}, {MAX_ORDER}]")
         if arr.ndim == 0:
             arr = np.full(counts[i], arr.item())
         elif len(arr) != counts[i]:
@@ -344,7 +350,6 @@ def build_partition(steps, orders, T: float, methods=None) -> Partition:
             )
 
     breakpoints = [_walk_steps(spec, T) for spec in per_component]
-    n = len(breakpoints)
     tol = SYNC_REL_TOL * T
     for i, bp in enumerate(breakpoints):
         if np.any(np.diff(bp) <= 2.0 * tol):
@@ -354,17 +359,10 @@ def build_partition(steps, orders, T: float, methods=None) -> Partition:
     _merge_close_levels(breakpoints, T)
 
     counts = [len(bp) - 1 for bp in breakpoints]
-    order_arrays = _normalize_orders(orders, n, counts)
-    for i, qs in enumerate(order_arrays):
-        lo = min_order(methods[i]) if methods is not None else 0
-        if np.any(qs < lo) or np.any(qs > MAX_ORDER):
-            raise PartitionError(
-                f"component {i}: orders must lie in [{lo}, {MAX_ORDER}]"
-            )
     return Partition(
         T=float(T),
         breakpoints=tuple(breakpoints),
-        orders=tuple(order_arrays),
+        orders=tuple(_normalize_orders(orders, counts, methods)),
     )
 
 

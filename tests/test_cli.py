@@ -1,11 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mgode.cli import main
+from mgode.cli import CONFIG_SCHEMA, main
 
 BASE_CONFIG = {
     "model": "linear_decay",
@@ -101,14 +102,14 @@ class TestRun:
         assert err.count("\n") == 1
 
     def test_huge_quad_depth_is_one_line_error(self, tmp_path, capsys):
-        # rejected by the schema, before any rule is built
+        # rejected by SolveSettings, before any rule is built
         cfg = write_config(tmp_path, {"solver": {"quad_depth": 40}})
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
-        assert "$.solver.quad_depth" in err
+        assert "quad_depth" in err
 
     def test_problem_import_overrides_are_validated(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -222,6 +223,32 @@ class TestRun:
     def test_model_and_import_both_given(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem_import": "userprob:make"})
         assert main(["run", "--config", str(cfg)]) == 1
+
+
+# a range in the schema would be a second copy of the one the settings
+# classes and builders check, with its own message
+RANGE_KEYWORDS = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+                  "minItems", "maxItems", "multipleOf"}
+
+
+def schema_keywords(node):
+    """Every key of every mapping nested in a schema, lists included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from schema_keywords(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from schema_keywords(value)
+
+
+def test_keyword_walker_sees_nested_keywords():
+    schema = {"properties": {"a": {"oneOf": [{"items": {"minimum": 0}}]}}}
+    assert "minimum" in set(schema_keywords(schema))
+
+
+def test_config_schema_holds_no_range():
+    assert not RANGE_KEYWORDS & set(schema_keywords(CONFIG_SCHEMA))
 
 
 def one_error_line(capsys):
@@ -363,6 +390,41 @@ class TestRunErrors:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         one_error_line(capsys)
+        assert not out.exists()
+
+    # the schema holds no range: each one is checked once, where the value is
+    # taken, and the settings are built before the problem and the partition
+    @pytest.mark.parametrize("section,key,value,name", [
+        ("solver", "tolerance", 0, "tolerance"),
+        ("solver", "max_sweeps", 0, "max_sweeps"),
+        ("solver", "damping", 1.5, "damping"),
+        ("solver", "quad_depth", 10, "quad_depth"),
+        ("dual", "order_increment", -1, "dual_order_increment"),
+        ("dual", "refine", 0, "dual_refine"),
+        ("adapt", "tol", 0, "tol"),
+        ("adapt", "theta", 1.5, "theta"),
+        ("adapt", "max_rounds", 0, "max_rounds"),
+        ("adapt", "k_min", -1, "k_min"),
+        ("adapt", "k_max", -1, "k_max"),
+        (None, "orders", 13, "orders"),
+        (None, "steps", -0.1, "step"),
+        (None, "T", -1, "horizon"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_out_of_range_key_is_named_before_anything_is_built(
+            self, tmp_path, capsys, monkeypatch, section, key, value, name):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("called before the settings were checked")
+
+        if section is not None:
+            monkeypatch.setattr("mgode.cli.build_partition", not_reached)
+        if section == "solver":
+            monkeypatch.setattr("mgode.cli._resolve_problem", not_reached)
+        cfg = write_config(tmp_path, {section: {key: value}} if section
+                           else {key: value})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert re.search(rf"\b{name}\b", err), err
         assert not out.exists()
 
     def test_config_k_min_above_k_max_names_both_bounds(self, tmp_path,

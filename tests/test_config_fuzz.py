@@ -145,7 +145,8 @@ def configs(draw):
     order = st.integers(1, 12)
     cfg["orders"] = value(
         "orders", st.one_of(order, st.lists(order, min_size=n, max_size=n)),
-        [0, 13, 2.0, [1] * (n + 1), [[1, 2]] * n])
+        [0, 13, 2.0, 2**70, -2**70, [2**70] * n, [-2**70] * n,
+         [1] * (n + 1), [[1, 2]] * n])
 
     for section, keys in sections(n).items():
         forced = [key for key in keys if bad_field == f"{section}.{key}"]
@@ -196,6 +197,7 @@ BASE = {"model": "lorenz", "steps": 0.1, "orders": 2}
 @example(cfg={**BASE, "solver": {"quad_depth": 2.0}})         # TypeError later
 @example(cfg={**BASE, "adapt": {"max_rounds": 2.0}})          # TypeError later
 @example(cfg={**BASE, "T": -1.0, "extra": 1})                 # two-line error
+@example(cfg={**BASE, "orders": 2**70})                       # OverflowError
 @example(cfg={"problem_import": "json:loads", "steps": 0.1, "orders": 2})
 @example(cfg={"problem_import": ".x:make", "steps": 0.1, "orders": 2})  # traceback
 def test_config_boundary(workdir, cfg):

@@ -422,7 +422,7 @@ class TestAdapt:
         slow = [2, 3, 6, 7]
         assert max(med[i] for i in fast) < min(med[i] for i in slow)
 
-    # integer settings fail when they are built, as the CLI schema does,
+    # integer settings fail when they are built, where the CLI checks them,
     # not with a TypeError or IndexError in the middle of adapt
     @pytest.mark.parametrize("name,value", [
         (name, value)

@@ -79,7 +79,7 @@ class TestBuildPartition:
         p = build_partition([[0.5, 0.5]], [[1, 3]], 1.0, methods=("mcG",))
         np.testing.assert_array_equal(p.orders[0], [1, 3])
 
-    # orders must be integers, as the CLI schema has them, not floats
+    # orders must be integers, as a config writes them, not floats
     # truncated to an order or bools taken as 0 and 1
     @pytest.mark.parametrize("orders", [
         1.5, 2.0, True, np.float64(2.0), [1.7, 2.2], [1, True], [[1, 2.0], 1],
@@ -95,6 +95,17 @@ class TestBuildPartition:
         p = build_partition([0.5, 0.5], orders, 1.0, methods=("mcG", "mcG"))
         assert all(qs.dtype == int for qs in p.orders)
         assert p.orders[1].tolist() in ([2, 2], [3, 3])
+
+    # an integer past int64 is out of range, not an OverflowError in the cast
+    @pytest.mark.parametrize("steps,orders", [
+        ([0.5], 2**70), ([0.5], [2**70]), ([0.5], -2**70),
+        ([[0.5, 0.5]], [[1, 2**70]]), ([0.5], 13)],
+        ids=["huge", "huge_listed", "huge_negative", "huge_per_interval",
+             "above_max"])
+    def test_out_of_range_orders_name_the_component(self, steps, orders):
+        with pytest.raises(PartitionError,
+                           match=r"component 0: orders must lie in \[0, 12\]"):
+            build_partition(steps, orders, 1.0)
 
 
 class TestIntervalAt:

@@ -660,7 +660,7 @@ class TestSolveSlabDriver:
         with pytest.raises(ValueError, match="positive and finite"):
             SolveSettings(tolerance=np.inf)
 
-    # integer settings fail when they are built, as the CLI schema does,
+    # integer settings fail when they are built, where the CLI checks them,
     # not in scheme_rule mid-solve (quad_depth) or by rounding the sweep
     # budget up (max_sweeps)
     @pytest.mark.parametrize("name", ["max_sweeps", "quad_depth"])
