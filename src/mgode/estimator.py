@@ -72,29 +72,47 @@ def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
 
 
 def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
-                        splits=()) -> tuple[float, float]:
+                        splits=()) -> tuple[float, float, tuple]:
     """(signed, absolute) integral of fn over [a, b] by Gauss-Legendre on
-    pieces cut at the given split points and at detected sign changes.
+    pieces cut at the given split points and at detected sign changes, and
+    the pieces between the split points.
 
     fn must accept an array of points.  Each final piece is single-signed (up
     to scan resolution), so the absolute integral is the sum of |piece|.
+    Each piece between the split points is returned as (lo, hi, roots,
+    values): the sign changes found there and, for a piece without one, fn
+    at its Gauss nodes (None otherwise).
     """
     cuts = [a, *sorted({p for p in splits if a < p < b}), b]
     signed = 0.0
     absolute = 0.0
+    pieces = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sub = [lo] + _sign_change_roots(fn, lo, hi, n_scan) + [hi]
+        roots = _sign_change_roots(fn, lo, hi, n_scan)
+        sub = [lo] + roots + [hi]
+        vals = None
         for s0, s1 in zip(sub[:-1], sub[1:]):
             if s1 > s0:
-                val = _gauss_integral(fn, s0, s1, npts)
+                val, vals = _gauss_piece(fn, s0, s1, npts, None)
                 signed += val
                 absolute += abs(val)
-    return signed, absolute
+        pieces.append((float(lo), float(hi), tuple(roots),
+                       None if roots else vals))
+    return signed, absolute, tuple(pieces)
+
+
+def _gauss_piece(fn, a: float, b: float, npts: int, vals):
+    """The npts-point Gauss-Legendre integral of fn over [a, b], and fn at
+    the rule's nodes: ``vals`` when it is not None (fn read there before),
+    else read here."""
+    xg, wg = gauss_rule_01(npts)
+    if vals is None:
+        vals = fn(a + (b - a) * xg)
+    return (b - a) * float(wg @ vals), vals
 
 
 def _gauss_integral(fn, a: float, b: float, npts: int) -> float:
-    xg, wg = gauss_rule_01(npts)
-    return (b - a) * float(wg @ fn(a + (b - a) * xg))
+    return _gauss_piece(fn, a, b, npts, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +245,12 @@ class ExplicitEstimates:
     the problem, trajectory and dual the stage read, which identify them
     without keeping them alive, and per interval I_ij what the completion
     reads again there: R's cuts of [0, 1] (0, its roots, 1), R's values at
-    the Gauss nodes of each nonempty piece between them, the jump and the
-    derivative factor s_ij.  A report, and a pickled or copied stage, hold
-    None there: they still read as records but complete no report.
+    the Gauss nodes of each nonempty piece between them, the jump, the
+    derivative factor s_ij and the pieces of s_ij's integral as
+    ``integrate_splitting`` returns them: each piece's (lo, hi), the roots of
+    phi_i^(p) found there and, for a piece without one, phi_i^(p) at its
+    Gauss nodes.  A report, and a pickled or copied stage, hold None there:
+    they still read as records but complete no report.
     """
 
     methods: tuple[str, ...]
@@ -272,7 +293,8 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
     Each interval scans R once and finds its roots with brentq; they cut r's
     integral of |R| into pieces, whose Gauss values are kept.  The dual
     derivative factor s is split at the dual's own piece boundaries and at
-    its sign changes."""
+    its sign changes; each piece's roots and, without one, its Gauss values
+    are kept for the completion."""
     _check_matching(problem, traj, dual)
     part = traj.partition
     N = traj.dimension
@@ -296,14 +318,14 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
 
             # R's roots, found once, cut r = (1/k) int |R| dt = int |R(s)| ds
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
-            xg, wg = gauss_rule_01(npts)
             rpts = [0.0, *_sign_change_roots(Rfn, 0.0, 1.0, n_scan), 1.0]
             Rvs = []
             r_ij = 0.0
             for a, b in zip(rpts[:-1], rpts[1:]):
                 if b > a:
-                    Rvs.append(Rfn(a + (b - a) * xg))
-                    r_ij += abs((b - a) * float(wg @ Rvs[-1]))
+                    val, vals = _gauss_piece(Rfn, a, b, npts, None)
+                    Rvs.append(vals)
+                    r_ij += abs(val)
             # one jump rule serves both families, here, in the completion's
             # E0/E1 and E5 terms and in error_representation: an mcG jump is
             # exactly 0.0 (see Trajectory.jump), so rbar == r and each jump
@@ -313,10 +335,13 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
             r_prof[i][j] = r_ij
             rbar_prof[i][j] = rbar_ij
 
-            # dual derivative factor, split at the dual's own piece boundaries
+            # dual derivative factor, split at the dual's own piece
+            # boundaries; the completion reads each piece's roots and Gauss
+            # values again
             dfn = partial(dual.values, i, side="left", order=p)
-            _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts, n_scan=n_scan,
-                                           splits=dual.piece_boundaries(i, t0, t1))
+            _, s_abs, dpieces = integrate_splitting(
+                dfn, t0, t1, npts=npts, n_scan=n_scan,
+                splits=dual.piece_boundaries(i, t0, t1))
             s_ij = s_abs / k
             s_deriv[i] += k * s_ij
 
@@ -327,7 +352,7 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
             mean = _gauss_integral(lambda ts: dual.values(i, ts, "left"),
                                    t0, t1, 6) / k
             s_mean[i] += k * abs(mean)
-            kept.append((rpts, Rvs, jmp, s_ij))
+            kept.append((rpts, Rvs, jmp, s_ij, dpieces))
         intervals.append(kept)
 
     e3 = float("nan") if flags else float(np.sum(s_deriv * comp_max))
@@ -372,6 +397,16 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     its Gauss nodes from the pass, as E5's L2 rule does when R has no root;
     so R is read once per point set and no brentq step on the product reads
     it.
+
+    The dual derivative is read once per point set in the same way.  The
+    L2 factor s2 integrates phi_i^(p) squared on the stage's pieces of
+    s_ij, and a piece without a root takes its Gauss values from the stage.
+    On an elementary segment that is one of a component's stage pieces,
+    scanned with the same n_scan and derivative order, the component takes
+    the roots found there, and when no component has a root on the segment
+    the Gauss values too; every other segment is scanned and read here.
+    Each reuse is the same read at points made by the same expression, so
+    the numbers are those of reading again.
     """
     inputs, intervals = explicit.payload or ((), None)
     if [id(ref()) for ref in inputs] != list(map(id, (problem, traj, dual))):
@@ -388,7 +423,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     s2_sq = 0.0
 
     for i in range(N):
-        for j, (rpts, Rvs, jmp, s_ij) in enumerate(intervals[i]):
+        for j, (rpts, Rvs, jmp, s_ij, dpieces) in enumerate(intervals[i]):
             t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
             r_ij, rbar_ij = float(explicit.r[i][j]), float(explicit.rbar[i][j])
 
@@ -432,10 +467,12 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
             l2_weighted_sq += (cq * k**p) ** 2 * int_rbar2
 
+            # the stage's pieces of phi_i^(p); one without a root holds its
+            # values at this rule's nodes
             d2 = lambda ts: dual.values(i, ts, "left", p) ** 2  # noqa: E731
-            pieces = [t0] + list(cuts) + [t1]
-            for a, b in zip(pieces[:-1], pieces[1:]):
-                s2_sq += _gauss_integral(d2, a, b, npts)
+            for a, b, _, dvals in dpieces:
+                s2_sq += _gauss_piece(d2, a, b, npts,
+                                      None if dvals is None else dvals ** 2)[0]
 
             # the integral of k^(-p) |phi_i - pi phi_i| with the
             # residual-zero interpolant
@@ -461,16 +498,36 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
         qmax = max([1, *qs])
         npts = 2 * (qmax + 2)
         n_scan = 8 * (qmax + 2)
+        # a segment that is one of a component's stage pieces, scanned with
+        # the same n_scan (so q == qmax) and the same derivative order (that
+        # of its interval), takes the roots and Gauss values found there
+        stage = [next((piece[2:] for piece in intervals[i][j][4]
+                       if piece[:2] == (a, b)), None) if q == qmax else None
+                 for i, (j, q) in enumerate(zip(js, qs))]
+        roots = [_sign_change_roots(fn, a, b, n_scan) if got is None
+                 else list(got[0]) for fn, got in zip(fns, stage)]
+        # a stage piece without a root holds its Gauss values (None else)
+        kept = [None if got is None else got[1] for got in stage]
         if N == 1:
-            s1_global += integrate_splitting(fns[0], a, b, npts=npts,
-                                             n_scan=n_scan)[1]
+            sub = [a, *roots[0], b]
+            absolute = 0.0
+            for lo, hi in zip(sub[:-1], sub[1:]):
+                if hi > lo:
+                    absolute += abs(_gauss_piece(fns[0], lo, hi, npts, kept[0])[0])
+            s1_global += absolute
         else:
-            cuts = [c for fn in fns for c in _sign_change_roots(fn, a, b, n_scan)]
             norm = lambda ts: np.sqrt(np.sum(np.stack([fn(ts) for fn in fns])**2,
                                              axis=0))  # noqa: E731
-            pieces = [a] + sorted(c for c in cuts if a < c < b) + [b]
-            for lo, hi in zip(pieces[:-1], pieces[1:]):
-                s1_global += _gauss_integral(norm, lo, hi, npts)
+            pieces = [a] + sorted(c for r in roots for c in r if a < c < b) + [b]
+            if len(pieces) == 2:
+                # no component changes sign on the segment
+                vals = [_gauss_piece(fn, a, b, npts, got)[1]
+                        for fn, got in zip(fns, kept)]
+                s1_global += _gauss_piece(norm, a, b, npts, np.sqrt(
+                    np.sum(np.stack(vals)**2, axis=0)))[0]
+            else:
+                for lo, hi in zip(pieces[:-1], pieces[1:]):
+                    s1_global += _gauss_integral(norm, lo, hi, npts)
         s_phi += _gauss_integral(phi_norm, a, b, 8)
 
     e0 = abs(e0_signed)
@@ -651,8 +708,8 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
             fn = lambda s: (interval_residual(traj, problem, i, j, s)  # noqa: E731
                             * (dual.values(i, t0 + k * s, "left") - pi_fn(s)))
             cuts = part.coordinate(i, j, dual.piece_boundaries(i, t0, t1))
-            signed, _ = integrate_splitting(fn, 0.0, 1.0, npts=2 * (q + 3),
-                                            n_scan=8 * (q + 3), splits=cuts)
+            signed, _, _ = integrate_splitting(fn, 0.0, 1.0, npts=2 * (q + 3),
+                                               n_scan=8 * (q + 3), splits=cuts)
             term = k * signed
             signed_total += term
             abs_total += abs(term)

@@ -12,9 +12,11 @@ limits at every breakpoint.
 A slab keeps one flat state array, one incoming-value slot per component
 (the value entering the slab) followed by its intervals' nodal values, and
 the rhs inputs of its intervals in one buffer of contiguous per-interval
-(N, P) blocks.  The cross-component stencils are built once per slab, with
-one lagrange_matrix call per (component, order), and grouped by (node
-count, column count): each sweep fills the whole input buffer with one
+(N, P) blocks.  The cross-component stencils are built once per slab layout
+within a ``solve`` call, with one lagrange_matrix call per (component,
+order), and grouped by (node count, column count); the call keeps the
+tables of at most 4 layouts of at most 64 KiB each (see ``_build_work``).
+Each sweep fills the whole input buffer with one
 stacked np.matmul per class, through gather and scatter index arrays.  A
 stacked matmul rounds each row exactly like that group's own ``values @ L``,
 so the numbers do not depend on the batching.  The rhs is still called once
@@ -492,11 +494,21 @@ def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:
 _DIVERGED = 1e4
 
 
+# A solve keeps the tables of at most this many slab layouts, first in first
+# out, and never those of a layout whose tables and key take more than
+# _LAYOUT_BYTES: the layouts of a uniform partition alternate between a few
+# ulp-shifted variants, while a slab of many components (tens of kilobytes
+# to megabytes of tables) rarely repeats and would only hold memory.
+_LAYOUTS_KEPT = 4
+_LAYOUT_BYTES = 64 * 1024
+
+
 @dataclass
 class _IntervalWork:
     i: int
     order: int
     t0: float
+    k: float                     # step
     times: np.ndarray            # (P,) quadrature times
     at: int                      # offset of its nodal values in the slab state
     inputs_at: int               # offset of its (N, P) rhs-input block
@@ -517,68 +529,64 @@ class _Stencils:
 class _Updates:
     """One stacked nodal update per scheme class (method, order): the work
     items ``ws`` (G,) share the weights W (n_solved, P) and read their rhs
-    rows at ``fidx`` (G, P) of the slab's flat rhs-row array, their
-    incoming values at ``inc`` (G,) and their steps from ``k`` (G, 1); they
-    solve the state at ``solved`` (G, n_solved) and pin it at ``pinned``
-    (G, n_pinned) to the incoming value."""
+    rows at ``fidx`` (G, P) of the slab's flat rhs-row array and their
+    incoming values at ``inc`` (G,); they solve the state at ``solved``
+    (G, n_solved) and pin it at ``pinned`` (G, n_pinned) to the incoming
+    value.  Each item scales its update by its own step."""
 
     W: np.ndarray
     ws: np.ndarray
     fidx: np.ndarray
     inc: np.ndarray
-    k: np.ndarray
     solved: np.ndarray
     pinned: np.ndarray
 
 
-def _build_work(problem, partition, slab, settings):
+def _build_work(problem, partition, slab, settings, layouts):
     """Precompute quadrature times, cross-component evaluation stencils and
     the nodal-update tables for every interval in the slab.
 
     The slab state opens with one incoming-value slot per component; an
     interval's incoming value is its predecessor's end value or, first in
-    the slab, its component's slot.  The intervals of one scheme class
-    (method, order) share one ``scheme_rule`` W, so each class gets one
-    ``_Updates`` table, in the order the classes first occur; an
-    interval's rhs row sits in the flat rhs-row array at its first time's
-    position in the concatenated times.
+    the slab, its component's slot.
 
     Every quadrature time lies in the slab, so the stencils of a component
     only read its own intervals in the slab.  ``Partition.snap`` moves the
     slab's times within the synchronization tolerance onto a component's
     breakpoints, and ``Partition.reads`` and ``.coordinate`` place them, with
     the residual's side rule; the snap is the one difference from the
-    residual's reads.  Each item's times increase, so a stencil group -- the
-    times of one item that one source interval covers -- is a run of equal
-    (item, interval) in the concatenated times, and its Lagrange factors are
-    a column slice of one lagrange_matrix call per (component, order).
+    residual's reads.
+
+    The work items (their times and steps) and each component's snapped
+    source intervals ``src`` and local coordinates ``s`` are made for every
+    slab.  The stencil and update tables depend only on the slab's layout:
+    the interval orders, the interval count of each component, ``src`` and
+    ``s``, and on the problem's methods and the quadrature depth.  The store
+    ``layouts`` maps a layout's key, those six with the arrays as exact
+    bytes, to its tables; a layout found there reuses them, the same arrays
+    and so the same bits, and a new one is built (``_slab_tables``) and
+    kept, within _LAYOUTS_KEPT and _LAYOUT_BYTES.
 
     Returns the work items, the stencil classes and the update classes.
     """
     N = problem.dimension
-    methods = problem.methods
     work: list[_IntervalWork] = []
     first = []                   # work index of each component's first interval
-    inc_at, steps, classes = [], [], {}
     at, inputs_at = N, 0
     for i in range(N):
         first.append(len(work))
         lo, hi = slab.spans[i]
         for j in range(lo, hi):
             q = int(partition.orders[i][j])
-            pts, _ = scheme_rule(methods[i], q, settings.quad_depth)
+            pts, _ = scheme_rule(problem.methods[i], q, settings.quad_depth)
             t0, t1 = partition.span(i, j)
             k = t1 - t0
-            classes.setdefault((methods[i], q), []).append(len(work))
-            inc_at.append(at - 1 if j > lo else i)
-            steps.append(k)
-            work.append(_IntervalWork(i=i, order=q, t0=t0, times=t0 + k * pts,
+            work.append(_IntervalWork(i=i, order=q, t0=t0, k=k, times=t0 + k * pts,
                                       at=at, inputs_at=inputs_at))
             at += q + 1
             inputs_at += N * len(pts)
 
     counts = np.array([len(item.times) for item in work])
-    owner = np.repeat(np.arange(len(work)), counts)
     times = np.concatenate([item.times for item in work])
     starts = np.repeat([item.t0 for item in work], counts)
     src = np.empty((N, len(times)), dtype=int)   # source work index per time
@@ -589,14 +597,50 @@ def _build_work(problem, partition, slab, settings):
         src[c] = first[c] - slab.spans[c][0] + jc
         s[c] = partition.coordinate(c, jc, tt)
 
+    # a layout whose key alone exceeds the bound is never kept, so it is not
+    # looked up either
+    if src.nbytes + s.nbytes > _LAYOUT_BYTES:
+        return work, *_slab_tables(problem, settings, work, first, counts, src, s)
+    key = (tuple(item.order for item in work),
+           tuple(hi - lo for lo, hi in slab.spans), src.tobytes(), s.tobytes(),
+           problem.methods, settings.quad_depth)
+    tables = layouts.get(key)
+    if tables is None:
+        tables = _slab_tables(problem, settings, work, first, counts, src, s)
+        size = src.nbytes + s.nbytes + sum(
+            a.nbytes for table in tables[0] + tables[1] for a in vars(table).values())
+        if size <= _LAYOUT_BYTES:
+            if len(layouts) == _LAYOUTS_KEPT:
+                del layouts[next(iter(layouts))]
+            layouts[key] = tables
+    return work, *tables
+
+
+def _slab_tables(problem, settings, work, first, counts, src, s):
+    """The stencil classes and the update classes of a slab's layout (see
+    ``_build_work``).
+
+    Each item's times increase, so a stencil group -- the times of one item
+    that one source interval covers -- is a run of equal (item, interval) in
+    the concatenated times, and its Lagrange factors are a column slice of
+    one lagrange_matrix call per (component, order).  The intervals of one
+    scheme class (method, order) share one ``scheme_rule`` W, so each class
+    gets one ``_Updates`` table, in the order the classes first occur; an
+    interval's rhs row sits in the flat rhs-row array at its first time's
+    position in the concatenated times.
+    """
+    N = problem.dimension
+    methods = problem.methods
+    orders = np.array([item.order for item in work])
+    bounds = [*first, len(work)]
+
     # Lagrange factors per (component, order); the blocks of one node count
     # are concatenated in (component, time) order, so column col[x] of
     # factors[n] belongs to entry x of the flattened (N, P) tables
-    nodes = np.array([item.order + 1 for item in work])[src]
+    nodes = (orders + 1)[src]
     factors: dict[int, list] = {}
     for c in range(N):
-        lo, hi = slab.spans[c]
-        for q in sorted(set(partition.orders[c][lo:hi].tolist())):
+        for q in sorted(set(orders[bounds[c]:bounds[c + 1]].tolist())):
             factors.setdefault(q + 1, []).append(lagrange_matrix(
                 tableau(methods[c], q).nodes, s[c, nodes[c] == q + 1]))
     nodes = nodes.ravel()
@@ -609,6 +653,7 @@ def _build_work(problem, partition, slab, settings):
     # stencil groups: runs of equal (item, source interval); a new component
     # always changes the source
     srcf = src.ravel()
+    owner = np.repeat(np.arange(len(work)), counts)
     offsets = np.cumsum(counts) - counts         # each item's first time
     cut = np.ones(len(srcf) + 1, dtype=bool)
     cut[1:-1] = srcf[1:] != srcf[:-1]
@@ -620,7 +665,7 @@ def _build_work(problem, partition, slab, settings):
     gather = ats[srcf[head]]
     # rhs-input offset of (component, time) in its item's (N, P) block
     scatter = (np.array([item.inputs_at for item in work])[owner]
-               + np.arange(len(times)) - offsets[owner]
+               + np.arange(len(owner)) - offsets[owner]
                + np.arange(N)[:, None] * counts[owner]).ravel()[head]
     stencils = []
     for nc, mc in sorted(set(zip(n.tolist(), m.tolist()))):
@@ -634,7 +679,11 @@ def _build_work(problem, partition, slab, settings):
 
     # W has one row per solved nodal value, so an interval pins its first
     # order + 1 - len(W) values to its incoming value: 1 for mcG, 0 for mdG
-    inc_at, steps = np.array(inc_at), np.array(steps)
+    classes: dict[tuple, list] = {}
+    inc_at = np.empty(len(work), dtype=int)
+    for w, item in enumerate(work):
+        classes.setdefault((methods[item.i], item.order), []).append(w)
+        inc_at[w] = item.i if w == first[item.i] else item.at - 1
     updates = []
     for (method, q), ws in classes.items():
         pts, W = scheme_rule(method, q, settings.quad_depth)
@@ -642,20 +691,24 @@ def _build_work(problem, partition, slab, settings):
         pin = q + 1 - len(W)
         updates.append(_Updates(
             W=W, ws=ws, fidx=offsets[ws][:, None] + np.arange(len(pts)),
-            inc=inc_at[ws], k=steps[ws][:, None],
+            inc=inc_at[ws],
             solved=ats[ws][:, None] + np.arange(pin, q + 1),
             pinned=ats[ws][:, None] + np.arange(pin),
         ))
-    return work, stencils, updates
+    return stencils, updates
 
 
 def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
-               coeffs, settings: SolveSettings) -> tuple[list, SlabReport]:
+               coeffs, settings: SolveSettings,
+               layouts: dict) -> tuple[list, SlabReport]:
     """Solve one slab's nodal equations by damped Jacobi fixed-point sweeps.
 
     ``coeffs`` holds the already-accepted per-component interval coefficient
     arrays up to the slab start.  Returns the new interval coefficient arrays
     (appended per component, in interval order) and an iteration report.
+    ``layouts`` is the store of slab tables that ``solve`` shares between
+    the slabs of one call (see ``_build_work``); a new dict gives the slab
+    tables of its own.
 
     Each sweep fills every interval's rhs inputs from the previous sweep's
     state and runs the rhs of every interval in the slab before it checks
@@ -672,7 +725,10 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     times the first sweep's.
     """
     N = problem.dimension
-    work, stencils, updates = _build_work(problem, partition, slab, settings)
+    work, stencils, updates = _build_work(problem, partition, slab, settings,
+                                          layouts)
+    steps = np.array([item.k for item in work])
+    ks = [steps[up.ws][:, None] for up in updates]
     # the incoming-value slots, and every nodal value starting from its
     # component's (constant extrapolation)
     incoming = np.array([problem.u0[i] if lo == 0 else coeffs[i][lo - 1][-1]
@@ -711,9 +767,9 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
                 f"non-finite right-hand side for component {bad.i} in "
                 f"slab {slab.index} near t={bad.t0!r}"
             )
-        for up in updates:
+        for up, k in zip(updates, ks):
             inc = state[up.inc]
-            target = inc[:, None] + up.k * np.matmul(
+            target = inc[:, None] + k * np.matmul(
                 up.W, frows[up.fidx][:, :, None])[:, :, 0]
             old = state[up.solved]
             step = damping * (target - old)
@@ -767,6 +823,10 @@ def solve(problem: OdeProblem, partition: Partition,
     components take u0 as their incoming left limit at t = 0.  Raises
     ConvergenceFailure, carrying the reports of the slabs solved so far,
     when a slab diverges or exhausts its sweep budget.
+
+    The slabs share one store of slab tables, so a slab whose layout
+    repeats an earlier one's reuses its tables (see ``_build_work``); the
+    store dies with the call.
     """
     settings = settings or SolveSettings()
     if partition.n_components != problem.dimension:
@@ -786,9 +846,11 @@ def solve(problem: OdeProblem, partition: Partition,
 
     coeffs = [[] for _ in range(problem.dimension)]
     reports = []
+    layouts: dict = {}           # the slab tables kept by layout, see _build_work
     for slab in build_slabs(partition):
         try:
-            new, report = solve_slab(problem, partition, slab, coeffs, settings)
+            new, report = solve_slab(problem, partition, slab, coeffs, settings,
+                                     layouts)
         except ConvergenceFailure as exc:
             exc.report = SolveReport(slabs=tuple(reports) + exc.report.slabs)
             raise

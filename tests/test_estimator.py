@@ -80,17 +80,30 @@ class TestInterpConstant:
 class TestIntegrateSplitting:
     def test_abs_integral_with_sign_change(self):
         # int_0^1 |x - 0.3| dx = (0.3^2 + 0.7^2) / 2
-        signed, absval = integrate_splitting(lambda x: x - 0.3, 0.0, 1.0,
-                                             npts=6, n_scan=30)
+        signed, absval, pieces = integrate_splitting(lambda x: x - 0.3, 0.0, 1.0,
+                                                     npts=6, n_scan=30)
         assert signed == pytest.approx(0.2, abs=1e-14)
         assert absval == pytest.approx(0.5 * (0.09 + 0.49), abs=1e-13)
+        # one piece, whose root is kept and whose Gauss values are not
+        [(lo, hi, roots, vals)] = pieces
+        assert (lo, hi, vals) == (0.0, 1.0, None)
+        assert roots == pytest.approx((0.3,), abs=1e-12)
 
     def test_hard_splits_respected(self):
         f = lambda x: np.where(x < 0.5, 1.0, -1.0)  # noqa: E731
-        signed, absval = integrate_splitting(f, 0.0, 1.0, npts=4, n_scan=9,
-                                             splits=(0.5,))
+        signed, absval, pieces = integrate_splitting(f, 0.0, 1.0, npts=4,
+                                                     n_scan=9, splits=(0.5,))
         assert signed == pytest.approx(0.0, abs=1e-14)
         assert absval == pytest.approx(1.0, abs=1e-14)
+        assert [piece[:2] for piece in pieces] == [(0.0, 0.5), (0.5, 1.0)]
+
+    def test_a_piece_without_a_root_keeps_its_gauss_values(self):
+        xg, _ = tb.gauss_rule_01(4)
+        _, _, pieces = integrate_splitting(lambda x: 1.0 + x, 0.0, 1.0, npts=4,
+                                           n_scan=9, splits=(0.5,))
+        assert [piece[:3] for piece in pieces] == [(0.0, 0.5, ()), (0.5, 1.0, ())]
+        for lo, hi, _, vals in pieces:
+            assert vals.tolist() == (1.0 + (lo + (hi - lo) * xg)).tolist()
 
 
 class TestErrorRepresentation:
@@ -363,7 +376,7 @@ class TestComputationalResidual:
             settings = SolveSettings(tolerance=1e-30, max_sweeps=sweeps)
             coeffs, reports = [[], []], []
             for slab in build_slabs(part):
-                new, report = solve_slab(prob, part, slab, coeffs, settings)
+                new, report = solve_slab(prob, part, slab, coeffs, settings, {})
                 reports.append(report)
                 for i in range(2):
                     coeffs[i].extend(new[i])
@@ -733,8 +746,8 @@ def parent_galerkin_estimates(traj, dual, problem):
 
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
             phi_loc = lambda s: dual.values(i, t0 + k * s, "left")  # noqa: E731
-            _, r_abs = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
-                                           n_scan=n_scan)
+            _, r_abs, _ = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
+                                              n_scan=n_scan)
             r_ij = r_abs
             jmp = traj.jump(i, j)
             rbar_ij = r_ij + abs(jmp) / k
@@ -743,14 +756,14 @@ def parent_galerkin_estimates(traj, dual, problem):
 
             dfn = partial(dual.values, i, side="left", order=p)
             cuts = dual.piece_boundaries(i, t0, t1)
-            _, s_abs = integrate_splitting(dfn, t0, t1, npts=npts,
-                                           n_scan=n_scan, splits=cuts)
+            _, s_abs, _ = integrate_splitting(dfn, t0, t1, npts=npts,
+                                              n_scan=n_scan, splits=cuts)
             s_ij = s_abs / k
             s_deriv[i] += k * s_ij
 
             pi_fn = _taylor_interpolant(dual, i, 0.5 * (t0 + t1), p - 1)
             prod = lambda s: Rfn(s) * (phi_loc(s) - pi_fn(t0 + k * s))  # noqa: E731
-            signed, absval = integrate_splitting(
+            signed, absval, _ = integrate_splitting(
                 prod, 0.0, 1.0, npts=npts, n_scan=n_scan,
                 splits=part.coordinate(i, j, cuts))
             e0_signed += k * signed
@@ -863,6 +876,20 @@ def single_rate_run(method, q):
     return prob, traj, dual
 
 
+def mixed_order_multirate_run():
+    """linear_system with (mcG, mdG), orders [2, 1] and steps [1/24, 1/32]:
+    the elementary segments are finer than the stage's pieces, and the
+    lower-order component's scan differs from its own on every segment."""
+    prob = model("linear_system").problem(methods=("mcG", "mdG"))
+    part = build_partition([1 / 24, 1 / 32], [2, 1], prob.T,
+                           methods=prob.methods)
+    settings = SolveSettings(tolerance=1e-13)
+    traj = solve(prob, part, settings)
+    dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[0.6, 0.8]),
+                      dual_partition_for(part, 1, 2), settings)
+    return prob, traj, dual
+
+
 SPLIT_CASES = {
     "kepler_mixed": kepler_mixed_run,
     "kepler_mcG2": kepler_uniform_run,
@@ -871,10 +898,12 @@ SPLIT_CASES = {
     "linear_mdG0": lambda: single_rate_run("mdG", 0),
     "linear_mdG1": lambda: single_rate_run("mdG", 1),
     "linear_mdG2": lambda: single_rate_run("mdG", 2),
+    "linear_mixed_multirate": mixed_order_multirate_run,
 }
 
 
-SINGLE_RATE = [name for name in SPLIT_CASES if name != "kepler_mixed"]
+SINGLE_RATE = [name for name in SPLIT_CASES
+               if name not in ("kepler_mixed", "linear_mixed_multirate")]
 
 
 class TestFactorSplit:
@@ -936,6 +965,68 @@ def test_no_residual_point_set_is_evaluated_twice(monkeypatch):
     galerkin_estimates(traj, dual, prob, explicit_estimates(prob, traj, dual))
     assert len(seen) > traj.partition.total_intervals
     assert len(set(seen)) == len(seen)
+
+
+def grid_run():
+    """The effectivity grid's mcG(2), k = 0.1 case: linear_system, the
+    terminal weight along the true error, the dual refined 4 times."""
+    entry = model("linear_system")
+    prob = entry.problem(methods="mcG")
+    part = build_partition(0.1, 2, prob.T, methods=prob.methods)
+    settings = SolveSettings(tolerance=1e-13)
+    traj = solve(prob, part, settings)
+    e = entry.closed_form(prob.T) - traj.end_state()
+    dual = solve_dual(DualSpec(problem=prob, primal=traj,
+                               phi_T=e / np.linalg.norm(e)),
+                      dual_partition_for(part, 1, 4), settings)
+    return prob, traj, dual
+
+
+def recording_dual_reads(monkeypatch):
+    """Record each DualSolution.values call as (component, times, side,
+    order)."""
+    reads = []
+    values = DualSolution.values
+
+    def recording(self, i, ts, side="left", order=0):
+        reads.append((i, np.atleast_1d(ts).tobytes(), side, order))
+        return values(self, i, ts, side, order)
+
+    monkeypatch.setattr(DualSolution, "values", recording)
+    return reads
+
+
+def test_the_completion_reads_no_dual_derivative_the_stage_read(monkeypatch):
+    # the stage's pieces of phi_i^(p) are the grid's elementary segments: the
+    # completion takes their roots and Gauss values from the stage
+    prob, traj, dual = grid_run()
+    reads = recording_dual_reads(monkeypatch)
+    stage = explicit_estimates(prob, traj, dual)
+    stage_reads = set(reads)
+    del reads[:]
+    galerkin_estimates(traj, dual, prob, stage)
+    derivative_reads = [key for key in reads if key[3] >= 1]
+    assert derivative_reads
+    assert not stage_reads.intersection(derivative_reads)
+
+
+def test_segments_that_are_no_stage_piece_are_scanned(monkeypatch):
+    # on the mixed-order multirate run the segment loop scans the dual
+    # derivatives itself (test_all_but_e0_e1_bit_for_bit checks its numbers
+    # against the oracle)
+    prob, traj, dual = mixed_order_multirate_run()
+    stage = explicit_estimates(prob, traj, dual)
+    scans = []
+    roots = mgode.estimator._sign_change_roots
+
+    def recording(fn, a, b, n_scan):
+        if isinstance(fn, partial):          # a dual derivative
+            scans.append(fn.args[0])
+        return roots(fn, a, b, n_scan)
+
+    monkeypatch.setattr(mgode.estimator, "_sign_change_roots", recording)
+    galerkin_estimates(traj, dual, prob, stage)
+    assert set(scans) == {0, 1}
 
 
 def multirate_linear_cases(count):

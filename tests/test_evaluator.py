@@ -369,7 +369,7 @@ class TestSlabStencils:
         settings = SolveSettings(quad_depth=depth)
         snapped = 0
         for slab in build_slabs(part):
-            work, stencils, _ = _build_work(prob, part, slab, settings)
+            work, stencils, _ = _build_work(prob, part, slab, settings, {})
             table = _stencil_groups(work, stencils, part.n_components)
             for w, item in enumerate(work):
                 P = len(item.times)

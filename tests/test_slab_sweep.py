@@ -11,16 +11,29 @@ mask, and one ``W @ frow`` update per interval.  The fast partition puts 16
 intervals of one class in every slab.  Every comparison is
 ``np.array_equal`` or ``==``: the estimator's rounding-level terms and the
 controller's partitions depend on those exact bits.
+
+``solve`` hands its slabs one store of slab tables, kept by layout; the
+tests at the end drive slabs through such a store, so later slabs reuse the
+tables of earlier ones, and check the store's bounds.
 """
+
+import weakref
 
 import numpy as np
 import pytest
 
+import mgode.solver
+from mgode.dual import _reverse_partition, dual_partition_for
+from mgode.models import model
 from mgode.partition import build_partition, build_slabs
 from mgode.solver import (
+    _LAYOUT_BYTES,
+    _LAYOUTS_KEPT,
     OdeProblem,
     SlabReport,
     SolveSettings,
+    _build_work,
+    solve,
     solve_slab,
 )
 from mgode.tableau import MCG, lagrange_matrix, scheme_rule, tableau
@@ -180,7 +193,7 @@ def test_batched_sweep_matches_per_group_loop(partition, methods, rhs, depth):
     settings = SolveSettings(tolerance=1e-13, quad_depth=depth)
     coeffs = [[] for _ in methods]
     for slab in build_slabs(part):
-        new, report = solve_slab(prob, part, slab, coeffs, settings)
+        new, report = solve_slab(prob, part, slab, coeffs, settings, {})
         ref, ref_report = oracle_solve_slab(prob, part, slab, coeffs, settings)
         assert report == ref_report
         assert report.converged
@@ -197,7 +210,7 @@ def test_under_iterated_slab_matches_per_group_loop():
     part = _partition(METHODS3[0])
     settings = SolveSettings(tolerance=1e-13, max_sweeps=3, quad_depth=1)
     slab = build_slabs(part)[0]
-    new, report = solve_slab(prob, part, slab, [[], [], []], settings)
+    new, report = solve_slab(prob, part, slab, [[], [], []], settings, {})
     ref, ref_report = oracle_solve_slab(prob, part, slab, [[], [], []], settings)
     assert report == ref_report and not report.converged
     for a, b in zip(sum(new, []), sum(ref, [])):
@@ -235,3 +248,174 @@ def test_stacked_matvec_equals_per_row_products(G):
                 R = np.matmul(W, F[:, :, None])[:, :, 0]
                 for g in range(G):
                     assert np.array_equal(R[g], W @ F[g]), (method, q, depth, g)
+
+
+# -- slab tables reused through one store, as solve does ---------------------
+
+def _uniform(k, methods):
+    return build_partition(k, [2 if m == "mcG" else 1 for m in methods], T3,
+                           methods=methods)
+
+
+def _grid_dual():
+    # the effectivity grid's dual as solve_dual integrates it: mcG(2),
+    # k = 0.1, dual refined 4 times with orders raised by one, reversed
+    prob = model("linear_system").problem(methods="mcG")
+    primal = build_partition(0.1, 2, prob.T, methods=prob.methods)
+    return prob, _reverse_partition(dual_partition_for(primal, 1, 4))
+
+
+def _case(partition, methods, T=T3):
+    return lambda: (OdeProblem(rhs=_nonlinear, u0=[1.0, 0.5, -0.3], T=T,
+                               methods=methods, vectorized=True),
+                    partition(methods))
+
+
+def _fast_dyadic(methods):
+    # the fast partition on binary steps: 16 intervals of component 1 per
+    # slab, whose layouts repeat within T = 1 (those of 0.1 / 16 do not)
+    return build_partition([0.125, 0.125 / 16, 0.125], 2, 1.0, methods=methods)
+
+
+SHARED_CASES = {
+    "uniform-0.1-mcG": _case(lambda m: _uniform(0.1, m), ("mcG",) * 3),
+    "uniform-0.05-mixed": _case(lambda m: _uniform(0.05, m), METHODS3[0]),
+    "uniform-0.1-mdG": _case(lambda m: _uniform(0.1, m), ("mdG",) * 3),
+    "grid-dual": _grid_dual,
+    "fast-mcG-mdG-mcG": _case(_fast_dyadic, METHODS3[0], 1.0),
+    "fast-mdG-mcG-mdG": _case(_fast_dyadic, METHODS3[1], 1.0),
+}
+
+
+def _counting_tables(monkeypatch):
+    """Count the slab-table builds, each a store miss."""
+    built = []
+    tables = mgode.solver._slab_tables
+
+    def counting(*args):
+        built.append(None)
+        return tables(*args)
+
+    monkeypatch.setattr(mgode.solver, "_slab_tables", counting)
+    return built
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("name", list(SHARED_CASES))
+def test_reused_tables_match_per_group_loop(monkeypatch, name, depth):
+    prob, part = SHARED_CASES[name]()
+    settings = SolveSettings(tolerance=1e-13, quad_depth=depth)
+    built = _counting_tables(monkeypatch)
+    layouts = {}
+    coeffs = [[] for _ in range(prob.dimension)]
+    slabs = build_slabs(part)
+    for slab in slabs:
+        new, report = solve_slab(prob, part, slab, coeffs, settings, layouts)
+        ref, ref_report = oracle_solve_slab(prob, part, slab, coeffs, settings)
+        assert report == ref_report
+        assert report.converged
+        for i in range(prob.dimension):
+            assert len(new[i]) == len(ref[i])
+            for a, b in zip(new[i], ref[i]):
+                assert np.array_equal(a, b)
+            coeffs[i].extend(new[i])
+    assert len(built) < len(slabs)       # at least one slab reused tables
+
+
+def _chain64():
+    # the benchmark's chain: 64 diffusion-coupled components, the last one
+    # at a quarter of the common step
+    n = 64
+    u0 = 1.0 + 0.5 * np.cos(np.pi * np.linspace(0.0, 1.0, n))
+
+    def rhs(U, t):
+        F = -U
+        F[1:] += 0.5 * U[:-1]
+        F[:-1] += 0.5 * U[1:]
+        return F
+
+    prob = OdeProblem(rhs=rhs, u0=u0, T=1.0, methods="mcG", vectorized=True)
+    return prob, build_partition([0.1] * (n - 1) + [0.025], 2, 1.0,
+                                 methods=prob.methods)
+
+
+def test_a_chain_slab_is_never_kept():
+    prob, part = _chain64()
+    layouts = {}
+    _, stencils, _ = _build_work(prob, part, build_slabs(part)[0],
+                                 SolveSettings(), layouts)
+    assert sum(st.L.nbytes for st in stencils) > _LAYOUT_BYTES
+    assert layouts == {}
+
+
+def test_the_store_holds_at_most_its_layout_cap(monkeypatch):
+    # per-interval orders 1 + j % 3 give the slabs of the multirate
+    # partition more layouts than the store keeps
+    sizes = []
+    slab_solve = mgode.solver.solve_slab
+
+    def checking(*args):
+        result = slab_solve(*args)
+        sizes.append(len(args[-1]))
+        return result
+
+    monkeypatch.setattr(mgode.solver, "solve_slab", checking)
+    built = _counting_tables(monkeypatch)
+    methods = METHODS3[0]
+    solve(RHS["vectorized"](methods), _partition(methods),
+          SolveSettings(tolerance=1e-13))
+    assert len(built) > _LAYOUTS_KEPT
+    assert max(sizes) == _LAYOUTS_KEPT
+
+
+def test_a_layout_one_ulp_off_is_a_miss():
+    # on a uniform partition the slabs' local coordinates differ by ulps;
+    # two layouts equal but for one ulp in one coordinate are kept apart
+    prob = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, methods="mcG")
+    part = build_partition(0.1, 2, 1.0, methods=prob.methods)
+    layouts, kept = {}, []
+    for slab in build_slabs(part):
+        _build_work(prob, part, slab, SolveSettings(), layouts)
+        kept += [key for key in layouts if key not in kept]
+    one_ulp = 0
+    for n, a in enumerate(kept):
+        for b in kept[n + 1:]:
+            sa, sb = np.frombuffer(a[3]), np.frombuffer(b[3])
+            off = np.flatnonzero(sa != sb)
+            if a[:3] == b[:3] and len(off) == 1:
+                one_ulp += np.nextafter(sa[off[0]], sb[off[0]]) == sb[off[0]]
+    assert one_ulp > 0
+
+
+def test_a_finished_solve_frees_its_tables(monkeypatch):
+    kept = []
+    slab_solve = mgode.solver.solve_slab
+
+    def watching(*args):
+        result = slab_solve(*args)
+        kept.extend(weakref.ref(st.L) for stencils, _ in args[-1].values()
+                    for st in stencils)
+        return result
+
+    monkeypatch.setattr(mgode.solver, "solve_slab", watching)
+    prob, part = SHARED_CASES["uniform-0.1-mcG"]()
+    traj = solve(prob, part, SolveSettings(tolerance=1e-13))
+    assert kept and np.all(np.isfinite(traj.end_state()))
+    assert all(ref() is None for ref in kept)
+
+
+def test_a_shared_store_keeps_methods_and_depths_apart():
+    # one store across solves of other methods and quadrature depths gives
+    # each the tables a store of its own gives
+    part = build_partition(0.1, 2, 1.0, methods=("mcG",))
+    slab = build_slabs(part)[0]
+    shared = {}
+    for methods in ("mcG", "mdG"):
+        prob = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, methods=methods)
+        for depth in (0, 1):
+            settings = SolveSettings(quad_depth=depth)
+            _, got, got_up = _build_work(prob, part, slab, settings, shared)
+            _, ref, ref_up = _build_work(prob, part, slab, settings, {})
+            assert [st.L.tolist() for st in got] == [st.L.tolist() for st in ref]
+            assert [up.W.tolist() for up in got_up] == [up.W.tolist() for up in ref_up]
+    assert len(shared) == 4

@@ -625,7 +625,7 @@ class TestSolveSlabDriver:
         settings = SolveSettings(tolerance=1e-13, max_sweeps=300)
         coeffs, reports = [[], []], []
         for slab in build_slabs(part):
-            new, report = solve_slab(prob, part, slab, coeffs, settings)
+            new, report = solve_slab(prob, part, slab, coeffs, settings, {})
             assert report.converged
             reports.append(report)
             for i in range(2):

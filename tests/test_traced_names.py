@@ -68,6 +68,25 @@ def test_solver_spans_and_lagrange_calls_are_counted():
     assert metrics["tableau.lagrange_calls"] == classes
 
 
+def test_traced_solve_fills_the_slab_spans():
+    # solve hands every slab its store of slab tables through the
+    # solve_slab attribute the tracer wraps: every slab gets a span, the
+    # tracer's sweeps are the trajectory's, and slabs of a repeated layout
+    # make no Lagrange call
+    tracing = load_tracing()
+    prob = model("linear_system").problem(methods="mcG")
+    part = build_partition(0.1, 2, prob.T, methods=prob.methods)
+    tracer = tracing.Tracer()
+    traj = tracer.traced("bench.solve", lambda: solve(
+        prob, part, SolveSettings(tolerance=1e-13)))
+    slabs = [span for span in tracer.spans if span[1] == "solver.slab"]
+    assert len(slabs) == len(traj.report.slabs) == len(build_slabs(part))
+    metrics = tracer.metrics()
+    assert metrics["solver.slab_calls"] == len(slabs)
+    assert metrics["solver.sweeps"] == sum(s.sweeps for s in traj.report.slabs)
+    assert 0 < metrics["tableau.lagrange_calls"] < prob.dimension * len(slabs)
+
+
 def test_one_point_residual_reads_are_counted_as_lagrange_calls():
     # the brentq steps of the estimator read the residual one point at a
     # time; such a read must still reach lagrange_matrix through the module
