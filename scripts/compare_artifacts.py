@@ -27,6 +27,11 @@ two mixed-family multirate cases (model linear_system, steps
 (mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
 [1, 0]): the only compared runs with an mdG multirate partition, whose
 nodes land an ulp off another component's breakpoint.  One more subprocess
+per tree runs twelve N = 1 cases (model linear_decay, steps [0.1]*3 +
+[0.35]*2, mcG q in {1, 2, 3} and mdG q in {0, 1, 2}, quad_depth 1,
+tolerance 1e-13, dual refine 1 and 3, terminal weight [1]; see
+``DECAY_CASES``): the only compared runs whose completion takes the N = 1
+branch of its segment loop.  One more subprocess
 per tree runs the forward solve of the benchmark's chain_solve at seed 0,
 built here (64-component diffusion chain, last component at k/4, mcG q =
 2, k = 0.1, T = 1, solver tolerance 1e-12; see ``chain_texts``): the only
@@ -34,7 +39,8 @@ compared run that is a solve alone, with many intervals per slab.  Then it
 compares the eight artifacts of each of the three Kepler runs, the twelve
 grid ``ErrorReport.to_json_dict()`` JSON texts, each multirate case's
 coefficients and report JSON and the chain's coefficients and
-``SolveReport`` byte for byte, and names each one that differs.  One more
+``SolveReport`` and the twelve N = 1 report JSON texts byte for byte, and
+names each one that differs.  One more
 subprocess per tree dumps every
 tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
 ``test_nodes``, ``node_weights``, ``amat`` and ``amat_inv``) and its
@@ -44,9 +50,9 @@ the residual-zero points and the product-quadrature constant; see
 ``order_numbers``), which covers the orders no compared run reaches; JSON
 writes each float exactly, so equal texts are equal bits.  For each error
 report that differs (a Kepler ``error_report.json``, a grid case, a
-multirate report) it also prints each differing field, how many of its
-entries differ and their largest relative deviation, in the max norm
-relative to the parent's field, as the golden gates measure it.  One
+multirate report, an N = 1 case) it also prints each differing field, how
+many of its entries differ and their largest relative deviation, in the
+max norm relative to the parent's field, as the golden gates measure it.  One
 summary line says whether the numbers of the first Kepler run that feed
 ``propose_steps`` are identical: each component's r and r-bar, the per-component derivative
 factor, ``partition.json`` and the trajectory and dual coefficients; the
@@ -88,6 +94,9 @@ MULTIRATE_METHODS = [("mcG", "mdG"), ("mdG", "mcG")]
 MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
                    for text in ("coefficients", "report")]
 CHAIN_TEXTS = ("chain-coefficients", "chain-report")
+DECAY_CASES = [(method, q, refine) for method, orders in (("mcG", (1, 2, 3)),
+                                                         ("mdG", (0, 1, 2)))
+               for q in orders for refine in (1, 3)]
 TABLEAU_CASES = ([("mcG", q) for q in range(1, 13)]
                  + [("mdG", q) for q in range(0, 13)])
 RULE_DEPTHS = [0, 1, 2, 3]
@@ -167,6 +176,28 @@ CHAIN_TEXTS = {CHAIN_TEXTS!r}
 
 for name, text in chain_texts().items():
     print(name + "\\t" + text)
+"""
+# Prints one line per N = 1 case: the name, a tab, the report's JSON text.
+DECAY_SCRIPT = f"""
+import json
+import numpy as np
+from mgode.dual import DualSpec, dual_partition_for, solve_dual
+from mgode.estimator import estimate
+from mgode.models import model
+from mgode.partition import build_partition
+from mgode.solver import SolveSettings, solve
+
+settings = SolveSettings(tolerance=1e-13, quad_depth=1)
+for method, q, refine in {DECAY_CASES!r}:
+    prob = model("linear_decay").problem(methods=method)
+    part = build_partition([[0.1] * 3 + [0.35] * 2], q, prob.T,
+                           methods=prob.methods)
+    traj = solve(prob, part, settings)
+    dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=np.array([1.0])),
+                      dual_partition_for(part, 1, refine), settings)
+    report = estimate(prob, traj, dual)
+    print(f"decay-{{method}}-q{{q}}-refine{{refine}}\\t"
+          + json.dumps(report.to_json_dict()))
 """
 # Prints one line per grid case and per multirate text: the name, a tab, the
 # JSON text.
@@ -369,6 +400,8 @@ def main() -> int:
                     for name, root in roots.items()}
         chains = {name: start(root, ["-c", CHAIN_SCRIPT])
                   for name, root in roots.items()}
+        decays = {name: start(root, ["-c", DECAY_SCRIPT])
+                  for name, root in roots.items()}
         # mgode run exits 2 when it finishes without meeting its tolerance
         done = [finish(f"{name}: mgode run {cfg.name}", proc, (0, 2))
                 for (name, cfg), proc in runs.items()]
@@ -378,7 +411,9 @@ def main() -> int:
                  for name in roots]
         chain_dumps = [finish(f"{name}: chain solve", chains[name])
                        for name in roots]
-        if None in done + reports + dumps + chain_dumps:
+        decay_dumps = [finish(f"{name}: N = 1 cases", decays[name])
+                       for name in roots]
+        if None in done + reports + dumps + chain_dumps + decay_dumps:
             return 1
 
         differ = []
@@ -410,6 +445,12 @@ def main() -> int:
     if any(set(entries(text)) != set(CHAIN_TEXTS) for text in chain_dumps):
         print("error: a chain solve printed other texts", file=sys.stderr)
         return 1
+    if any(len(entries(text)) != len(DECAY_CASES) for text in decay_dumps):
+        print("error: an N = 1 run printed other texts", file=sys.stderr)
+        return 1
+    decay_differ = differing_entries(*decay_dumps)
+    for name in decay_differ:
+        print_deviations(name, *(entries(text)[name] for text in decay_dumps))
     chain_differ = differing_entries(*chain_dumps)
     dump_differ = differing_entries(*dumps)
     for name in chain_differ + dump_differ:
@@ -430,14 +471,16 @@ def main() -> int:
           "grid reports identical")
     print(f"{len(MULTIRATE_TEXTS) - len(multirate_differ)} of "
           f"{len(MULTIRATE_TEXTS)} multirate texts identical")
+    print(f"{len(DECAY_CASES) - len(decay_differ)} of {len(DECAY_CASES)} "
+          "N = 1 reports identical")
     print(f"{0 if chain_differ else 1} of 1 chain solves identical")
     n_tableau = len(TABLEAU_CASES) * (1 + len(RULE_DEPTHS))
     print(f"{n_tableau - len(tableau_differ)} of {n_tableau} tableau entries "
           "identical")
     print(f"{len(TABLEAU_CASES) - len(numbers_differ)} of {len(TABLEAU_CASES)} "
           "per-order entries identical")
-    return (1 if differ or grid_differ or multirate_differ or chain_differ
-            or dump_differ else 0)
+    return (1 if differ or grid_differ or multirate_differ or decay_differ
+            or chain_differ or dump_differ else 0)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@ write plot-ready artifacts.
 
 One JSON config describes one run; outputs are deterministic (byte-identical
 for identical configs): trajectory.csv, dual.csv, error_report.json,
-adapt_log.jsonl and partition.json in the output directory.  Exit status is
-0 on success, 2 when the tolerance was not met within the round budget, and
-1 on configuration or solver errors.
+error_summary.csv, adapt_log.jsonl, partition.json, trajectory.json and
+dual.json in the output directory.  Exit status is 0 on success, 2 when the
+tolerance was not met within the round budget, and 1 on configuration or
+solver errors.
 """
 
 from __future__ import annotations

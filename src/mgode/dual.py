@@ -139,9 +139,10 @@ def _reverse_partition(partition: Partition) -> Partition:
 
 class DualSolution:
     """The dual trajectory phi(t), stored as the forward solve psi of the
-    time-reversed system, psi(sigma) = phi(T - sigma)."""
+    time-reversed system, psi(sigma) = phi(T - sigma), with the reversed
+    problem ``psi_problem`` that psi solves."""
 
-    def __init__(self, psi: Trajectory, psi_problem: OdeProblem | None = None):
+    def __init__(self, psi: Trajectory, psi_problem: OdeProblem):
         self.psi = psi
         self.psi_problem = psi_problem
         self.T = psi.partition.T

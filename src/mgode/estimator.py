@@ -11,9 +11,9 @@ The estimate comes in two stages.  ``explicit_estimates`` returns the
 explicit stage, ``ExplicitEstimates``: r, rbar, the derivative and mean
 factors, E3, E_C, E_Q and the explicit bound, with a payload that only the
 completion reads.  ``estimate`` completes it; its ``ErrorReport`` extends the
-stage's record with what the completion adds and leaves the payload out, so
-each number of a report is held once and a report reads as a stage but
-completes no second report.
+stage's record and the completion's ``GalerkinEstimates``, adds E_G, and
+leaves the payload out, so each number of a report is declared and held
+once and a report reads as a stage but completes no second report.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
     fn must accept an array of points.  Each final piece is single-signed (up
     to scan resolution), so the absolute integral is the sum of |piece|.
     Each piece between the split points is returned as (lo, hi, roots,
-    values): the sign changes found there and, for a piece without one, fn
-    at its Gauss nodes (None otherwise).
+    values): the sign changes found there and fn at the Gauss nodes of each
+    nonempty sub-piece they cut it into, one array per sub-piece in order.
     """
     cuts = [a, *sorted({p for p in splits if a < p < b}), b]
     signed = 0.0
@@ -90,14 +90,14 @@ def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         roots = _sign_change_roots(fn, lo, hi, n_scan)
         sub = [lo] + roots + [hi]
-        vals = None
+        vals = []
         for s0, s1 in zip(sub[:-1], sub[1:]):
             if s1 > s0:
-                val, vals = _gauss_piece(fn, s0, s1, npts, None)
+                val, v = _gauss_piece(fn, s0, s1, npts, None)
+                vals.append(v)
                 signed += val
                 absolute += abs(val)
-        pieces.append((float(lo), float(hi), tuple(roots),
-                       None if roots else vals))
+        pieces.append((float(lo), float(hi), tuple(roots), tuple(vals)))
     return signed, absolute, tuple(pieces)
 
 
@@ -244,12 +244,11 @@ class ExplicitEstimates:
     ``payload`` is read by ``galerkin_estimates`` alone: weak references to
     the problem, trajectory and dual the stage read, which identify them
     without keeping them alive, and per interval I_ij what the completion
-    reads again there: R's cuts of [0, 1] (0, its roots, 1), R's values at
-    the Gauss nodes of each nonempty piece between them, the jump, the
-    derivative factor s_ij and the pieces of s_ij's integral as
-    ``integrate_splitting`` returns them: each piece's (lo, hi), the roots of
-    phi_i^(p) found there and, for a piece without one, phi_i^(p) at its
-    Gauss nodes.  A report, and a pickled or copied stage, hold None there:
+    reads again there: R's one piece of r's integral over [0, 1], the jump,
+    the derivative factor s_ij and the pieces of s_ij's integral, all pieces
+    as ``integrate_splitting`` returns them: (lo, hi), the roots found there
+    and the integrand's values at the Gauss nodes of each nonempty sub-piece
+    they cut.  A report, and a pickled or copied stage, hold None there:
     they still read as records but complete no report.
     """
 
@@ -290,11 +289,10 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
     ``explicit_total`` E3 + E_C + E_Q is the bound ``adapt`` steers on;
     ``estimate`` completes a report from it.
 
-    Each interval scans R once and finds its roots with brentq; they cut r's
-    integral of |R| into pieces, whose Gauss values are kept.  The dual
-    derivative factor s is split at the dual's own piece boundaries and at
-    its sign changes; each piece's roots and, without one, its Gauss values
-    are kept for the completion."""
+    Each interval takes r's integral of |R| and the dual derivative factor
+    s, split at the dual's own piece boundaries, from
+    ``integrate_splitting``, and keeps both records of pieces, roots and
+    Gauss values for the completion."""
     _check_matching(problem, traj, dual)
     part = traj.partition
     N = traj.dimension
@@ -310,22 +308,17 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
         kept = []
         for j in range(part.n_intervals(i)):
             t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
-            if dual.local_order(i, t0, t1) < p:
+            degree = dual.local_order(i, t0, t1)
+            if degree < p:
                 flags.append(
                     f"component {i} interval {j}: dual degree "
-                    f"{dual.local_order(i, t0, t1)} < required derivative order {p}"
+                    f"{degree} < required derivative order {p}"
                 )
 
             # R's roots, found once, cut r = (1/k) int |R| dt = int |R(s)| ds
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
-            rpts = [0.0, *_sign_change_roots(Rfn, 0.0, 1.0, n_scan), 1.0]
-            Rvs = []
-            r_ij = 0.0
-            for a, b in zip(rpts[:-1], rpts[1:]):
-                if b > a:
-                    val, vals = _gauss_piece(Rfn, a, b, npts, None)
-                    Rvs.append(vals)
-                    r_ij += abs(val)
+            _, r_ij, (rpiece,) = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
+                                                     n_scan=n_scan)
             # one jump rule serves both families, here, in the completion's
             # E0/E1 and E5 terms and in error_representation: an mcG jump is
             # exactly 0.0 (see Trajectory.jump), so rbar == r and each jump
@@ -352,7 +345,7 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
             mean = _gauss_integral(lambda ts: dual.values(i, ts, "left"),
                                    t0, t1, 6) / k
             s_mean[i] += k * abs(mean)
-            kept.append((rpts, Rvs, jmp, s_ij, dpieces))
+            kept.append((rpiece, jmp, s_ij, dpieces))
         intervals.append(kept)
 
     e3 = float("nan") if flags else float(np.sum(s_deriv * comp_max))
@@ -398,15 +391,15 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     so R is read once per point set and no brentq step on the product reads
     it.
 
-    The dual derivative is read once per point set in the same way.  The
-    L2 factor s2 integrates phi_i^(p) squared on the stage's pieces of
+    The L2 factor s2 integrates phi_i^(p) squared on the stage's pieces of
     s_ij, and a piece without a root takes its Gauss values from the stage.
-    On an elementary segment that is one of a component's stage pieces,
-    scanned with the same n_scan and derivative order, the component takes
-    the roots found there, and when no component has a root on the segment
-    the Gauss values too; every other segment is scanned and read here.
-    Each reuse is the same read at points made by the same expression, so
-    the numbers are those of reading again.
+    For N > 1, on an elementary segment that is one of a component's stage
+    pieces, scanned with the same n_scan and derivative order, the
+    component takes the roots found there, and when no component has a root
+    on the segment the Gauss values too; every other segment, and every
+    segment for N = 1, is scanned and read here.  Each reuse is the same
+    read at points made by the same expression, so the numbers are those of
+    reading again.
     """
     inputs, intervals = explicit.payload or ((), None)
     if [id(ref()) for ref in inputs] != list(map(id, (problem, traj, dual))):
@@ -423,7 +416,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     s2_sq = 0.0
 
     for i in range(N):
-        for j, (rpts, Rvs, jmp, s_ij, dpieces) in enumerate(intervals[i]):
+        for j, ((_, _, rroots, Rvs), jmp, s_ij, dpieces) in enumerate(intervals[i]):
             t0, t1, k, q, p, cq, npts, n_scan = _interval_rule(traj, i, j)
             r_ij, rbar_ij = float(explicit.r[i][j]), float(explicit.rbar[i][j])
 
@@ -441,6 +434,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             # an E0/E1 piece that nothing else cuts is a piece of r
             xg, wg = gauss_rule_01(npts)
             signed = absval = 0.0
+            rpts = [0.0, *rroots, 1.0]
             rpieces = [(a, b) for a, b in zip(rpts[:-1], rpts[1:]) if b > a]
             for (a, b), Rv in zip(rpieces, Rvs):
                 sub = [a, *sorted(c for c in dcuts if a < c < b), b]
@@ -462,7 +456,7 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
 
             # L2 pieces for E5; without a root of R, r's one piece holds
             # R's values at this rule's nodes
-            int_R2 = k * float(wg @ (Rvs[0] if len(rpts) == 2 else Rfn(xg)) ** 2)
+            int_R2 = k * float(wg @ (Rfn(xg) if rroots else Rvs[0]) ** 2)
             c_over_k = abs(jmp) / k
             int_rbar2 = int_R2 + 2.0 * c_over_k * (k * r_ij) + c_over_k**2 * k
             l2_weighted_sq += (cq * k**p) ** 2 * int_rbar2
@@ -470,9 +464,9 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
             # the stage's pieces of phi_i^(p); one without a root holds its
             # values at this rule's nodes
             d2 = lambda ts: dual.values(i, ts, "left", p) ** 2  # noqa: E731
-            for a, b, _, dvals in dpieces:
+            for a, b, roots, dvals in dpieces:
                 s2_sq += _gauss_piece(d2, a, b, npts,
-                                      None if dvals is None else dvals ** 2)[0]
+                                      None if roots else dvals[0] ** 2)[0]
 
             # the integral of k^(-p) |phi_i - pi phi_i| with the
             # residual-zero interpolant
@@ -498,24 +492,20 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
         qmax = max([1, *qs])
         npts = 2 * (qmax + 2)
         n_scan = 8 * (qmax + 2)
-        # a segment that is one of a component's stage pieces, scanned with
-        # the same n_scan (so q == qmax) and the same derivative order (that
-        # of its interval), takes the roots and Gauss values found there
-        stage = [next((piece[2:] for piece in intervals[i][j][4]
-                       if piece[:2] == (a, b)), None) if q == qmax else None
-                 for i, (j, q) in enumerate(zip(js, qs))]
-        roots = [_sign_change_roots(fn, a, b, n_scan) if got is None
-                 else list(got[0]) for fn, got in zip(fns, stage)]
-        # a stage piece without a root holds its Gauss values (None else)
-        kept = [None if got is None else got[1] for got in stage]
         if N == 1:
-            sub = [a, *roots[0], b]
-            absolute = 0.0
-            for lo, hi in zip(sub[:-1], sub[1:]):
-                if hi > lo:
-                    absolute += abs(_gauss_piece(fns[0], lo, hi, npts, kept[0])[0])
-            s1_global += absolute
+            s1_global += integrate_splitting(fns[0], a, b, npts=npts,
+                                             n_scan=n_scan)[1]
         else:
+            # a segment that is one of a component's stage pieces, scanned
+            # with the same n_scan (so q == qmax) and the same derivative
+            # order (that of its interval), takes the roots found there, and
+            # the Gauss values of a piece without one
+            stage = [next((piece[2:] for piece in intervals[i][j][3]
+                           if piece[:2] == (a, b)), None) if q == qmax else None
+                     for i, (j, q) in enumerate(zip(js, qs))]
+            roots = [_sign_change_roots(fn, a, b, n_scan) if got is None
+                     else got[0] for fn, got in zip(fns, stage)]
+            kept = [None if got is None or got[0] else got[1][0] for got in stage]
             norm = lambda ts: np.sqrt(np.sum(np.stack([fn(ts) for fn in fns])**2,
                                              axis=0))  # noqa: E731
             pieces = [a] + sorted(c for r in roots for c in r if a < c < b) + [b]
@@ -730,21 +720,16 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ErrorReport(ExplicitEstimates):
+class ErrorReport(GalerkinEstimates, ExplicitEstimates):
     """The explicit stage completed: everything the adaptation loop and the
-    batch front end consume.  It declares only what the completion adds to
-    the stage: the rest of the chain E0..E5, E_G and the total bound, the
-    stability factors the stage does not hold and the sign bookkeeping of
-    E_G.  Its ``payload`` is None, so it completes no second report."""
+    batch front end consume.  It takes the stage's fields and the
+    completion's (the rest of the chain E0..E5 and the stability factors the
+    stage does not hold) from the two records, and declares only E_G, the
+    total bound and the sign bookkeeping of E_G.  Its ``payload`` is None,
+    so it completes no second report."""
 
-    e0: float
-    e1: float
-    e2: float
-    e4: float
-    e5: float
     e_g: float
     total: float
-    factors: StabilityFactors
     alphas: list[np.ndarray]
     eg_signed: float
     eg_abs_sum: float
@@ -832,11 +817,9 @@ def estimate(problem: OdeProblem, traj: Trajectory, dual: DualSolution,
     est = galerkin_estimates(traj, dual, problem, explicit)
     eg = eg_residual_zero(traj, dual, problem)
     return ErrorReport(
-        **{**vars(explicit), "payload": None},
-        e0=est.e0, e1=est.e1, e2=est.e2, e4=est.e4, e5=est.e5, e_g=eg.value,
-        total=eg.value + explicit.e_c + explicit.e_q, factors=est.factors,
-        alphas=eg.alphas, eg_signed=eg.signed, eg_abs_sum=eg.abs_sum,
-        eg_shortcut=eg.shortcut,
+        **{**vars(explicit), "payload": None}, **vars(est), e_g=eg.value,
+        total=eg.value + explicit.e_c + explicit.e_q, alphas=eg.alphas,
+        eg_signed=eg.signed, eg_abs_sum=eg.abs_sum, eg_shortcut=eg.shortcut,
     )
 
 
@@ -866,8 +849,6 @@ def stability_factor_error(dual: DualSolution,
     psi = dual.psi
     if any(m == MDG for m in psi.methods):
         raise ValueError("stability factor bound requires a continuous dual")
-    if dual.psi_problem is None:
-        raise ValueError("dual solution lacks its reversed problem")
     part = psi.partition
     N = psi.dimension
 

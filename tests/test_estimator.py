@@ -84,10 +84,15 @@ class TestIntegrateSplitting:
                                                      npts=6, n_scan=30)
         assert signed == pytest.approx(0.2, abs=1e-14)
         assert absval == pytest.approx(0.5 * (0.09 + 0.49), abs=1e-13)
-        # one piece, whose root is kept and whose Gauss values are not
-        [(lo, hi, roots, vals)] = pieces
-        assert (lo, hi, vals) == (0.0, 1.0, None)
-        assert roots == pytest.approx((0.3,), abs=1e-12)
+        # one piece, whose root is kept with fn at the Gauss nodes of each
+        # sub-piece it cuts
+        [(lo, hi, (root,), vals)] = pieces
+        assert (lo, hi) == (0.0, 1.0)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        xg, _ = tb.gauss_rule_01(6)
+        assert len(vals) == 2
+        for (s0, s1), v in zip([(0.0, root), (root, 1.0)], vals):
+            assert v.tolist() == ((s0 + (s1 - s0) * xg) - 0.3).tolist()
 
     def test_hard_splits_respected(self):
         f = lambda x: np.where(x < 0.5, 1.0, -1.0)  # noqa: E731
@@ -102,7 +107,7 @@ class TestIntegrateSplitting:
         _, _, pieces = integrate_splitting(lambda x: 1.0 + x, 0.0, 1.0, npts=4,
                                            n_scan=9, splits=(0.5,))
         assert [piece[:3] for piece in pieces] == [(0.0, 0.5, ()), (0.5, 1.0, ())]
-        for lo, hi, _, vals in pieces:
+        for lo, hi, _, (vals,) in pieces:
             assert vals.tolist() == (1.0 + (lo + (hi - lo) * xg)).tolist()
 
 
@@ -870,8 +875,8 @@ def kepler_uniform_run():
     return prob, traj, dual
 
 
-def single_rate_run(method, q):
-    prob = linear2(method)
+def single_rate_run(method, q, problem=linear2):
+    prob = problem(method)
     _, traj, dual = run_with_dual(prob, q, 0.1)
     return prob, traj, dual
 
@@ -899,6 +904,9 @@ SPLIT_CASES = {
     "linear_mdG1": lambda: single_rate_run("mdG", 1),
     "linear_mdG2": lambda: single_rate_run("mdG", 2),
     "linear_mixed_multirate": mixed_order_multirate_run,
+    # N = 1: at mcG(2) each segment is a stage piece, at mdG(0) q != qmax
+    "decay_mcG2": lambda: single_rate_run("mcG", 2, decay),
+    "decay_mdG0": lambda: single_rate_run("mdG", 0, decay),
 }
 
 

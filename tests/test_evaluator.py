@@ -19,7 +19,7 @@ from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.models import model
 from mgode.partition import Partition, build_partition, build_slabs
 from mgode.controller import AdaptSettings, propose_steps
-from mgode.estimator import (ExplicitEstimates, GalerkinEstimates,
+from mgode.estimator import (ErrorReport, ExplicitEstimates, GalerkinEstimates,
                              StabilityFactors, _integral_of_rhs, estimate,
                              explicit_estimates)
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
@@ -784,3 +784,7 @@ class TestReportExtendsTheStage:
         stage = {f.name for f in dataclasses.fields(ExplicitEstimates)}
         for record in (GalerkinEstimates, StabilityFactors):
             assert not stage & {f.name for f in dataclasses.fields(record)}
+        # the report inherits the stage's and the completion's fields and
+        # declares only what neither holds
+        completion = {f.name for f in dataclasses.fields(GalerkinEstimates)}
+        assert not (stage | completion) & set(ErrorReport.__annotations__)

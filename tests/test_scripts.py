@@ -1,6 +1,6 @@
 """The helpers of the repository's scripts: the per-field report comparison,
 the dump comparison, the per-order number reader, the
-``propose_steps`` input summary and the chain solve of
+``propose_steps`` input summary, the chain solve and the N = 1 cases of
 ``scripts/compare_artifacts.py``, the code-line counter of
 ``scripts/count_code_lines.py`` and the pair summary of
 ``scripts/ab_pairs.py``.  Each script is loaded by its path."""
@@ -239,6 +239,17 @@ class TestChainSolve:
         compare = load_script("compare_artifacts")
         assert "def chain_texts()" in compare.CHAIN_SCRIPT
         assert repr(compare.CHAIN_TEXTS) in compare.CHAIN_SCRIPT
+
+
+class TestDecayRuns:
+    # the only compared runs with N = 1
+    def test_cases(self):
+        compare = load_script("compare_artifacts")
+        assert sorted(compare.DECAY_CASES) == sorted(
+            [("mcG", q, refine) for q in (1, 2, 3) for refine in (1, 3)]
+            + [("mdG", q, refine) for q in (0, 1, 2) for refine in (1, 3)])
+        assert repr(compare.DECAY_CASES) in compare.DECAY_SCRIPT
+        assert 'model("linear_decay")' in compare.DECAY_SCRIPT
 
 
 SNIPPET = '''"""Module docstring,
