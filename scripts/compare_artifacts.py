@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Byte-compare the Kepler run artifacts, the effectivity-grid reports, the
-multirate cases, a chain solve and the scheme tableaus of two source trees.
+multirate cases, a chain solve, the catalog's closed forms and the scheme
+tableaus of two source trees.
 
 Usage:
 
@@ -35,11 +36,16 @@ branch of its segment loop.  One more subprocess
 per tree runs the forward solve of the benchmark's chain_solve at seed 0,
 built here (64-component diffusion chain, last component at k/4, mcG q =
 2, k = 0.1, T = 1, solver tolerance 1e-12; see ``chain_texts``): the only
-compared run that is a solve alone, with many intervals per slab.  Then it
+compared run that is a solve alone, with many intervals per slab.  One more
+subprocess per tree evaluates the ``closed_form`` of every catalog model
+that has one at the fractions ``CLOSED_FORM_FRACTIONS`` of its default
+horizon: kepler_2body solves Kepler's equation by the package's Brent root
+search, and linear_system takes a matrix exponential.  Then it
 compares the eight artifacts of each of the three Kepler runs, the twelve
 grid ``ErrorReport.to_json_dict()`` JSON texts, each multirate case's
 coefficients and report JSON and the chain's coefficients and
-``SolveReport`` and the twelve N = 1 report JSON texts byte for byte, and
+``SolveReport``, the twelve N = 1 report JSON texts and each closed form's
+values byte for byte, and
 names each one that differs.  One more
 subprocess per tree dumps every
 tableau (mcG q = 1..12, mdG q = 0..12: ``MethodTableau.to_json_dict()``,
@@ -97,6 +103,7 @@ CHAIN_TEXTS = ("chain-coefficients", "chain-report")
 DECAY_CASES = [(method, q, refine) for method, orders in (("mcG", (1, 2, 3)),
                                                          ("mdG", (0, 1, 2)))
                for q in orders for refine in (1, 3)]
+CLOSED_FORM_FRACTIONS = (0.0, 0.1, 0.25, 0.37, 0.5, 0.63, 0.83, 1.0)
 TABLEAU_CASES = ([("mcG", q) for q in range(1, 13)]
                  + [("mdG", q) for q in range(0, 13)])
 RULE_DEPTHS = [0, 1, 2, 3]
@@ -176,6 +183,19 @@ CHAIN_TEXTS = {CHAIN_TEXTS!r}
 
 for name, text in chain_texts().items():
     print(name + "\\t" + text)
+"""
+# Prints one line per catalog model with a closed form: the name, a tab, the
+# JSON text of its values at the fractions of its default horizon.
+CLOSED_FORM_SCRIPT = f"""
+import json
+from mgode.models import model, model_names
+
+for name in model_names():
+    entry = model(name)
+    if entry.closed_form is not None:
+        print(f"closed-{{name}}\\t" + json.dumps(
+            [entry.closed_form(f * entry.T_default).tolist()
+             for f in {CLOSED_FORM_FRACTIONS!r}]))
 """
 # Prints one line per N = 1 case: the name, a tab, the report's JSON text.
 DECAY_SCRIPT = f"""
@@ -367,8 +387,9 @@ def finish(name: str, proc: subprocess.Popen, ok=(0,)) -> str | None:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Byte-compare the Kepler run artifacts, the "
-                    "effectivity-grid reports, the multirate cases and the "
-                    "scheme tableaus of two source trees.")
+                    "effectivity-grid reports, the multirate cases, a chain "
+                    "solve, the catalog's closed forms and the scheme "
+                    "tableaus of two source trees.")
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("change_root", type=Path)
     args = parser.parse_args()
@@ -402,6 +423,8 @@ def main() -> int:
                   for name, root in roots.items()}
         decays = {name: start(root, ["-c", DECAY_SCRIPT])
                   for name, root in roots.items()}
+        closed = {name: start(root, ["-c", CLOSED_FORM_SCRIPT])
+                  for name, root in roots.items()}
         # mgode run exits 2 when it finishes without meeting its tolerance
         done = [finish(f"{name}: mgode run {cfg.name}", proc, (0, 2))
                 for (name, cfg), proc in runs.items()]
@@ -413,7 +436,10 @@ def main() -> int:
                        for name in roots]
         decay_dumps = [finish(f"{name}: N = 1 cases", decays[name])
                        for name in roots]
-        if None in done + reports + dumps + chain_dumps + decay_dumps:
+        closed_dumps = [finish(f"{name}: closed forms", closed[name])
+                        for name in roots]
+        if None in (done + reports + dumps + chain_dumps + decay_dumps
+                    + closed_dumps):
             return 1
 
         differ = []
@@ -448,12 +474,16 @@ def main() -> int:
     if any(len(entries(text)) != len(DECAY_CASES) for text in decay_dumps):
         print("error: an N = 1 run printed other texts", file=sys.stderr)
         return 1
+    if not entries(closed_dumps[0]):
+        print("error: the parent's closed-form dump is empty", file=sys.stderr)
+        return 1
     decay_differ = differing_entries(*decay_dumps)
     for name in decay_differ:
         print_deviations(name, *(entries(text)[name] for text in decay_dumps))
     chain_differ = differing_entries(*chain_dumps)
+    closed_differ = differing_entries(*closed_dumps)
     dump_differ = differing_entries(*dumps)
-    for name in chain_differ + dump_differ:
+    for name in chain_differ + closed_differ + dump_differ:
         print(f"differs: {name}")
     numbers_differ = [name for name in dump_differ if name.endswith("-numbers")]
     tableau_differ = [name for name in dump_differ if name not in numbers_differ]
@@ -474,13 +504,16 @@ def main() -> int:
     print(f"{len(DECAY_CASES) - len(decay_differ)} of {len(DECAY_CASES)} "
           "N = 1 reports identical")
     print(f"{0 if chain_differ else 1} of 1 chain solves identical")
+    n_closed = len(entries(closed_dumps[0]))
+    print(f"{n_closed - len(closed_differ)} of {n_closed} closed forms "
+          "identical")
     n_tableau = len(TABLEAU_CASES) * (1 + len(RULE_DEPTHS))
     print(f"{n_tableau - len(tableau_differ)} of {n_tableau} tableau entries "
           "identical")
     print(f"{len(TABLEAU_CASES) - len(numbers_differ)} of {len(TABLEAU_CASES)} "
           "per-order entries identical")
     return (1 if differ or grid_differ or multirate_differ or decay_differ
-            or chain_differ or dump_differ else 0)
+            or chain_differ or closed_differ or dump_differ else 0)
 
 
 if __name__ == "__main__":

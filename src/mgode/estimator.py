@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dual import DualSolution
 from .partition import Partition
@@ -33,6 +32,7 @@ from .tableau import (
     MAX_ORDER,
     MCG,
     MDG,
+    _brent_root,
     gauss_rule_01,
     lagrange_matrix,
     tableau,
@@ -45,10 +45,10 @@ from .tableau import (
 # ---------------------------------------------------------------------------
 
 def _one_point(x: float, fn) -> float:
-    """fn at the single point x.  ``brentq`` takes it with ``args=(fn,)``, so
-    no bracket builds a closure over fn (which would keep fn's trajectory and
-    dual alive in scipy's self-referencing wrapper until the cyclic collector
-    runs)."""
+    """fn at the single point x.  ``_brent_root`` takes it with
+    ``args=(fn,)``, so no bracket builds a closure over fn, and fn's
+    trajectory and dual die with the caller's last reference, without the
+    cyclic collector."""
     return float(fn(np.array([x]))[0])
 
 
@@ -62,8 +62,8 @@ def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
             roots.append(float(x0))
         elif f0 * f1 < 0.0:
             try:
-                roots.append(float(brentq(_one_point, x0, x1, args=(fn,),
-                                          xtol=1e-15, rtol=8.9e-16)))
+                roots.append(_brent_root(_one_point, x0, x1, 1e-15, 8.9e-16,
+                                         args=(fn,)))
             except ValueError:
                 # noise-level values can flip sign between batched and
                 # pointwise evaluation; the piece is negligible either way
@@ -384,12 +384,12 @@ def galerkin_estimates(traj: Trajectory, dual: DualSolution,
     E0/E1 integrate R (phi - pi phi), which changes sign only where R or
     phi - pi phi does, so no root search runs on the product.  The E0/E1
     integral is cut at R's roots from the pass, at the dual's piece
-    boundaries and at the sign changes of phi - pi phi, which a scan and
-    brentq on the dual alone find.  An E0/E1 piece that no dual cut or root
-    of phi - pi phi splits further is a piece of r and reuses R's values at
-    its Gauss nodes from the pass, as E5's L2 rule does when R has no root;
-    so R is read once per point set and no brentq step on the product reads
-    it.
+    boundaries and at the sign changes of phi - pi phi, which a scan and a
+    Brent root search on the dual alone find.  An E0/E1 piece that no dual
+    cut or root of phi - pi phi splits further is a piece of r and reuses
+    R's values at its Gauss nodes from the pass, as E5's L2 rule does when R
+    has no root; so R is read once per point set and no root-search step on
+    the product reads it.
 
     The L2 factor s2 integrates phi_i^(p) squared on the stage's pieces of
     s_ij, and a piece without a root takes its Gauss values from the stage.

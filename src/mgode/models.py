@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .solver import OdeProblem
+from .tableau import _brent_root
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,8 @@ def _linear_system() -> ModelCatalogEntry:
     u0 = np.array([1.0, -0.5])
 
     def closed(t):
+        from scipy.linalg import expm
+
         return expm(A * float(t)) @ u0
 
     return ModelCatalogEntry(
@@ -153,8 +154,8 @@ def _kepler_position(a: float, e: float, t: float) -> tuple[float, float, float,
     def kepler_eq(E):
         return E - e * np.sin(E) - M
 
-    E = brentq(kepler_eq, M - 1.1 * e - 1e-9, M + 1.1 * e + 1e-9,
-               xtol=1e-15, rtol=8.9e-16)
+    E = _brent_root(kepler_eq, M - 1.1 * e - 1e-9, M + 1.1 * e + 1e-9,
+                    1e-15, 8.9e-16)
     x = a * (np.cos(E) - e)
     y = a * np.sqrt(1.0 - e**2) * np.sin(E)
     r = a * (1.0 - e * np.cos(E))

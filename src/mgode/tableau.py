@@ -20,6 +20,11 @@ make the same roundings in the same order, from the off-diagonal factors it
 caches once per node set.  Its results are read-only: a bounded LRU cache per
 (node set, point set) hands the same array to every caller that asks for the
 same points, since a column depends only on its own point.
+
+The bracketed root searches live here too: a safeguarded Newton iteration
+finds the node sets, and ``_brent_root``, scipy's ``brentq`` in plain Python
+floats, finds the estimator's sign changes and the Kepler closed form's
+eccentric anomaly.
 """
 
 from __future__ import annotations
@@ -137,6 +142,74 @@ def _safeguarded_newton(fun_dfun, lo, hi, flo, fhi, tol=1e-15, max_iter=100):
             return x_new
         x = x_new
     return x
+
+
+def _brent_value(f, x: float, args: tuple) -> float:
+    """f(x, *args) as a float; a NaN raises ValueError."""
+    fx = float(f(x, *args))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x!r} is NaN")
+    return fx
+
+
+def _brent_root(f, a, b, xtol, rtol, maxiter=100, args=()):
+    """A root of f(x, *args) in the sign-change bracket [a, b] by Brent's
+    method, the steps of scipy's ``brentq`` transcribed float for float.
+
+    f is read at a, then at b, then once per iteration, at a Python float.
+    An end where f is exactly 0 is returned.  Ends whose values share a sign
+    bit, or a NaN value of f, raise ValueError; running out of maxiter
+    iterations raises RuntimeError.  Each iteration keeps the bracket
+    [xcur, xblk] with |f(xcur)| <= |f(xblk)|, and stops when f(xcur) is 0 or
+    the bracket's half width falls below delta = (xtol + rtol |xcur|) / 2.
+    It takes the inverse-quadratic or secant step if that step is short
+    enough, else bisects, and moves by at least delta."""
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre = _brent_value(f, xpre, args)
+    fcur = _brent_value(f, xcur, args)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf                  # bisect unless a short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:         # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                    # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass                     # C's inf or NaN step fails the test below
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(f, xcur, args)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+                       f"value is {xcur!r}")
 
 
 def _bracketed_roots(fun_dfun, count: int, what: str) -> np.ndarray:

@@ -957,7 +957,7 @@ class TestFactorSplit:
 
 
 def test_no_residual_point_set_is_evaluated_twice(monkeypatch):
-    # R is read once per interval on each point set: the scan, each brentq
+    # R is read once per interval on each point set: the scan, each Brent
     # step of its own roots, the Gauss nodes of each piece of r (which E0/E1
     # and E5 reuse), and only the E0/E1 pieces that a dual cut or a root of
     # phi - pi phi splits further

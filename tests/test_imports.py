@@ -12,9 +12,15 @@ function or method signature annotates a ``_``-prefixed name: a caller
 cannot name a private type it must pass or receive.  And ``tableau.py``
 holds the only ``functools.lru_cache`` and ``functools.cache`` uses: the
 per-(method, order) numbers and the Lagrange results are cached there, once.
+And ``import mgode, mgode.cli`` in a fresh interpreter loads no scipy module:
+the root searches are the package's own, and the matrix-exponential closed
+forms import ``scipy.linalg`` only when they are called.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,3 +208,14 @@ def test_only_the_tableau_caches():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert found.pop("tableau.py")
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys\nimport mgode, mgode.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path),
+                         check=True)
+    assert res.stdout.strip() == "[]"

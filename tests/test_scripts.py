@@ -1,6 +1,7 @@
 """The helpers of the repository's scripts: the per-field report comparison,
 the dump comparison, the per-order number reader, the
-``propose_steps`` input summary, the chain solve and the N = 1 cases of
+``propose_steps`` input summary, the chain solve, the N = 1 cases and the
+closed-form dump of
 ``scripts/compare_artifacts.py``, the code-line counter of
 ``scripts/count_code_lines.py`` and the pair summary of
 ``scripts/ab_pairs.py``.  Each script is loaded by its path."""
@@ -239,6 +240,25 @@ class TestChainSolve:
         compare = load_script("compare_artifacts")
         assert "def chain_texts()" in compare.CHAIN_SCRIPT
         assert repr(compare.CHAIN_TEXTS) in compare.CHAIN_SCRIPT
+
+
+class TestClosedForms:
+    def test_each_closed_form_at_each_fraction_of_its_horizon(self, capsys):
+        from mgode.models import model, model_names
+        compare = load_script("compare_artifacts")
+        exec(compare.CLOSED_FORM_SCRIPT, {})
+        got = compare.entries(capsys.readouterr().out)
+        with_closed = [name for name in model_names()
+                       if model(name).closed_form is not None]
+        assert {"kepler_2body", "linear_system"} <= set(with_closed)
+        assert list(got) == [f"closed-{name}" for name in with_closed]
+        for name in with_closed:
+            entry = model(name)
+            # JSON writes each float exactly, so equal texts are equal bits
+            assert json.loads(got[f"closed-{name}"]) == [
+                entry.closed_form(f * entry.T_default).tolist()
+                for f in compare.CLOSED_FORM_FRACTIONS]
+        assert len(compare.CLOSED_FORM_FRACTIONS) >= 3
 
 
 class TestDecayRuns:

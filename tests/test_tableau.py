@@ -504,3 +504,105 @@ class TestLagrangePoints:
     def test_non_real_points_rejected(self, x):
         with pytest.raises(TypeError, match="real numbers"):
             tb.lagrange_matrix(tb.lobatto_nodes(2), x)
+
+
+def recorded(f):
+    """f and the list of points it is read at, in order."""
+    reads = []
+
+    def g(x, *args):
+        reads.append(x)
+        return f(x, *args)
+    return g, reads
+
+
+def brent_brackets(seed, count):
+    """(f, a, b) for seeded polynomial and transcendental functions, each
+    with a sign change on [a, b]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            c = rng.standard_normal(rng.integers(2, 9))
+            f = lambda x, c=c: float(np.polyval(c, x))
+        elif kind == 1:
+            w, p, s = rng.uniform(0.5, 20.0), rng.uniform(0.0, 6.0), rng.uniform(-0.9, 0.9)
+            f = lambda x, w=w, p=p, s=s: math.sin(w * x + p) - s + 0.1 * x * x
+        else:
+            k, s = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 5.0)
+            f = lambda x, k=k, s=s: math.exp(k * x) - s
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        if f(a) * f(b) < 0.0:
+            out.append((f, float(a), float(b)))
+    return out
+
+
+class TestBrentRoot:
+    # scipy's brentq is the reference; the package itself never imports it
+    brentq = staticmethod(pytest.importorskip("scipy.optimize").brentq)
+
+    @pytest.mark.parametrize("xtol, rtol", [(1e-15, 8.9e-16), (None, None)],
+                             ids=["estimator", "scipy-default"])
+    def test_same_root_and_reads_as_brentq(self, xtol, rtol):
+        tols = {} if xtol is None else {"xtol": xtol, "rtol": rtol}
+        for f, a, b in brent_brackets(7, 600):
+            f1, reads1 = recorded(f)
+            f2, reads2 = recorded(f)
+            want = self.brentq(f1, a, b, **tols)
+            got = tb._brent_root(f2, a, b, tols.get("xtol", 2e-12),
+                                 tols.get("rtol", 4 * np.finfo(float).eps))
+            assert type(got) is float
+            assert got == want, (a, b)
+            assert reads2 == reads1
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300])
+    def test_underflowing_step_denominator_bisects(self, scale):
+        # at values this small the inverse-quadratic step's denominator
+        # underflows to 0, where C divides to inf or NaN and bisects
+        for g in (lambda x: x ** 3 - 0.1, lambda x: math.exp(x) - 1.5,
+                  lambda x: math.sin(5.0 * x + 1.0)):
+            f1, reads1 = recorded(lambda x: scale * g(x))
+            f2, reads2 = recorded(lambda x: scale * g(x))
+            assert tb._brent_root(f2, -1.0, 1.0, 1e-15, 8.9e-16) == self.brentq(
+                f1, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+            assert reads2 == reads1
+
+    def test_args_are_passed_after_x(self):
+        f = lambda x, c, d: x * x - c * d
+        want = self.brentq(f, 0.0, 3.0, args=(2.0, 3.0), xtol=1e-15, rtol=8.9e-16)
+        assert tb._brent_root(f, 0.0, 3.0, 1e-15, 8.9e-16, args=(2.0, 3.0)) == want
+
+    def test_same_sign_ends_raise(self):
+        f = lambda x: x * x + 1.0
+        with pytest.raises(ValueError):
+            self.brentq(f, -1.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            tb._brent_root(f, -1.0, 1.0, 1e-15, 8.9e-16)
+
+    @pytest.mark.parametrize("where", ["a", "b", "inside"])
+    def test_nan_raises(self, where):
+        a, b = -1.0, 2.0
+        nan_at = {"a": lambda x: x == a, "b": lambda x: x == b,
+                  "inside": lambda x: a < x < b}[where]
+        f = lambda x: math.nan if nan_at(x) else x
+        with pytest.raises(ValueError):
+            self.brentq(f, a, b)
+        with pytest.raises(ValueError, match="NaN"):
+            tb._brent_root(f, a, b, 1e-15, 8.9e-16)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0), (0.0, 0.0)])
+    def test_exact_zero_at_an_end_is_returned(self, a, b):
+        f, reads = recorded(lambda x: x)
+        got = tb._brent_root(f, a, b, 1e-15, 8.9e-16)
+        assert got == self.brentq(lambda x: x, a, b) == (a if a == 0.0 else b)
+        assert reads == [a, b]
+
+    def test_running_out_of_iterations_raises(self):
+        f = lambda x: x ** 3 - 2.0
+        with pytest.raises(RuntimeError):
+            self.brentq(f, 0.0, 2.0, maxiter=3)
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            tb._brent_root(f, 0.0, 2.0, 1e-15, 8.9e-16, maxiter=3)
+        assert tb._brent_root(f, 0.0, 2.0, 1e-15, 8.9e-16) == self.brentq(
+            f, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16)

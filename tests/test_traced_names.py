@@ -88,9 +88,10 @@ def test_traced_solve_fills_the_slab_spans():
 
 
 def test_one_point_residual_reads_are_counted_as_lagrange_calls():
-    # the brentq steps of the estimator read the residual one point at a
-    # time; such a read must still reach lagrange_matrix through the module
-    # attribute the tracer wraps, or its time lands in the caller's span
+    # the Brent root-search steps of the estimator read the residual one
+    # point at a time; such a read must still reach lagrange_matrix through
+    # the module attribute the tracer wraps, or its time lands in the
+    # caller's span
     tracing = load_tracing()
     prob = model("linear_system").problem(methods=("mcG", "mdG"))
     part = build_partition([0.25, 0.125], [1, 0], prob.T, methods=prob.methods)
