@@ -21,8 +21,9 @@ without re-partitioning.  It also runs the effectivity grid (model
 linear_system, mcG and mdG x q in {1, 2} x k in {0.1, 0.05, 0.025}, dual
 refine 4, tolerance 1e-13, terminal weight along the true error; the
 benchmark's effectivity_grid at seed 0), each in its own subprocess with
-PYTHONPATH=<root>/src and BLAS pinned to one thread.  The grid is the only
-compared run with mdG jump terms.  The grid's subprocess then runs
+PYTHONPATH=<root>/src and BLAS pinned to one thread; at most one
+subprocess per CPU the script may run on is alive at a time.  The grid is
+the only compared run with mdG jump terms.  The grid's subprocess then runs
 two mixed-family multirate cases (model linear_system, steps
 [0.03]*10 + [0.07]*10 and [0.1]*10, orders [2, 1], methods (mcG, mdG) and
 (mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
@@ -384,6 +385,20 @@ def finish(name: str, proc: subprocess.Popen, ok=(0,)) -> str | None:
     return out
 
 
+def run_all(jobs: list[tuple]) -> list[str | None]:
+    """Run the jobs (name, root, interpreter arguments, accepted exit codes)
+    and return each one's ``finish`` result, in job order.  At most one job
+    per CPU this process may run on is alive at a time: job k starts once
+    job k - limit has finished."""
+    limit = len(os.sched_getaffinity(0))
+    procs, results = [], []
+    for name, root, args, ok in jobs:
+        if len(procs) - len(results) == limit:
+            results.append(finish(*procs[len(results)]))
+        procs.append((name, start(root, args), ok))
+    return results + [finish(*job) for job in procs[len(results):]]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Byte-compare the Kepler run artifacts, the "
@@ -409,38 +424,27 @@ def main() -> int:
         one_round = tmp / "kepler-max_rounds1.json"
         one_round.write_text(json.dumps(ONE_ROUND_CONFIG))
         outs = {name: tmp / name for name in roots}
-        runs = {(name, cfg): start(root, ["-m", "mgode.cli", "run", "--config",
-                                          str(cfg), "--out", str(out)])
+        # mgode run exits 2 when it finishes without meeting its tolerance
+        runs = [(f"{name}: mgode run {cfg.name}", root,
+                 ["-m", "mgode.cli", "run", "--config", str(cfg), "--out",
+                  str(out)], (0, 2))
                 for name, root in roots.items()
                 for cfg, out in ((config, outs[name]),
                                  (handoff, outs[name] / HANDOFF_DIR),
-                                 (one_round, outs[name] / ONE_ROUND_DIR))}
-        grids = {name: start(root, ["-c", GRID_SCRIPT])
-                 for name, root in roots.items()}
-        tableaus = {name: start(root, ["-c", TABLEAU_SCRIPT])
-                    for name, root in roots.items()}
-        chains = {name: start(root, ["-c", CHAIN_SCRIPT])
-                  for name, root in roots.items()}
-        decays = {name: start(root, ["-c", DECAY_SCRIPT])
-                  for name, root in roots.items()}
-        closed = {name: start(root, ["-c", CLOSED_FORM_SCRIPT])
-                  for name, root in roots.items()}
-        # mgode run exits 2 when it finishes without meeting its tolerance
-        done = [finish(f"{name}: mgode run {cfg.name}", proc, (0, 2))
-                for (name, cfg), proc in runs.items()]
-        reports = [finish(f"{name}: effectivity grid", grids[name])
-                   for name in roots]
-        dumps = [finish(f"{name}: tableau dump", tableaus[name])
-                 for name in roots]
-        chain_dumps = [finish(f"{name}: chain solve", chains[name])
-                       for name in roots]
-        decay_dumps = [finish(f"{name}: N = 1 cases", decays[name])
-                       for name in roots]
-        closed_dumps = [finish(f"{name}: closed forms", closed[name])
-                        for name in roots]
-        if None in (done + reports + dumps + chain_dumps + decay_dumps
-                    + closed_dumps):
+                                 (one_round, outs[name] / ONE_ROUND_DIR))]
+        scripts = [(f"{name}: {what}", root, ["-c", script], (0,))
+                   for what, script in (("effectivity grid", GRID_SCRIPT),
+                                        ("tableau dump", TABLEAU_SCRIPT),
+                                        ("chain solve", CHAIN_SCRIPT),
+                                        ("N = 1 cases", DECAY_SCRIPT),
+                                        ("closed forms", CLOSED_FORM_SCRIPT))
+                   for name, root in roots.items()]
+        results = run_all(runs + scripts)
+        if None in results:
             return 1
+        # each dump's parent and change outputs, in the order above
+        reports, dumps, chain_dumps, decay_dumps, closed_dumps = (
+            results[k:k + 2] for k in range(len(runs), len(results), 2))
 
         differ = []
         for artifact in ARTIFACTS + HANDOFF_ARTIFACTS + ONE_ROUND_ARTIFACTS:

@@ -55,11 +55,13 @@ def _one_point(x: float, fn) -> float:
 def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
     """Roots of fn inside (a, b) located from sign changes on a uniform scan."""
     xs = np.linspace(a, b, n_scan)
-    vals = fn(xs)
+    # the scan loop runs on Python floats, which compare and multiply
+    # faster than numpy scalars, to the same bits
+    xs, vals = xs.tolist(), fn(xs).tolist()
     roots = []
     for x0, x1, f0, f1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if f0 == 0.0 and x0 != a:
-            roots.append(float(x0))
+            roots.append(x0)
         elif f0 * f1 < 0.0:
             try:
                 roots.append(_brent_root(_one_point, x0, x1, 1e-15, 8.9e-16,
@@ -67,7 +69,7 @@ def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
             except ValueError:
                 # noise-level values can flip sign between batched and
                 # pointwise evaluation; the piece is negligible either way
-                roots.append(0.5 * float(x0 + x1))
+                roots.append(0.5 * (x0 + x1))
     return roots
 
 

@@ -4,7 +4,9 @@ Every entry carries what the solver and the test batteries need: a vectorized
 right-hand side, its Jacobian, default initial data and horizon, and where
 available a closed-form solution, a conserved energy and, where f is
 sparse, the components each f_i reads.  Each rhs fills a preallocated array
-row by row.
+row by row.  An entry whose rhs computes every column by elementwise
+arithmetic alone declares it ``columnwise`` (see ``OdeProblem``); the
+entries built on a matrix product do not.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class ModelCatalogEntry:
     closed_form: Callable | None = None
     invariant: Callable | None = None
     dependencies: tuple[tuple[int, ...], ...] | None = None
+    columnwise: bool = False
 
     def problem(self, T: float | None = None, u0=None,
                 methods="mcG") -> OdeProblem:
@@ -51,6 +54,7 @@ class ModelCatalogEntry:
             vectorized=True,
             name=self.name,
             dependencies=self.dependencies,
+            columnwise=self.columnwise,
         )
 
 
@@ -66,6 +70,7 @@ def _linear_decay() -> ModelCatalogEntry:
         u0=np.array([1.0]), T_default=1.0,
         description="scalar decay u' = -u with closed form u0 exp(-t)",
         closed_form=lambda t: np.array([np.exp(-t)]),
+        columnwise=True,
     )
 
 
@@ -137,6 +142,7 @@ def _harmonic() -> ModelCatalogEntry:
         description="two uncoupled oscillators [x1, x2, v1, v2], frequencies 1 and 2",
         closed_form=closed, invariant=energy,
         dependencies=((2,), (3,), (0,), (1,)),
+        columnwise=True,
     )
 
 
@@ -222,6 +228,7 @@ def _kepler_2body() -> ModelCatalogEntry:
                     "eccentricity 0.5",
         closed_form=closed, invariant=energy,
         dependencies=((4,), (5,), (6,), (7,), (0, 1), (0, 1), (2, 3), (2, 3)),
+        columnwise=True,
     )
 
 
@@ -250,6 +257,7 @@ def _lorenz() -> ModelCatalogEntry:
         u0=np.array([1.0, 1.0, 1.0]), T_default=1.0,
         description="Lorenz system, conventional parameters (10, 28, 8/3)",
         dependencies=((1,), (0, 2), (0, 1)),
+        columnwise=True,
     )
 
 

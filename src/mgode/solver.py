@@ -11,19 +11,21 @@ limits at every breakpoint.
 
 A slab keeps one flat state array, one incoming-value slot per component
 (the value entering the slab) followed by its intervals' nodal values, and
-the rhs inputs of its intervals in one buffer of contiguous per-interval
-(N, P) blocks.  The cross-component stencils are built once per slab layout
+the rhs inputs in one buffer of contiguous (N, P) blocks, one per rhs call.
+The cross-component stencils are built once per slab layout
 within a ``solve`` call, with one lagrange_matrix call per (component,
 order), and grouped by (node count, column count); the call keeps the
 tables of at most 4 layouts of at most 64 KiB each (see ``_build_work``).
 Each sweep fills the whole input buffer with one
 stacked np.matmul per class, through gather and scatter index arrays.  A
 stacked matmul rounds each row exactly like that group's own ``values @ L``,
-so the numbers do not depend on the batching.  The rhs is still called once
-per interval: a batched ``A @ U`` over the slab's columns rounds differently
-from the per-interval products, and the estimator's rounding-level terms
-would move.  Each call keeps only its own component's row, in one flat
-array; the nodal update of all intervals of one scheme class (method,
+so the numbers do not depend on the batching.  The rhs calls of a sweep are
+its rhs batches: a problem that declares its rhs ``columnwise`` gets one
+call on the slab's whole (N, sum P) input, any other one call per interval,
+since a batched ``A @ U`` over the slab's columns rounds differently from
+the per-interval products, and the estimator's rounding-level terms would
+move.  One precomputed index keeps each time's own component's row, in one
+flat array; the nodal update of all intervals of one scheme class (method,
 order), which share one ``scheme_rule`` W, is one stacked np.matmul, which
 rounds each row like that interval's own ``W @ f``.
 
@@ -132,6 +134,13 @@ class OdeProblem:
     ``None`` means every f_i may read every component.  Row i of f must not
     change when a component outside entry i changes: the residual reads
     only those components (see ``interval_rhs``).
+
+    ``columnwise`` declares that column p of ``rhs(U, t)`` depends only on
+    column p of U and on t[p], with the same bits whatever other columns
+    the call holds; it requires ``vectorized``.  The slab solver then makes
+    one rhs call per sweep over the whole slab instead of one per interval
+    (see ``solve_slab``).  A product such as ``A @ U`` does not qualify:
+    BLAS rounds each column by the number of columns in the call.
     """
 
     rhs: Callable
@@ -142,6 +151,7 @@ class OdeProblem:
     vectorized: bool = False
     name: str = ""
     dependencies: Sequence[Sequence[int]] | None = None
+    columnwise: bool = False
 
     def __post_init__(self):
         self.u0 = np.asarray(self.u0, dtype=float).reshape(-1)
@@ -165,6 +175,12 @@ class OdeProblem:
                 raise ValueError(f"unknown method tag {m!r}")
         if self.dependencies is not None:
             self.dependencies = _dependency_lists(self.dependencies, n)
+        if not isinstance(self.columnwise, bool):
+            raise ValueError(f"columnwise must be a bool, got {self.columnwise!r}")
+        # a per-column rhs gets strided U[:, p] views, and BLAS may round a
+        # strided column differently
+        if self.columnwise and not self.vectorized:
+            raise ValueError("columnwise=True requires vectorized=True")
 
     @property
     def dimension(self) -> int:
@@ -511,7 +527,6 @@ class _IntervalWork:
     k: float                     # step
     times: np.ndarray            # (P,) quadrature times
     at: int                      # offset of its nodal values in the slab state
-    inputs_at: int               # offset of its (N, P) rhs-input block
 
 
 @dataclass
@@ -542,6 +557,18 @@ class _Updates:
     pinned: np.ndarray
 
 
+@dataclass
+class _RhsBatches:
+    """The rhs calls of one sweep: batch b takes the concatenated times
+    ``cuts[b]:cuts[b + 1]``, its (N, width) block of the input buffer starts
+    at N * cuts[b], and the slab's flat rhs-row array keeps, at those
+    times, the entries ``keep[cuts[b]:cuts[b + 1]]`` of the batch's
+    flattened output: each time's own component's row."""
+
+    cuts: np.ndarray
+    keep: np.ndarray
+
+
 def _build_work(problem, partition, slab, settings, layouts):
     """Precompute quadrature times, cross-component evaluation stencils and
     the nodal-update tables for every interval in the slab.
@@ -561,18 +588,20 @@ def _build_work(problem, partition, slab, settings, layouts):
     source intervals ``src`` and local coordinates ``s`` are made for every
     slab.  The stencil and update tables depend only on the slab's layout:
     the interval orders, the interval count of each component, ``src`` and
-    ``s``, and on the problem's methods and the quadrature depth.  The store
-    ``layouts`` maps a layout's key, those six with the arrays as exact
-    bytes, to its tables; a layout found there reuses them, the same arrays
-    and so the same bits, and a new one is built (``_slab_tables``) and
-    kept, within _LAYOUTS_KEPT and _LAYOUT_BYTES.
+    ``s``, and on the problem's methods, its ``columnwise`` declaration and
+    the quadrature depth.  The store ``layouts`` maps a layout's key, those
+    seven with the arrays as exact bytes, to its tables; a layout found
+    there reuses them, the same arrays and so the same bits, and a new one
+    is built (``_slab_tables``) and kept, within _LAYOUTS_KEPT and
+    _LAYOUT_BYTES.
 
-    Returns the work items, the stencil classes and the update classes.
+    Returns the work items, their concatenated quadrature times, the
+    stencil classes, the update classes and the rhs batches.
     """
     N = problem.dimension
     work: list[_IntervalWork] = []
     first = []                   # work index of each component's first interval
-    at, inputs_at = N, 0
+    at = N
     for i in range(N):
         first.append(len(work))
         lo, hi = slab.spans[i]
@@ -582,9 +611,8 @@ def _build_work(problem, partition, slab, settings, layouts):
             t0, t1 = partition.span(i, j)
             k = t1 - t0
             work.append(_IntervalWork(i=i, order=q, t0=t0, k=k, times=t0 + k * pts,
-                                      at=at, inputs_at=inputs_at))
+                                      at=at))
             at += q + 1
-            inputs_at += N * len(pts)
 
     counts = np.array([len(item.times) for item in work])
     times = np.concatenate([item.times for item in work])
@@ -600,25 +628,33 @@ def _build_work(problem, partition, slab, settings, layouts):
     # a layout whose key alone exceeds the bound is never kept, so it is not
     # looked up either
     if src.nbytes + s.nbytes > _LAYOUT_BYTES:
-        return work, *_slab_tables(problem, settings, work, first, counts, src, s)
+        return work, times, *_slab_tables(problem, settings, work, first,
+                                          counts, src, s)
     key = (tuple(item.order for item in work),
            tuple(hi - lo for lo, hi in slab.spans), src.tobytes(), s.tobytes(),
-           problem.methods, settings.quad_depth)
+           problem.methods, problem.columnwise, settings.quad_depth)
     tables = layouts.get(key)
     if tables is None:
         tables = _slab_tables(problem, settings, work, first, counts, src, s)
+        stencils, updates, batches = tables
         size = src.nbytes + s.nbytes + sum(
-            a.nbytes for table in tables[0] + tables[1] for a in vars(table).values())
+            a.nbytes for table in [*stencils, *updates, batches]
+            for a in vars(table).values())
         if size <= _LAYOUT_BYTES:
             if len(layouts) == _LAYOUTS_KEPT:
                 del layouts[next(iter(layouts))]
             layouts[key] = tables
-    return work, *tables
+    return work, times, *tables
 
 
 def _slab_tables(problem, settings, work, first, counts, src, s):
-    """The stencil classes and the update classes of a slab's layout (see
-    ``_build_work``).
+    """The stencil classes, the update classes and the rhs batches of a
+    slab's layout (see ``_build_work``).
+
+    A columnwise rhs takes the whole slab in one batch, any other rhs one
+    batch per item; a batch's input block holds, component-major, the
+    inputs of its times, so an item's inputs are a contiguous (N, P) block
+    exactly when its batch is the item alone.
 
     Each item's times increase, so a stencil group -- the times of one item
     that one source interval covers -- is a run of equal (item, interval) in
@@ -650,11 +686,20 @@ def _slab_tables(problem, settings, work, first, counts, src, s):
         col[of_n] = np.arange(np.count_nonzero(of_n))
         factors[n] = np.concatenate(blocks, axis=1)
 
+    owner = np.repeat(np.arange(len(work)), counts)
+    ends = np.cumsum(counts)
+    offsets = ends - counts                      # each item's first time
+    # each time's rhs batch starts at time b0 and spans width times; the
+    # input of (component c, time x) sits at N b0 + c width + x - b0
+    cuts = np.concatenate(([0], ends[-1:] if problem.columnwise else ends))
+    batch = np.zeros_like(owner) if problem.columnwise else owner
+    b0, width = cuts[batch], np.diff(cuts)[batch]
+    own = np.array([item.i for item in work])[owner]
+    batches = _RhsBatches(cuts=cuts, keep=own * width + np.arange(len(owner)) - b0)
+
     # stencil groups: runs of equal (item, source interval); a new component
     # always changes the source
     srcf = src.ravel()
-    owner = np.repeat(np.arange(len(work)), counts)
-    offsets = np.cumsum(counts) - counts         # each item's first time
     cut = np.ones(len(srcf) + 1, dtype=bool)
     cut[1:-1] = srcf[1:] != srcf[:-1]
     cut[:-1].reshape(N, -1)[:, offsets] = True
@@ -663,10 +708,9 @@ def _slab_tables(problem, settings, work, first, counts, src, s):
     n = nodes[head]
     ats = np.array([item.at for item in work])
     gather = ats[srcf[head]]
-    # rhs-input offset of (component, time) in its item's (N, P) block
-    scatter = (np.array([item.inputs_at for item in work])[owner]
-               + np.arange(len(owner)) - offsets[owner]
-               + np.arange(N)[:, None] * counts[owner]).ravel()[head]
+    # rhs-input offset of (component, time) in its batch's block
+    scatter = ((N - 1) * b0 + np.arange(len(owner))
+               + np.arange(N)[:, None] * width).ravel()[head]
     stencils = []
     for nc, mc in sorted(set(zip(n.tolist(), m.tolist()))):
         sel = (n == nc) & (m == mc)
@@ -695,7 +739,7 @@ def _slab_tables(problem, settings, work, first, counts, src, s):
             solved=ats[ws][:, None] + np.arange(pin, q + 1),
             pinned=ats[ws][:, None] + np.arange(pin),
         ))
-    return stencils, updates
+    return stencils, updates, batches
 
 
 def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
@@ -711,9 +755,11 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     tables of its own.
 
     Each sweep fills every interval's rhs inputs from the previous sweep's
-    state and runs the rhs of every interval in the slab before it checks
-    the rhs rows it keeps: a non-finite one raises NonFiniteRHS naming the
-    first such interval in work order (component, then interval).  It then
+    state and runs the rhs over every rhs batch (see ``_RhsBatches``: the
+    whole slab in one call for a ``columnwise`` problem, else one call per
+    interval) before it checks the rhs rows it keeps: a non-finite one
+    raises NonFiniteRHS naming the first such interval in work order
+    (component, then interval).  It then
     makes the nodal update xi = xi_0 + k W f of all intervals of one scheme
     class in one stacked np.matmul (see ``_Updates``).
 
@@ -725,8 +771,8 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     times the first sweep's.
     """
     N = problem.dimension
-    work, stencils, updates = _build_work(problem, partition, slab, settings,
-                                          layouts)
+    work, times, stencils, updates, batches = _build_work(
+        problem, partition, slab, settings, layouts)
     steps = np.array([item.k for item in work])
     ks = [steps[up.ws][:, None] for up in updates]
     # the incoming-value slots, and every nodal value starting from its
@@ -736,13 +782,12 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
     state = np.concatenate([incoming] + [np.full(item.order + 1, incoming[item.i])
                                          for item in work])
     new_state = state.copy()
-    sizes = [len(item.times) for item in work]
-    inputs = np.empty(N * sum(sizes))
-    blocks = [inputs[item.inputs_at:item.inputs_at + N * P].reshape(N, P)
-              for item, P in zip(work, sizes)]
+    inputs = np.empty(N * len(times))
     # each interval's own rhs row, in work order
-    frows = np.empty(sum(sizes))
-    rows = np.split(frows, np.cumsum(sizes)[:-1])
+    frows = np.empty(len(times))
+    calls = [(inputs[N * a:N * b].reshape(N, b - a), times[a:b], frows[a:b],
+              batches.keep[a:b])
+             for a, b in zip(batches.cuts[:-1].tolist(), batches.cuts[1:].tolist())]
     item_increments = np.empty(len(work))
 
     # damping * tolerance bounds the damped increment as tolerance bounds
@@ -758,11 +803,14 @@ def solve_slab(problem: OdeProblem, partition: Partition, slab: TimeSlab,
         sweeps += 1
         for st in stencils:
             inputs[st.scatter] = np.matmul(state[st.gather][:, None, :], st.L)[:, 0]
-        for item, block, row in zip(work, blocks, rows):
-            row[:] = problem.eval_rhs(block, item.times)[item.i]
+        # keep is in range, and a mode other than "raise" lets take write
+        # into row without a buffer
+        for block, t, row, keep in calls:
+            problem.eval_rhs(block, t).take(keep, out=row, mode="clip")
         if not np.isfinite(frows).all():
-            bad = next(item for item, row in zip(work, rows)
-                       if not np.isfinite(row).all())
+            # the item of the first non-finite time
+            ends = np.cumsum([len(item.times) for item in work])
+            bad = work[np.searchsorted(ends, np.argmin(np.isfinite(frows)), "right")]
             raise NonFiniteRHS(
                 f"non-finite right-hand side for component {bad.i} in "
                 f"slab {slab.index} near t={bad.t0!r}"

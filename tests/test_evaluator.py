@@ -330,23 +330,27 @@ def _snap_time(t, bp, tol):
 STENCIL_METHODS = [("mcG", "mdG", "mcG", "mdG"), ("mdG", "mcG", "mdG", "mcG")]
 
 
-def _stencil_groups(work, stencils, n_comp):
+def _stencil_groups(work, stencils, batches, n_comp):
     """Decode the stacked stencil tables into groups (positions, source work
     index, L) per (work index, component): the rows of each class read the
     source interval's nodal values and write a contiguous run of one
-    component's row in one item's rhs-input block."""
+    component's row of one item's times in its rhs batch's input block."""
     by_at = {item.at: w for w, item in enumerate(work)}
-    block_starts = np.array([item.inputs_at for item in work])
+    block_starts = n_comp * batches.cuts
+    item_starts = np.cumsum([0] + [len(item.times) for item in work])
     groups = {}
     for st in stencils:
         for gather, L, scatter in zip(st.gather, st.L, st.scatter):
             src = by_at[int(gather[0])]
             assert np.array_equal(gather, work[src].at + np.arange(len(gather)))
-            w = int(np.searchsorted(block_starts, scatter[0], "right")) - 1
-            P = len(work[w].times)
-            c, p = divmod(scatter - work[w].inputs_at, P)
+            b = int(np.searchsorted(block_starts, scatter[0], "right")) - 1
+            width = batches.cuts[b + 1] - batches.cuts[b]
+            c, x = divmod(scatter - block_starts[b], width)
             assert (c == c[0]).all() and c[0] < n_comp
-            groups.setdefault((w, int(c[0])), []).append((p, src, L))
+            x += batches.cuts[b]
+            w = int(np.searchsorted(item_starts, x[0], "right")) - 1
+            assert x[-1] < item_starts[w + 1]
+            groups.setdefault((w, int(c[0])), []).append((x - item_starts[w], src, L))
     return groups
 
 
@@ -355,6 +359,17 @@ class TestSlabStencils:
     @pytest.mark.parametrize("methods", STENCIL_METHODS,
                              ids=["-".join(m) for m in STENCIL_METHODS])
     def test_match_per_point_lookup(self, methods, depth):
+        self._check_per_point_lookup(methods, depth, columnwise=False)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("methods", STENCIL_METHODS,
+                             ids=["-".join(m) for m in STENCIL_METHODS])
+    def test_match_per_point_lookup_in_one_slab_batch(self, methods, depth):
+        # a columnwise rhs takes the slab's inputs as one (N, sum P) block
+        self._check_per_point_lookup(methods, depth, columnwise=True)
+
+    @staticmethod
+    def _check_per_point_lookup(methods, depth, columnwise):
         # The oracle works per point: snap within 1e-12 T, take the interval
         # starting there at the integrated interval's start and the one
         # ending at or after the time elsewhere, then map to local s.  At
@@ -365,12 +380,14 @@ class TestSlabStencils:
         orders = [_orders(round(T / k), 2, 1 if m == "mcG" else 0)
                   for k, m in zip(steps, methods)]
         part = build_partition(steps, orders, T, methods=methods)
-        prob = OdeProblem(rhs=lambda u, t: -u, u0=np.ones(4), T=T, methods=methods)
+        prob = OdeProblem(rhs=lambda u, t: -u, u0=np.ones(4), T=T, methods=methods,
+                          vectorized=columnwise, columnwise=columnwise)
         settings = SolveSettings(quad_depth=depth)
         snapped = 0
         for slab in build_slabs(part):
-            work, stencils, _ = _build_work(prob, part, slab, settings, {})
-            table = _stencil_groups(work, stencils, part.n_components)
+            work, _, stencils, _, batches = _build_work(prob, part, slab,
+                                                        settings, {})
+            table = _stencil_groups(work, stencils, batches, part.n_components)
             for w, item in enumerate(work):
                 P = len(item.times)
                 for c in range(part.n_components):

@@ -223,3 +223,31 @@ class TestDependencies:
                 v = u.copy()
                 v[outside] = 3.0 * rng.normal(size=len(outside))
                 assert np.array_equal(entry.rhs(v, t)[i], f[i])
+
+
+COLUMNWISE_MODELS = ["harmonic", "kepler_2body", "linear_decay", "lorenz"]
+
+
+class TestColumnwise:
+    def test_declared_for_the_elementwise_models(self):
+        declared = {n for n in model_names() if model(n).columnwise}
+        assert declared == set(COLUMNWISE_MODELS)
+        assert model("lorenz").problem().columnwise
+        # both multiply by a matrix, which BLAS rounds by column count
+        for name in ("linear_system", "monotone_gradient"):
+            assert not model(name).problem().columnwise
+
+    @pytest.mark.parametrize("name", COLUMNWISE_MODELS)
+    def test_a_column_has_the_same_bits_alone_and_in_a_batch(self, name):
+        # the declaration's promise, as the slab solver relies on it: every
+        # column of a call of 1-400 columns equals the same state's call
+        # on that column alone
+        entry = model(name)
+        rng = np.random.default_rng(30)
+        for P in (1, 2, 3, 7, 16, 33, 150, 400):
+            U = entry.u0[:, None] + 0.5 * rng.normal(size=(entry.dimension, P))
+            ts = rng.uniform(0.0, entry.T_default, size=P)
+            batch = entry.rhs(U, ts)
+            for p in range(P):
+                alone = entry.rhs(np.ascontiguousarray(U[:, p:p + 1]), ts[p:p + 1])
+                assert np.array_equal(batch[:, p:p + 1], alone), (P, p)

@@ -1,7 +1,7 @@
 """The helpers of the repository's scripts: the per-field report comparison,
 the dump comparison, the per-order number reader, the
-``propose_steps`` input summary, the chain solve, the N = 1 cases and the
-closed-form dump of
+``propose_steps`` input summary, the chain solve, the bounded job runner,
+the N = 1 cases and the closed-form dump of
 ``scripts/compare_artifacts.py``, the code-line counter of
 ``scripts/count_code_lines.py`` and the pair summary of
 ``scripts/ab_pairs.py``.  Each script is loaded by its path."""
@@ -259,6 +259,35 @@ class TestClosedForms:
                 entry.closed_form(f * entry.T_default).tolist()
                 for f in compare.CLOSED_FORM_FRACTIONS]
         assert len(compare.CLOSED_FORM_FRACTIONS) >= 3
+
+
+class TestRunAll:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_at_most_one_subprocess_per_cpu(self, monkeypatch, capsys, cpus):
+        # a stub start counts the jobs alive; the results come back in job
+        # order, a failed job as None with its message
+        compare = load_script("compare_artifacts")
+        alive, most = set(), []
+
+        class Proc:
+            def __init__(self, root, args):
+                self.name, self.returncode = args[0], None
+                alive.add(self)
+                most.append(len(alive))
+
+            def communicate(self):
+                alive.remove(self)
+                self.returncode = 1 if self.name == "job3" else 0
+                return f"{self.name} out", f"{self.name} err\n"
+
+        monkeypatch.setattr(compare, "start", Proc)
+        monkeypatch.setattr(compare.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        jobs = [(f"run {k}", Path("root"), [f"job{k}"], (0,)) for k in range(7)]
+        results = compare.run_all(jobs)
+        assert max(most) == cpus and not alive
+        assert results == [f"job{k} out" if k != 3 else None for k in range(7)]
+        assert capsys.readouterr().err == "run 3 exited 1: job3 err\n"
 
 
 class TestDecayRuns:

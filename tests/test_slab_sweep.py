@@ -12,6 +12,9 @@ intervals of one class in every slab.  Every comparison is
 ``np.array_equal`` or ``==``: the estimator's rounding-level terms and the
 controller's partitions depend on those exact bits.
 
+A ``columnwise`` problem's sweep makes one rhs call for the whole slab; the
+oracle still makes one per interval.
+
 ``solve`` hands its slabs one store of slab tables, kept by layout; the
 tests at the end drive slabs through such a store, so later slabs reuse the
 tables of earlier ones, and check the store's bounds.
@@ -171,6 +174,17 @@ def _nonlinear(U, t):
     return A3 @ U + np.sin(3.0 * t) * U * U
 
 
+def _elementwise(U, t):
+    # _nonlinear with A3's couplings written out, so that every column is
+    # computed alone
+    F = np.sin(3.0 * t) * U * U
+    for i in range(3):
+        for c in range(3):
+            if A3[i, c]:
+                F[i] += A3[i, c] * U[c]
+    return F
+
+
 RHS = {
     "vectorized": lambda methods: OdeProblem(
         rhs=_nonlinear, u0=[1.0, 0.5, -0.3], T=T3, methods=methods,
@@ -181,6 +195,10 @@ RHS = {
     "linear_system": lambda methods: OdeProblem(
         rhs=lambda U, t: A3 @ U, u0=[1.0, 0.5, -0.3], T=T3, methods=methods,
         vectorized=True),
+    # one rhs call per slab sweep, against the oracle's one per interval
+    "columnwise": lambda methods: OdeProblem(
+        rhs=_elementwise, u0=[1.0, 0.5, -0.3], T=T3, methods=methods,
+        vectorized=True, columnwise=True),
 }
 
 
@@ -342,8 +360,8 @@ def _chain64():
 def test_a_chain_slab_is_never_kept():
     prob, part = _chain64()
     layouts = {}
-    _, stencils, _ = _build_work(prob, part, build_slabs(part)[0],
-                                 SolveSettings(), layouts)
+    _, _, stencils, _, _ = _build_work(prob, part, build_slabs(part)[0],
+                                       SolveSettings(), layouts)
     assert sum(st.L.nbytes for st in stencils) > _LAYOUT_BYTES
     assert layouts == {}
 
@@ -393,7 +411,7 @@ def test_a_finished_solve_frees_its_tables(monkeypatch):
 
     def watching(*args):
         result = slab_solve(*args)
-        kept.extend(weakref.ref(st.L) for stencils, _ in args[-1].values()
+        kept.extend(weakref.ref(st.L) for stencils, *_ in args[-1].values()
                     for st in stencils)
         return result
 
@@ -414,8 +432,8 @@ def test_a_shared_store_keeps_methods_and_depths_apart():
         prob = OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, methods=methods)
         for depth in (0, 1):
             settings = SolveSettings(quad_depth=depth)
-            _, got, got_up = _build_work(prob, part, slab, settings, shared)
-            _, ref, ref_up = _build_work(prob, part, slab, settings, {})
+            _, _, got, got_up, _ = _build_work(prob, part, slab, settings, shared)
+            _, _, ref, ref_up, _ = _build_work(prob, part, slab, settings, {})
             assert [st.L.tolist() for st in got] == [st.L.tolist() for st in ref]
             assert [up.W.tolist() for up in got_up] == [up.W.tolist() for up in ref_up]
     assert len(shared) == 4

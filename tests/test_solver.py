@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -178,6 +179,14 @@ class TestBasicSolves:
         # non-finite earlier in time than component 1's (0.05, 0.1]; the
         # error names component 1's, first in work order (component, then
         # interval), after the rhs of every interval in the slab has run.
+        self._check_nonfinite_rhs(columnwise=False)
+
+    def test_nonfinite_columnwise_rhs_names_the_same_interval(self):
+        # the same slab in one rhs call
+        self._check_nonfinite_rhs(columnwise=True)
+
+    @staticmethod
+    def _check_nonfinite_rhs(columnwise):
         calls = []
 
         def rhs(U, t):
@@ -188,7 +197,8 @@ class TestBasicSolves:
             return F
 
         prob = OdeProblem(rhs=rhs, u0=[1.0, 0.5, -0.3], T=0.2,
-                          methods=("mcG", "mdG", "mcG"), vectorized=True)
+                          methods=("mcG", "mdG", "mcG"), vectorized=True,
+                          columnwise=columnwise)
         part = build_partition([0.1, 0.05, 0.025], 2, 0.2, methods=prob.methods)
         slab = build_slabs(part)[0]
         t0 = part.span(1, 1)[0]
@@ -196,7 +206,8 @@ class TestBasicSolves:
             solve(prob, part)
         assert str(err.value) == (f"non-finite right-hand side for component 1 "
                                   f"in slab {slab.index} near t={t0!r}")
-        assert len(calls) == sum(hi - lo for lo, hi in slab.spans) == 7
+        assert sum(hi - lo for lo, hi in slab.spans) == 7
+        assert len(calls) == (1 if columnwise else 7)
 
     def test_nonconvergence_reported(self):
         # stiff decay with a huge step: the plain iteration diverges
@@ -505,6 +516,49 @@ class TestMixedMethods:
                                - t2.state(float(t), "left"))
             assert d <= d_prev + 1e-10
             d_prev = d
+
+
+class TestColumnwise:
+    @pytest.mark.parametrize("value,message", [
+        (1, "columnwise must be a bool, got 1"),
+        (np.bool_(True), "columnwise must be a bool, got np.True_"),
+        ("yes", "columnwise must be a bool, got 'yes'"),
+        (None, "columnwise must be a bool, got None"),
+    ])
+    def test_declaration_must_be_a_bool(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, vectorized=True,
+                       columnwise=value)
+
+    def test_declaration_requires_a_vectorized_rhs(self):
+        # a per-point rhs gets strided U[:, p] views, which BLAS may round
+        # by their stride
+        with pytest.raises(ValueError,
+                           match=r"^columnwise=True requires vectorized=True$"):
+            OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, columnwise=True)
+        assert not OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0).columnwise
+
+    @pytest.mark.parametrize("name,steps,orders,methods", [
+        # the fast inner orbit at a quarter of the outer one's step
+        ("kepler_2body", [0.05] * 2 + [0.2] * 2 + [0.05] * 2 + [0.2] * 2,
+         2, "mcG"),
+        ("lorenz", [0.01, 0.03, 0.02], [2, 1, 3], ("mcG", "mdG", "mcG")),
+    ])
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_one_call_per_sweep_keeps_every_bit(self, name, steps, orders,
+                                                methods, depth):
+        # the whole slab in one rhs call gives the coefficients and reports
+        # of one call per interval, bit for bit
+        declared = model(name).problem(T=0.6, methods=methods)
+        assert declared.columnwise
+        undeclared = dataclasses.replace(declared, columnwise=False)
+        part = build_partition(steps, orders, 0.6, methods=declared.methods)
+        settings = SolveSettings(tolerance=1e-12, quad_depth=depth)
+        a, b = solve(declared, part, settings), solve(undeclared, part, settings)
+        assert a.report == b.report
+        for i in range(declared.dimension):
+            for j in range(part.n_intervals(i)):
+                assert np.array_equal(a.coefficients(i, j), b.coefficients(i, j))
 
 
 class TestHeterogeneousOrders:

@@ -6,6 +6,7 @@ benchmark run, and a caller that bypasses the module attribute leaves its
 span empty; both show up here as a lookup error or a zero self time.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -85,6 +86,28 @@ def test_traced_solve_fills_the_slab_spans():
     assert metrics["solver.slab_calls"] == len(slabs)
     assert metrics["solver.sweeps"] == sum(s.sweeps for s in traj.report.slabs)
     assert 0 < metrics["tableau.lagrange_calls"] < prob.dimension * len(slabs)
+
+
+def test_a_columnwise_solve_makes_one_rhs_call_per_sweep():
+    # a declared rhs takes each sweep's whole slab in one call: the calls
+    # fall to the sweeps, while the columns evaluated stay those of one
+    # call per interval
+    tracing = load_tracing()
+    prob = model("kepler_2body").problem(T=1.0)
+    part = build_partition([0.05] * 2 + [0.2] * 2 + [0.05] * 2 + [0.2] * 2, 2,
+                           prob.T, methods=prob.methods)
+    settings = SolveSettings(tolerance=1e-12)
+    metrics = {}
+    for columnwise in (True, False):
+        problem = dataclasses.replace(prob, columnwise=columnwise)
+        tracer = tracing.Tracer()
+        tracer.traced("bench.solve", lambda: solve(problem, part, settings))
+        metrics[columnwise] = tracer.metrics()
+    declared, undeclared = metrics[True], metrics[False]
+    assert declared["solver.rhs_calls"] == declared["solver.sweeps"]
+    assert undeclared["solver.rhs_calls"] > undeclared["solver.sweeps"]
+    for name in ("solver.sweeps", "solver.rhs_cols"):
+        assert declared[name] == undeclared[name] > 0, name
 
 
 def test_one_point_residual_reads_are_counted_as_lagrange_calls():
