@@ -27,7 +27,8 @@ import numpy as np
 
 from .dual import DualSolution
 from .partition import Partition
-from .solver import OdeProblem, Trajectory, interval_residual, interval_rhs
+from .solver import (OdeProblem, Trajectory, interval_residual, interval_rhs,
+                     residual_reader)
 from .tableau import (
     MAX_ORDER,
     MCG,
@@ -52,8 +53,14 @@ def _one_point(x: float, fn) -> float:
     return float(fn(np.array([x]))[0])
 
 
-def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
-    """Roots of fn inside (a, b) located from sign changes on a uniform scan."""
+def _sign_change_roots(fn, a: float, b: float, n_scan: int,
+                       point=None) -> list[float]:
+    """Roots of fn inside (a, b) located from sign changes on a uniform scan.
+
+    The Brent search reads ``point`` (a float to a float) when it is given,
+    else fn at one point through ``_one_point``; ``point(x)`` must equal
+    ``float(fn(np.array([x]))[0])`` bit for bit."""
+    f, args = (_one_point, (fn,)) if point is None else (point, ())
     xs = np.linspace(a, b, n_scan)
     # the scan loop runs on Python floats, which compare and multiply
     # faster than numpy scalars, to the same bits
@@ -64,8 +71,7 @@ def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
             roots.append(x0)
         elif f0 * f1 < 0.0:
             try:
-                roots.append(_brent_root(_one_point, x0, x1, 1e-15, 8.9e-16,
-                                         args=(fn,)))
+                roots.append(_brent_root(f, x0, x1, 1e-15, 8.9e-16, args=args))
             except ValueError:
                 # noise-level values can flip sign between batched and
                 # pointwise evaluation; the piece is negligible either way
@@ -74,12 +80,14 @@ def _sign_change_roots(fn, a: float, b: float, n_scan: int) -> list[float]:
 
 
 def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
-                        splits=()) -> tuple[float, float, tuple]:
+                        splits=(), point=None) -> tuple[float, float, tuple]:
     """(signed, absolute) integral of fn over [a, b] by Gauss-Legendre on
     pieces cut at the given split points and at detected sign changes, and
     the pieces between the split points.
 
-    fn must accept an array of points.  Each final piece is single-signed (up
+    fn must accept an array of points.  The root searches read ``point``
+    when it is given, which must equal fn at one point bit for bit (see
+    ``_sign_change_roots``).  Each final piece is single-signed (up
     to scan resolution), so the absolute integral is the sum of |piece|.
     Each piece between the split points is returned as (lo, hi, roots,
     values): the sign changes found there and fn at the Gauss nodes of each
@@ -90,7 +98,7 @@ def integrate_splitting(fn, a: float, b: float, *, npts: int, n_scan: int,
     absolute = 0.0
     pieces = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        roots = _sign_change_roots(fn, lo, hi, n_scan)
+        roots = _sign_change_roots(fn, lo, hi, n_scan, point)
         sub = [lo] + roots + [hi]
         vals = []
         for s0, s1 in zip(sub[:-1], sub[1:]):
@@ -319,8 +327,9 @@ def explicit_estimates(problem: OdeProblem, traj: Trajectory,
 
             # R's roots, found once, cut r = (1/k) int |R| dt = int |R(s)| ds
             Rfn = lambda s: interval_residual(traj, problem, i, j, s)  # noqa: E731
-            _, r_ij, (rpiece,) = integrate_splitting(Rfn, 0.0, 1.0, npts=npts,
-                                                     n_scan=n_scan)
+            _, r_ij, (rpiece,) = integrate_splitting(
+                Rfn, 0.0, 1.0, npts=npts, n_scan=n_scan,
+                point=residual_reader(traj, problem, i, j))
             # one jump rule serves both families, here, in the completion's
             # E0/E1 and E5 terms and in error_representation: an mcG jump is
             # exactly 0.0 (see Trajectory.jump), so rbar == r and each jump
@@ -697,16 +706,21 @@ def eg_residual_zero(traj: Trajectory, dual: DualSolution,
             k = t1 - t0
             q = traj.order(i, j)
             pi_fn = _residual_zero_interpolant(dual, traj, i, j)
+            R_at = residual_reader(traj, problem, i, j)
             fn = lambda s: (interval_residual(traj, problem, i, j, s)  # noqa: E731
                             * (dual.values(i, t0 + k * s, "left") - pi_fn(s)))
+            # fn at one point, in floats; .values, since .value clamps t
+            point = lambda s: R_at(s) * (  # noqa: E731
+                float(dual.values(i, t0 + k * s, "left")[0]) - float(pi_fn(s)[0]))
             cuts = part.coordinate(i, j, dual.piece_boundaries(i, t0, t1))
             signed, _, _ = integrate_splitting(fn, 0.0, 1.0, npts=2 * (q + 3),
-                                               n_scan=8 * (q + 3), splits=cuts)
+                                               n_scan=8 * (q + 3), splits=cuts,
+                                               point=point)
             term = k * signed
             signed_total += term
             abs_total += abs(term)
             a_i[j] = np.sign(term)
-            r_end = float(interval_residual(traj, problem, i, j, 1.0)[0])
+            r_end = R_at(1.0)
             dphi_end = dual.value(i, t1, "left") - float(pi_fn(1.0)[0])
             shortcut += (tableau(method, q).product_constant * k
                          * abs(r_end) * abs(dphi_end))

@@ -43,11 +43,13 @@ lagrange_matrix call and one ``coeffs @ L`` over exactly that group's
 columns.  A lagrange column depends only on its own point, but BLAS rounds
 ``coeffs @ L`` by its column count, so a read depends on the other times
 asked for on the same (component, interval) in the same call, and on no
-other time.  The trajectory's two entries, ``values`` (one component, as the
-dual asks) and ``cross_state`` (the state the residual reads), locate a
-single time, as the estimator's root searches ask for, by bisect
-(``.point`` / ``.read``) instead of searchsorted; that is all a single time
-changes.  The slab sweep's stencils are the other contraction rule (above).
+other time.  A single time, as the estimator's root searches ask for, is
+located by bisect (``.point`` / ``.read``) instead of searchsorted; that is
+all a single time changes.  The dual's single-time reads are
+``Trajectory.values``'; the residual's are ``residual_reader``'s, which
+takes an interval's span, nodes, coefficients and derivative coefficients
+once and then reads one point at a time.  The slab sweep's stencils are the
+other contraction rule (above).
 
 A problem may declare which components each f_i reads
 (``OdeProblem.dependencies``).  The residual then locates and interpolates
@@ -275,11 +277,15 @@ class SolveReport:
 
 def _interval_groups(j: np.ndarray):
     """(interval, selector) pairs grouping the positions of the interval
-    indices j by interval, in increasing interval order."""
-    if len(j) == 1 or (len(j) and (j == j[0]).all()):
-        # one interval: no np.unique, no masks
-        return ((int(j[0]), slice(None)),)
-    return ((int(jc), j == jc) for jc in np.unique(j))
+    indices j by interval, in increasing interval order, each interval a
+    Python int."""
+    # a set of Python ints costs less than numpy's reductions on the short
+    # index arrays a read makes
+    ids = set(j.tolist())
+    if len(ids) == 1:
+        # one interval: no masks
+        return ((ids.pop(), slice(None)),)
+    return ((jc, j == jc) for jc in sorted(ids))
 
 
 class Trajectory:
@@ -393,23 +399,17 @@ class Trajectory:
         Row i is the interval's own polynomial at s.  Every other component
         of ``comps`` is read where ``Partition.reads`` puts each time (the
         right limit at t0, the left limit elsewhere), one contraction per
-        (component, interval) group; the rows outside ``comps`` hold u0.  A
-        single s is located per component by ``Partition.read`` (bisect)
-        instead of ``.reads``."""
+        (component, interval) group; the rows outside ``comps`` hold u0.
+        The residual at a single s is ``residual_reader``'s, which locates
+        by ``Partition.read`` (bisect) instead."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t0, t1 = self.partition.span(i, j)
         times = t0 + (t1 - t0) * s
         L = self._lagrange(i, j, s)
         others = [c for c in comps if c != i]
-        if len(s) == 1:
-            t = float(times[0])
-            U = self.u0[:, None].copy()
-            for c in others:
-                U[c] = self.interval_values(c, *self.partition.read(c, t, t0))
-        else:
-            js = [self.partition.reads(c, times, t0) for c in others]
-            U = np.repeat(self.u0[:, None], len(times), axis=1)
-            U[others] = self.evaluate(others, times, js)
+        js = [self.partition.reads(c, times, t0) for c in others]
+        U = np.repeat(self.u0[:, None], len(times), axis=1)
+        U[others] = self.evaluate(others, times, js)
         # own component from this interval's polynomial (matters at breakpoints)
         U[i] = self._contract(i, j, L)
         return times, U, L
@@ -465,7 +465,8 @@ def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     within-interval cross state, and the Lagrange factors of s on the
     interval's nodes.  The residual and the estimator's rhs integrals both
     start from this one quantity; ``Trajectory.cross_state`` forms the
-    state, for one s (as a root search asks for) or many.
+    state.  ``residual_reader`` makes the same read for one s, as a root
+    search asks for.
 
     Only the components f_i reads (``problem.dependencies``, all of them by
     default) are located and interpolated; the other rows of the rhs input
@@ -481,9 +482,52 @@ def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
 def interval_residual(traj: Trajectory, problem: OdeProblem, i: int, j: int,
                       s) -> np.ndarray:
     """Residual of component i on its interval j at local coordinates s,
-    evaluated with the within-interval limit at the left endpoint."""
+    evaluated with the within-interval limit at the left endpoint.  A
+    single s is read by ``residual_reader``."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if len(s) == 1:
+        return np.array([residual_reader(traj, problem, i, j)(float(s[0]))])
     f, L = interval_rhs(traj, problem, i, j, s)
     return traj._contract(i, j, L, 1) - f
+
+
+def residual_reader(traj: Trajectory, problem: OdeProblem, i: int,
+                    j: int) -> Callable[[float], float]:
+    """Component i's residual on its interval j as a function of one local
+    coordinate s (a float), as a root search reads it: the float operations
+    of ``interval_rhs`` and the derivative contraction at that one s, in
+    the same order, so the same bits.
+
+    The interval's span, nodes, coefficients, their derivative D xi and the
+    components f_i reads are taken once; each read makes one
+    lagrange_matrix call (looked up at call time, so a wrapper of the
+    module attribute sees it), locates every other component it reads by
+    ``Partition.read`` (bisect), contracts row i as ``xi @ L`` and makes
+    one rhs call on one column.  The reader holds the trajectory and the
+    problem and no reference cycle."""
+    t0, t1 = traj.partition.span(i, j)
+    k = t1 - t0
+    tab = tableau(traj.methods[i], traj.order(i, j))
+    nodes = tab.nodes
+    xi = traj.coefficients(i, j)
+    dxi = tab.diff @ xi
+    comps = (range(traj.dimension) if problem.dependencies is None
+             else problem.dependencies[i])
+    others = [c for c in comps if c != i]
+    u0 = traj.u0[:, None]
+    read, values = traj.partition.read, traj.interval_values
+
+    def at(s: float) -> float:
+        t = t0 + k * s
+        L = lagrange_matrix(nodes, s)
+        U = u0.copy()
+        for c in others:
+            U[c] = values(c, *read(c, t, t0))
+        U[i] = xi @ L
+        f = problem.eval_rhs(U, np.array([t]))[i]
+        return float(((dxi @ L) / k - f)[0])
+
+    return at
 
 
 def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:

@@ -23,7 +23,7 @@ from mgode.estimator import (ErrorReport, ExplicitEstimates, GalerkinEstimates,
                              StabilityFactors, _integral_of_rhs, estimate,
                              explicit_estimates)
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
-                          _build_work, interval_residual,
+                          _build_work, _interval_groups, interval_residual,
                           interval_rhs, solve)
 from mgode.tableau import (MAX_ORDER, METHODS, integration_rule, lagrange_matrix,
                            lobatto_nodes, min_order, radau_nodes, tableau)
@@ -430,6 +430,29 @@ def _oracle_groups(j):
     return ((int(jc), j == jc) for jc in np.unique(j))
 
 
+def test_interval_groups_match_the_unique_form():
+    # _interval_groups groups through a set of Python ints; the groups,
+    # their order, their selectors and the ids' type are the np.unique
+    # form's
+    rng = np.random.default_rng(33)
+    arrays = [np.empty(0, dtype=np.intp), np.array([4]), np.array([0]),
+              np.array([3, 3, 3]), np.array([2, 0, 2, 1, 0]),
+              np.array([5, 4, 3, 2, 1, 0])]
+    for size in (2, 3, 7, 40, 200):
+        for high in (1, 2, 5, 50):
+            arrays.append(rng.integers(0, high, size))
+            arrays.append(np.sort(rng.integers(0, high, size)))
+    for j in arrays:
+        got, expected = list(_interval_groups(j)), list(_oracle_groups(j))
+        assert [jc for jc, _ in got] == [jc for jc, _ in expected]
+        assert all(type(jc) is int for jc, _ in got)
+        for (_, sel), (_, ref) in zip(got, expected):
+            if isinstance(ref, slice):
+                assert sel == ref
+            else:
+                assert sel.dtype == bool and np.array_equal(sel, ref)
+
+
 def oracle_evaluate(traj, comps, ts, js, order=0):
     out = np.empty((len(comps), len(ts)))
     batches = {}
@@ -570,12 +593,15 @@ class TestOneTime:
 
 
 def test_one_time_path_is_taken_and_traced(monkeypatch):
-    # During an estimate every single-time request of the residual and the
-    # dual takes the one-time path: only multi-point calls reach
-    # Trajectory.evaluate from Trajectory.cross_state and .values, the two
-    # entries that choose the path.  The benchmark's
+    # During an estimate every single-time request takes a one-time path:
+    # the residual's is solver.residual_reader, which calls no cross_state,
+    # and the dual's is Trajectory.values' bisect.  So only multi-point
+    # calls reach Trajectory.evaluate from Trajectory.cross_state and
+    # .values.  (A one-node rule at depth 0 would read one time through
+    # cross_state; this case, at depth 1, has none.)  The benchmark's
     # estimator.residual_calls, counted through the module attribute
-    # mgode.estimator.interval_residual, must count every residual.
+    # mgode.estimator.interval_residual, must count every interval_residual
+    # call; the reader's probes make none.
     from test_traced_names import load_tracing
 
     prob, traj, dual = _one_time_case(1)

@@ -19,6 +19,7 @@ from mgode.solver import (
     Trajectory,
     interval_residual,
     residual,
+    residual_reader,
     solve,
     solve_slab,
 )
@@ -369,6 +370,127 @@ class TestResidual:
                     extra = jmp * v0 if method == "mdG" else 0.0
                     worst = max(worst, abs(extra + k * float(wg @ (r * xg**p))))
         assert worst <= 100 * tol * 0.1
+
+
+def _reader_cases():
+    """(name, problem, trajectory) on multirate partitions whose components
+    break inside each other's intervals: kepler_2body and lorenz with their
+    dependency patterns and dense, and a mixed mcG/mdG linear_system."""
+    kepler = model("kepler_2body").problem(T=0.6)
+    kepler_steps = [0.1, 0.07, [0.13, 0.05, 0.17, 0.25], 0.09, 0.05, 0.11, 0.6 / 7, 0.15]
+    lorenz = model("lorenz").problem(T=0.2)
+    mixed = model("linear_system").problem(methods=("mcG", "mdG"))
+    built = [
+        ("kepler_2body", kepler, kepler_steps, 2, SolveSettings(1e-12, quad_depth=1)),
+        ("lorenz", lorenz, [0.03, 0.05, 0.07], [2, 3, 1], SolveSettings(1e-12)),
+        ("linear_system", mixed, [[0.03] * 10 + [0.07] * 10, 0.1], [2, 1],
+         SolveSettings(1e-13, quad_depth=1)),
+    ]
+    cases = []
+    for name, prob, steps, orders, settings in built:
+        part = build_partition(steps, orders, prob.T, methods=prob.methods)
+        traj = solve(prob, part, settings)
+        cases.append((name, prob, traj))
+        if prob.dependencies is not None:
+            cases.append((name + "-dense",
+                          dataclasses.replace(prob, dependencies=None), traj))
+    return cases
+
+
+@pytest.fixture(scope="module", params=_reader_cases(), ids=lambda c: c[0])
+def reader_case(request):
+    return request.param[1:]
+
+
+def _old_one_point_residual(traj, problem, i, j, s):
+    """The one-point residual read that residual_reader replaced:
+    Trajectory.cross_state's single-time path (a u0 column, every other
+    component located by Partition.read) and the derivative contraction of
+    row i."""
+    comps = (range(traj.dimension) if problem.dependencies is None
+             else problem.dependencies[i])
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t0, t1 = traj.partition.span(i, j)
+    times = t0 + (t1 - t0) * s
+    L = traj._lagrange(i, j, s)
+    t = float(times[0])
+    U = traj.u0[:, None].copy()
+    for c in comps:
+        if c != i:
+            U[c] = traj.interval_values(c, *traj.partition.read(c, t, t0))
+    U[i] = traj._contract(i, j, L)
+    f = problem.eval_rhs(U, times)[i]
+    return float((traj._contract(i, j, L, 1) - f)[0])
+
+
+def _reader_points(traj, i, j, rng):
+    """Seeded local coordinates, 0.0 and 1.0, and for every other
+    component's breakpoint inside the interval the coordinate that lands on
+    it and the coordinates one ulp either side."""
+    part = traj.partition
+    t0, t1 = part.span(i, j)
+    k = t1 - t0
+    points = [0.0, 1.0, *rng.uniform(0.0, 1.0, 6).tolist()]
+    bp = np.unique(np.concatenate(part.breakpoints))
+    for b in bp[(bp > t0) & (bp < t1)].tolist():
+        s = (b - t0) / k
+        s = min((s, np.nextafter(s, 0.0), np.nextafter(s, 1.0)),
+                key=lambda x: abs(t0 + k * x - b))
+        points += [float(s), float(np.nextafter(s, 0.0)),
+                   float(np.nextafter(s, 1.0))]
+    return points
+
+
+class TestResidualReader:
+    def test_equal_to_the_old_one_point_read(self, reader_case):
+        prob, traj = reader_case
+        rng = np.random.default_rng(31)
+        part = traj.partition
+        crossings = 0
+        for i in range(traj.dimension):
+            for j in range(part.n_intervals(i)):
+                R_at = residual_reader(traj, prob, i, j)
+                points = _reader_points(traj, i, j, rng)
+                crossings += len(points) - 8
+                for s in points:
+                    expected = _old_one_point_residual(traj, prob, i, j, s)
+                    got = R_at(s)
+                    assert type(got) is float
+                    assert got == expected, (i, j, s)
+                    assert np.array_equal(
+                        interval_residual(traj, prob, i, j, s), [expected])
+        assert crossings > 0
+
+    def test_eg_point_equal_to_its_product_at_one_point(self, monkeypatch):
+        # explicit_estimates and eg_residual_zero hand integrate_splitting a
+        # one-point reader; each must equal fn at that point, bit for bit
+        import mgode.estimator as est
+        from mgode.dual import DualSpec, dual_partition_for, solve_dual
+
+        rng = np.random.default_rng(32)
+        for name, prob, traj in _reader_cases()[::2]:
+            spec = DualSpec(problem=prob, primal=traj,
+                            phi_T=np.full(prob.dimension, 0.35))
+            dual = solve_dual(spec, dual_partition_for(traj.partition, 1, 2),
+                              SolveSettings(tolerance=1e-13))
+            # each stage reads one reader per interval, in (i, j) order
+            order = [(i, j) for i in range(traj.dimension)
+                     for j in range(traj.partition.n_intervals(i))]
+            seen = []
+            split = est.integrate_splitting
+
+            def recording(fn, a, b, *, point=None, **kwargs):
+                if point is not None:
+                    i, j = order[len(seen) % len(order)]
+                    for s in _reader_points(traj, i, j, rng):
+                        assert point(s) == float(fn(np.array([s]))[0]), (name, i, j, s)
+                    seen.append((i, j))
+                return split(fn, a, b, point=point, **kwargs)
+
+            monkeypatch.setattr(est, "integrate_splitting", recording)
+            est.estimate(prob, traj, dual)
+            monkeypatch.undo()
+            assert len(seen) == 2 * len(order)
 
 
 class TestJump:

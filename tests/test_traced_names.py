@@ -8,16 +8,18 @@ span empty; both show up here as a lookup error or a zero self time.
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import mgode.estimator
+import mgode.tableau
 from mgode.dual import DualSpec, dual_partition_for, solve_dual
 from mgode.estimator import estimate
 from mgode.models import model
 from mgode.partition import build_partition, build_slabs
-from mgode.solver import SolveSettings, solve
+from mgode.solver import OdeProblem, SolveSettings, solve
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -127,3 +129,69 @@ def test_one_point_residual_reads_are_counted_as_lagrange_calls():
         metrics = tracer.metrics()
         assert metrics["estimator.residual_calls"] == 1
         assert metrics["tableau.lagrange_calls"] >= 1
+
+
+def _plain_counts():
+    """A profile function counting lagrange_matrix calls and eval_rhs
+    columns by their code objects, whatever attribute reached them, and
+    the counts it keeps."""
+    lagrange_code = mgode.tableau.lagrange_matrix.__code__
+    rhs_code = OdeProblem.eval_rhs.__code__
+    plain = {"lagrange_calls": 0, "rhs_cols": 0}
+
+    def count(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is lagrange_code:
+            plain["lagrange_calls"] += 1
+        elif frame.f_code is rhs_code:
+            plain["rhs_cols"] += frame.f_locals["U"].shape[1]
+
+    return count, plain
+
+
+def test_every_residual_reader_probe_is_traced():
+    # the estimator's root searches read the residual one point at a time
+    # through solver.residual_reader; each probe must reach lagrange_matrix
+    # and OdeProblem.eval_rhs through the attributes the tracer wraps, so
+    # the traced counts are every call and every column made
+    tracing = load_tracing()
+    prob = model("kepler_2body").problem(T=0.6)
+    part = build_partition([0.1, 0.07, 0.06, 0.09, 0.05, 0.11, 0.12, 0.15], 2,
+                           prob.T, methods=prob.methods)
+    traj = solve(prob, part, SolveSettings(tolerance=1e-12, quad_depth=1))
+    dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=np.full(8, 0.35)),
+                      dual_partition_for(part), SolveSettings(tolerance=1e-12))
+    count, plain = _plain_counts()
+    tracer = tracing.Tracer()
+    sys.setprofile(count)
+    try:
+        tracer.traced("bench.estimate", lambda: estimate(prob, traj, dual))
+    finally:
+        sys.setprofile(None)
+    assert tracer.metrics()["tableau.lagrange_calls"] == plain["lagrange_calls"] > 0
+    # the explicit stage has no span of its own: its columns count under
+    # the root span's layer
+    traced_cols = {name: n for name, n in tracer.counts.items()
+                   if name.endswith(".rhs_cols")}
+    assert traced_cols["estimator.rhs_cols"] > 0
+    assert sum(traced_cols.values()) == plain["rhs_cols"]
+
+
+def test_kepler_run_counts_at_seed_0(tmp_path):
+    # the benchmark's kepler_run at seed 0, warm, as its traced operations
+    # run: the one-point residual reads of the root searches make exactly
+    # these Lagrange calls and estimator rhs columns; a change that moves
+    # either count on purpose states the new figure here
+    tracing = load_tracing()
+    spec = importlib.util.spec_from_file_location(
+        "workloads", TRACING_PATH.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.KeplerRun(0, tmp_path)
+    assert bench.run() == 0
+    tracer = tracing.Tracer()
+    assert tracer.traced("bench.kepler_run", bench.run) == 0
+    metrics = tracer.metrics()
+    assert metrics["tableau.lagrange_calls"] == 63_726
+    assert metrics["estimator.rhs_cols"] == 53_569
