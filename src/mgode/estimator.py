@@ -27,8 +27,7 @@ import numpy as np
 
 from .dual import DualSolution
 from .partition import Partition
-from .solver import (OdeProblem, Trajectory, interval_residual, interval_rhs,
-                     residual_reader)
+from .solver import OdeProblem, Trajectory, interval_residual, residual_reader
 from .tableau import (
     MAX_ORDER,
     MCG,
@@ -573,7 +572,7 @@ def _integral_of_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
     """Quadrature value of int_{I_ij} f_i(U, .) dt at the given dyadic depth
     of the interval's own node rule."""
     s, w = integration_rule(traj.methods[i], traj.order(i, j), depth)
-    f, _ = interval_rhs(traj, problem, i, j, s)
+    f = residual_reader(traj, problem, i, j).rhs(s)
     return traj.partition.step(i, j) * float(w @ f)
 
 

@@ -43,20 +43,20 @@ lagrange_matrix call and one ``coeffs @ L`` over exactly that group's
 columns.  A lagrange column depends only on its own point, but BLAS rounds
 ``coeffs @ L`` by its column count, so a read depends on the other times
 asked for on the same (component, interval) in the same call, and on no
-other time.  A single time, as the estimator's root searches ask for, is
-located by bisect (``.point`` / ``.read``) instead of searchsorted; that is
-all a single time changes.  The dual's single-time reads are
-``Trajectory.values``'; the residual's are ``residual_reader``'s, which
-takes an interval's span, nodes, coefficients and derivative coefficients
-once and then reads one point at a time.  The slab sweep's stencils are the
-other contraction rule (above).
+other time.  ``residual_reader`` is the one reader of f_i and of the
+residual on an interval: it takes the interval's span, nodes, coefficients
+and derivative coefficients once, and reads many local coordinates through
+``Trajectory.evaluate`` or, called with one float as the estimator's root
+searches do, one point located by bisect (``.read``) instead of
+searchsorted; that is all a single time changes.  The slab sweep's stencils
+are the other contraction rule (above).
 
 A problem may declare which components each f_i reads
-(``OdeProblem.dependencies``).  The residual then locates and interpolates
-only those, for one time or many, and fills the other rows of the rhs input
-with u0.  The numbers stay bit for bit: each row is read as its own
-groups' products, and row i of f reads only rows that are unchanged.  The
-slab sweep still builds every component's stencils.
+(``OdeProblem.dependencies``).  The residual reader then locates and
+interpolates only those, for one time or many, and fills the other rows of
+the rhs input with u0.  The numbers stay bit for bit: each row is read as
+its own groups' products, and row i of f reads only rows that are
+unchanged.  The slab sweep still builds every component's stencils.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class OdeProblem:
     added; each entry is normalised to a sorted tuple of unique indices.
     ``None`` means every f_i may read every component.  Row i of f must not
     change when a component outside entry i changes: the residual reads
-    only those components (see ``interval_rhs``).
+    only those components (see ``residual_reader``).
 
     ``columnwise`` declares that column p of ``rhs(U, t)`` depends only on
     column p of U and on t[p], with the same bits whatever other columns
@@ -340,7 +340,8 @@ class Trajectory:
 
     def interval_values(self, i: int, j: int, s, order: int = 0) -> np.ndarray:
         """Component i's polynomial on interval j, or its order-th time
-        derivative, at local coordinates s."""
+        derivative, at local coordinates s.  An order other than 0 that is
+        not a positive integer raises ValueError."""
         return self._contract(i, j, self._lagrange(i, j, s), order)
 
     def _lagrange(self, i: int, j: int, s) -> np.ndarray:
@@ -348,10 +349,13 @@ class Trajectory:
 
     def _contract(self, i: int, j: int, L: np.ndarray, order: int = 0) -> np.ndarray:
         """Values (order 0) or order-th time derivatives of component i's
-        polynomial on interval j from the Lagrange factors L of its nodes."""
+        polynomial on interval j from the Lagrange factors L of its nodes;
+        only a derivative order is checked, so an order-0 read does no
+        more work."""
         vals = self._coeffs[i][j]
         if not order:
             return vals @ L
+        _check_integer("order", order, 0)
         D = tableau(self.methods[i], self.order(i, j)).diff
         for _ in range(order):
             vals = D @ vals
@@ -382,37 +386,10 @@ class Trajectory:
     def values(self, i: int, ts: np.ndarray, side: str, order: int) -> np.ndarray:
         """Component i's values, or order-th time derivatives, at the times
         ``ts`` (a 1-d array), each on the interval ``Partition.locate`` finds
-        with ``side`` (times outside [0, T] clamp to the end intervals).  A
-        single time is located by ``Partition.point`` (bisect) instead of
-        searchsorted, and read by the same per-group contraction."""
-        if len(ts) == 1:
-            return self.interval_values(
-                i, *self.partition.point(i, float(ts[0]), side), order)
+        with ``side`` (times outside [0, T] clamp to the end intervals).
+        Raises ValueError unless order is a non-negative integer."""
+        _check_integer("order", order, 0)
         return self.evaluate((i,), ts, (self.partition.locate(i, ts, side),), order)[0]
-
-    def cross_state(self, i: int, j: int, s, comps: Sequence[int]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The multirate state seen by component i on its interval j at the
-        local coordinates s: the times t0 + k s, the state (N, P) and the
-        Lagrange factors (n, P) of s on the interval's nodes.
-
-        Row i is the interval's own polynomial at s.  Every other component
-        of ``comps`` is read where ``Partition.reads`` puts each time (the
-        right limit at t0, the left limit elsewhere), one contraction per
-        (component, interval) group; the rows outside ``comps`` hold u0.
-        The residual at a single s is ``residual_reader``'s, which locates
-        by ``Partition.read`` (bisect) instead."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t0, t1 = self.partition.span(i, j)
-        times = t0 + (t1 - t0) * s
-        L = self._lagrange(i, j, s)
-        others = [c for c in comps if c != i]
-        js = [self.partition.reads(c, times, t0) for c in others]
-        U = np.repeat(self.u0[:, None], len(times), axis=1)
-        U[others] = self.evaluate(others, times, js)
-        # own component from this interval's polynomial (matters at breakpoints)
-        U[i] = self._contract(i, j, L)
-        return times, U, L
 
     def value(self, i: int, t: float, side: str = "left") -> float:
         """Component i at time t with the requested one-sided convention."""
@@ -459,75 +436,79 @@ class Trajectory:
 # Residuals
 # ---------------------------------------------------------------------------
 
-def interval_rhs(traj: Trajectory, problem: OdeProblem, i: int, j: int,
-                 s) -> tuple[np.ndarray, np.ndarray]:
-    """f_i on component i's interval j at local coordinates s, under the
-    within-interval cross state, and the Lagrange factors of s on the
-    interval's nodes.  The residual and the estimator's rhs integrals both
-    start from this one quantity; ``Trajectory.cross_state`` forms the
-    state.  ``residual_reader`` makes the same read for one s, as a root
-    search asks for.
-
-    Only the components f_i reads (``problem.dependencies``, all of them by
-    default) are located and interpolated; the other rows of the rhs input
-    hold u0, finite values whose output rows are discarded.  This is bit for
-    bit: row i of f reads only rows that are unchanged, and each of those
-    rows is read as its own groups' products (see the module docstring)."""
-    comps = (range(traj.dimension) if problem.dependencies is None
-             else problem.dependencies[i])
-    times, U, L = traj.cross_state(i, j, s, comps)
-    return problem.eval_rhs(U, times)[i], L
-
-
 def interval_residual(traj: Trajectory, problem: OdeProblem, i: int, j: int,
                       s) -> np.ndarray:
     """Residual of component i on its interval j at local coordinates s,
-    evaluated with the within-interval limit at the left endpoint.  A
-    single s is read by ``residual_reader``."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if len(s) == 1:
-        return np.array([residual_reader(traj, problem, i, j)(float(s[0]))])
-    f, L = interval_rhs(traj, problem, i, j, s)
-    return traj._contract(i, j, L, 1) - f
+    evaluated with the within-interval limit at the left endpoint: the
+    array read of ``residual_reader``."""
+    return residual_reader(traj, problem, i, j).residual(s)
 
 
-def residual_reader(traj: Trajectory, problem: OdeProblem, i: int,
-                    j: int) -> Callable[[float], float]:
-    """Component i's residual on its interval j as a function of one local
-    coordinate s (a float), as a root search reads it: the float operations
-    of ``interval_rhs`` and the derivative contraction at that one s, in
-    the same order, so the same bits.
+class residual_reader:
+    """Component i's right-hand side and residual on its interval j, the one
+    reader of f_i under the within-interval multirate state.
 
-    The interval's span, nodes, coefficients, their derivative D xi and the
-    components f_i reads are taken once; each read makes one
-    lagrange_matrix call (looked up at call time, so a wrapper of the
-    module attribute sees it), locates every other component it reads by
-    ``Partition.read`` (bisect), contracts row i as ``xi @ L`` and makes
-    one rhs call on one column.  The reader holds the trajectory and the
-    problem and no reference cycle."""
-    t0, t1 = traj.partition.span(i, j)
-    k = t1 - t0
-    tab = tableau(traj.methods[i], traj.order(i, j))
-    nodes = tab.nodes
-    xi = traj.coefficients(i, j)
-    dxi = tab.diff @ xi
-    comps = (range(traj.dimension) if problem.dependencies is None
-             else problem.dependencies[i])
-    others = [c for c in comps if c != i]
-    u0 = traj.u0[:, None]
-    read, values = traj.partition.read, traj.interval_values
+    The interval's span, nodes, coefficients xi, their derivative D xi and
+    the components f_i reads (``problem.dependencies``, all by default) are
+    taken once.  Row i of the state is the interval's own polynomial,
+    ``xi @ L``; every other component f_i reads is read where
+    ``Partition.reads`` puts each time (the right limit at t0, the left
+    limit elsewhere); the other rows hold u0, finite values whose output
+    rows are discarded.  This is bit for bit: row i of f reads only rows
+    that are unchanged, and each of those rows is read as its own groups'
+    products (see the module docstring).
 
-    def at(s: float) -> float:
-        t = t0 + k * s
-        L = lagrange_matrix(nodes, s)
-        U = u0.copy()
-        for c in others:
-            U[c] = values(c, *read(c, t, t0))
-        U[i] = xi @ L
-        f = problem.eval_rhs(U, np.array([t]))[i]
-        return float(((dxi @ L) / k - f)[0])
+    ``rhs(s)`` and ``residual(s)`` read at an array of local coordinates,
+    through ``Trajectory.evaluate``.  Calling the reader with one float s,
+    as a root search does, gives the residual there as a float, to the same
+    bits: it locates each other component by ``Partition.read`` (bisect)
+    and reads it with ``interval_values``.  Both make one lagrange_matrix
+    call, looked up at call time, so a wrapper of the module attribute sees
+    it, and one rhs call.  The reader holds the trajectory and the problem
+    and no reference cycle."""
 
-    return at
+    def __init__(self, traj: Trajectory, problem: OdeProblem, i: int, j: int):
+        self.traj, self.problem, self.i = traj, problem, i
+        self.t0, t1 = traj.partition.span(i, j)
+        self.k = t1 - self.t0
+        tab = tableau(traj.methods[i], traj.order(i, j))
+        self.nodes, self.xi = tab.nodes, traj.coefficients(i, j)
+        self.dxi = tab.diff @ self.xi
+        comps = (range(traj.dimension) if problem.dependencies is None
+                 else problem.dependencies[i])
+        self.others = [c for c in comps if c != i]
+
+    def _read(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """f_i at the local coordinates s and the Lagrange factors of s."""
+        traj, t0 = self.traj, self.t0
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        times = t0 + self.k * s
+        L = lagrange_matrix(self.nodes, s)
+        U = np.repeat(traj.u0[:, None], len(times), axis=1)
+        U[self.others] = traj.evaluate(self.others, times, [
+            traj.partition.reads(c, times, t0) for c in self.others])
+        U[self.i] = self.xi @ L
+        return self.problem.eval_rhs(U, times)[self.i], L
+
+    def rhs(self, s) -> np.ndarray:
+        """f_i at the local coordinates s."""
+        return self._read(s)[0]
+
+    def residual(self, s) -> np.ndarray:
+        """The residual at the local coordinates s."""
+        f, L = self._read(s)
+        return (self.dxi @ L) / self.k - f
+
+    def __call__(self, s: float) -> float:
+        traj, t0 = self.traj, self.t0
+        t = t0 + self.k * s
+        L = lagrange_matrix(self.nodes, s)
+        U = traj.u0[:, None].copy()
+        for c in self.others:
+            U[c] = traj.interval_values(c, *traj.partition.read(c, t, t0))
+        U[self.i] = self.xi @ L
+        f = self.problem.eval_rhs(U, np.array([t]))[self.i]
+        return float(((self.dxi @ L) / self.k - f)[0])
 
 
 def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:

@@ -358,6 +358,30 @@ class TestRunErrors:
                        "ZeroDivisionError: division by zero\n")
         assert not out.exists()
 
+    def test_unreadable_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--config", str(missing)]) == 1
+        err = one_error_line(capsys)
+        assert str(missing) in err and "No such file" in err
+
+    def test_problem_import_without_attribute(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem_import": "userprob"},
+                           drop=("model",))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("problem_import must look like 'package.module:attribute'"
+                in one_error_line(capsys))
+
+    def test_factory_of_something_else(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "userprob5.py").write_text("def make():\n    return 42\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        cfg = write_config(tmp_path, {"problem_import": "userprob5:make"},
+                           drop=("model",))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "userprob5:make did not produce an ODE problem" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_zero_component_factory(self, tmp_path, capsys, monkeypatch):
         helper = tmp_path / "userprob4.py"
         helper.write_text("from mgode.solver import OdeProblem\n"

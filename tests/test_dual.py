@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,11 @@ class TestJstar:
         jac = lambda u, t: np.array([[np.nan]])  # noqa: E731
         with pytest.raises(ValueError):
             jstar([1.0], [2.0], 0.0, jac, 2)
+
+    def test_nonfinite_rejected_on_a_degenerate_segment(self):
+        jac = lambda u, t: np.array([[np.inf]])  # noqa: E731
+        with pytest.raises(ValueError, match="non-finite Jacobian at t=0.5"):
+            jstar([1.0], [1.0], 0.5, jac, 2)
 
 
 class TestSolveDual:
@@ -123,6 +129,14 @@ class TestSolveDual:
                           dual_partition_for(part, 1),
                           SolveSettings(tolerance=1e-12))
         assert dual.value(0, 0.0) == pytest.approx(base.value(0, 0.0), abs=1e-11)
+
+    def test_dual_horizon_must_be_the_problem_horizon(self):
+        prob, part, traj = solved_linear(k=0.25)
+        other = build_partition(0.25, 2, 2.0, methods=prob.methods)
+        with pytest.raises(ValueError, match=re.escape(
+                "dual partition horizon 2.0 != problem horizon 1.0")):
+            solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[1.0, 0.0]),
+                       other)
 
     def test_phi_T_validation(self):
         prob, part, traj = solved_linear()
@@ -224,6 +238,28 @@ class TestReversalBookkeeping:
                 dual.values(0, ts, side)
         with pytest.raises(ValueError, match=message):
             dual.value(0, 0.5, side)
+
+    # a negative order used to read the value times k, and True order 1
+    @pytest.mark.parametrize("order", [-1, True, 1.5, "1"],
+                             ids=["negative", "bool", "float", "str"])
+    @pytest.mark.parametrize("reader", ["Trajectory.values",
+                                        "Trajectory.interval_values",
+                                        "DualSolution.values",
+                                        "DualSolution.value"])
+    def test_invalid_order_rejected_by_every_reader(self, reader, order):
+        prob, part, traj = solved_linear("mcG", q=2, k=0.1)
+        dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[0.3, 0.7]),
+                          dual_partition_for(part, 1),
+                          SolveSettings(tolerance=1e-12))
+        ts = np.array([0.25, 0.5])
+        read = {"Trajectory.values": lambda: traj.values(0, ts, "left", order),
+                "Trajectory.interval_values":
+                    lambda: traj.interval_values(0, 2, ts, order),
+                "DualSolution.values": lambda: dual.values(0, ts, order=order),
+                "DualSolution.value": lambda: dual.value(0, 0.5, order=order)}
+        with pytest.raises(ValueError, match=re.escape(
+                f"order must be an integer in [0, inf], got {order!r}")):
+            read[reader]()
 
 
 class TestStackedDualRhs:

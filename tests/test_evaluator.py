@@ -24,7 +24,7 @@ from mgode.estimator import (ErrorReport, ExplicitEstimates, GalerkinEstimates,
                              explicit_estimates)
 from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
                           _build_work, _interval_groups, interval_residual,
-                          interval_rhs, solve)
+                          residual_reader, solve)
 from mgode.tableau import (MAX_ORDER, METHODS, integration_rule, lagrange_matrix,
                            lobatto_nodes, min_order, radau_nodes, tableau)
 
@@ -155,14 +155,23 @@ class TestTrajectoryEvaluator:
 
     def test_cross_state_matches_per_interval_loop(self, multirate):
         # component 0's interval [0.25, 0.5] holds breakpoints of the three
-        # others; s = m/16 puts times exactly on them
-        _, traj = multirate
+        # others; s = m/16 puts times exactly on them.  The residual
+        # reader's rhs sees the cross state: a recording rhs keeps it
+        prob, traj = multirate
+        seen = []
+
+        def record(U, t):
+            seen.append((U.copy(), t.copy()))
+            return np.zeros_like(U)
+
+        recorder = dataclasses.replace(prob, rhs=record, vectorized=True,
+                                       dependencies=None)
         i, j = 0, 1
         s = np.linspace(0.0, 1.0, 17)
-        times, U, L = traj.cross_state(i, j, s, range(traj.dimension))
+        residual_reader(traj, recorder, i, j).rhs(s)
+        [(U, times)] = seen
         t0, t1 = traj.partition.span(i, j)
         assert np.array_equal(times, t0 + (t1 - t0) * s)
-        assert np.array_equal(L, traj._lagrange(i, j, s))
         assert np.array_equal(U[i], traj.interval_values(i, j, s))
         on_breakpoint = 0
         for c in range(traj.dimension):
@@ -309,11 +318,14 @@ class TestIntervalRhs:
                         == seed_integral_of_rhs(traj, prob, i, j, depth))
 
     def test_factors_are_the_interval_lagrange_matrix(self, multirate):
+        # the residual is the derivative contraction of the interval's own
+        # Lagrange factors minus the reader's rhs
         prob, traj = multirate
         s = np.array([0.0, 0.3, 1.0])
-        f, L = interval_rhs(traj, prob, 1, 3, s)
+        f = residual_reader(traj, prob, 1, 3).rhs(s)
         assert f.shape == (3,)
-        assert np.array_equal(L, traj._lagrange(1, 3, s))
+        assert np.array_equal(interval_residual(traj, prob, 1, 3, s),
+                              traj._contract(1, 3, traj._lagrange(1, 3, s), 1) - f)
 
 
 # -- slab stencils against the per-point lookup they replaced -----------------
@@ -419,8 +431,9 @@ class TestSlabStencils:
 # -- the one-time paths against the general evaluator they bypass -------------
 #
 # The oracles below are the bodies of Trajectory.evaluate, the cross state,
-# interval_rhs and DualSolution._evaluate from before the one-time path: every
-# call, whatever its number of times, went through the grouped evaluator.
+# the interval rhs and DualSolution._evaluate from before the one-time path:
+# every call, whatever its number of times, went through the grouped
+# evaluator.
 # They locate with Partition.locate, the same rule the old Trajectory.locate
 # applied.
 
@@ -554,16 +567,17 @@ class TestOneTime:
                 hits = [_hit(t0, k, b) for b in bp[(bp > t0) & (bp < t1)]]
                 hits = [s for s in hits if s is not None]
                 on_breakpoint += len(hits)
+                reader = residual_reader(traj, prob, i, j)
                 for s in [0.0, 1.0, 0.37, *rule.tolist(), *hits]:
                     for x in (s, np.array([s])):
-                        f, L = interval_rhs(traj, prob, i, j, x)
+                        f = reader.rhs(x)
                         f_ref, L_ref = oracle_interval_rhs(traj, prob, i, j, x)
-                        assert f.shape == L.shape[1:] == (1,)
+                        assert f.shape == (1,)
                         assert np.array_equal(f, f_ref)
-                        assert np.array_equal(L, L_ref)
+                        expected = traj._contract(i, j, L_ref, 1) - f_ref
                         assert np.array_equal(
-                            interval_residual(traj, prob, i, j, x),
-                            traj._contract(i, j, L_ref, 1) - f_ref)
+                            interval_residual(traj, prob, i, j, x), expected)
+                    assert reader(float(s)) == expected[0]
         assert inexact_end > 0 and on_breakpoint > 0
 
     def test_dual_values_and_derivatives(self, one_time):
@@ -593,12 +607,12 @@ class TestOneTime:
 
 
 def test_one_time_path_is_taken_and_traced(monkeypatch):
-    # During an estimate every single-time request takes a one-time path:
-    # the residual's is solver.residual_reader, which calls no cross_state,
-    # and the dual's is Trajectory.values' bisect.  So only multi-point
-    # calls reach Trajectory.evaluate from Trajectory.cross_state and
-    # .values.  (A one-node rule at depth 0 would read one time through
-    # cross_state; this case, at depth 1, has none.)  The benchmark's
+    # During an estimate every single-time residual request takes the
+    # residual reader's one-point call, which calls no Trajectory.evaluate;
+    # so only multi-point reads reach Trajectory.evaluate from the reader's
+    # array read.  (A one-node rule at depth 0 would read one time there;
+    # this case, at depth 1, has none.)  The dual's reads, of one time or
+    # many, go through Trajectory.values.  The benchmark's
     # estimator.residual_calls, counted through the module attribute
     # mgode.estimator.interval_residual, must count every interval_residual
     # call; the reader's probes make none.
@@ -628,9 +642,9 @@ def test_one_time_path_is_taken_and_traced(monkeypatch):
     finally:
         sys.setprofile(None)
 
-    watched = ("cross_state", "values")
-    assert not [c for c in callers if c[0] in watched and c[1] == 1]
-    assert {name for name, n in callers if n > 1} >= set(watched)
+    assert ("_read", 1) not in callers
+    assert {name for name, n in callers if n > 1} >= {"_read", "values"}
+    assert ("values", 1) in callers
     assert plain > 0
     assert tracer.metrics()["estimator.residual_calls"] == plain
 
@@ -709,13 +723,14 @@ class TestDependencyPattern:
         for i in range(traj.dimension):
             for j in range(part.n_intervals(i)):
                 pts = _pattern_points(traj, i, j)
+                reader = residual_reader(traj, prob, i, j)
+                dense_reader = residual_reader(traj, dense, i, j)
                 for x in (*pts, np.array(pts), np.array([0.0, 1.0])):
-                    f, L = interval_rhs(traj, prob, i, j, x)
-                    f_ref, L_ref = interval_rhs(traj, dense, i, j, x)
-                    assert np.array_equal(f, f_ref)
-                    assert np.array_equal(L, L_ref)
+                    assert np.array_equal(reader.rhs(x), dense_reader.rhs(x))
                     assert np.array_equal(interval_residual(traj, prob, i, j, x),
                                           interval_residual(traj, dense, i, j, x))
+                for x in pts:
+                    assert reader(x) == dense_reader(x)
 
     def test_estimate_reports(self, case):
         prob, traj, dual = case
@@ -724,8 +739,8 @@ class TestDependencyPattern:
 
     def test_only_dependencies_are_read(self, kepler_mixed, monkeypatch):
         # a pattern the evaluator silently ignored would pass the equality
-        # tests above; here the one-time path locates, and the multi-point
-        # path evaluates, only the other components f_i reads
+        # tests above; here the reader's one-point call locates, and its
+        # multi-point read evaluates, only the other components f_i reads
         prob, traj, _ = kepler_mixed
         point, evaluate = Partition.point, Trajectory.evaluate
         seen = []
@@ -744,9 +759,11 @@ class TestDependencyPattern:
             for i in range(traj.dimension):
                 reads = (set(p.dependencies[i]) if p.dependencies is not None
                          else set(range(traj.dimension))) - {i}
-                for x in (0.3, np.array([0.0, 0.3, 1.0])):
+                reader = residual_reader(traj, p, i, 1)
+                for read in (lambda: reader(0.3), lambda: reader.rhs(0.3),
+                             lambda: reader.rhs(np.array([0.0, 0.3, 1.0]))):
                     seen.clear()
-                    interval_rhs(traj, p, i, 1, x)
+                    read()
                     assert set(seen) == reads
                     assert len(seen) == len(reads)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,33 @@ class TestBuildPartition:
         p = build_partition([0.5, 0.5], orders, 1.0, methods=("mcG", "mcG"))
         assert all(qs.dtype == int for qs in p.orders)
         assert p.orders[1].tolist() in ([2, 2], [3, 3])
+
+    @pytest.mark.parametrize("steps,orders,T,methods,message", [
+        (lambda t: 0.0, 1, 1.0, None, "nonpositive or non-finite step 0.0 at t=0.0"),
+        ([[]], 1, 1.0, None, "empty step list"),
+        ([[0.3, 0.3]], 1, 1.0, None, "explicit steps sum to 0.6, too far from T=1.0"),
+        # the tiny last step vanishes in the running sum
+        ([[1.0, 1e-20]], 1, 1.0, None, "explicit steps overshoot T"),
+        (0.1, [1, 2], 1.0, None, "orders given for 2 components, expected 1"),
+        (0.1, [[1, 1, 1]], 1.0, None, "component 0: 3 orders for 10 intervals"),
+        (0.1, 1, 0.0, None, "horizon must be positive and finite, got 0.0"),
+        ([], 1, 1.0, None, "empty step spec"),
+        ([0.1, 0.2], 1, 1.0, ("mcG",), "2 step specs for 1 components"),
+        ([[1.0 - 1e-13, 1e-13]], 1, 1.0, None,
+         "component 0 has a step at or below the merge resolution"),
+    ], ids=["callable_step", "empty_list", "sum_off_horizon", "overshoot",
+            "order_specs", "order_count", "horizon", "empty_spec", "spec_count",
+            "merge_resolution"])
+    def test_malformed_spec_names_the_fault(self, steps, orders, T, methods,
+                                            message):
+        with pytest.raises(PartitionError, match=re.escape(message)):
+            build_partition(steps, orders, T, methods=methods)
+
+    def test_callable_walk_merges_a_final_sliver(self):
+        # from t = 0.6 the step 1.0 leaves 0.4 < 0.5 * 1.0: the sliver joins
+        # the previous step instead of becoming its own interval
+        p = build_partition(lambda t: 0.3 if t < 0.5 else 1.0, 1, 1.0)
+        np.testing.assert_array_equal(p.breakpoints[0], [0.0, 0.3, 1.0])
 
     # an integer past int64 is out of range, not an OverflowError in the cast
     @pytest.mark.parametrize("steps,orders", [
@@ -202,13 +230,13 @@ class TestReads:
 
     @staticmethod
     def one_time_oracle(part, i, ts, t0s):
-        # Trajectory.cross_state's one-time path, one time at a time
+        # the residual reader's one-point call, one time at a time
         return np.array([part.point(i, t, "right" if t == t0 else "left")[0]
                          for t, t0 in zip(ts.tolist(), t0s.tolist())])
 
     @staticmethod
     def at_left_oracle(part, i, times, t0):
-        # Trajectory.cross_state's multi-point path
+        # the residual reader's multi-point read
         js = part.locate(i, times, "left")
         at_left = times == t0
         if at_left.any():

@@ -16,6 +16,7 @@ from mgode.solver import (
     OdeProblem,
     SolveReport,
     SolveSettings,
+    SolverError,
     Trajectory,
     interval_residual,
     residual,
@@ -296,6 +297,48 @@ class TestEval:
         traj = solve(prob, part)
         with pytest.raises(ValueError):
             traj.value(0, 1.5)
+
+    def test_left_value_at_zero_is_u0(self):
+        # an mdG polynomial starts at its right limit, not at u0
+        prob = decay_problem("mdG")
+        part = build_partition(0.25, 1, 1.0, methods=prob.methods)
+        traj = solve(prob, part, SolveSettings(tolerance=1e-14))
+        assert traj.value(0, 0.0) == 1.0
+        right = traj.value(0, 0.0, "right")
+        assert right == traj.interval_values(0, 0, 0.0)[0] != 1.0
+
+
+class TestRejectedInput:
+    def test_method_tag_count(self):
+        with pytest.raises(ValueError, match="3 method tags for 2 components"):
+            OdeProblem(rhs=lambda u, t: -u, u0=[1.0, 2.0], T=1.0,
+                       methods=("mcG", "mdG", "mcG"))
+
+    def test_unknown_method_tag(self):
+        with pytest.raises(ValueError, match="unknown method tag 'cG'"):
+            OdeProblem(rhs=lambda u, t: -u, u0=[1.0], T=1.0, methods="cG")
+
+    def test_vectorized_rhs_of_the_wrong_shape(self):
+        prob = OdeProblem(rhs=lambda u, t: np.zeros(3), u0=[1.0, 2.0], T=1.0,
+                          vectorized=True)
+        with pytest.raises(SolverError, match=re.escape(
+                "vectorized rhs returned shape (3,), expected (2, 1)")):
+            prob.eval_rhs(np.ones((2, 1)), np.zeros(1))
+
+    def test_jump_index_outside_the_breakpoints(self):
+        prob = decay_problem()
+        traj = solve(prob, build_partition(0.25, 1, 1.0, methods=prob.methods))
+        with pytest.raises(ValueError, match=re.escape(
+                "breakpoint index 4 outside [0, 4)")):
+            traj.jump(0, 4)
+
+    def test_orders_below_the_method_minimum(self):
+        # a partition built without methods admits order 0; an mcG solve
+        # refuses it
+        part = build_partition(0.25, 0, 1.0)
+        with pytest.raises(ValueError, match="component 0: orders below "
+                                             "minimum 1 for mcG"):
+            solve(decay_problem("mcG"), part)
 
 
 class TestDeterminism:

@@ -178,20 +178,41 @@ def test_every_residual_reader_probe_is_traced():
     assert sum(traced_cols.values()) == plain["rhs_cols"]
 
 
-def test_kepler_run_counts_at_seed_0(tmp_path):
-    # the benchmark's kepler_run at seed 0, warm, as its traced operations
-    # run: the one-point residual reads of the root searches make exactly
-    # these Lagrange calls and estimator rhs columns; a change that moves
-    # either count on purpose states the new figure here
-    tracing = load_tracing()
+def _workloads():
+    """perfbench/workloads.py, loaded from its file without writing there."""
     spec = importlib.util.spec_from_file_location(
         "workloads", TRACING_PATH.parent / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    bench = workloads.KeplerRun(0, tmp_path)
+    return workloads
+
+
+def test_kepler_run_counts_at_seed_0(tmp_path):
+    # the benchmark's kepler_run at seed 0, warm, as its traced operations
+    # run: the one-point residual reads of the root searches make exactly
+    # these Lagrange calls and estimator rhs columns, and the estimator's
+    # array reads these interval_residual calls; a change that moves a
+    # count on purpose states the new figure here
+    tracing = load_tracing()
+    bench = _workloads().KeplerRun(0, tmp_path)
     assert bench.run() == 0
     tracer = tracing.Tracer()
     assert tracer.traced("bench.kepler_run", bench.run) == 0
     metrics = tracer.metrics()
     assert metrics["tableau.lagrange_calls"] == 63_726
     assert metrics["estimator.rhs_cols"] == 53_569
+    assert metrics["estimator.residual_calls"] == 4_244
+
+
+def test_effectivity_grid_counts_at_seed_0(tmp_path):
+    # the benchmark's effectivity_grid at seed 0, warm, traced as
+    # kepler_run is above
+    tracing = load_tracing()
+    bench = _workloads().EffectivityGrid(0, tmp_path)
+    bench.run()
+    tracer = tracing.Tracer()
+    assert len(tracer.traced("bench.effectivity_grid", bench.run)) == 12
+    metrics = tracer.metrics()
+    assert metrics["tableau.lagrange_calls"] == 81_163
+    assert metrics["estimator.rhs_cols"] == 175_820
+    assert metrics["estimator.residual_calls"] == 10_801
