@@ -28,7 +28,12 @@ two mixed-family multirate cases (model linear_system, steps
 [0.03]*10 + [0.07]*10 and [0.1]*10, orders [2, 1], methods (mcG, mdG) and
 (mdG, mcG), quad_depth 1, tolerance 1e-13, dual refine 2, terminal weight
 [1, 0]): the only compared runs with an mdG multirate partition, whose
-nodes land an ulp off another component's breakpoint.  One more subprocess
+nodes land an ulp off another component's breakpoint.  On each it also
+dumps the readers that nothing in the pipeline calls: ``Trajectory.value``,
+``state``, ``values`` at orders 0..q and ``sample_states``,
+``DualSolution.value`` and ``values`` at orders 0..p, at every interior
+breakpoint from both sides, at the midpoints, at 0 from the right and at T
+from the left, and ``local_order`` on each primal interval.  One more subprocess
 per tree runs twelve N = 1 cases (model linear_decay, steps [0.1]*3 +
 [0.35]*2, mcG q in {1, 2, 3} and mdG q in {0, 1, 2}, quad_depth 1,
 tolerance 1e-13, dual refine 1 and 3, terminal weight [1]; see
@@ -44,7 +49,7 @@ horizon: kepler_2body solves Kepler's equation by the package's Brent root
 search, and linear_system takes a matrix exponential.  Then it
 compares the eight artifacts of each of the three Kepler runs, the twelve
 grid ``ErrorReport.to_json_dict()`` JSON texts, each multirate case's
-coefficients and report JSON and the chain's coefficients and
+coefficients, report JSON and reader dump and the chain's coefficients and
 ``SolveReport``, the twelve N = 1 report JSON texts and each closed form's
 values byte for byte, and
 names each one that differs.  One more
@@ -99,7 +104,7 @@ GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
               for k in (0.1, 0.05, 0.025)]
 MULTIRATE_METHODS = [("mcG", "mdG"), ("mdG", "mcG")]
 MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
-                   for text in ("coefficients", "report")]
+                   for text in ("coefficients", "report", "readers")]
 CHAIN_TEXTS = ("chain-coefficients", "chain-report")
 DECAY_CASES = [(method, q, refine) for method, orders in (("mcG", (1, 2, 3)),
                                                          ("mdG", (0, 1, 2)))
@@ -261,6 +266,32 @@ for methods in {MULTIRATE_METHODS!r}:
                for j in range(part.n_intervals(i))] for i in range(2)]
     print(f"{{name}}-coefficients\\t" + json.dumps(coeffs))
     print(f"{{name}}-report\\t" + json.dumps(report.to_json_dict()))
+    # the single-time readers and their array forms at every interior
+    # breakpoint from both sides, at the midpoints, at 0 from the right and
+    # at T from the left
+    bp = np.unique(np.concatenate(part.breakpoints))
+    mid = 0.5 * (bp[:-1] + bp[1:])
+    times = {{"left": np.sort(np.concatenate([bp[1:], mid])),
+             "right": np.sort(np.concatenate([bp[:-1], mid]))}}
+    readers = {{"local_order": [[dual.local_order(i, *part.span(i, j))
+                                for j in range(part.n_intervals(i))]
+                               for i in range(2)]}}
+    for side, ts in times.items():
+        readers[f"state-{{side}}"] = [traj.state(t, side).tolist()
+                                     for t in ts.tolist()]
+        readers[f"sample_states-{{side}}"] = traj.sample_states(ts, side).tolist()
+        for i in range(2):
+            readers[f"value-{{side}}-{{i}}"] = [traj.value(i, t, side)
+                                              for t in ts.tolist()]
+            for order in range(int(part.orders[i].max()) + 1):
+                readers[f"values-{{side}}-{{i}}-{{order}}"] = traj.values(
+                    i, ts, side, order).tolist()
+            for order in range(int(dual.psi.partition.orders[i].max()) + 1):
+                readers[f"dual-value-{{side}}-{{i}}-{{order}}"] = [
+                    dual.value(i, t, side, order) for t in ts.tolist()]
+                readers[f"dual-values-{{side}}-{{i}}-{{order}}"] = dual.values(
+                    i, ts, side, order).tolist()
+    print(f"{{name}}-readers\\t" + json.dumps(readers))
 """
 
 
@@ -468,7 +499,7 @@ def main() -> int:
                    if case not in MULTIRATE_TEXTS and a[case] != b[case]]
     multirate_differ = [name for name in MULTIRATE_TEXTS if a[name] != b[name]]
     for name in grid_differ + multirate_differ:
-        if name.endswith("coefficients"):
+        if not name.endswith("report"):
             print(f"differs: {name}")
         else:
             print_deviations(name, a[name], b[name])

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition, _check_integer, _check_intervals, _check_side
+from .partition import (Partition, _check_integer, _check_intervals, _check_side,
+                        _check_time)
 from .solver import (OdeProblem, SolveSettings, SolverError, Trajectory,
                      _user_error, solve)
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
@@ -153,10 +154,12 @@ class DualSolution:
 
     def local_order(self, i: int, t0: float, t1: float) -> int:
         """Smallest dual polynomial order among component i's pieces
-        overlapping (t0, t1)."""
+        overlapping (t0, t1); raises ValueError unless both lie in [0, T]."""
+        _check_time(t0, self.T)
+        _check_time(t1, self.T)
         part = self.psi.partition
-        lo = part.interval_at(i, self.T - t1, "right")
-        hi = part.interval_at(i, self.T - t0, "left")
+        lo = part.point(i, self.T - t1, "right")[0]
+        hi = part.point(i, self.T - t0, "left")[0]
         return int(np.min(part.orders[i][lo:hi + 1]))
 
     def value(self, i: int, t: float, side: str = "left", order: int = 0) -> float:

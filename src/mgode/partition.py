@@ -52,6 +52,12 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _check_time(t: float, T: float) -> None:
+    """Raise ValueError unless 0 <= t <= T."""
+    if not 0.0 <= t <= T:
+        raise ValueError(f"t={t!r} outside [0, {T!r}]")
+
+
 class PartitionError(ValueError):
     """Invalid partition construction input."""
 
@@ -61,10 +67,13 @@ class Partition:
     """Per-component breakpoints and interval orders on (0, T].
 
     The partition alone decides where a time falls on a component: the
-    interval (``interval_at``, ``point``, ``locate``), the side a reader
-    takes at a breakpoint (``reads``, ``read``), the local coordinate in the
-    interval (``coordinate``) and the snapping of near-breakpoint times
-    (``snap``).  Callers pick the times and evaluate there.
+    interval (``point`` for one time, ``locate`` for many; both clamp a
+    time outside the breakpoint range to the end interval, and a reader
+    that refuses such a time checks it with ``_check_time``), the side a
+    reader takes at a breakpoint (``reads``, ``read``), the local
+    coordinate in the interval (``coordinate``) and the snapping of
+    near-breakpoint times (``snap``).  Callers pick the times and evaluate
+    there.
     """
 
     T: float
@@ -102,25 +111,6 @@ class Partition:
         bp = self.breakpoints[i]
         return float(bp[j]), float(bp[j + 1])
 
-    def interval_at(self, i: int, t: float, side: str = "left") -> int:
-        """Index of the interval of component i containing t under the
-        requested one-sided convention at breakpoints.
-
-        With the left-open right-closed intervals, side="left" resolves a
-        breakpoint to the interval ending there, side="right" to the one
-        starting there.  Raises ValueError for t outside [0, T] or when no
-        interval lies on the requested side; ``point`` and ``locate`` clamp
-        instead.
-        """
-        if not 0.0 <= t <= self.T:
-            raise ValueError(f"t={t!r} outside [0, {self.T!r}]")
-        _check_side(side)
-        bp = self._bp_lists[i]
-        j = (bisect_left if side == "left" else bisect_right)(bp, t) - 1
-        if not 0 <= j < len(bp) - 1:
-            raise ValueError(f"no interval to the {side} of t={t!r}")
-        return j
-
     def point(self, i: int, t: float, side: str) -> tuple[int, float]:
         """``locate`` for one time, by bisect on the breakpoint list, and the
         local coordinate of t in that interval (``coordinate``)."""
@@ -130,9 +120,11 @@ class Partition:
         return j, self.coordinate(i, j, t)
 
     def locate(self, i: int, ts: np.ndarray, side: str = "left") -> np.ndarray:
-        """Interval index of component i at each time, with breakpoints
-        resolved as in ``interval_at`` and times outside the breakpoint
-        range clamped to the first or last interval."""
+        """Interval index of component i at each time: with the left-open
+        right-closed intervals, side="left" resolves a breakpoint to the
+        interval ending there, side="right" to the one starting there, and
+        times outside the breakpoint range clamp to the first or last
+        interval."""
         _check_side(side)
         # counting interior breakpoints is searchsorted(bp) - 1 clamped
         return self._interior[i].searchsorted(ts, side)

@@ -37,13 +37,17 @@ the left limit elsewhere), the local coordinate (``.coordinate``) and the
 snapping of times near a breakpoint (``.snap``).  The slab solver and the
 residual pick the times: the slab's quadrature times, snapped, and the
 residual's raw times, not snapped -- the one difference between the two
-reads.  The trajectory reads every component's polynomial by one rule:
-one contraction per (component, interval) group, ``interval_values``' one
-lagrange_matrix call and one ``coeffs @ L`` over exactly that group's
-columns.  A lagrange column depends only on its own point, but BLAS rounds
-``coeffs @ L`` by its column count, so a read depends on the other times
-asked for on the same (component, interval) in the same call, and on no
-other time.  ``residual_reader`` is the one reader of f_i and of the
+reads.  ``Trajectory.values`` is the one rule for reading a component in
+time: it clamps times outside [0, T] to the end intervals, so a right read
+at T is the left limit, and reads u0 from the left at t = 0; ``value``,
+``state`` and ``sample_states`` read through it, and ``value``, ``state``
+and ``residual`` raise outside [0, T].  The trajectory reads every
+component's polynomial by one rule: one contraction per (component,
+interval) group, ``interval_values``' one lagrange_matrix call and one
+``coeffs @ L`` over exactly that group's columns.  A lagrange column
+depends only on its own point, but BLAS rounds ``coeffs @ L`` by its column
+count, so a read depends on the other times asked for on the same
+(component, interval) in the same call, and on no other time.  ``residual_reader`` is the one reader of f_i and of the
 residual on an interval: it takes the interval's span, nodes, coefficients
 and derivative coefficients once, and reads many local coordinates through
 ``Trajectory.evaluate`` or, called with one float as the estimator's root
@@ -66,8 +70,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .partition import (Partition, TimeSlab, _check_integer, _is_integer,
-                        build_slabs)
+from .partition import (Partition, TimeSlab, _check_integer, _check_time,
+                        _is_integer, build_slabs)
 from .tableau import (
     MCG,
     MAX_QUAD_DEPTH,
@@ -340,25 +344,20 @@ class Trajectory:
 
     def interval_values(self, i: int, j: int, s, order: int = 0) -> np.ndarray:
         """Component i's polynomial on interval j, or its order-th time
-        derivative, at local coordinates s.  An order other than 0 that is
-        not a positive integer raises ValueError."""
-        return self._contract(i, j, self._lagrange(i, j, s), order)
-
-    def _lagrange(self, i: int, j: int, s) -> np.ndarray:
-        return lagrange_matrix(tableau(self.methods[i], self.order(i, j)).nodes, s)
-
-    def _contract(self, i: int, j: int, L: np.ndarray, order: int = 0) -> np.ndarray:
-        """Values (order 0) or order-th time derivatives of component i's
-        polynomial on interval j from the Lagrange factors L of its nodes;
-        only a derivative order is checked, so an order-0 read does no
-        more work."""
+        derivative, at local coordinates s: one lagrange_matrix call on the
+        interval's nodes and one ``coeffs @ L``.  A negative j raises
+        ValueError, and so does an order other than 0 that is not a
+        positive integer; an order-0 read checks nothing more."""
+        if j < 0:
+            raise ValueError(f"interval index {j!r} is negative")
+        tab = tableau(self.methods[i], self._orders[i][j])
+        L = lagrange_matrix(tab.nodes, s)
         vals = self._coeffs[i][j]
         if not order:
             return vals @ L
         _check_integer("order", order, 0)
-        D = tableau(self.methods[i], self.order(i, j)).diff
         for _ in range(order):
-            vals = D @ vals
+            vals = tab.diff @ vals
         return (vals @ L) / self.partition.step(i, j) ** order
 
     def evaluate(self, comps: Sequence[int], ts: np.ndarray, js: Sequence[np.ndarray],
@@ -386,33 +385,31 @@ class Trajectory:
     def values(self, i: int, ts: np.ndarray, side: str, order: int) -> np.ndarray:
         """Component i's values, or order-th time derivatives, at the times
         ``ts`` (a 1-d array), each on the interval ``Partition.locate`` finds
-        with ``side`` (times outside [0, T] clamp to the end intervals).
+        with ``side`` (times outside [0, T] clamp to the end intervals).  A
+        value read from the left at t = 0 is u0[i], the left limit there.
         Raises ValueError unless order is a non-negative integer."""
         _check_integer("order", order, 0)
-        return self.evaluate((i,), ts, (self.partition.locate(i, ts, side),), order)[0]
+        out = self.evaluate((i,), ts, (self.partition.locate(i, ts, side),), order)[0]
+        if side == "left" and not order:
+            out[ts == 0.0] = self.u0[i]
+        return out
 
     def value(self, i: int, t: float, side: str = "left") -> float:
-        """Component i at time t with the requested one-sided convention."""
-        if side == "left" and t == 0.0:
-            return float(self.u0[i])
-        j = self.partition.interval_at(i, t, side)
-        return float(self.interval_values(i, j, self.partition.coordinate(i, j, t))[0])
+        """Component i at time t, read as ``values`` reads it (from the left
+        at 0 u0[i], from the right at T the left limit); raises ValueError
+        for t outside [0, T]."""
+        _check_time(t, self.T)
+        return float(self.values(i, np.array([t], dtype=float), side, 0)[0])
 
     def state(self, t: float, side: str = "left") -> np.ndarray:
         """Full solution vector at time t."""
         return np.array([self.value(i, t, side) for i in range(self.dimension)])
 
     def sample_states(self, ts, side: str = "left") -> np.ndarray:
-        """Solution matrix (N, P) at an array of times.  side="left" resolves
-        breakpoints to the interval ending there (with the incoming value at
-        t = 0)."""
+        """Solution matrix (N, P) at an array of times, row i read by
+        ``values``."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        comps = range(self.dimension)
-        U = self.evaluate(comps, ts, [self.partition.locate(i, ts, side)
-                                      for i in comps])
-        if side == "left":
-            U[:, ts == 0.0] = self.u0[:, None]
-        return U
+        return np.array([self.values(i, ts, side, 0) for i in range(self.dimension)])
 
     def end_state(self) -> np.ndarray:
         """Left-limit solution vector at the horizon T."""
@@ -424,9 +421,7 @@ class Trajectory:
         0.0: ``solve_slab`` pins each interval's first nodal value to its
         incoming value bit for bit, and the Lagrange column at s = 0 on the
         Lobatto nodes is e_0 (up to signed zeros)."""
-        M = self.partition.n_intervals(i)
-        if not 0 <= j < M:
-            raise ValueError(f"breakpoint index {j} outside [0, {M})")
+        _check_integer("breakpoint index", j, 0, self.partition.n_intervals(i) - 1)
         left = self.incoming_value(i, j)
         right = float(self.interval_values(i, j, 0.0)[0])
         return right - left
@@ -468,6 +463,7 @@ class residual_reader:
     and no reference cycle."""
 
     def __init__(self, traj: Trajectory, problem: OdeProblem, i: int, j: int):
+        _check_integer("interval index", j, 0, traj.partition.n_intervals(i) - 1)
         self.traj, self.problem, self.i = traj, problem, i
         self.t0, t1 = traj.partition.span(i, j)
         self.k = t1 - self.t0
@@ -513,15 +509,12 @@ class residual_reader:
 
 def residual(traj: Trajectory, problem: OdeProblem, i: int, t: float) -> float:
     """Residual of component i at a time interior to one of its intervals."""
-    bp = traj.partition.breakpoints[i]
-    if t in bp:
-        raise ValueError(
-            f"t={t!r} is a breakpoint of component {i}; evaluate one-sided "
-            "or inside the interval"
-        )
-    j = traj.partition.interval_at(i, t, "left")
-    s = traj.partition.coordinate(i, j, t)
-    return float(interval_residual(traj, problem, i, j, s)[0])
+    _check_time(t, traj.T)
+    if t in traj.partition.breakpoints[i]:
+        raise ValueError(f"t={t!r} is a breakpoint of component {i}; "
+                         "evaluate one-sided or inside the interval")
+    j, s = traj.partition.point(i, t, "left")
+    return residual_reader(traj, problem, i, j)(s)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ equivalence checks.
 import numpy as np
 import pytest
 
-from mgode.tableau import MCG, tableau
+from mgode.tableau import MCG, lagrange_matrix, tableau
 
 
 def reference_single_rate(method, q, rhs, u0, T, n_steps,
@@ -46,6 +46,26 @@ def reference_single_rate(method, q, rhs, u0, T, n_steps,
         t0 += k
         out.append(u.copy())
     return np.array(out)
+
+
+def interval_factors(traj, i, j, s):
+    """The Lagrange factors at local coordinates s of the nodes of component
+    i's interval j, taken from the tableau."""
+    return lagrange_matrix(tableau(traj.methods[i], traj.order(i, j)).nodes, s)
+
+
+def contract(traj, i, j, L, order=0):
+    """Component i's polynomial on interval j, or its order-th time
+    derivative, from the Lagrange factors L of its nodes: the nodal values,
+    differentiated order times by the tableau's D and divided by k**order,
+    times L."""
+    vals = traj.coefficients(i, j)
+    if not order:
+        return vals @ L
+    D = tableau(traj.methods[i], traj.order(i, j)).diff
+    for _ in range(order):
+        vals = D @ vals
+    return (vals @ L) / traj.partition.step(i, j) ** order
 
 
 def fit_slope(hs, errs):

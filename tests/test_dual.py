@@ -223,6 +223,16 @@ class TestReversalBookkeeping:
             for t, v in zip(ts, dbatch):
                 assert dual.value(i, float(t), order=1) == pytest.approx(v, abs=0)
 
+    def test_local_order_outside_the_horizon_raises(self):
+        prob, part, traj = solved_linear("mcG", q=1, k=0.25)
+        dual = solve_dual(DualSpec(problem=prob, primal=traj, phi_T=[0.3, 0.7]),
+                          dual_partition_for(part, 1),
+                          SolveSettings(tolerance=1e-12))
+        assert [dual.local_order(0, *part.span(0, j)) for j in range(4)] == [2] * 4
+        for t0, t1 in ((-1e-12, 0.25), (0.75, 1.0 + 1e-12)):
+            with pytest.raises(ValueError, match=re.escape("outside [0, 1.0]")):
+                dual.local_order(0, t0, t1)
+
     @pytest.mark.parametrize("side", ["Left", "middle", None])
     def test_invalid_side_rejected_for_one_time_and_many(self, side):
         # a typo must not read the other limit, on the primal or the dual

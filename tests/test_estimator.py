@@ -326,7 +326,7 @@ def seed_s1_global_scalar(traj, dual):
     s1 = 0.0
     segs = _elementary_segments(traj, dual)
     for a, b in zip(segs[:-1], segs[1:]):
-        q = traj.order(0, traj.partition.interval_at(0, 0.5 * (a + b), "left"))
+        q = traj.order(0, traj.partition.point(0, 0.5 * (a + b), "left")[0])
         p = tableau(traj.methods[0], q).deriv_order
         fn = lambda ts: dual.values(0, ts, order=p)  # noqa: E731
         s1 += splitting_abs(fn, a, b, 2 * (max(1, q) + 2), 8 * (max(1, q) + 2))
@@ -809,7 +809,7 @@ def parent_galerkin_estimates(traj, dual, problem):
         fns = []
         qmax = 1
         for i in range(N):
-            q = traj.order(i, part.interval_at(i, mid, "left"))
+            q = traj.order(i, part.point(i, mid, "left")[0])
             qmax = max(qmax, q)
             fns.append(partial(dual.values, i,
                                order=tableau(traj.methods[i], q).deriv_order))

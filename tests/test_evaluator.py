@@ -28,6 +28,8 @@ from mgode.solver import (OdeProblem, SolveSettings, Trajectory,
 from mgode.tableau import (MAX_ORDER, METHODS, integration_rule, lagrange_matrix,
                            lobatto_nodes, min_order, radau_nodes, tableau)
 
+from conftest import contract, interval_factors
+
 
 def lagrange_loop(nodes, x):
     """The factor-by-factor product formula for the cardinal functions."""
@@ -232,12 +234,13 @@ class TestDualEvaluator:
                     sigma, flip = 0.0, "right"
                 else:
                     sigma, flip = dual.T - t, "right" if side == "left" else "left"
-                j = psi.partition.interval_at(i, sigma, flip)
+                j = psi.partition.point(i, sigma, flip)[0]
                 s0, s1 = psi.partition.span(i, j)
                 s = (sigma - s0) / (s1 - s0)
-                assert dual.value(i, t, side) == psi.interval_values(i, j, s)[0]
+                L = interval_factors(psi, i, j, s)
+                assert dual.value(i, t, side) == contract(psi, i, j, L)[0]
                 assert (dual.value(i, t, side, 1)
-                        == -psi.interval_values(i, j, s, order=1)[0])
+                        == -contract(psi, i, j, L, 1)[0])
 
 
 # -- the one f_i owner against the two bodies it replaced ---------------------
@@ -247,10 +250,10 @@ def seed_interval_residual(traj, problem, i, j, s):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t0, t1 = traj.partition.span(i, j)
     times = t0 + (t1 - t0) * s
-    L = traj._lagrange(i, j, s)
-    du = traj._contract(i, j, L, 1)
+    L = interval_factors(traj, i, j, s)
+    du = contract(traj, i, j, L, 1)
     U = oracle_cross_state(traj, times, left_endpoint=t0)
-    U[i] = traj._contract(i, j, L)
+    U[i] = contract(traj, i, j, L)
     F = problem.eval_rhs(U, times)
     return du - F[i]
 
@@ -264,7 +267,7 @@ def seed_integral_of_rhs(traj, problem, i, j, depth):
     if len(times) and s[0] == 0.0:
         times[0] = t0
     U = oracle_cross_state(traj, times, left_endpoint=t0)
-    U[i] = traj.interval_values(i, j, s)
+    U[i] = contract(traj, i, j, interval_factors(traj, i, j, s))
     F = problem.eval_rhs(U, times)
     return k * float(w @ F[i])
 
@@ -325,7 +328,8 @@ class TestIntervalRhs:
         f = residual_reader(traj, prob, 1, 3).rhs(s)
         assert f.shape == (3,)
         assert np.array_equal(interval_residual(traj, prob, 1, 3, s),
-                              traj._contract(1, 3, traj._lagrange(1, 3, s), 1) - f)
+                              contract(traj, 1, 3, interval_factors(traj, 1, 3, s), 1)
+                              - f)
 
 
 # -- slab stencils against the per-point lookup they replaced -----------------
@@ -408,7 +412,7 @@ class TestSlabStencils:
                         tt = _snap_time(float(t), part.breakpoints[c], 1e-12 * T)
                         snapped += tt != t
                         side = "right" if tt == item.t0 else "left"
-                        js[p] = part.interval_at(c, tt, side)
+                        js[p] = part.point(c, tt, side)[0]
                         tc0, tc1 = part.span(c, js[p])
                         ss[p] = (tt - tc0) / (tc1 - tc0)
                     groups = table[w, c]
@@ -482,8 +486,8 @@ def oracle_evaluate(traj, comps, ts, js, order=0):
         start = 0
         for row, c, jc, sel, s in items:
             stop = start + len(s)
-            out[row, sel] = traj._contract(
-                c, jc, np.ascontiguousarray(L[:, start:stop]), order)
+            out[row, sel] = contract(
+                traj, c, jc, np.ascontiguousarray(L[:, start:stop]), order)
             start = stop
     return out
 
@@ -503,9 +507,9 @@ def oracle_interval_rhs(traj, problem, i, j, s):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t0, t1 = traj.partition.span(i, j)
     times = t0 + (t1 - t0) * s
-    L = traj._lagrange(i, j, s)
+    L = interval_factors(traj, i, j, s)
     U = oracle_cross_state(traj, times, left_endpoint=t0)
-    U[i] = traj._contract(i, j, L)
+    U[i] = contract(traj, i, j, L)
     return problem.eval_rhs(U, times)[i], L
 
 
@@ -574,7 +578,7 @@ class TestOneTime:
                         f_ref, L_ref = oracle_interval_rhs(traj, prob, i, j, x)
                         assert f.shape == (1,)
                         assert np.array_equal(f, f_ref)
-                        expected = traj._contract(i, j, L_ref, 1) - f_ref
+                        expected = contract(traj, i, j, L_ref, 1) - f_ref
                         assert np.array_equal(
                             interval_residual(traj, prob, i, j, x), expected)
                     assert reader(float(s)) == expected[0]

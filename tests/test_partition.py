@@ -10,6 +10,7 @@ from mgode.partition import (
     SYNC_REL_TOL,
     Partition,
     PartitionError,
+    _check_time,
     build_partition,
     build_slabs,
 )
@@ -142,31 +143,32 @@ class TestIntervalAt:
         return build_partition(0.25, 1, 1.0, methods=("mcG",))
 
     def test_breakpoint_left_is_closing_interval(self, part):
-        assert part.interval_at(0, 0.5, "left") == 1
+        assert part.point(0, 0.5, "left")[0] == 1
 
     def test_breakpoint_right_is_opening_interval(self, part):
-        assert part.interval_at(0, 0.5, "right") == 2
+        assert part.point(0, 0.5, "right")[0] == 2
 
     def test_zero_right(self, part):
-        assert part.interval_at(0, 0.0, "right") == 0
+        assert part.point(0, 0.0, "right")[0] == 0
 
     def test_errors(self, part):
-        with pytest.raises(ValueError):
-            part.interval_at(0, 1.0, "right")
-        with pytest.raises(ValueError):
-            part.interval_at(0, 0.0, "left")
-        with pytest.raises(ValueError):
-            part.interval_at(0, 1.5, "left")
-        with pytest.raises(ValueError):
-            part.interval_at(0, 0.5, "middle")
+        # the range check of the readers that refuse a time outside [0, T]
+        # (Trajectory.value, residual, DualSolution.local_order); the
+        # locators clamp instead
+        for t in (0.0, 0.5, 1.0):
+            _check_time(t, part.T)
+        for t in (-1e-12, 1.0 + 1e-12, 1.5, np.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"t={t!r} outside [0, 1.0]")):
+                _check_time(t, part.T)
 
     @pytest.mark.parametrize("side", ["Left", "middle", None])
     def test_point_rejects_an_invalid_side(self, part, side):
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
             part.point(0, 0.5, side)
 
-    # interval_at, point and locate are one rule: left-open right-closed
-    # intervals, with side choosing the interval at a breakpoint
+    # point and locate are one rule: left-open right-closed intervals, with
+    # side choosing the interval at a breakpoint
 
     @pytest.fixture
     def uneven(self):
@@ -204,23 +206,17 @@ class TestIntervalAt:
                 ref = self.brute_force(bp, t, side)
                 if ref is None:
                     # t = 0 from the left or T from the right: point and
-                    # locate clamp to the end interval, interval_at raises
+                    # locate clamp to the end interval
                     assert t == (0.0 if side == "left" else uneven.T)
                     ref = 0 if side == "left" else M - 1
-                    with pytest.raises(ValueError):
-                        uneven.interval_at(i, t, side)
-                else:
-                    assert uneven.interval_at(i, t, side) == ref
                 assert j_vec == ref
                 self._check_point(uneven, i, t, side, ref)
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_outside_clamps_and_interval_at_raises(self, uneven, side):
+    def test_outside_clamps(self, uneven, side):
         for i in range(uneven.n_components):
             last = uneven.n_intervals(i) - 1
             for t in (-0.5, -1e-12, 1.0 + 1e-12, 2.0):
-                with pytest.raises(ValueError):
-                    uneven.interval_at(i, t, side)
                 self._check_point(uneven, i, t, side, 0 if t < 0.0 else last)
 
 

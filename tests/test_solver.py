@@ -25,7 +25,7 @@ from mgode.solver import (
     solve_slab,
 )
 
-from conftest import fit_slope, reference_single_rate
+from conftest import contract, fit_slope, interval_factors, reference_single_rate
 
 A2 = np.array([[-1.0, 2.0], [0.5, -3.0]])
 
@@ -295,8 +295,13 @@ class TestEval:
         prob = decay_problem()
         part = build_partition(0.25, 1, 1.0, methods=prob.methods)
         traj = solve(prob, part)
-        with pytest.raises(ValueError):
-            traj.value(0, 1.5)
+        for t in (1.5, -1e-12, 1.0 + 1e-12):
+            message = re.escape(f"t={t!r} outside [0, 1.0]")
+            for side in ("left", "right"):
+                with pytest.raises(ValueError, match=message):
+                    traj.value(0, t, side)
+                with pytest.raises(ValueError, match=message):
+                    traj.state(t, side)
 
     def test_left_value_at_zero_is_u0(self):
         # an mdG polynomial starts at its right limit, not at u0
@@ -306,6 +311,30 @@ class TestEval:
         assert traj.value(0, 0.0) == 1.0
         right = traj.value(0, 0.0, "right")
         assert right == traj.interval_values(0, 0, 0.0)[0] != 1.0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("method,q", [("mcG", 1), ("mdG", 0)])
+    def test_single_time_readers_agree(self, method, q, side):
+        # value, state, values and sample_states read one rule, bit for bit:
+        # from the left at t = 0 each reads u0, from the right at T each
+        # reads the left limit
+        prob = model("linear_system").problem(methods=method)
+        part = build_partition(0.25, q, prob.T, methods=prob.methods)
+        traj = solve(prob, part, SolveSettings(tolerance=1e-13))
+        ts = [0.0, *part.breakpoints[0][1:-1].tolist(), 0.375, prob.T]
+        for t in ts:
+            state = traj.state(t, side)
+            samples = traj.sample_states(np.array([t]), side)[:, 0]
+            for i in range(traj.dimension):
+                reads = [traj.value(i, t, side), state[i], samples[i],
+                         traj.values(i, np.array([t]), side, 0)[0]]
+                assert len({np.float64(x).tobytes() for x in reads}) == 1, \
+                    (t, i, reads)
+        if side == "left":
+            assert np.array_equal(traj.state(0.0, side), traj.u0)
+        else:
+            assert np.array_equal(traj.state(prob.T, side),
+                                  traj.state(prob.T, "left"))
 
 
 class TestRejectedInput:
@@ -329,8 +358,30 @@ class TestRejectedInput:
         prob = decay_problem()
         traj = solve(prob, build_partition(0.25, 1, 1.0, methods=prob.methods))
         with pytest.raises(ValueError, match=re.escape(
-                "breakpoint index 4 outside [0, 4)")):
+                "breakpoint index must be an integer in [0, 3], got 4")):
             traj.jump(0, 4)
+
+    # each of these read the last interval, or failed as a raw TypeError
+    @pytest.mark.parametrize("read,message", [
+        (lambda prob, traj: residual_reader(traj, prob, 0, -1)(0.5),
+         "interval index must be an integer in [0, 3], got -1"),
+        (lambda prob, traj: interval_residual(traj, prob, 0, -1, [0.5]),
+         "interval index must be an integer in [0, 3], got -1"),
+        (lambda prob, traj: traj.interval_values(0, -1, np.array([0.5])),
+         "interval index -1 is negative"),
+        (lambda prob, traj: traj.jump(0, 1.5),
+         "breakpoint index must be an integer in [0, 3], got 1.5"),
+        (lambda prob, traj: traj.jump(0, True),
+         "breakpoint index must be an integer in [0, 3], got True"),
+    ], ids=["residual_reader", "interval_residual", "interval_values",
+            "jump_float", "jump_bool"])
+    def test_bad_interval_index(self, read, message):
+        prob = model("linear_system").problem(methods=("mcG", "mdG"))
+        part = build_partition([0.25, 0.125], [1, 0], prob.T,
+                               methods=prob.methods)
+        traj = solve(prob, part)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(prob, traj)
 
     def test_orders_below_the_method_minimum(self):
         # a partition built without methods admits order 0; an mcG solve
@@ -455,15 +506,16 @@ def _old_one_point_residual(traj, problem, i, j, s):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t0, t1 = traj.partition.span(i, j)
     times = t0 + (t1 - t0) * s
-    L = traj._lagrange(i, j, s)
+    L = interval_factors(traj, i, j, s)
     t = float(times[0])
     U = traj.u0[:, None].copy()
     for c in comps:
         if c != i:
-            U[c] = traj.interval_values(c, *traj.partition.read(c, t, t0))
-    U[i] = traj._contract(i, j, L)
+            jc, sc = traj.partition.read(c, t, t0)
+            U[c] = contract(traj, c, jc, interval_factors(traj, c, jc, sc))
+    U[i] = contract(traj, i, j, L)
     f = problem.eval_rhs(U, times)[i]
-    return float((traj._contract(i, j, L, 1) - f)[0])
+    return float((contract(traj, i, j, L, 1) - f)[0])
 
 
 def _reader_points(traj, i, j, rng):
