@@ -48,7 +48,8 @@ that has one at the fractions ``CLOSED_FORM_FRACTIONS`` of its default
 horizon: kepler_2body solves Kepler's equation by the package's Brent root
 search, and linear_system takes a matrix exponential.  Then it
 compares the eight artifacts of each of the three Kepler runs, the twelve
-grid ``ErrorReport.to_json_dict()`` JSON texts, each multirate case's
+grid ``ErrorReport.to_json_dict()`` JSON texts and dual coefficients (of
+``DualSolution.psi``), each multirate case's coefficients, dual
 coefficients, report JSON and reader dump and the chain's coefficients and
 ``SolveReport``, the twelve N = 1 report JSON texts and each closed form's
 values byte for byte, and
@@ -102,9 +103,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 GRID_CASES = [(method, q, k) for method in ("mcG", "mdG") for q in (1, 2)
               for k in (0.1, 0.05, 0.025)]
+GRID_DUAL_TEXTS = [f"{method}-q{q}-k{k}-dual" for method, q, k in GRID_CASES]
 MULTIRATE_METHODS = [("mcG", "mdG"), ("mdG", "mcG")]
 MULTIRATE_TEXTS = [f"multirate-{a}-{b}-{text}" for a, b in MULTIRATE_METHODS
-                   for text in ("coefficients", "report", "readers")]
+                   for text in ("coefficients", "dual", "report", "readers")]
 CHAIN_TEXTS = ("chain-coefficients", "chain-report")
 DECAY_CASES = [(method, q, refine) for method, orders in (("mcG", (1, 2, 3)),
                                                          ("mdG", (0, 1, 2)))
@@ -225,8 +227,8 @@ for method, q, refine in {DECAY_CASES!r}:
     print(f"decay-{{method}}-q{{q}}-refine{{refine}}\\t"
           + json.dumps(report.to_json_dict()))
 """
-# Prints one line per grid case and per multirate text: the name, a tab, the
-# JSON text.
+# Prints one line per grid case, per grid case's dual coefficients and per
+# multirate text: the name, a tab, the JSON text.
 GRID_SCRIPT = f"""
 import json
 import numpy as np
@@ -236,6 +238,11 @@ from mgode.estimator import estimate
 from mgode.models import model
 from mgode.partition import build_partition
 from mgode.solver import SolveSettings, solve
+
+def coefficients(traj):
+    return json.dumps([[traj.coefficients(i, j).tolist()
+                        for j in range(traj.partition.n_intervals(i))]
+                       for i in range(traj.dimension)])
 
 entry = model("linear_system")
 reference = expm(entry.jacobian(entry.u0, 0.0) * entry.T_default) @ entry.u0
@@ -250,6 +257,7 @@ for method, q, k in {GRID_CASES!r}:
                       dual_partition_for(part, 1, 4), settings)
     report = estimate(prob, traj, dual)
     print(f"{{method}}-q{{q}}-k{{k}}\\t" + json.dumps(report.to_json_dict()))
+    print(f"{{method}}-q{{q}}-k{{k}}-dual\\t" + coefficients(dual.psi))
 
 settings = SolveSettings(tolerance=1e-13, quad_depth=1)
 for methods in {MULTIRATE_METHODS!r}:
@@ -262,9 +270,8 @@ for methods in {MULTIRATE_METHODS!r}:
                       dual_partition_for(part, 1, 2), settings)
     report = estimate(prob, traj, dual)
     name = "multirate-" + "-".join(methods)
-    coeffs = [[traj.coefficients(i, j).tolist()
-               for j in range(part.n_intervals(i))] for i in range(2)]
-    print(f"{{name}}-coefficients\\t" + json.dumps(coeffs))
+    print(f"{{name}}-coefficients\\t" + coefficients(traj))
+    print(f"{{name}}-dual\\t" + coefficients(dual.psi))
     print(f"{{name}}-report\\t" + json.dumps(report.to_json_dict()))
     # the single-time readers and their array forms at every interior
     # breakpoint from both sides, at the midpoints, at 0 from the right and
@@ -492,17 +499,19 @@ def main() -> int:
             {artifact: (out / artifact).read_text() for artifact in ARTIFACTS
              if (out / artifact).is_file()} for out in outs.values()))
     a, b = (entries(text) for text in reports)
-    if len(a) != len(GRID_CASES) + len(MULTIRATE_TEXTS) or set(a) != set(b):
+    if (len(a) != len(GRID_CASES) + len(GRID_DUAL_TEXTS) + len(MULTIRATE_TEXTS)
+            or set(a) != set(b)):
         print("error: the two trees report different grid cases", file=sys.stderr)
         return 1
-    grid_differ = [case for case in a
-                   if case not in MULTIRATE_TEXTS and a[case] != b[case]]
+    grid_differ = [case for case in a if case not in MULTIRATE_TEXTS
+                   and case not in GRID_DUAL_TEXTS and a[case] != b[case]]
+    grid_dual_differ = [name for name in GRID_DUAL_TEXTS if a[name] != b[name]]
     multirate_differ = [name for name in MULTIRATE_TEXTS if a[name] != b[name]]
-    for name in grid_differ + multirate_differ:
-        if not name.endswith("report"):
-            print(f"differs: {name}")
-        else:
+    for name in grid_differ + grid_dual_differ + multirate_differ:
+        if name in grid_differ or name.endswith("-report"):
             print_deviations(name, a[name], b[name])
+        else:
+            print(f"differs: {name}")
     if any(set(entries(text)) != set(CHAIN_TEXTS) for text in chain_dumps):
         print("error: a chain solve printed other texts", file=sys.stderr)
         return 1
@@ -534,6 +543,8 @@ def main() -> int:
     print(steering)
     print(f"{len(GRID_CASES) - len(grid_differ)} of {len(GRID_CASES)} "
           "grid reports identical")
+    print(f"{len(GRID_DUAL_TEXTS) - len(grid_dual_differ)} of "
+          f"{len(GRID_DUAL_TEXTS)} grid dual coefficients identical")
     print(f"{len(MULTIRATE_TEXTS) - len(multirate_differ)} of "
           f"{len(MULTIRATE_TEXTS)} multirate texts identical")
     print(f"{len(DECAY_CASES) - len(decay_differ)} of {len(DECAY_CASES)} "
@@ -547,8 +558,9 @@ def main() -> int:
           "identical")
     print(f"{len(TABLEAU_CASES) - len(numbers_differ)} of {len(TABLEAU_CASES)} "
           "per-order entries identical")
-    return (1 if differ or grid_differ or multirate_differ or decay_differ
-            or chain_differ or closed_differ or dump_differ else 0)
+    return (1 if differ or grid_differ or grid_dual_differ or multirate_differ
+            or decay_differ or chain_differ or closed_differ or dump_differ
+            else 0)
 
 
 if __name__ == "__main__":

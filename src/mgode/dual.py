@@ -11,6 +11,10 @@ side, order)`` for an array of times and ``value(i, t, side, order)`` for
 one.  ``order`` selects the time derivative (0 for phi itself); both read the
 reversed trajectory psi at sigma = T - t and apply the sign (-1)^order of
 the time reversal.
+
+The linearization along the primal is frozen: ``solve_dual`` samples it once
+per dual interval before the solve, and the reversed problem declares its
+rhs ``columnwise``, so each slab sweep of the dual is one rhs call.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .partition import (Partition, _check_integer, _check_intervals, _check_side,
-                        _check_time)
+                        _check_time, build_slabs)
 from .solver import (OdeProblem, SolveSettings, SolverError, Trajectory,
-                     _user_error, solve)
+                     _interval_times, _user_error, solve)
 from .tableau import MCG, MAX_ORDER, gauss_rule_01
 
 
@@ -200,6 +204,15 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
     Substituting sigma = T - t yields a forward system for
     psi(sigma) = phi(T - sigma) with psi(0) = phi_T, which the regular solver
     integrates; the returned object exposes phi(t) = psi(T - t).
+
+    The linearization J^T (and the forcing) is sampled before the solve,
+    once per dual interval at its quadrature times, in the slab solver's
+    work order (slab, component, interval): a primal read depends on the
+    other times of its group, so the primal is read in the groups a first
+    sweep of one rhs call per interval would read it.  The rhs is then
+    column-independent, and the slab solver makes one call per sweep.  The
+    rhs keeps at most one stacked J^T, its last time array's; each time's
+    matrix lives once, in the stack that first sampled it.
     """
     problem = spec.problem
     primal = spec.primal
@@ -215,14 +228,16 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
 
     # the linearization (and forcing) along the fixed primal trajectory does
     # not change between sweeps, so cache them per quadrature time, and the
-    # same time arrays come back every sweep: stack their linearization
-    # once, (P, N, N) with the forcing (N, P) alongside
+    # sweeps of a slab repeat one time array: stack its linearization once,
+    # (P, N, N) with the forcing (N, P) alongside; only the last stack is
+    # kept, as the slabs' stacks repeat the matrices the per-time cache holds
     _frozen: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
     _stacked: dict[bytes, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def _stacked_at(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         key = sigmas.tobytes()
         if key not in _stacked:
+            _stacked.clear()
             ts = T - sigmas
             # only the missing times are sampled, on purpose: a primal read
             # depends on the other times of its (component, interval) group
@@ -245,9 +260,10 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
             Jts = np.stack([Jt for Jt, _ in pairs])
             G = None if g is None else np.stack([gv for _, gv in pairs], axis=1)
             _stacked[key] = (Jts, G)
-            # keep each matrix once: the per-time cache now views the stack
-            for p, t in enumerate(ts):
-                _frozen[float(t)] = (Jts[p], None if G is None else G[:, p])
+            # keep each matrix once: the per-time cache views the stack that
+            # sampled it, so no later stack stays alive through it
+            for p in missing:
+                _frozen[float(ts[p])] = (Jts[p], None if G is None else G[:, p])
         return _stacked[key]
 
     def psi_rhs(psi, sigma):
@@ -271,7 +287,15 @@ def solve_dual(spec: DualSpec, dual_partition: Partition,
         methods=MCG,
         vectorized=True,
         name=f"dual({problem.name})" if problem.name else "dual",
+        columnwise=True,
     )
+    settings = settings or SolveSettings()
     reversed_partition = _reverse_partition(dual_partition)
-    psi = solve(psi_problem, reversed_partition, settings or SolveSettings())
+    for slab in build_slabs(reversed_partition):
+        for i, (lo, hi) in enumerate(slab.spans):
+            for j in range(lo, hi):
+                _stacked_at(_interval_times(reversed_partition, MCG, i, j,
+                                            settings.quad_depth)[3])
+    psi = solve(psi_problem, reversed_partition, settings)
+    _stacked.clear()             # no later call repeats the last slab's times
     return DualSolution(psi=psi, psi_problem=psi_problem)

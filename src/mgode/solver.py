@@ -345,12 +345,18 @@ class Trajectory:
     def interval_values(self, i: int, j: int, s, order: int = 0) -> np.ndarray:
         """Component i's polynomial on interval j, or its order-th time
         derivative, at local coordinates s: one lagrange_matrix call on the
-        interval's nodes and one ``coeffs @ L``.  A negative j raises
-        ValueError, and so does an order other than 0 that is not a
+        interval's nodes and one ``coeffs @ L``.  A j outside the intervals
+        raises ValueError, and so does an order other than 0 that is not a
         positive integer; an order-0 read checks nothing more."""
         if j < 0:
             raise ValueError(f"interval index {j!r} is negative")
-        tab = tableau(self.methods[i], self._orders[i][j])
+        orders = self._orders[i]
+        try:
+            q = orders[j]
+        except IndexError:
+            raise ValueError(f"interval index {j!r} outside "
+                             f"[0, {len(orders) - 1}]") from None
+        tab = tableau(self.methods[i], q)
         L = lagrange_matrix(tab.nodes, s)
         vals = self._coeffs[i][j]
         if not order:
@@ -384,11 +390,14 @@ class Trajectory:
 
     def values(self, i: int, ts: np.ndarray, side: str, order: int) -> np.ndarray:
         """Component i's values, or order-th time derivatives, at the times
-        ``ts`` (a 1-d array), each on the interval ``Partition.locate`` finds
-        with ``side`` (times outside [0, T] clamp to the end intervals).  A
-        value read from the left at t = 0 is u0[i], the left limit there.
-        Raises ValueError unless order is a non-negative integer."""
+        ``ts`` (a 1-d array; a scalar or a sequence is read as one), each on
+        the interval ``Partition.locate`` finds with ``side`` (times outside
+        [0, T] clamp to the end intervals).  A value read from the left at
+        t = 0 is u0[i], the left limit there.  Raises ValueError unless
+        order is a non-negative integer."""
         _check_integer("order", order, 0)
+        if not isinstance(ts, np.ndarray) or not ts.ndim:
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = self.evaluate((i,), ts, (self.partition.locate(i, ts, side),), order)[0]
         if side == "left" and not order:
             out[ts == 0.0] = self.u0[i]
@@ -587,6 +596,16 @@ class _RhsBatches:
     keep: np.ndarray
 
 
+def _interval_times(partition: Partition, method: str, i: int, j: int,
+                    depth: int) -> tuple[int, float, float, np.ndarray]:
+    """Order, start, step and quadrature times of component i's interval j:
+    where the slab solver evaluates the rhs, its ``scheme_rule`` points."""
+    q = int(partition.orders[i][j])
+    t0, t1 = partition.span(i, j)
+    k = t1 - t0
+    return q, t0, k, t0 + k * scheme_rule(method, q, depth)[0]
+
+
 def _build_work(problem, partition, slab, settings, layouts):
     """Precompute quadrature times, cross-component evaluation stencils and
     the nodal-update tables for every interval in the slab.
@@ -624,12 +643,9 @@ def _build_work(problem, partition, slab, settings, layouts):
         first.append(len(work))
         lo, hi = slab.spans[i]
         for j in range(lo, hi):
-            q = int(partition.orders[i][j])
-            pts, _ = scheme_rule(problem.methods[i], q, settings.quad_depth)
-            t0, t1 = partition.span(i, j)
-            k = t1 - t0
-            work.append(_IntervalWork(i=i, order=q, t0=t0, k=k, times=t0 + k * pts,
-                                      at=at))
+            q, t0, k, times = _interval_times(partition, problem.methods[i], i, j,
+                                              settings.quad_depth)
+            work.append(_IntervalWork(i=i, order=q, t0=t0, k=k, times=times, at=at))
             at += q + 1
 
     counts = np.array([len(item.times) for item in work])

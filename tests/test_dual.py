@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import mgode.dual
 from mgode.dual import DualSpec, _reverse_partition, dual_partition_for, jstar, solve_dual
-from mgode.partition import PartitionError, build_partition
-from mgode.solver import OdeProblem, SolveSettings, solve
+from mgode.models import model
+from mgode.partition import PartitionError, build_partition, build_slabs
+from mgode.solver import OdeProblem, SolveSettings, Trajectory, solve
+from mgode.tableau import scheme_rule
 
 A2 = np.array([[-1.0, 2.0], [0.5, -3.0]])
 
@@ -373,6 +377,105 @@ class TestStackedDualRhs:
             column = np.ascontiguousarray(psi[:, p])[:, None]
             assert np.array_equal(psi_rhs(psi[:, p], s),
                                   psi_rhs(column, [s])[:, 0])
+
+
+def _batching_cases():
+    """(problem, primal partition, dual partition, terminal weight, forcing,
+    settings): a multirate Kepler problem, a mixed-family multirate linear
+    system on a refined dual, and a forced linear system."""
+    kepler = model("kepler_2body").problem(T=0.6)
+    part = build_partition([0.1, 0.07, 0.06, 0.09, 0.05, 0.11, 0.12, 0.15], 2,
+                           kepler.T, methods=kepler.methods)
+    yield (kepler, part, dual_partition_for(part), np.full(8, 0.35), None,
+           SolveSettings(tolerance=1e-12, quad_depth=1))
+    mixed = model("linear_system").problem(methods=("mcG", "mdG"))
+    part = build_partition([[0.03] * 10 + [0.07] * 10, [0.1] * 10], [2, 1],
+                           mixed.T, methods=mixed.methods)
+    yield (mixed, part, dual_partition_for(part, 1, 2), np.array([1.0, 0.0]),
+           None, SolveSettings(tolerance=1e-13))
+    forced = model("linear_system").problem()
+    part = build_partition([0.1, 0.25], 2, forced.T, methods=forced.methods)
+    yield (forced, part, dual_partition_for(part), np.array([0.5, -1.0]),
+           lambda t: np.array([np.cos(3.0 * t), 0.5]),
+           SolveSettings(tolerance=1e-13))
+
+
+def _per_interval_samples(reversed_partition, depth):
+    """The time arrays a per-interval dual rhs samples the primal at, in the
+    slab solver's work order (slab, component, interval): each interval's
+    quadrature times in t that no earlier interval sampled."""
+    T = reversed_partition.T
+    seen, out = set(), []
+    for slab in build_slabs(reversed_partition):
+        for i, (lo, hi) in enumerate(slab.spans):
+            for j in range(lo, hi):
+                t0, t1 = reversed_partition.span(i, j)
+                pts, _ = scheme_rule("mcG", int(reversed_partition.orders[i][j]),
+                                     depth)
+                new = [t for t in (T - (t0 + (t1 - t0) * pts)).tolist()
+                       if t not in seen]
+                seen.update(new)
+                if new:
+                    out.append(np.array(new))
+    return out
+
+
+class TestBatchedDualSweeps:
+    # The dual samples its linearization per interval before the solve, in
+    # the groups a per-interval first sweep would, and then declares its
+    # rhs columnwise: one rhs call per sweep, the same primal reads and the
+    # same bits as the dual solved one rhs call per interval.
+    @staticmethod
+    def spied_dual(monkeypatch, spec, dual_part, settings, columnwise):
+        """solve_dual with its psi problem declared columnwise or not; the
+        dual, the number of its rhs calls and the time arrays it sampled the
+        primal at."""
+        calls, sampled = [], []
+        real_solve, real_sample = mgode.dual.solve, Trajectory.sample_states
+
+        def solve_spy(problem, partition, settings):
+            def rhs(U, t):
+                calls.append(len(t))
+                return problem.rhs(U, t)
+            return real_solve(dataclasses.replace(
+                problem, rhs=rhs, columnwise=columnwise), partition, settings)
+
+        def sample_spy(traj, ts, side="left"):
+            if traj is spec.primal:
+                sampled.append(np.array(ts, dtype=float))
+            return real_sample(traj, ts, side)
+
+        with monkeypatch.context() as m:
+            m.setattr(mgode.dual, "solve", solve_spy)
+            m.setattr(Trajectory, "sample_states", sample_spy)
+            dual = solve_dual(spec, dual_part, settings)
+        return dual, len(calls), sampled
+
+    @pytest.mark.parametrize("case", range(3), ids=["kepler", "mixed", "forced"])
+    def test_one_call_per_sweep_same_samples_same_bits(self, monkeypatch, case):
+        prob, part, dual_part, phi_T, g, settings = list(_batching_cases())[case]
+        spec = DualSpec(problem=prob, primal=solve(prob, part, settings),
+                        phi_T=phi_T, g=g)
+        dual, calls, sampled = self.spied_dual(monkeypatch, spec, dual_part,
+                                               settings, True)
+        assert dual.psi_problem.columnwise
+        sweeps = sum(slab.sweeps for slab in dual.psi.report.slabs)
+        assert calls == sweeps
+        reference = _per_interval_samples(dual.psi.partition, settings.quad_depth)
+        assert len(sampled) == len(reference)
+        for got, want in zip(sampled, reference):
+            assert np.array_equal(got, want)
+        per_interval, calls, sampled_again = self.spied_dual(
+            monkeypatch, spec, dual_part, settings, False)
+        assert calls > sweeps
+        assert len(sampled_again) == len(reference)
+        for got, want in zip(sampled_again, reference):
+            assert np.array_equal(got, want)
+        psi_part = dual.psi.partition
+        for i in range(psi_part.n_components):
+            for j in range(psi_part.n_intervals(i)):
+                assert np.array_equal(dual.psi.coefficients(i, j),
+                                      per_interval.psi.coefficients(i, j))
 
 
 # -- one refinement path: the seed's two paths as the oracle -------------------

@@ -336,6 +336,27 @@ class TestEval:
             assert np.array_equal(traj.state(prob.T, side),
                                   traj.state(prob.T, "left"))
 
+    def test_values_reads_any_time_input(self):
+        # a list, a tuple, a float and a 0-d array read the bytes of the
+        # same times as a 1-d array
+        prob = model("linear_system").problem(methods=("mcG", "mdG"))
+        part = build_partition([0.25, 0.125], [1, 0], prob.T,
+                               methods=prob.methods)
+        traj = solve(prob, part, SolveSettings(tolerance=1e-13))
+        ts = [0.0, 0.3, 0.5, 1.0]
+        for i in range(2):
+            for side in ("left", "right"):
+                for order in (0, 1):
+                    want = traj.values(i, np.array(ts), side, order)
+                    for got in (traj.values(i, ts, side, order),
+                                traj.values(i, tuple(ts), side, order)):
+                        assert got.tobytes() == want.tobytes()
+                    for t in ts:
+                        want = traj.values(i, np.array([t]), side, order)
+                        for got in (traj.values(i, t, side, order),
+                                    traj.values(i, np.array(t), side, order)):
+                            assert got.tobytes() == want.tobytes()
+
 
 class TestRejectedInput:
     def test_method_tag_count(self):
@@ -369,12 +390,14 @@ class TestRejectedInput:
          "interval index must be an integer in [0, 3], got -1"),
         (lambda prob, traj: traj.interval_values(0, -1, np.array([0.5])),
          "interval index -1 is negative"),
+        (lambda prob, traj: traj.interval_values(0, 4, np.array([0.5])),
+         "interval index 4 outside [0, 3]"),
         (lambda prob, traj: traj.jump(0, 1.5),
          "breakpoint index must be an integer in [0, 3], got 1.5"),
         (lambda prob, traj: traj.jump(0, True),
          "breakpoint index must be an integer in [0, 3], got True"),
     ], ids=["residual_reader", "interval_residual", "interval_values",
-            "jump_float", "jump_bool"])
+            "interval_values_past_the_end", "jump_float", "jump_bool"])
     def test_bad_interval_index(self, read, message):
         prob = model("linear_system").problem(methods=("mcG", "mdG"))
         part = build_partition([0.25, 0.125], [1, 0], prob.T,

@@ -202,6 +202,11 @@ def test_kepler_run_counts_at_seed_0(tmp_path):
     assert metrics["tableau.lagrange_calls"] == 63_726
     assert metrics["estimator.rhs_cols"] == 53_569
     assert metrics["estimator.residual_calls"] == 4_244
+    # the dual's sweeps, Jacobian calls and rhs columns, whatever the
+    # batching of its rhs calls
+    assert metrics["dual.sweeps"] == 342
+    assert metrics["dual.jac_calls"] == 1_294
+    assert metrics["dual.rhs_cols"] == 142_624
 
 
 def test_effectivity_grid_counts_at_seed_0(tmp_path):
@@ -216,3 +221,6 @@ def test_effectivity_grid_counts_at_seed_0(tmp_path):
     assert metrics["tableau.lagrange_calls"] == 81_163
     assert metrics["estimator.rhs_cols"] == 175_820
     assert metrics["estimator.residual_calls"] == 10_801
+    assert metrics["dual.sweeps"] == 7_474
+    assert metrics["dual.jac_calls"] == 2_812
+    assert metrics["dual.rhs_cols"] == 52_280
